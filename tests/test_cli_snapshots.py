@@ -1,0 +1,145 @@
+"""Byte-identity snapshots of CLI stdout for fixed arguments.
+
+Each group runs a family of CLI calls, requires exit code 0 from every
+call and hashes their concatenated stdout.  The pinned sha256 values are
+the output of the package before its cohomology bases, Kneser block lists
+and matrix cuts came from one block enumeration; a mismatch means that
+stdout changed.  The groups cover:
+
+* ``lefschetz --emit-matrix`` with and without ``--check-kneser``, in json
+  and text, for every m and n = 2..5 in both modes.  This includes the
+  block cuts: generic even m >= 2 cuts at C(n-1, k-1), generic m = 0 has
+  none, and ones mode reports cuts only under ``--check-kneser``;
+* ``cohomology --basis --degree d`` for every d, same n and modes;
+* the CLI examples of the README.  ``verify-all --max-n 6`` is left to the
+  benchmark, which pins it too, because it takes longer than this suite.
+"""
+
+import hashlib
+
+import pytest
+
+import aacohom.cli as cli
+
+SNAPSHOT_N = range(2, 6)
+MODES = ("generic", "ones")
+
+README_EXAMPLES = (
+    "cohomology --n 5 --mode generic --betti --check-brute",
+    "cohomology --n 5 --mode generic --basis --degree 4",
+    "--format text lefschetz --n 5 --m 4 --mode generic --emit-matrix "
+    "--check-kneser",
+    "lefschetz --n 6 --mode ones --hl",
+    "kneser --n 5 --k 2 --spectrum --verify",
+    "hodge --n 3 --mode explicit --b 3,9",
+    "lattice --case I --n 5 --d 2,3,5,7",
+    "lattice --case II --n 3 --m 3",
+    "lattice --n 5 --alt-k 1,2,3,4",
+    "verify-all --max-n 5",
+)
+
+
+def _lefschetz_calls(mode, n):
+    for m in range(n + 1):
+        for fmt in ("json", "text"):
+            for extra in ([], ["--check-kneser"]):
+                yield [
+                    "--format", fmt, "lefschetz", "--n", str(n), "--mode",
+                    mode, "--m", str(m), "--emit-matrix", *extra,
+                ]
+
+
+def _cohomology_calls(mode, n):
+    for degree in range(2 * n + 1):
+        yield [
+            "cohomology", "--n", str(n), "--mode", mode, "--basis",
+            "--degree", str(degree),
+        ]
+
+
+def _groups():
+    groups = {}
+    for mode in MODES:
+        for n in SNAPSHOT_N:
+            groups[f"lefschetz {mode} n={n}"] = list(_lefschetz_calls(mode, n))
+            groups[f"cohomology {mode} n={n}"] = list(_cohomology_calls(mode, n))
+    for example in README_EXAMPLES:
+        groups[example] = [example.split()]
+    return groups
+
+
+GROUPS = _groups()
+
+PINNED = {
+    "lefschetz generic n=2":
+        "7955e1f253d70d7ebc5b0c2830e206ff84521f3981e5b958cf8c2f628c0ba165",
+    "cohomology generic n=2":
+        "7b250bd28c23ffd986fa723a1dea88787f2e9f44a2e8291e98fd11186ce39cda",
+    "lefschetz generic n=3":
+        "a215f823160b89f5fd84f87636421d6a36458623d25c8ecc9088fa1f7f512c00",
+    "cohomology generic n=3":
+        "0182c03a392801b101a387f769183ef3fc989d71df77d110b1493e81b2c7d14e",
+    "lefschetz generic n=4":
+        "307832cb7ba7669199cda7aa9874223c9747af7225cf20515443420f9a63bf15",
+    "cohomology generic n=4":
+        "c3d5b663a1e54507dffe06e94353a73e7f10fb513c80b79378cda2641eb061bc",
+    "lefschetz generic n=5":
+        "96637ceafb22cf2422b23812b7c323d9e20b7ec5cea05aac39094a7121ba0ee6",
+    "cohomology generic n=5":
+        "3ba78f96445d77e15dcf56f16752fd9ffe938abe7c4265022844022aa5155464",
+    "lefschetz ones n=2":
+        "98f6da777d0272dd263886f6bda6c1c61a99303b3570983d1dd44cfae9bac122",
+    "cohomology ones n=2":
+        "3635a0a0c78e4f1e7a9d4a00d2a3ad84bc0f180a592bf2536b728a4a62a79d26",
+    "lefschetz ones n=3":
+        "f9b7c231ae6acd0493fa1ed9ce5a1b29bcc6d80b6ba809dcac9068e493de004c",
+    "cohomology ones n=3":
+        "e8d9db51c312076953cd3ea638ad9d2fa85762dece42069f8f285e9d49e36a65",
+    "lefschetz ones n=4":
+        "0e542d65b0c79a0d719f3fe704e0966d7580f81920d767d5550e658da1eab48c",
+    "cohomology ones n=4":
+        "72eca9d3efe1d74268ef81e5afe033fa8de3d9df282709a2f9f018c7ccfc970a",
+    "lefschetz ones n=5":
+        "d0c733e71149b2364913e362dc38addef27723f412fac1611efe51f16bd7c4d6",
+    "cohomology ones n=5":
+        "9e338d57661b223336f46f91520c75c330df2b1e51fb266155884c934ca978fa",
+    "cohomology --n 5 --mode generic --betti --check-brute":
+        "d8ff2e692ad8ba1b211768b4fa1340ad83e6ae2846aa94df17a9b535cb6e7062",
+    "cohomology --n 5 --mode generic --basis --degree 4":
+        "7f659c640c06ec5e45cec0266ace5d502939c90fdd8caa12eb72a76dc11b1c99",
+    "--format text lefschetz --n 5 --m 4 --mode generic --emit-matrix --check-kneser":
+        "0100f15da3e7b2c21eead46f7739a6faf37f9b7f62135b9af4ea58d452c74970",
+    "lefschetz --n 6 --mode ones --hl":
+        "63f744d626e094c3521acc6cdc56ebbcef5d8dae25d35aa316958c420ccc291f",
+    "kneser --n 5 --k 2 --spectrum --verify":
+        "cb049ccf2683f3bb95d5f12bfd5cba2d1d687c91d3e674bf648c211e092a5b5a",
+    "hodge --n 3 --mode explicit --b 3,9":
+        "36c1dbe12365141dfe533f9b47c2a27017300afa10d19b96183a891d49428f2b",
+    "lattice --case I --n 5 --d 2,3,5,7":
+        "0206ee93b34352da3ebfac8440d0694c04f506ca2c452d48ba725929e4492217",
+    "lattice --case II --n 3 --m 3":
+        "1002a3b5654db2b45e85b462624d76b08cbc9ea143c8895f853cd0109a81402e",
+    "lattice --n 5 --alt-k 1,2,3,4":
+        "643f3646cff062c535b266f68615e392a4885af12d34d3262a5130cca6f6c46b",
+    "verify-all --max-n 5":
+        "d2501fea31a9458df3c258fb7b97595913072de4a932b631317e6e8ae4d25add",
+}
+
+
+def stdout_digest(calls, capsys) -> str:
+    digest = hashlib.sha256()
+    for argv in calls:
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, " ".join(argv)
+        digest.update(out.encode())
+    return digest.hexdigest()
+
+
+def test_every_group_is_pinned():
+    assert sorted(PINNED) == sorted(GROUPS)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_stdout_matches_snapshot(group, capsys):
+    assert stdout_digest(GROUPS[group], capsys) == PINNED[group]
