@@ -6,34 +6,21 @@ with the same arguments emit identical bytes.  ``--max-n`` caps the
 algebra sizes; the stated ranges need max_n = 6.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from mpmath import mpf
-
 from .ce_complex import (
     AlgebraSpec,
     betti_bruteforce,
     betti_closed_form,
-    cohomology_basis,
 )
-from .exterior_algebra import Form, all_monomials
 from .kneser import KneserGraph, verify_invertible
 from .lattice import (
     alt_remark_params,
     build_lattice,
     case1_params,
+    lattice_failures,
     pell_min_solution,
 )
 from .lefschetz import check_structure, hard_lefschetz_report, lefschetz_matrix
-from .symplectic_hodge import (
-    dc,
-    dc_as_commutator,
-    ddc_lemma_check,
-    harmonic_representative,
-    star,
-)
-from .ce_complex import differential, is_closed
+from .symplectic_hodge import operator_suite_failures
 
 GOLDEN_M4_5 = (
     (0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
@@ -52,24 +39,6 @@ BETTI_GENERIC_N5 = (1, 2, 5, 8, 10, 12, 10, 8, 5, 2, 1)
 BETTI_ONES_N3 = (1, 2, 5, 8, 5, 2, 1)
 PELL_GOLDEN = {2: (6, 4), 3: (4, 2), 5: (3, 1), 7: (16, 6)}
 ALT_REMARK_GOLDEN = (4, 8, 55, 2981)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("LEFSCHETZ_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn, items):
-    """Apply fn over items, optionally on worker threads, preserving order."""
-    items = list(items)
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def criterion_golden_matrix(max_n: int) -> dict:
@@ -148,22 +117,14 @@ def criterion_hard_lefschetz(max_n: int) -> dict:
     name = "hard-Lefschetz: det(L_m) != 0 for all m, both modes"
     top = min(6, max_n)
     failures = []
-
-    def run(spec_label):
-        spec, label = spec_label
-        report = hard_lefschetz_report(spec)
-        return [
-            [label, spec.n, op.m]
-            for op in report.operators
-            if op.determinant == 0
-        ]
-
-    jobs = []
     for n in range(2, top + 1):
-        jobs.append((AlgebraSpec.generic(n), "generic"))
-        jobs.append((AlgebraSpec.ones(n), "ones"))
-    for bad in map_ordered(run, jobs):
-        failures.extend(bad)
+        for spec in (AlgebraSpec.generic(n), AlgebraSpec.ones(n)):
+            report = hard_lefschetz_report(spec)
+            failures.extend(
+                [spec.mode.value, n, op.m]
+                for op in report.operators
+                if op.determinant == 0
+            )
     return {
         "id": 4,
         "name": name,
@@ -234,8 +195,6 @@ def criterion_pell(max_n: int) -> dict:
 
 def criterion_lattices(max_n: int) -> dict:
     name = "lattice certification: det E = 1, conjugacy and trace residuals"
-    tol_res = mpf("1e-9")
-    tol_trace = mpf("1e-12")
     failures = []
     packages = []
     if max_n >= 5:
@@ -244,16 +203,7 @@ def criterion_lattices(max_n: int) -> dict:
         packages.append(build_lattice("II", n, 3))
     for pkg in packages:
         label = f"case {pkg.case} n={pkg.n}"
-        from . import exact_linalg
-
-        if exact_linalg.det_bareiss([list(r) for r in pkg.E]) != 1:
-            failures.append([label, "det E != 1"])
-        if not pkg.residual < tol_res:
-            failures.append([label, "conjugacy residual too large"])
-        if not pkg.trace_residual < tol_trace:
-            failures.append([label, "trace identity violated"])
-        if pkg.certificate is not None and not pkg.certificate.certified:
-            failures.append([label, "hypothesis certificate failed"])
+        failures.extend([label, reason] for reason in lattice_failures(pkg))
     return {
         "id": 8,
         "name": name,
@@ -282,25 +232,9 @@ def criterion_operator_suite(max_n: int) -> dict:
     for n in range(2, min(3, max_n) + 1):
         spec = AlgebraSpec.explicit([3 ** j for j in range(1, n)])
         label = f"explicit n={n}"
-        two_n = spec.two_n
-        for k in range(two_n + 1):
-            for mono in all_monomials(two_n, k):
-                f = Form.from_monomial(mono)
-                if star(spec, star(spec, f)) != f:
-                    failures.append([label, k, "star not involutive"])
-                if not dc(spec, dc(spec, f)).is_zero:
-                    failures.append([label, k, "dc^2 != 0"])
-                lhs = differential(spec, dc(spec, f))
-                if lhs != -dc(spec, differential(spec, f)):
-                    failures.append([label, k, "d dc != -dc d"])
-                if dc(spec, f) != dc_as_commutator(spec, f):
-                    failures.append([label, k, "dc != [d, Lambda]"])
-            if not ddc_lemma_check(spec, k):
-                failures.append([label, k, "dd^c lemma fails"])
-            for vec in cohomology_basis(spec, k).forms():
-                rep = harmonic_representative(spec, vec)
-                if not (is_closed(spec, rep) and dc(spec, rep).is_zero):
-                    failures.append([label, k, "non-harmonic representative"])
+        failures.extend(
+            [label, k, reason] for k, reason in operator_suite_failures(spec)
+        )
     return {
         "id": 10,
         "name": name,

@@ -27,7 +27,7 @@ from math import comb
 
 from . import exact_linalg
 from .errors import SizeLimitError, UnsupportedModeError
-from .exterior_algebra import Form, Monomial, all_monomials, wedge
+from .exterior_algebra import Form, Monomial, all_monomials
 
 BRUTEFORCE_MAX_N = 7
 GENERIC_WITNESS_BASE = 3
@@ -260,11 +260,6 @@ def gamma_form(spec: AlgebraSpec, i: int) -> Form:
     )
 
 
-def gammabar_form(spec: AlgebraSpec, i: int) -> Form:
-    """gamma-bar: index 1 denotes delta, indices 2..n the ordinary gamma_i."""
-    return delta_form(spec) if i == 1 else gamma_form(spec, i)
-
-
 def theta_form(spec: AlgebraSpec, i: int, j: int) -> Form:
     """theta_{i|j} = e^i ^ e^{s(j)} with i != j."""
     if i == j:
@@ -274,219 +269,87 @@ def theta_form(spec: AlgebraSpec, i: int, j: int) -> Form:
     )
 
 
-def _product(spec, factors):
-    form = Form.one(spec.two_n)
-    for factor in factors:
-        form = wedge(form, factor)
-    return form
-
-
 def _idx_label(indices):
     return ",".join(str(i) for i in indices)
-
-
-class _BasisBuilder:
-    def __init__(self, spec):
-        self.spec = spec
-        self.elements = []
-        self.labels = []
-        self.signs = []
-
-    def add(self, factors, label):
-        form = _product(self.spec, factors)
-        (mono, coeff), = form.terms.items()
-        if coeff not in (1, -1):
-            raise AssertionError(f"basis product is not a signed monomial: {form}")
-        self.elements.append(mono)
-        self.labels.append(label)
-        self.signs.append(int(coeff))
-
-    def build(self, degree):
-        basis = CohomologyBasis(
-            degree, tuple(self.elements), tuple(self.labels), tuple(self.signs)
-        )
-        for m in basis.elements:
-            if m.degree != degree:
-                raise AssertionError("basis element of wrong degree")
-        return basis
-
-
-def _gamma_factors(spec, indices):
-    return [gammabar_form(spec, i) for i in indices]
-
-
-def _gamma_label(indices, bar=False):
-    indices = tuple(indices)
-    if not indices:
-        return "1"
-    parts = []
-    if bar and indices[0] == 1:
-        parts.append("delta")
-        indices = indices[1:]
-    if indices:
-        parts.append("gamma_{%s}" % _idx_label(indices))
-    return "*".join(parts) if parts else "1"
-
-
-def _Gamma_label(indices):
-    indices = tuple(indices)
-    return "Gamma_{%s}" % _idx_label(indices) if indices else "Gamma"
-
-
-def _theta_factors(spec, r, s):
-    return [theta_form(spec, a, b) for a, b in zip(r, s)]
-
-
-def _theta_label(r, s):
-    return "theta_{%s|%s}" % (_idx_label(r), _idx_label(s))
 
 
 def _join(*parts):
     return "*".join(p for p in parts if p and p != "1") or "1"
 
 
-def _case1_source(spec, degree):
-    """Case I basis of H^degree for degree <= n (gamma-bar flavour)."""
-    n = spec.n
-    builder = _BasisBuilder(spec)
-    if degree % 2 == 0:
-        k = degree // 2
-        for idx in combinations(range(1, n + 1), k):
-            builder.add(_gamma_factors(spec, idx), _gamma_label(idx, bar=True))
-    else:
-        k = (degree - 1) // 2
-        e1 = Form.covector(1, spec.two_n)
-        e2n = Form.covector(spec.two_n, spec.two_n)
-        for idx in combinations(range(2, n + 1), k):
-            builder.add([e1] + _gamma_factors(spec, idx),
-                        _join("e1", _gamma_label(idx)))
-        for idx in combinations(range(2, n + 1), k):
-            builder.add(_gamma_factors(spec, idx) + [e2n],
-                        _join(_gamma_label(idx), "e2n"))
-    return builder.build(degree)
+def _kneser_blocks(spec, m):
+    """The Kneser blocks of L_m in pinned basis order.
 
-
-def _case1_target(spec, degree):
-    """Case I basis of H^degree for degree >= n (Gamma-bar flavour).
-
-    Elements are indexed by the complementary multi-index J and sorted
-    lexicographically by J, which is the order in which they appear as the
-    codomain of a Lefschetz operator.
+    Yields (half, p, R, S, ground, free) per block.  ``half`` is None for
+    even m and "e1" or "e2n" for the two halves of odd m = 2k+1.  R and S
+    are disjoint p-subsets of {2..n} naming the factor theta_{R|S}; generic
+    mode (case I) is ones mode (case II) restricted to p = 0.  The classes
+    of a block are indexed by the ``free``-subsets of ``ground`` in
+    lexicographic order, and L_m acts on them as the adjacency matrix of
+    K(len(ground), free), or as the identity when free = 0.
     """
     n = spec.n
-    builder = _BasisBuilder(spec)
-    if degree % 2 == 0:
-        l = n - degree // 2
-        for j_idx in combinations(range(1, n + 1), l):
-            comp = tuple(sorted(set(range(1, n + 1)) - set(j_idx)))
-            label = ("delta*" if 1 in comp else "") + _Gamma_label(
-                i for i in j_idx if i != 1
-            )
-            builder.add(_gamma_factors(spec, comp), label)
+    k, odd = divmod(m, 2)
+    lowest = 2 if odd else 1
+    top_p = k if spec.mode is Mode.ONES else 0
+    for half in ("e1", "e2n") if odd else (None,):
+        for p in range(top_p + 1):
+            for r in combinations(range(2, n + 1), p):
+                rest = [x for x in range(2, n + 1) if x not in r]
+                for s in combinations(rest, p):
+                    ground = tuple(
+                        x for x in range(lowest, n + 1)
+                        if x not in r and x not in s
+                    )
+                    yield half, p, r, s, ground, k - p
+
+
+def _label(spec, half, target, free, theta):
+    """Label of one class; the cases differ only in even target labels."""
+    rest = [i for i in free if i != 1]
+    if not target:
+        core = _join("delta" if 1 in free else "",
+                     "gamma_{%s}" % _idx_label(rest) if rest else "")
+    elif half is None and spec.mode is Mode.ONES:
+        core = "Gammabar_{%s}" % _idx_label(free) if free else "Gammabar"
     else:
-        l = n - (degree - 1) // 2
-        e1 = Form.covector(1, spec.two_n)
-        e2n = Form.covector(spec.two_n, spec.two_n)
-        for j_idx in combinations(range(2, n + 1), l - 1):
-            comp = tuple(sorted(set(range(2, n + 1)) - set(j_idx)))
-            builder.add([e1] + _gamma_factors(spec, comp),
-                        _join("e1", _Gamma_label(j_idx)))
-        for j_idx in combinations(range(2, n + 1), l - 1):
-            comp = tuple(sorted(set(range(2, n + 1)) - set(j_idx)))
-            builder.add(_gamma_factors(spec, comp) + [e2n],
-                        _join(_Gamma_label(j_idx), "e2n"))
-    return builder.build(degree)
+        core = "Gamma_{%s}" % _idx_label(rest) if rest else "Gamma"
+        if half is None and 1 not in free:
+            core = "delta*" + core
+    return _join("e1" if half == "e1" else "", core, theta,
+                 "e2n" if half == "e2n" else "")
 
 
-def _case2_pairs(n, p):
-    """Disjoint ordered pairs (R, S) of p-subsets of {2..n}, R-lex then S-lex."""
-    ground = range(2, n + 1)
-    for r in combinations(ground, p):
-        rest = [x for x in ground if x not in r]
-        for s in combinations(rest, p):
-            yield r, s
+def _pinned_basis(spec, m, target):
+    """Basis of H^m (source side) or of H^{2n-m} (target side) in block order.
 
-
-def _case2_source(spec, degree):
-    """Case II basis of H^degree for degree <= n.
-
-    Grouped by increasing p, then by the theta pair (R, S), then lex in the
-    free multi-index; grouping by (R, S) keeps each Kneser block contiguous.
+    The class of a free subset I of a block is the product
+    [e^1] gammabar_C theta_{R|S} [e^{2n}], where C = I on the source side
+    and C = ground minus I on the target side, and gammabar_1 = delta.  Its
+    sign is the parity of the inversion count of the factor index sequence.
     """
-    n = spec.n
-    builder = _BasisBuilder(spec)
-    if degree % 2 == 0:
-        k = degree // 2
-        for p in range(k + 1):
-            for r, s in _case2_pairs(n, p):
-                ground = [x for x in range(1, n + 1) if x not in r and x not in s]
-                for idx in combinations(ground, k - p):
-                    builder.add(
-                        _gamma_factors(spec, idx) + _theta_factors(spec, r, s),
-                        _join(_gamma_label(idx, bar=True),
-                              _theta_label(r, s) if p else ""),
-                    )
-    else:
-        k = (degree - 1) // 2
-        e1 = Form.covector(1, spec.two_n)
-        e2n = Form.covector(spec.two_n, spec.two_n)
-        for wrap, head, tail in (("e1", [e1], []), ("e2n", [], [e2n])):
-            for p in range(k + 1):
-                for r, s in _case2_pairs(n, p):
-                    ground = [x for x in range(2, n + 1)
-                              if x not in r and x not in s]
-                    for idx in combinations(ground, k - p):
-                        body = _gamma_factors(spec, idx) + _theta_factors(spec, r, s)
-                        core = _join(_gamma_label(idx),
-                                     _theta_label(r, s) if p else "")
-                        if wrap == "e1":
-                            builder.add(head + body, _join("e1", core))
-                        else:
-                            builder.add(body + tail, _join(core, "e2n"))
-    return builder.build(degree)
-
-
-def _case2_target(spec, degree):
-    """Case II basis of H^degree for degree >= n (complement flavour)."""
-    n = spec.n
-    builder = _BasisBuilder(spec)
-    if degree % 2 == 0:
-        l = n - degree // 2
-        for p in range(n + 1):
-            for r, s in _case2_pairs(n, p):
-                ground = [x for x in range(1, n + 1) if x not in r and x not in s]
-                for j_idx in combinations(ground, l - p):
-                    comp = [x for x in ground if x not in j_idx]
-                    builder.add(
-                        _gamma_factors(spec, comp) + _theta_factors(spec, r, s),
-                        _join("Gammabar_{%s}" % _idx_label(j_idx)
-                              if j_idx else "Gammabar",
-                              _theta_label(r, s) if p else ""),
-                    )
-            if l - p <= 0:
-                break
-    else:
-        l = n - (degree - 1) // 2
-        e1 = Form.covector(1, spec.two_n)
-        e2n = Form.covector(spec.two_n, spec.two_n)
-        for wrap in ("e1", "e2n"):
-            for p in range(n + 1):
-                if l - 1 - p < 0:
-                    break
-                for r, s in _case2_pairs(n, p):
-                    ground = [x for x in range(2, n + 1)
-                              if x not in r and x not in s]
-                    for j_idx in combinations(ground, l - 1 - p):
-                        comp = [x for x in ground if x not in j_idx]
-                        body = (_gamma_factors(spec, comp)
-                                + _theta_factors(spec, r, s))
-                        core = _join(_Gamma_label(j_idx),
-                                     _theta_label(r, s) if p else "")
-                        if wrap == "e1":
-                            builder.add([e1] + body, _join("e1", core))
-                        else:
-                            builder.add(body + [e2n], _join(core, "e2n"))
-    return builder.build(degree)
+    two_n = spec.two_n
+    elements, labels, signs = [], [], []
+    for half, p, r, s, ground, free in _kneser_blocks(spec, m):
+        thetas = [i for a, b in zip(r, s) for i in (a, spec.sigma(b))]
+        theta = "theta_{%s|%s}" % (_idx_label(r), _idx_label(s)) if p else ""
+        for idx in combinations(ground, free):
+            gammas = [x for x in ground if x not in idx] if target else idx
+            seq = [1] if half == "e1" else []
+            for i in gammas:
+                seq += (1, two_n) if i == 1 else (i, spec.sigma(i))
+            seq += thetas
+            if half == "e2n":
+                seq.append(two_n)
+            mask = inversions = 0
+            for i in seq:
+                inversions += (mask >> i).bit_count()
+                mask |= 1 << (i - 1)
+            elements.append(Monomial(mask, two_n))
+            labels.append(_label(spec, half, target, idx, theta))
+            signs.append(-1 if inversions & 1 else 1)
+    degree = two_n - m if target else m
+    return CohomologyBasis(degree, tuple(elements), tuple(labels), tuple(signs))
 
 
 def _explicit_basis(spec, degree):
@@ -518,13 +381,11 @@ def cohomology_basis(spec: AlgebraSpec, degree: int) -> CohomologyBasis:
     """
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
-    if spec.mode is Mode.GENERIC:
-        build = _case1_source if degree <= spec.n else _case1_target
-    elif spec.mode is Mode.ONES:
-        build = _case2_source if degree <= spec.n else _case2_target
-    else:
+    if spec.mode is Mode.EXPLICIT:
         return _explicit_basis(spec, degree)
-    return build(spec, degree)
+    if degree <= spec.n:
+        return _pinned_basis(spec, degree, False)
+    return _pinned_basis(spec, spec.two_n - degree, True)
 
 
 def lefschetz_target_basis(spec: AlgebraSpec, m: int) -> CohomologyBasis:
@@ -534,12 +395,9 @@ def lefschetz_target_basis(spec: AlgebraSpec, m: int) -> CohomologyBasis:
     the codomain keeps the complementary ordering so that the middle
     Lefschetz matrix matches its Kneser-graph description.
     """
-    degree = spec.two_n - m
-    if spec.mode is Mode.GENERIC:
-        return _case1_target(spec, degree)
-    if spec.mode is Mode.ONES:
-        return _case2_target(spec, degree)
-    return _explicit_basis(spec, degree)
+    if spec.mode is Mode.EXPLICIT:
+        return _explicit_basis(spec, spec.two_n - m)
+    return _pinned_basis(spec, m, True)
 
 
 def betti_closed_form(spec: AlgebraSpec, degree: int) -> int:

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 from . import acceptance
 from .ce_complex import (
@@ -32,23 +33,21 @@ from .errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, all_monomials
 from .kneser import KneserGraph, adjacency, spectrum, verify_invertible
 from .lattice import (
     alt_remark_params,
     build_lattice,
     case1_params,
     hypothesis1_certificate,
+    lattice_failures,
 )
-from .lefschetz import check_structure, hard_lefschetz_report, lefschetz_matrix
-from .symplectic_hodge import (
-    dc,
-    dc_as_commutator,
-    ddc_lemma_check,
-    harmonic_representative,
-    star,
+from .lefschetz import (
+    block_layout,
+    check_structure,
+    hard_lefschetz_report,
+    lefschetz_matrix,
 )
-from .ce_complex import differential, is_closed
+from .symplectic_hodge import operator_suite_failures
 
 USAGE_ERRORS = (
     InvalidParameterError,
@@ -71,7 +70,12 @@ def _parse_spec(args) -> AlgebraSpec:
     if mode is Mode.EXPLICIT:
         if not args.b:
             raise UnsupportedModeError("explicit mode needs --b p/q,p/q,...")
-        weights = [Fraction(part) for part in args.b.split(",")]
+        try:
+            weights = [Fraction(part) for part in args.b.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise InvalidParameterError(
+                f"--b needs comma-separated rationals p/q, got {args.b!r}"
+            ) from None
         spec = AlgebraSpec.explicit(weights)
         if spec.n != args.n:
             raise InvalidParameterError(
@@ -157,18 +161,18 @@ def _cmd_cohomology(args):
 
 
 def _lefschetz_cuts(spec, mat):
-    from math import comb
+    """Block boundaries for the text rendering and the JSON payload.
 
-    n, m = spec.n, mat.m
-    if spec.mode is Mode.GENERIC:
-        if m == 0:
-            return []
-        if m % 2 == 0:
-            return [comb(n - 1, m // 2 - 1)]
-        return [len(mat.entries) // 2]
-    if mat.structure is not None:
-        return [b.offset for b in mat.structure.blocks[1:]]
-    return []
+    Ones mode reports them only after the structure check.  Generic even
+    m >= 2 has a single block and is cut where the classes containing delta
+    end instead.
+    """
+    if spec.mode is Mode.ONES and mat.structure is None:
+        return []
+    cuts = [b.offset for b in block_layout(spec, mat.m)[1:]]
+    if spec.mode is Mode.GENERIC and mat.m and mat.m % 2 == 0:
+        cuts.append(comb(spec.n - 1, mat.m // 2 - 1))
+    return cuts
 
 
 def _cmd_lefschetz(args):
@@ -231,40 +235,27 @@ def _cmd_kneser(args):
     return results, ok
 
 
+HODGE_CHECKS = (
+    ("star is an involution", "star not involutive"),
+    ("dc o dc = 0", "dc^2 != 0"),
+    ("d dc = -dc d", "d dc != -dc d"),
+    ("dc = [d, Lambda]", "dc != [d, Lambda]"),
+    ("dd^c lemma in every degree", "dd^c lemma fails"),
+    ("harmonic representative for every basis class",
+     "non-harmonic representative"),
+)
+
+
 def _cmd_hodge(args):
     spec = _parse_spec(args)
     if spec.n > 4:
         raise SizeLimitError("the operator suite is limited to n <= 4")
-    checks = []
-
-    def record(name, passed):
-        checks.append({"name": name, "passed": bool(passed)})
-
-    two_n = spec.two_n
-    invol = dc2 = anti = comm = True
-    for k in range(two_n + 1):
-        for mono in all_monomials(two_n, k):
-            f = Form.from_monomial(mono)
-            invol &= star(spec, star(spec, f)) == f
-            dc2 &= dc(spec, dc(spec, f)).is_zero
-            anti &= differential(spec, dc(spec, f)) == -dc(
-                spec, differential(spec, f)
-            )
-            comm &= dc(spec, f) == dc_as_commutator(spec, f)
-    record("star is an involution", invol)
-    record("dc o dc = 0", dc2)
-    record("d dc = -dc d", anti)
-    record("dc = [d, Lambda]", comm)
-    lemma = all(ddc_lemma_check(spec, k) for k in range(two_n + 1))
-    record("dd^c lemma in every degree", lemma)
-    harmonic = True
-    for k in range(two_n + 1):
-        for vec in cohomology_basis(spec, k).forms():
-            rep = harmonic_representative(spec, vec)
-            harmonic &= is_closed(spec, rep) and dc(spec, rep).is_zero
-    record("harmonic representative for every basis class", harmonic)
-    ok = all(c["passed"] for c in checks)
-    return {"checks": checks}, ok
+    failed = {reason for _, reason in operator_suite_failures(spec)}
+    checks = [
+        {"name": name, "passed": reason not in failed}
+        for name, reason in HODGE_CHECKS
+    ]
+    return {"checks": checks}, not failed
 
 
 def _cmd_lattice(args):
@@ -294,10 +285,7 @@ def _cmd_lattice(args):
     else:
         raise InvalidParameterError(f"unknown case {args.case!r}")
     results.update(package.to_json_dict())
-    ok = package.residual < 1e-9 and (
-        package.certificate is None or package.certificate.certified
-    )
-    return results, ok
+    return results, not lattice_failures(package)
 
 
 def _cmd_verify_all(args):

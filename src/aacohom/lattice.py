@@ -31,6 +31,8 @@ from .errors import (
 
 DEFAULT_DPS = 40
 NUMERIC_TOLERANCE = mpf("1e-6")
+RESIDUAL_TOLERANCE = mpf("1e-9")
+TRACE_TOLERANCE = mpf("1e-12")
 MAX_EXHAUSTIVE = 12
 ALT_REMARK_MAX_EXPONENT = 20
 PELL_ITERATION_CAP = 10 ** 6
@@ -446,6 +448,25 @@ def build_lattice(case: str, n: int, params, dps: int = DEFAULT_DPS) -> LatticeS
         trace_residual,
         certificate,
     )
+
+
+def lattice_failures(package: LatticeSpec) -> list:
+    """Reasons a lattice package fails certification; empty when it passes.
+
+    det E must be exactly 1, the conjugacy residual below 1e-9, the trace
+    residual |e^t + e^-t - m| below 1e-12 and the independence certificate,
+    when there is one, certified.
+    """
+    failures = []
+    if exact_linalg.det_bareiss([list(row) for row in package.E]) != 1:
+        failures.append("det E != 1")
+    if not package.residual < RESIDUAL_TOLERANCE:
+        failures.append("conjugacy residual too large")
+    if not package.trace_residual < TRACE_TOLERANCE:
+        failures.append("trace identity violated")
+    if package.certificate is not None and not package.certificate.certified:
+        failures.append("hypothesis certificate failed")
+    return failures
 
 
 def _mat2(a, b):

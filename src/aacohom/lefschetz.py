@@ -18,6 +18,7 @@ from . import exact_linalg
 from .ce_complex import (
     AlgebraSpec,
     Mode,
+    _kneser_blocks,
     cohomology_basis,
     delta_form,
     differential,
@@ -217,55 +218,8 @@ class StructureReport:
         return " + ".join(parts)
 
 
-def _case1_blocks(n, m):
-    if m % 2 == 0:
-        k = m // 2
-        if k == 0:
-            return [("identity", (), "")]
-        return [("kneser", (n, k), "")]
-    k = (m - 1) // 2
-    kind = ("identity", (), "") if k == 0 else ("kneser", (n - 1, k), "")
-    return [(kind[0], kind[1], "e1 half"), (kind[0], kind[1], "e2n half")]
-
-
-def _case2_pairs_list(n, p):
-    from .ce_complex import _case2_pairs
-
-    return list(_case2_pairs(n, p))
-
-
-def _case2_blocks(n, m):
-    blocks = []
-    if m % 2 == 0:
-        k = m // 2
-        for p in range(k + 1):
-            ground = n - 2 * p
-            if k - p > ground:
-                continue
-            for r, s in _case2_pairs_list(n, p):
-                tag = f"p={p} R={r} S={s}" if p else "p=0"
-                if k - p == 0:
-                    blocks.append(("identity", (), tag))
-                else:
-                    blocks.append(("kneser", (ground, k - p), tag))
-    else:
-        k = (m - 1) // 2
-        for half in ("e1 half", "e2n half"):
-            for p in range(k + 1):
-                ground = n - 1 - 2 * p
-                if k - p > ground:
-                    continue
-                for r, s in _case2_pairs_list(n, p):
-                    tag = (f"p={p} R={r} S={s}, " if p else "p=0, ") + half
-                    if k - p == 0:
-                        blocks.append(("identity", (), tag))
-                    else:
-                        blocks.append(("kneser", (ground, k - p), tag))
-    return blocks
-
-
-def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureReport:
-    """Verify the predicted block decomposition entry by entry.
+def block_layout(spec: AlgebraSpec, m: int) -> tuple:
+    """The predicted blocks of L_m, in the order of the pinned bases.
 
     Generic mode: a single Kneser block A(K(n, k)) for m = 2k, or two
     diagonal copies of A(K(n-1, k)) for m = 2k+1.  Ones mode: a direct sum
@@ -273,33 +227,48 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
     1x1 identity blocks where k = p.  The k = 0 blocks are identities, not
     edgeless-graph adjacencies.
     """
+    ones = spec.mode is Mode.ONES
+    blocks = []
+    offset = 0
+    for half, p, r, s, ground, free in _kneser_blocks(spec, m):
+        parts = []
+        if ones:
+            parts.append(f"p={p} R={r} S={s}" if p else "p=0")
+        if half:
+            parts.append(f"{half} half")
+        if free:
+            kind, params = "kneser", (len(ground), free)
+        else:
+            kind, params = "identity", ()
+        size = math.comb(len(ground), free)
+        blocks.append(Block(offset, size, kind, params, ", ".join(parts)))
+        offset += size
+    return tuple(blocks)
+
+
+def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureReport:
+    """Verify the block decomposition of ``block_layout`` entry by entry."""
     if spec.mode is Mode.GENERIC:
         case = "I"
-        specs = _case1_blocks(spec.n, matrix.m)
     elif spec.mode is Mode.ONES:
         case = "II"
-        specs = _case2_blocks(spec.n, matrix.m)
     else:
         raise UnsupportedModeError("structure checks need generic or ones mode")
-
-    expected_blocks = []
-    offset = 0
-    for kind, params, tag in specs:
-        if kind == "identity":
-            content = [[1]]
-        else:
-            content = adjacency(KneserGraph(*params))
-        expected_blocks.append((offset, content, kind, params, tag))
-        offset += len(content)
+    report = StructureReport(case, matrix.m, block_layout(spec, matrix.m), True)
     size = matrix.size
-    if offset != size:
-        raise StructureViolationError(0, 0, f"total block size {offset}", size)
+    if report.total_size != size:
+        raise StructureViolationError(
+            0, 0, f"total block size {report.total_size}", size
+        )
 
     expected = [[0] * size for _ in range(size)]
-    for off, content, _, _, _ in expected_blocks:
+    for b in report.blocks:
+        if b.kind == "identity":
+            content = [[1]]
+        else:
+            content = adjacency(KneserGraph(*b.params))
         for i, row in enumerate(content):
-            for j, v in enumerate(row):
-                expected[off + i][off + j] = v
+            expected[b.offset + i][b.offset:b.offset + b.size] = row
     for i in range(size):
         for j in range(size):
             if matrix.entries[i][j] != expected[i][j]:
@@ -307,15 +276,6 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
                     i, j, expected[i][j], matrix.entries[i][j]
                 )
 
-    report = StructureReport(
-        case,
-        matrix.m,
-        tuple(
-            Block(off, len(content), kind, params, tag)
-            for off, content, kind, params, tag in expected_blocks
-        ),
-        True,
-    )
     matrix.structure = report
     return report
 

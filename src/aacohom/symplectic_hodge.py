@@ -16,7 +16,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import exact_linalg
-from .ce_complex import AlgebraSpec, Mode, differential, is_closed
+from .ce_complex import (
+    AlgebraSpec,
+    Mode,
+    cohomology_basis,
+    differential,
+    is_closed,
+)
 from .errors import (
     NoHarmonicRepresentativeError,
     NotACocycleError,
@@ -289,3 +295,33 @@ def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
             intersection.append(v)
 
     return exact_linalg.spans_equal(intersection, ddc_generators)
+
+
+def operator_suite_failures(spec: AlgebraSpec) -> list:
+    """Ordered (k, reason) failures of the operator suite; empty when it passes.
+
+    For each degree k: every monomial f must satisfy star star f = f,
+    (d^c)^2 f = 0, d d^c f = -d^c d f and d^c f = [d, Lambda] f; the dd^c
+    lemma must hold in degree k; and every basis class of H^k must have a
+    harmonic representative.
+    """
+    failures = []
+    for k in range(spec.two_n + 1):
+        for mono in all_monomials(spec.two_n, k):
+            f = Form.from_monomial(mono)
+            if star(spec, star(spec, f)) != f:
+                failures.append((k, "star not involutive"))
+            dc_f = dc(spec, f)
+            if not dc(spec, dc_f).is_zero:
+                failures.append((k, "dc^2 != 0"))
+            if differential(spec, dc_f) != -dc(spec, differential(spec, f)):
+                failures.append((k, "d dc != -dc d"))
+            if dc_f != dc_as_commutator(spec, f):
+                failures.append((k, "dc != [d, Lambda]"))
+        if not ddc_lemma_check(spec, k):
+            failures.append((k, "dd^c lemma fails"))
+        for vec in cohomology_basis(spec, k).forms():
+            rep = harmonic_representative(spec, vec)
+            if not (is_closed(spec, rep) and dc(spec, rep).is_zero):
+                failures.append((k, "non-harmonic representative"))
+    return failures

@@ -1,5 +1,7 @@
 """Pell equations, independence certificates and lattice packages."""
 
+import dataclasses
+
 import pytest
 from mpmath import mp, mpf
 
@@ -18,6 +20,7 @@ from aacohom.lattice import (
     first_primes,
     hypothesis1_certificate,
     is_squarefree,
+    lattice_failures,
     pell_min_solution,
     squarefree_part,
     t_value,
@@ -182,6 +185,21 @@ def test_case1_reference_package():
     assert pkg.trace_residual < mpf("1e-12")
     assert pkg.certificate is not None and pkg.certificate.certified
     assert pkg.t0 == 1
+
+
+def test_lattice_failures_names_each_broken_field():
+    pkg = build_lattice("I", 5, case1_params(5, [2, 3, 5, 7]))
+    assert lattice_failures(pkg) == []
+    bad_e = tuple((2,) + row[1:] if i == 0 else row for i, row in enumerate(pkg.E))
+    uncertified = dataclasses.replace(pkg.certificate, numeric_ok=False)
+    cases = (
+        ({"E": bad_e}, "det E != 1"),
+        ({"residual": mpf("1e-9")}, "conjugacy residual too large"),
+        ({"trace_residual": mpf("1e-12")}, "trace identity violated"),
+        ({"certificate": uncertified}, "hypothesis certificate failed"),
+    )
+    for change, reason in cases:
+        assert lattice_failures(dataclasses.replace(pkg, **change)) == [reason]
 
 
 def test_package_serialization_round_trip():
