@@ -395,6 +395,8 @@ def lefschetz_target_basis(spec: AlgebraSpec, m: int) -> CohomologyBasis:
     the codomain keeps the complementary ordering so that the middle
     Lefschetz matrix matches its Kneser-graph description.
     """
+    if not 0 <= m <= spec.n:
+        raise ValueError(f"m must lie in [0, {spec.n}], got {m}")
     if spec.mode is Mode.EXPLICIT:
         return _explicit_basis(spec, spec.two_n - m)
     return _pinned_basis(spec, m, True)

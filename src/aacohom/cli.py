@@ -93,7 +93,7 @@ def _int_list(text):
 
 def _matrix_lines(rows, cuts=()):
     """Space-separated integer rows with optional block separators."""
-    cuts = [c for c in cuts if 0 < c < len(rows)]
+    cuts = {c for c in cuts if 0 < c < len(rows)}
     lines = []
     width = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
@@ -209,8 +209,9 @@ def _cmd_lefschetz(args):
         results["block_cuts"] = _lefschetz_cuts(spec, mat)
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
-    results["determinant"] = str(mat.determinant())
-    ok = ok and mat.determinant() != 0
+    det = mat.determinant()
+    results["determinant"] = str(det)
+    ok = ok and det != 0
     return results, ok
 
 

@@ -33,7 +33,7 @@ from .errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, coefficient, wedge
+from .exterior_algebra import Form, wedge
 from .kneser import KneserGraph, adjacency
 
 
@@ -113,9 +113,7 @@ class LefschetzMatrix:
         return len(self.entries)
 
     def determinant(self) -> int:
-        det = exact_linalg.det_sparse(
-            [dict(enumerate(row)) for row in self.entries]
-        )
+        det = exact_linalg.det_sparse(self.entries)
         if det.denominator != 1:
             raise InvariantViolationError("integer matrix with fractional det")
         return det.numerator
@@ -124,36 +122,36 @@ class LefschetzMatrix:
         return [list(row) for row in self.entries]
 
 
-def _coordinates(image: Form, basis) -> list:
-    """Coordinates of a projected image in a signed monomial basis."""
-    coords = [Fraction(0)] * len(basis)
-    seen = 0
-    for i, (mono, sign) in enumerate(zip(basis.elements, basis.signs)):
-        c = coefficient(image, mono)
-        if c:
-            coords[i] = c * sign  # sign in {1,-1}: dividing == multiplying
-            seen += 1
-    if seen != len(image.terms):
-        raise InvariantViolationError(
-            "projected image has a monomial outside the cohomology basis"
-        )
-    return coords
-
-
 def _operator_columns(spec, m, omega_form):
-    """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as Fraction coordinates."""
+    """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as sparse {row: value} maps.
+
+    Each image is projected to the cohomology monomials and read off the
+    target basis by a monomial lookup; every basis vector is +-1 times its
+    monomial, so a coordinate is the coefficient times that sign.
+    """
     if not 0 <= m <= spec.n:
         raise ValueError(f"m must lie in [0, {spec.n}], got {m}")
     source = cohomology_basis(spec, m)
     target = lefschetz_target_basis(spec, m)
-    power = Form.one(spec.two_n)
+    power = Form.one(spec.two_n) / math.factorial(spec.n - m)
     for _ in range(spec.n - m):
         power = wedge(power, omega_form)
-    scale = Fraction(1, math.factorial(spec.n - m))
+    rows = {
+        mono: (i, sign)
+        for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
+    }
     columns = []
     for vec in source.forms():
-        image = project_to_cohomology(spec, wedge(power, vec)) * scale
-        columns.append(_coordinates(image, target))
+        image = project_to_cohomology(spec, wedge(power, vec))
+        column = {}
+        for mono, c in image.terms.items():
+            if mono not in rows:
+                raise InvariantViolationError(
+                    "projected image has a monomial outside the cohomology basis"
+                )
+            i, sign = rows[mono]
+            column[i] = c * sign
+        columns.append(column)
     return source, target, columns
 
 
@@ -168,17 +166,16 @@ def lefschetz_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
         raise InvariantViolationError(
             f"H^{m} and H^{spec.two_n - m} have different dimensions"
         )
-    rows = []
-    for i in range(len(target)):
-        row = []
-        for col in columns:
-            v = col[i]
-            if v.denominator != 1 or v.numerator not in (0, 1):
+    rows = [[0] * len(source) for _ in range(len(target))]
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            if v != 1:
                 raise InvariantViolationError(
                     f"Lefschetz entry {v} outside {{0,1}}: sign-convention bug"
                 )
-            row.append(v.numerator)
-        rows.append(tuple(row))
+            rows[i][j] = 1
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)  # row by row: never two dense copies at once
     return LefschetzMatrix(spec.n, m, tuple(rows), target, source)
 
 
@@ -328,13 +325,8 @@ def hard_lefschetz_report(
         description = "user"
         for m in range(spec.n + 1):
             _, _, columns = _operator_columns(spec, m, user_form.form)
-            size = len(columns)
-            det = exact_linalg.det_sparse(
-                [
-                    {j: columns[j][i] for j in range(size) if columns[j][i]}
-                    for i in range(size)
-                ]
-            )
-            rows_out.append(OperatorSummary(m, size, det))
+            # det A^T = det A, so the columns serve as the rows
+            det = exact_linalg.det_sparse(columns)
+            rows_out.append(OperatorSummary(m, len(columns), det))
     verdict = all(op.determinant != 0 for op in rows_out)
     return HardLefschetzReport(spec, description, tuple(rows_out), verdict)

@@ -3,11 +3,13 @@
 The star operator is defined against the standard form by the identity
 alpha ^ (star beta) = w^{-1}(alpha, beta) vol, where vol = w^n / n! and
 w^{-1} extends the inverse pairing on covectors by the determinant rule.
-For each degree the defining identity is a square linear system in the
-monomial basis; it is solved once per degree, exactly, and cached.  On top
-of star sit d^c = (-1)^{k+1} star d star, Lambda = star L star and
-H = [L, Lambda], plus harmonic representatives and the exact subspace
-computation behind the d d^c lemma.
+Each index has one partner under the standard form, so w^{-1} pairs a
+monomial with a single monomial, the set of its partners, and star sends
+each monomial to +- the complement of that set; the sign is read off in
+closed form and cached per degree.  On top of star sit
+d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda],
+plus harmonic representatives and the exact subspace computation behind
+the d d^c lemma.
 """
 
 import math
@@ -84,36 +86,23 @@ def _volume_data(two_n: int):
 def _star_columns(two_n: int, degree: int):
     """Matrix of star on degree-``degree`` monomials, stored column-wise.
 
-    Solves the linear system T x = G where T is the top-pairing matrix
-    between degrees k and 2n-k and G is the scaled w^{-1} Gram matrix.
-    Columns come out with a single +-1 entry each.
+    w^{-1}(e^A, e^J) vanishes unless A = p(J), the set of partners of J, so
+    the defining identity has one nonzero equation per column:
+    star e^J = vol_sign w^{-1}(e^{p(J)}, e^J) sign(e^{p(J)} ^ e^C) e^C with
+    C the complement of p(J).  Each column is a single +-1 entry.
     """
-    monos_k = all_monomials(two_n, degree)
-    monos_c = all_monomials(two_n, two_n - degree)
     _, vol_sign = _volume_data(two_n)
-    size = len(monos_k)
-    aug = []
-    for a in monos_k:
-        t_row = []
-        for c in monos_c:
-            sign, _ = wedge_monomials(a, c)
-            t_row.append(Fraction(sign))
-        g_row = [vol_sign * Fraction(omega_inverse(a, b)) for b in monos_k]
-        aug.append(t_row + g_row)
-    rows, pivots = exact_linalg.rref(aug)
-    if pivots != list(range(size)):
-        raise RuntimeError("top pairing matrix is singular")  # cannot happen
-    columns = []
-    for j in range(size):
-        col = {}
-        for i in range(size):
-            v = rows[i][size + j]
-            if v:
-                if v.denominator != 1:
-                    raise RuntimeError("star matrix entry is not an integer")
-                col[monos_c[i]] = v.numerator
-        columns.append(col)
-    return {m: col for m, col in zip(monos_k, columns)}
+    vol_sign = int(vol_sign)
+    full = (1 << two_n) - 1
+    columns = {}
+    for mono in all_monomials(two_n, degree):
+        partner = Monomial.from_indices(
+            [_pair_partner(i, two_n) for i in mono.indices], two_n
+        )
+        rest = Monomial(full ^ partner.mask, two_n)
+        sign, _ = wedge_monomials(partner, rest)
+        columns[mono] = {rest: vol_sign * omega_inverse(partner, mono) * sign}
+    return columns
 
 
 def star(spec: AlgebraSpec, f: Form) -> Form:

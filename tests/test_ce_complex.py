@@ -19,6 +19,7 @@ from aacohom.ce_complex import (
     differential,
     gamma_form,
     is_closed,
+    lefschetz_target_basis,
     weight,
     weight_is_zero,
 )
@@ -347,3 +348,6 @@ def test_spec_validation():
     assert AlgebraSpec.ones(3).numeric_b() == (1, 1)
     with pytest.raises(UnsupportedModeError):
         Mode.parse("diagonal")
+    for m in (-1, 4, 7):  # L_m needs 0 <= m <= n
+        with pytest.raises(ValueError):
+            lefschetz_target_basis(AlgebraSpec.ones(3), m)

@@ -1,11 +1,13 @@
 """Lefschetz matrices: powers of the form, the golden matrix, block
 structure, hard-Lefschetz verdicts."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from aacohom import lefschetz
 from aacohom.ce_complex import (
     AlgebraSpec,
     Mode,
@@ -15,6 +17,7 @@ from aacohom.ce_complex import (
 )
 from aacohom.errors import (
     InvalidSymplecticFormError,
+    InvariantViolationError,
     NotACocycleError,
     StructureViolationError,
     UnsupportedModeError,
@@ -157,6 +160,32 @@ def test_middle_matrix_even_n_is_kneser():
 def test_requires_hypothesis_mode():
     with pytest.raises(UnsupportedModeError):
         lefschetz_matrix(AlgebraSpec.explicit([3, 9]), 2)
+
+
+def test_image_outside_target_basis_raises(monkeypatch):
+    full = lefschetz.lefschetz_target_basis
+
+    def truncated(spec, m):
+        basis = full(spec, m)
+        return dataclasses.replace(
+            basis,
+            elements=basis.elements[:-1],
+            labels=basis.labels[:-1],
+            signs=basis.signs[:-1],
+        )
+
+    monkeypatch.setattr(lefschetz, "lefschetz_target_basis", truncated)
+    spec = AlgebraSpec.generic(3)
+    with pytest.raises(InvariantViolationError, match="outside the cohomology"):
+        lefschetz._operator_columns(spec, 2, standard_omega(spec))
+
+
+def test_entry_other_than_one_raises(monkeypatch):
+    monkeypatch.setattr(
+        lefschetz, "standard_omega", lambda spec: 2 * standard_omega(spec)
+    )
+    with pytest.raises(InvariantViolationError, match="entry 2 outside"):
+        lefschetz_matrix(AlgebraSpec.generic(3), 2)
 
 
 # ---------------------------------------------------------------------------
