@@ -242,9 +242,6 @@ class CohomologyBasis:
     def forms(self):
         return [Form.from_monomial(m, s) for m, s in zip(self.elements, self.signs)]
 
-    def index_of(self, mono: Monomial) -> int:
-        return self.elements.index(mono)
-
 
 def delta_form(spec: AlgebraSpec) -> Form:
     """delta = e^1 ^ e^{2n}."""

@@ -98,46 +98,49 @@ def det_bareiss(matrix) -> int:
 def det_sparse(rows) -> Fraction:
     """Determinant via sparse Fraction elimination (pivot product).
 
-    Suited to block-diagonal matrices: only rows sharing the pivot column
-    are touched, so work stays inside the blocks.
+    Suited to block-diagonal matrices: a column -> live-rows index finds the
+    rows sharing each pivot column, so work stays inside the blocks.  Each
+    pivot is the live row with the fewest entries, lowest index first.
     """
     n = len(rows)
-    live = []
-    for row in rows:
+    live = {}
+    holders = [set() for _ in range(n)]  # column -> live rows with an entry
+    for i, row in enumerate(rows):
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        live.append({j: Fraction(v) for j, v in items if v})
+        live[i] = {j: Fraction(v) for j, v in items if v}
+        for j in live[i]:
+            holders[j].add(i)
     det = Fraction(1)
-    sign = 1
-    used = [False] * n
+    pivot_rows = []
     for col in range(n):
-        pick = None
-        for i in range(n):
-            if not used[i] and col in live[i]:
-                if pick is None or len(live[i]) < len(live[pick]):
-                    pick = i
-        if pick is None:
+        if not holders[col]:
             return Fraction(0)
-        used[pick] = True
-        # row-swap parity: count the live rows skipped above the pick
-        skipped = sum(1 for i in range(pick) if not used[i])
-        if skipped & 1:
-            sign = -sign
-        pivot_row = live[pick]
+        pick = min(holders[col], key=lambda i: (len(live[i]), i))
+        pivot_row = live.pop(pick)
+        for j in pivot_row:
+            holders[j].discard(pick)
         pivot = pivot_row[col]
         det *= pivot
-        for i in range(n):
-            if used[i] or col not in live[i]:
-                continue
-            factor = live[i][col] / pivot
-            new = dict(live[i])
+        pivot_rows.append(pick)
+        for i in list(holders[col]):
+            row = live[i]
+            factor = row[col] / pivot
             for j, v in pivot_row.items():
-                w = new.get(j, Fraction(0)) - factor * v
+                w = row.get(j, 0) - factor * v
                 if w:
-                    new[j] = w
-                else:
-                    new.pop(j, None)
-            live[i] = new
-    return sign * det
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = w
+                else:  # only an existing entry can cancel
+                    del row[j]
+                    holders[j].discard(i)
+    # parity of col -> pivot row: one sign flip per transposition sorting it
+    for i in range(n):
+        while pivot_rows[i] != i:
+            j = pivot_rows[i]
+            pivot_rows[i], pivot_rows[j] = pivot_rows[j], j
+            det = -det
+    return det
 
 
 def rref(matrix):
@@ -209,10 +212,6 @@ def solve_particular(matrix, rhs):
             return None  # pivot in the rhs column: inconsistent
         x[p] = rows[r][ncols]
     return x
-
-
-def span_rank(vectors) -> int:
-    return rank(vectors)
 
 
 def spans_equal(vectors_a, vectors_b) -> bool:

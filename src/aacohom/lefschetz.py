@@ -155,24 +155,32 @@ def _operator_columns(spec, m, omega_form):
     return source, target, columns
 
 
+def _standard_columns(spec: AlgebraSpec, m: int):
+    """``_operator_columns`` for the standard form; every entry must be 1."""
+    source, target, columns = _operator_columns(spec, m, standard_omega(spec))
+    if len(source) != len(target):
+        raise InvariantViolationError(
+            f"H^{m} and H^{spec.two_n - m} have different dimensions"
+        )
+    for column in columns:
+        for v in column.values():
+            if v != 1:
+                raise InvariantViolationError(
+                    f"Lefschetz entry {v} outside {{0,1}}: sign-convention bug"
+                )
+    return source, target, columns
+
+
 def lefschetz_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
     """The matrix of L_m for the standard form; entries must come out in {0,1}."""
     if spec.mode not in (Mode.GENERIC, Mode.ONES):
         raise UnsupportedModeError(
             "Lefschetz matrices are defined for the generic and ones modes"
         )
-    source, target, columns = _operator_columns(spec, m, standard_omega(spec))
-    if len(source) != len(target):
-        raise InvariantViolationError(
-            f"H^{m} and H^{spec.two_n - m} have different dimensions"
-        )
+    source, target, columns = _standard_columns(spec, m)
     rows = [[0] * len(source) for _ in range(len(target))]
     for j, column in enumerate(columns):
-        for i, v in column.items():
-            if v != 1:
-                raise InvariantViolationError(
-                    f"Lefschetz entry {v} outside {{0,1}}: sign-convention bug"
-                )
+        for i in column:
             rows[i][j] = 1
     for i, row in enumerate(rows):
         rows[i] = tuple(row)  # row by row: never two dense copies at once
@@ -302,8 +310,8 @@ def hard_lefschetz_report(
 ) -> HardLefschetzReport:
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
-    With no user form the standard w is used and the matrices are the 0/1
-    Lefschetz matrices; a user-supplied form is validated and its operator
+    With no user form the standard w is used and every entry must be 1, as
+    in ``lefschetz_matrix``; a user-supplied form is validated and its operator
     matrices are computed in the same pinned bases (entries may then be any
     rationals, e.g. scaled by powers of the scaling factor).
     """
@@ -311,22 +319,17 @@ def hard_lefschetz_report(
         raise UnsupportedModeError(
             "hard-Lefschetz verdicts need the generic or ones mode"
         )
+    if user_form is not None and not isinstance(user_form, SymplecticForm):
+        user_form = SymplecticForm.validated(spec, user_form)
     rows_out = []
-    if user_form is None:
-        description = "standard"
-        for m in range(spec.n + 1):
-            mat = lefschetz_matrix(spec, m)
-            rows_out.append(
-                OperatorSummary(m, mat.size, Fraction(mat.determinant()))
-            )
-    else:
-        if not isinstance(user_form, SymplecticForm):
-            user_form = SymplecticForm.validated(spec, user_form)
-        description = "user"
-        for m in range(spec.n + 1):
+    for m in range(spec.n + 1):
+        if user_form is None:
+            _, _, columns = _standard_columns(spec, m)
+        else:
             _, _, columns = _operator_columns(spec, m, user_form.form)
-            # det A^T = det A, so the columns serve as the rows
-            det = exact_linalg.det_sparse(columns)
-            rows_out.append(OperatorSummary(m, len(columns), det))
+        # det A^T = det A, so the columns serve as the rows
+        det = exact_linalg.det_sparse(columns)
+        rows_out.append(OperatorSummary(m, len(columns), det))
+    description = "standard" if user_form is None else "user"
     verdict = all(op.determinant != 0 for op in rows_out)
     return HardLefschetzReport(spec, description, tuple(rows_out), verdict)

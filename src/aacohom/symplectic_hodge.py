@@ -7,9 +7,13 @@ Each index has one partner under the standard form, so w^{-1} pairs a
 monomial with a single monomial, the set of its partners, and star sends
 each monomial to +- the complement of that set; the sign is read off in
 closed form and cached per degree.  On top of star sit
-d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda],
-plus harmonic representatives and the exact subspace computation behind
-the d d^c lemma.
+d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda].
+
+Since d is monomial-diagonal, d, d^c and their composites send each
+monomial to a single monomial, distinct ones to distinct ones.  The d d^c
+lemma is then an equality of monomial sets and a harmonic representative is
+a term-by-term preimage lookup, both exact and with no elimination.  The
+suite is limited to n <= HODGE_MAX_N.
 """
 
 import math
@@ -26,6 +30,7 @@ from .ce_complex import (
     is_closed,
 )
 from .errors import (
+    InvariantViolationError,
     NoHarmonicRepresentativeError,
     NotACocycleError,
     SizeLimitError,
@@ -34,7 +39,7 @@ from .errors import (
 from .exterior_algebra import Form, Monomial, all_monomials, wedge, wedge_monomials
 from .lefschetz import omega_power, standard_omega
 
-DDC_MAX_N = 4
+HODGE_MAX_N = 6
 
 
 def _pair_partner(i: int, two_n: int) -> int:
@@ -194,96 +199,85 @@ def operator_matrix(spec, op, source_degree, target_degree) -> OperatorMatrix:
     )
 
 
-def _vector(f: Form, monos) -> list:
-    return [f.terms.get(m, Fraction(0)) for m in monos]
+def _monomial_preimages(spec: AlgebraSpec, op, degree: int) -> dict:
+    """{target: (source, coeff)} with op(source) = coeff * target.
+
+    Sources are the degree-``degree`` monomials.  Subspaces read off this map
+    are exact only if op sends each monomial to at most one monomial and
+    distinct monomials to distinct ones, so both are checked.
+    """
+    preimages = {}
+    for source in all_monomials(spec.two_n, degree):
+        terms = op(Form.from_monomial(source)).terms
+        if not terms:
+            continue
+        if len(terms) > 1:
+            raise InvariantViolationError(
+                f"the image of {source} has {len(terms)} terms, not one"
+            )
+        ((target, coeff),) = terms.items()
+        if target in preimages:
+            raise InvariantViolationError(f"two monomials map onto {target}")
+        preimages[target] = (source, coeff)
+    return preimages
 
 
 def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
     """A form r = class_rep + d(x) with d r = 0 and d^c r = 0.
 
-    Found by an exact linear solve for x; any solution is accepted.  For
-    these algebras a solution exists whenever the hard-Lefschetz condition
-    holds, so failure raises.
+    x solves d^c d x = -d^c class_rep, read off term by term from the
+    monomial preimages under d^c d.  For these algebras a solution exists
+    whenever the hard-Lefschetz condition holds, so failure raises.
     """
     _require_numeric(spec)
     if not is_closed(spec, class_rep):
         raise NotACocycleError("harmonic representatives need a closed input")
-    if dc(spec, class_rep).is_zero:
+    rhs = dc(spec, class_rep)
+    if rhs.is_zero:
         return class_rep
     if not class_rep.is_homogeneous():
         raise ValueError("class representative must be homogeneous")
     (degree,) = class_rep.degrees()
-    lower_monos = all_monomials(spec.two_n, degree - 1)
-    ddc_op = operator_matrix(
-        spec,
-        lambda g: dc(spec, differential(spec, g)),
-        degree - 1,
-        degree - 1,
+    preimages = _monomial_preimages(
+        spec, lambda g: dc(spec, differential(spec, g)), degree - 1
     )
-    rhs = _vector(-dc(spec, class_rep), lower_monos)
-    x = exact_linalg.solve_particular([list(r) for r in ddc_op.entries], rhs)
-    if x is None:
-        raise NoHarmonicRepresentativeError(
-            f"no harmonic representative in degree {degree}"
-        )
-    correction = Form(
-        {m: v for m, v in zip(lower_monos, x) if v}, spec.two_n
-    )
-    result = class_rep + differential(spec, correction)
+    correction = {}
+    for target, value in rhs.terms.items():
+        if target not in preimages:
+            raise NoHarmonicRepresentativeError(
+                f"no harmonic representative in degree {degree}"
+            )
+        source, coeff = preimages[target]
+        correction[source] = -value / coeff
+    result = class_rep + differential(spec, Form(correction, spec.two_n))
     if not (is_closed(spec, result) and dc(spec, result).is_zero):
         raise NoHarmonicRepresentativeError("solver returned a non-harmonic form")
     return result
 
 
 def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
-    """Exact test of Ker d^c  n  Im d = Im d d^c inside degree ``degree``."""
+    """Exact test of Ker d^c  n  Im d = Im d d^c inside degree ``degree``.
+
+    Both images are spanned by single monomials, and d^c is injective on
+    the monomials it does not kill, so Ker d^c n Im d is spanned by the
+    Im-d monomials that d^c kills: the lemma is an equality of sets.
+    """
     _require_numeric(spec)
-    if spec.n > DDC_MAX_N:
-        raise SizeLimitError(f"the subspace computation is limited to n <= {DDC_MAX_N}")
+    if spec.n > HODGE_MAX_N:
+        raise SizeLimitError(f"the operator suite is limited to n <= {HODGE_MAX_N}")
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
-    monos = all_monomials(spec.two_n, degree)
-
-    # generators of Im d in this degree
-    d_generators = []
+    image_d = set()
     if degree >= 1:
-        for m in all_monomials(spec.two_n, degree - 1):
-            image = differential(spec, Form.from_monomial(m))
-            if not image.is_zero:
-                d_generators.append(_vector(image, monos))
-
-    # generators of Im d d^c in this degree
-    ddc_generators = []
-    for m in monos:
-        image = differential(spec, dc(spec, Form.from_monomial(m)))
-        if not image.is_zero:
-            ddc_generators.append(_vector(image, monos))
-
-    if not d_generators:
-        return not ddc_generators  # both sides are the zero subspace
-
-    # intersect Im d with Ker d^c: v = G^T a with Dc v = 0
-    dc_matrix = operator_matrix(
-        spec, lambda g: dc(spec, g), degree, degree - 1
-    ) if degree >= 1 else None
-    if dc_matrix is None or not dc_matrix.entries:
-        intersection = d_generators
-    else:
-        composed = exact_linalg.matmul_int(
-            [list(r) for r in dc_matrix.entries],
-            [list(col) for col in zip(*d_generators)],
+        image_d = set(
+            _monomial_preimages(spec, lambda g: differential(spec, g), degree - 1)
         )
-        alphas = exact_linalg.nullspace(composed, ncols=len(d_generators))
-        intersection = []
-        for alpha in alphas:
-            v = [Fraction(0)] * len(monos)
-            for a, gen in zip(alpha, d_generators):
-                if a:
-                    for i, g in enumerate(gen):
-                        v[i] += a * g
-            intersection.append(v)
-
-    return exact_linalg.spans_equal(intersection, ddc_generators)
+    dc_preimages = _monomial_preimages(spec, lambda g: dc(spec, g), degree)
+    not_killed = {source for source, _ in dc_preimages.values()}
+    image_ddc = _monomial_preimages(
+        spec, lambda g: differential(spec, dc(spec, g)), degree
+    )
+    return image_d - not_killed == set(image_ddc)
 
 
 def operator_suite_failures(spec: AlgebraSpec) -> list:
@@ -292,7 +286,8 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
     For each degree k: every monomial f must satisfy star star f = f,
     (d^c)^2 f = 0, d d^c f = -d^c d f and d^c f = [d, Lambda] f; the dd^c
     lemma must hold in degree k; and every basis class of H^k must have a
-    harmonic representative.
+    harmonic representative.  Above n = HODGE_MAX_N the degree-0 dd^c check
+    raises SizeLimitError before any larger degree is touched.
     """
     failures = []
     for k in range(spec.two_n + 1):

@@ -135,6 +135,11 @@ def test_hodge_checks(capsys):
     assert all(c["passed"] for c in report["results"]["checks"])
 
 
+def test_hodge_size_limit(capsys):
+    assert run(capsys, "hodge", "--n", "5", "--mode", "ones")[0] == 0
+    assert run(capsys, "hodge", "--n", "7", "--mode", "ones")[0] == 2
+
+
 def test_lattice_case1_payload(capsys):
     code, report = run_json(
         capsys, "lattice", "--case", "I", "--n", "5", "--d", "2,3,5,7"

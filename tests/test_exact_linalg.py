@@ -43,6 +43,30 @@ def test_det_sparse_matches_bareiss():
         for _ in range(20):
             m = random_matrix(rng, size, size)
             assert xl.det_sparse(m) == xl.det_bareiss(m)
+    # sparse inputs: mostly zeros, permutations (pure sign), singular
+    # matrices; each also as {column: value} dict rows
+    cases = []
+    for size in range(1, 9):
+        for _ in range(10):
+            m = random_matrix(rng, size, size)
+            for row in m:
+                for j in range(size):
+                    if rng.random() < 0.75:
+                        row[j] = 0
+            cases.append(m)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        cases.append(
+            [[rng.choice((-2, -1, 1, 3)) if j == p else 0 for j in range(size)]
+             for p in perm]
+        )
+        if size > 1:
+            m = random_matrix(rng, size, size)
+            m[-1] = [a + b for a, b in zip(m[0], m[-2])]
+            cases.append(m)
+    for m in cases:
+        dict_rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+        assert xl.det_sparse(m) == xl.det_sparse(dict_rows) == xl.det_bareiss(m)
 
 
 def test_rank_against_rref():

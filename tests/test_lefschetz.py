@@ -186,6 +186,9 @@ def test_entry_other_than_one_raises(monkeypatch):
     )
     with pytest.raises(InvariantViolationError, match="entry 2 outside"):
         lefschetz_matrix(AlgebraSpec.generic(3), 2)
+    # the --hl route shares the check; L_0 = (2w)^3 / 3! has entries 8
+    with pytest.raises(InvariantViolationError, match="entry 8 outside"):
+        hard_lefschetz_report(AlgebraSpec.generic(3))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from aacohom import exact_linalg
+from aacohom import exact_linalg, symplectic_hodge
 from aacohom.ce_complex import (
     AlgebraSpec,
     cohomology_basis,
@@ -15,6 +15,7 @@ from aacohom.ce_complex import (
     is_closed,
 )
 from aacohom.errors import (
+    InvariantViolationError,
     NotACocycleError,
     SizeLimitError,
     UnsupportedModeError,
@@ -22,6 +23,7 @@ from aacohom.errors import (
 from aacohom.exterior_algebra import Form, all_monomials, wedge
 from aacohom.lefschetz import hard_lefschetz_report, omega_power
 from aacohom.symplectic_hodge import (
+    HODGE_MAX_N,
     _star_columns,
     dc,
     dc_as_commutator,
@@ -37,6 +39,7 @@ from aacohom.symplectic_hodge import (
 EXPLICIT = {
     2: AlgebraSpec.explicit([3]),
     3: AlgebraSpec.explicit([3, 9]),
+    4: AlgebraSpec.explicit([3, 9, 27]),
 }
 
 
@@ -265,7 +268,7 @@ def test_ddc_degree_zero_vacuous():
 
 def test_ddc_size_guard():
     with pytest.raises(SizeLimitError):
-        ddc_lemma_check(AlgebraSpec.ones(5), 2)
+        ddc_lemma_check(AlgebraSpec.ones(HODGE_MAX_N + 1), 2)
 
 
 def test_ddc_requires_numeric():
@@ -273,7 +276,7 @@ def test_ddc_requires_numeric():
         ddc_lemma_check(AlgebraSpec.generic(2), 1)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_equivalence_chain(n):
     """Hard-Lefschetz <=> dd^c lemma <=> harmonic representatives exist.
 
@@ -294,3 +297,137 @@ def test_equivalence_chain(n):
     ones = AlgebraSpec.ones(n)
     lemma_ones = all(ddc_lemma_check(ones, k) for k in range(2 * n + 1))
     assert hl_ones == lemma_ones == True  # noqa: E712
+
+
+# ---------------------------------------------------------------------------
+# the monomial route against dense elimination
+# ---------------------------------------------------------------------------
+
+
+def _vector(f, monos):
+    return [f.terms.get(m, Fraction(0)) for m in monos]
+
+
+def ddc_lemma_by_elimination(spec, degree):
+    """Ker d^c n Im d = Im d d^c as an exact subspace identity (oracle).
+
+    Spans generators of both sides and intersects Im d with Ker d^c by a
+    null space, with no use of the monomial structure of d and d^c.
+    """
+    dc_ = symplectic_hodge.dc
+    monos = all_monomials(spec.two_n, degree)
+    d_generators = []
+    if degree >= 1:
+        for m in all_monomials(spec.two_n, degree - 1):
+            image = differential(spec, Form.from_monomial(m))
+            if not image.is_zero:
+                d_generators.append(_vector(image, monos))
+    ddc_generators = []
+    for m in monos:
+        image = differential(spec, dc_(spec, Form.from_monomial(m)))
+        if not image.is_zero:
+            ddc_generators.append(_vector(image, monos))
+    if not d_generators:  # also every degree-0 case
+        return not ddc_generators
+    # intersect Im d with Ker d^c: v = G^T a with Dc v = 0
+    dc_matrix = operator_matrix(spec, lambda g: dc_(spec, g), degree, degree - 1)
+    composed = exact_linalg.matmul_int(
+        [list(r) for r in dc_matrix.entries],
+        [list(col) for col in zip(*d_generators)],
+    )
+    intersection = []
+    for alpha in exact_linalg.nullspace(composed, ncols=len(d_generators)):
+        v = [Fraction(0)] * len(monos)
+        for a, gen in zip(alpha, d_generators):
+            for i, g in enumerate(gen):
+                v[i] += a * g
+        intersection.append(v)
+    return exact_linalg.spans_equal(intersection, ddc_generators)
+
+
+def harmonic_by_elimination(spec, class_rep):
+    """class_rep + d x with x a particular solution of d^c d x = -d^c class_rep."""
+    rhs = dc(spec, class_rep)
+    if rhs.is_zero:
+        return class_rep
+    (degree,) = class_rep.degrees()
+    lower = all_monomials(spec.two_n, degree - 1)
+    dcd = operator_matrix(
+        spec, lambda g: dc(spec, differential(spec, g)), degree - 1, degree - 1
+    )
+    x = exact_linalg.solve_particular(
+        [list(r) for r in dcd.entries], _vector(-rhs, lower)
+    )
+    assert x is not None
+    return class_rep + differential(
+        spec, Form({m: v for m, v in zip(lower, x) if v}, spec.two_n)
+    )
+
+
+ORACLE_SPECS = {
+    "ones-2": AlgebraSpec.ones(2),
+    "ones-3": AlgebraSpec.ones(3),
+    "ones-4": AlgebraSpec.ones(4),
+    "b=3,9": AlgebraSpec.explicit([3, 9]),
+    "b=1,2": AlgebraSpec.explicit([1, 2]),
+    "b=1,1,2": AlgebraSpec.explicit([1, 1, 2]),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys()
+)
+def test_monomial_route_matches_elimination(spec):
+    """Same dd^c verdicts and the same harmonic representatives.
+
+    Basis classes are already d^c-closed, so each one is also shifted by an
+    exact form; that forces a nonzero correction through the solve.
+    """
+    rng = random.Random(spec.n)
+    for k in range(spec.two_n + 1):
+        assert ddc_lemma_check(spec, k) == ddc_lemma_by_elimination(spec, k)
+        lower = all_monomials(spec.two_n, k - 1) if k else []
+        for vec in cohomology_basis(spec, k).forms():
+            shifts = [Form.zero(spec.two_n)]
+            shifts += [
+                differential(spec, Form.from_monomial(m, rng.randint(1, 3)))
+                for m in rng.sample(lower, min(2, len(lower)))
+            ]
+            for shift in shifts:
+                f = vec + shift
+                rep = harmonic_representative(spec, f)
+                assert rep == harmonic_by_elimination(spec, f)
+                assert is_closed(spec, rep) and dc(spec, rep).is_zero
+
+
+def test_monomial_route_matches_elimination_when_lemma_fails(monkeypatch):
+    """With d^c replaced by zero, Ker d^c n Im d = Im d != 0 = Im dd^c."""
+    spec = EXPLICIT[3]
+    monkeypatch.setattr(
+        symplectic_hodge, "dc", lambda spec, f: Form.zero(spec.two_n)
+    )
+    verdicts = [ddc_lemma_check(spec, k) for k in range(spec.two_n + 1)]
+    assert verdicts == [
+        ddc_lemma_by_elimination(spec, k) for k in range(spec.two_n + 1)
+    ]
+    assert verdicts[0] and not all(verdicts)
+
+
+def _two_terms(spec, f):
+    image = dc(spec, f)
+    return image if image.is_zero else image + Form.one(spec.two_n)
+
+
+def _one_target(spec, f):
+    image = dc(spec, f)
+    return image if image.is_zero else Form.one(spec.two_n)
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [(_two_terms, "has 2 terms"), (_one_target, "two monomials map onto")],
+)
+def test_non_monomial_dc_raises(monkeypatch, broken, message):
+    monkeypatch.setattr(symplectic_hodge, "dc", broken)
+    with pytest.raises(InvariantViolationError, match=message):
+        ddc_lemma_check(EXPLICIT[3], 3)
