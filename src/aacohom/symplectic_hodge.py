@@ -260,24 +260,24 @@ def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
 
     Both images are spanned by single monomials, and d^c is injective on
     the monomials it does not kill, so Ker d^c n Im d is spanned by the
-    Im-d monomials that d^c kills: the lemma is an equality of sets.
+    Im-d monomials that d^c kills, and Im d d^c by the d-images of the d^c
+    targets: the lemma is an equality of sets.
     """
     _require_numeric(spec)
     if spec.n > HODGE_MAX_N:
         raise SizeLimitError(f"the operator suite is limited to n <= {HODGE_MAX_N}")
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
-    image_d = set()
+    d_image_of = {}
     if degree >= 1:
-        image_d = set(
-            _monomial_preimages(spec, lambda g: differential(spec, g), degree - 1)
+        d_preimages = _monomial_preimages(
+            spec, lambda g: differential(spec, g), degree - 1
         )
+        d_image_of = {source: target for target, (source, _) in d_preimages.items()}
     dc_preimages = _monomial_preimages(spec, lambda g: dc(spec, g), degree)
     not_killed = {source for source, _ in dc_preimages.values()}
-    image_ddc = _monomial_preimages(
-        spec, lambda g: differential(spec, dc(spec, g)), degree
-    )
-    return image_d - not_killed == set(image_ddc)
+    image_ddc = {d_image_of[t] for t in dc_preimages if t in d_image_of}
+    return set(d_image_of.values()) - not_killed == image_ddc
 
 
 def operator_suite_failures(spec: AlgebraSpec) -> list:
@@ -286,9 +286,11 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
     For each degree k: every monomial f must satisfy star star f = f,
     (d^c)^2 f = 0, d d^c f = -d^c d f and d^c f = [d, Lambda] f; the dd^c
     lemma must hold in degree k; and every basis class of H^k must have a
-    harmonic representative.  Above n = HODGE_MAX_N the degree-0 dd^c check
-    raises SizeLimitError before any larger degree is touched.
+    harmonic representative.  Above n = HODGE_MAX_N it raises SizeLimitError
+    before building any operator.
     """
+    if spec.n > HODGE_MAX_N:
+        raise SizeLimitError(f"the operator suite is limited to n <= {HODGE_MAX_N}")
     failures = []
     for k in range(spec.two_n + 1):
         for mono in all_monomials(spec.two_n, k):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 from mpmath import mpf
@@ -138,6 +139,9 @@ def test_hodge_checks(capsys):
 def test_hodge_size_limit(capsys):
     assert run(capsys, "hodge", "--n", "5", "--mode", "ones")[0] == 0
     assert run(capsys, "hodge", "--n", "7", "--mode", "ones")[0] == 2
+    start = time.perf_counter()
+    assert run(capsys, "hodge", "--n", "40", "--mode", "ones")[0] == 2
+    assert time.perf_counter() - start < 5
 
 
 def test_lattice_case1_payload(capsys):
