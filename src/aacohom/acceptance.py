@@ -46,10 +46,9 @@ def criterion_golden_matrix(max_n: int) -> dict:
     if max_n < 5:
         return {"id": 1, "name": name, "skipped": True, "passed": True}
     mat = lefschetz_matrix(AlgebraSpec.generic(5), 4)
-    matches = mat.entries == GOLDEN_M4_5
-    zero_block = all(
-        mat.entries[i][j] == 0 for i in range(4) for j in range(4)
-    )
+    rows = mat.rows_as_lists()
+    matches = rows == [list(row) for row in GOLDEN_M4_5]
+    zero_block = all(rows[i][j] == 0 for i in range(4) for j in range(4))
     return {
         "id": 1,
         "name": name,
@@ -148,7 +147,7 @@ def criterion_kneser_structure(max_n: int) -> dict:
                     failures.append([spec.mode.value, n, m, str(exc)])
                     continue
                 checked += 1
-                if report.total_size != len(mat.entries):
+                if report.total_size != mat.size:
                     failures.append([spec.mode.value, n, m, "size mismatch"])
     return {
         "id": 5,

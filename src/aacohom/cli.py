@@ -33,7 +33,15 @@ from .errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from .kneser import KneserGraph, adjacency, spectrum, verify_invertible
+from .kneser import (
+    MAX_VERTICES,
+    VERIFY_MAX_VERTICES,
+    KneserGraph,
+    adjacency,
+    require_vertex_count,
+    spectrum,
+    verify_invertible,
+)
 from .lattice import (
     alt_remark_params,
     build_lattice,
@@ -205,7 +213,7 @@ def _cmd_lefschetz(args):
             for b in report.blocks
         ]
     if args.emit_matrix or not args.check_kneser:
-        results["matrix"] = [list(row) for row in mat.entries]
+        results["matrix"] = mat.rows_as_lists()
         results["block_cuts"] = _lefschetz_cuts(spec, mat)
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
@@ -217,6 +225,7 @@ def _cmd_lefschetz(args):
 
 def _cmd_kneser(args):
     g = KneserGraph(args.n, args.k)
+    require_vertex_count(g, VERIFY_MAX_VERTICES if args.verify else MAX_VERTICES)
     results = {
         "vertices": [list(v) for v in g.vertices],
         "vertex_degree": g.degree,

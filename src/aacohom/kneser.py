@@ -11,7 +11,15 @@ from itertools import combinations
 from math import comb
 
 from . import exact_linalg
-from .errors import InvalidParameterError, InvariantViolationError
+from .errors import InvalidParameterError, InvariantViolationError, SizeLimitError
+
+# Vertex-count limits, from one run each on 2 CPUs (Python 3.11).  The CLI
+# lists every vertex and by default the dense adjacency: K(12,6) (924
+# vertices) takes 1.2 s and 96 MB, K(13,6) (1716) 3.2 s and 280 MB, K(14,7)
+# (3432) 14 s and 1 GB.  verify_invertible eliminates and multiplies dense
+# matrices: K(10,5) (252) takes 1.3 s, K(11,4) (330) 14 s, K(11,5) (462) 23 s.
+MAX_VERTICES = 924
+VERIFY_MAX_VERTICES = 252
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,14 @@ class KneserGraph:
     def degree(self) -> int:
         """Common vertex degree C(n-k, k)."""
         return comb(self.n - self.k, self.k)
+
+
+def require_vertex_count(g: KneserGraph, limit: int) -> None:
+    """Raise SizeLimitError if g has more than ``limit`` vertices."""
+    if g.vertex_count > limit:
+        raise SizeLimitError(
+            f"K({g.n},{g.k}) has {g.vertex_count} vertices; the limit is {limit}"
+        )
 
 
 def adjacency(g: KneserGraph) -> list:
@@ -85,8 +101,10 @@ def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
     Computes det(A) by fraction-free elimination and checks that the
     annihilating polynomial prod_j (A - lambda_j I) vanishes.  A zero
     determinant would contradict the spectral description and is reported
-    as an invariant violation.
+    as an invariant violation.  Graphs above VERIFY_MAX_VERTICES raise
+    SizeLimitError before any work.
     """
+    require_vertex_count(g, VERIFY_MAX_VERTICES)
     a = adjacency(g)
     eigs = spectrum(g)
     det = exact_linalg.det_bareiss(a)

@@ -34,7 +34,10 @@ NUMERIC_TOLERANCE = mpf("1e-6")
 RESIDUAL_TOLERANCE = mpf("1e-9")
 TRACE_TOLERANCE = mpf("1e-12")
 MAX_EXHAUSTIVE = 12
-ALT_REMARK_MAX_EXPONENT = 20
+# m_j ~ 2cosh(2^(k_j - 1)), and the structural tier trial-divides m_j -+ 2:
+# `lattice --n 3 --alt-k 5,6` (m ~ e^32) takes under a second, while
+# `--alt-k 6,7` (m ~ e^64) had not finished after 20 s.
+ALT_REMARK_MAX_EXPONENT = 6
 PELL_ITERATION_CAP = 10 ** 6
 
 

@@ -13,6 +13,7 @@ of exact nonzero determinants.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exact_linalg
 from .ce_complex import (
@@ -37,8 +38,9 @@ from .exterior_algebra import Form, wedge
 from .kneser import KneserGraph, adjacency
 
 
+@lru_cache(maxsize=None)
 def standard_omega(spec: AlgebraSpec) -> Form:
-    """The distinguished symplectic form delta + gamma_2 + ... + gamma_n."""
+    """The distinguished symplectic form delta + gamma_2 + ... + gamma_n (cached)."""
     form = delta_form(spec)
     for i in range(2, spec.n + 1):
         form = form + gamma_form(spec, i)
@@ -99,27 +101,33 @@ def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
 
 @dataclass
 class LefschetzMatrix:
-    """Integer matrix of L_m in the pinned bases (rows: H^{2n-m}, cols: H^m)."""
+    """L_m as sparse {row: 1} columns in the pinned bases (rows: H^{2n-m})."""
 
     n: int
     m: int
-    entries: tuple
+    columns: tuple
     row_basis: object
     col_basis: object
     structure: object = None
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.columns)
 
     def determinant(self) -> int:
-        det = exact_linalg.det_sparse(self.entries)
+        # det A^T = det A, so the columns serve as the rows
+        det = exact_linalg.det_sparse(self.columns)
         if det.denominator != 1:
             raise InvariantViolationError("integer matrix with fractional det")
         return det.numerator
 
     def rows_as_lists(self) -> list:
-        return [list(row) for row in self.entries]
+        """The dense 0/1 rows, for output only."""
+        rows = [[0] * self.size for _ in range(self.size)]
+        for j, column in enumerate(self.columns):
+            for i in column:
+                rows[i][j] = 1
+        return rows
 
 
 def _operator_columns(spec, m, omega_form):
@@ -155,8 +163,12 @@ def _operator_columns(spec, m, omega_form):
     return source, target, columns
 
 
-def _standard_columns(spec: AlgebraSpec, m: int):
-    """``_operator_columns`` for the standard form; every entry must be 1."""
+def lefschetz_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
+    """The matrix of L_m for the standard form; entries must come out in {0,1}."""
+    if spec.mode not in (Mode.GENERIC, Mode.ONES):
+        raise UnsupportedModeError(
+            "Lefschetz matrices are defined for the generic and ones modes"
+        )
     source, target, columns = _operator_columns(spec, m, standard_omega(spec))
     if len(source) != len(target):
         raise InvariantViolationError(
@@ -168,23 +180,7 @@ def _standard_columns(spec: AlgebraSpec, m: int):
                 raise InvariantViolationError(
                     f"Lefschetz entry {v} outside {{0,1}}: sign-convention bug"
                 )
-    return source, target, columns
-
-
-def lefschetz_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
-    """The matrix of L_m for the standard form; entries must come out in {0,1}."""
-    if spec.mode not in (Mode.GENERIC, Mode.ONES):
-        raise UnsupportedModeError(
-            "Lefschetz matrices are defined for the generic and ones modes"
-        )
-    source, target, columns = _standard_columns(spec, m)
-    rows = [[0] * len(source) for _ in range(len(target))]
-    for j, column in enumerate(columns):
-        for i in column:
-            rows[i][j] = 1
-    for i, row in enumerate(rows):
-        rows[i] = tuple(row)  # row by row: never two dense copies at once
-    return LefschetzMatrix(spec.n, m, tuple(rows), target, source)
+    return LefschetzMatrix(spec.n, m, tuple(columns), target, source)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +248,7 @@ def block_layout(spec: AlgebraSpec, m: int) -> tuple:
 
 
 def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureReport:
-    """Verify the block decomposition of ``block_layout`` entry by entry."""
+    """Verify the block decomposition of ``block_layout`` column by column."""
     if spec.mode is Mode.GENERIC:
         case = "I"
     elif spec.mode is Mode.ONES:
@@ -266,20 +262,20 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
             0, 0, f"total block size {report.total_size}", size
         )
 
-    expected = [[0] * size for _ in range(size)]
+    mismatches = []  # (row, col, expected, got)
     for b in report.blocks:
         if b.kind == "identity":
             content = [[1]]
         else:
             content = adjacency(KneserGraph(*b.params))
-        for i, row in enumerate(content):
-            expected[b.offset + i][b.offset:b.offset + b.size] = row
-    for i in range(size):
-        for j in range(size):
-            if matrix.entries[i][j] != expected[i][j]:
-                raise StructureViolationError(
-                    i, j, expected[i][j], matrix.entries[i][j]
-                )
+        for j, row in enumerate(content, b.offset):  # symmetric: row j is column j
+            want = {b.offset + i: v for i, v in enumerate(row) if v}
+            got = matrix.columns[j]
+            for i in want.keys() | got.keys():
+                if want.get(i, 0) != got.get(i, 0):
+                    mismatches.append((i, j, want.get(i, 0), got.get(i, 0)))
+    if mismatches:
+        raise StructureViolationError(*min(mismatches))  # first in row-major order
 
     matrix.structure = report
     return report
@@ -324,7 +320,7 @@ def hard_lefschetz_report(
     rows_out = []
     for m in range(spec.n + 1):
         if user_form is None:
-            _, _, columns = _standard_columns(spec, m)
+            columns = lefschetz_matrix(spec, m).columns
         else:
             _, _, columns = _operator_columns(spec, m, user_form.form)
         # det A^T = det A, so the columns serve as the rows

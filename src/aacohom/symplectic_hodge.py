@@ -146,21 +146,24 @@ def lefschetz_l(spec: AlgebraSpec, f: Form) -> Form:
     return wedge(standard_omega(spec), f)
 
 
+def _lambda(spec: AlgebraSpec, f: Form) -> Form:
+    """Lambda f = star L star f."""
+    return star(spec, lefschetz_l(spec, star(spec, f)))
+
+
 def lambda_and_h(spec: AlgebraSpec, f: Form):
     """(Lambda f, H f) with Lambda = star L star and H = [L, Lambda]."""
-    lam = star(spec, lefschetz_l(spec, star(spec, f)))
-    h = lefschetz_l(spec, lam) - star(
-        spec, lefschetz_l(spec, star(spec, lefschetz_l(spec, f)))
-    )
+    lam = _lambda(spec, f)
+    h = lefschetz_l(spec, lam) - _lambda(spec, lefschetz_l(spec, f))
     return lam, h
 
 
 def dc_as_commutator(spec: AlgebraSpec, f: Form) -> Form:
     """[d, Lambda] f = d(Lambda f) - Lambda(d f); equal to d^c."""
     _require_numeric(spec)
-    lam_f, _ = lambda_and_h(spec, f)
-    lam_df, _ = lambda_and_h(spec, differential(spec, f))
-    return differential(spec, lam_f) - lam_df
+    return differential(spec, _lambda(spec, f)) - _lambda(
+        spec, differential(spec, f)
+    )
 
 
 @dataclass(frozen=True)

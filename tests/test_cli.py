@@ -144,6 +144,17 @@ def test_hodge_size_limit(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_kneser_size_limit(capsys):
+    # K(12,6) has 924 vertices, K(13,6) 1716, K(10,5) 252 and K(11,5) 462
+    assert run(capsys, "kneser", "--n", "9", "--k", "4", "--verify")[0] == 0
+    start = time.perf_counter()
+    assert run(capsys, "kneser", "--n", "13", "--k", "6")[0] == 2
+    assert run(capsys, "kneser", "--n", "13", "--k", "6", "--spectrum")[0] == 2
+    assert run(capsys, "kneser", "--n", "11", "--k", "5", "--verify")[0] == 2
+    assert run(capsys, "kneser", "--n", "40", "--k", "20", "--spectrum")[0] == 2
+    assert time.perf_counter() - start < 5
+
+
 def test_lattice_case1_payload(capsys):
     code, report = run_json(
         capsys, "lattice", "--case", "I", "--n", "5", "--d", "2,3,5,7"
@@ -190,6 +201,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "lattice", "--case", "II", "--n", "3")[0] == 2
     assert run(capsys, "cohomology", "--n", "3", "--mode", "explicit")[0] == 2
     assert run(capsys, "kneser", "--n", "3", "--k", "2", "--verify")[0] == 2
+    assert run(capsys, "lattice", "--n", "3", "--alt-k", "6,7")[0] == 2
     assert run(
         capsys, "cohomology", "--n", "2", "--mode", "explicit", "--b", "1/0"
     )[0] == 2

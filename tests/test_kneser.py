@@ -2,7 +2,11 @@
 
 import pytest
 
-from aacohom.errors import InvalidParameterError, InvariantViolationError
+from aacohom.errors import (
+    InvalidParameterError,
+    InvariantViolationError,
+    SizeLimitError,
+)
 from aacohom.exact_linalg import det_bareiss
 from aacohom.kneser import KneserGraph, adjacency, spectrum, verify_invertible
 
@@ -72,6 +76,22 @@ def test_empty_graph_rejected():
     with pytest.raises(InvalidParameterError):
         verify_invertible(KneserGraph(3, 2))
     assert adjacency(KneserGraph(3, 2)) == [[0, 0, 0]] * 3
+
+
+def test_size_limits_checked_before_enumeration(monkeypatch):
+    import aacohom.kneser as kn
+
+    def enumerated(g):
+        raise AssertionError("enumerated a graph above the limit")
+
+    monkeypatch.setattr(kn, "adjacency", enumerated)
+    big = KneserGraph(11, 5)  # 462 vertices
+    assert big.vertex_count > kn.VERIFY_MAX_VERTICES
+    with pytest.raises(SizeLimitError):
+        kn.verify_invertible(big)
+    kn.require_vertex_count(KneserGraph(12, 6), kn.MAX_VERTICES)
+    with pytest.raises(SizeLimitError, match="1716 vertices"):
+        kn.require_vertex_count(KneserGraph(13, 6), kn.MAX_VERTICES)
 
 
 def test_zero_determinant_violation(monkeypatch):

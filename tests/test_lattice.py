@@ -263,6 +263,8 @@ def test_alt_remark_validation():
         alt_remark_params(4, (1, 2))
     with pytest.raises(SizeLimitError):
         alt_remark_params(2, (25,))
+    with pytest.raises(SizeLimitError):
+        alt_remark_params(3, (6, 7))
 
 
 def test_alt_remark_values_sit_in_their_intervals():

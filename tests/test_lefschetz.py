@@ -25,7 +25,6 @@ from aacohom.errors import (
 from aacohom.exterior_algebra import Form, Monomial, wedge
 from aacohom.kneser import KneserGraph, adjacency
 from aacohom.lefschetz import (
-    LefschetzMatrix,
     SymplecticForm,
     check_structure,
     hard_lefschetz_report,
@@ -128,9 +127,9 @@ def test_project_rejects_non_cocycle():
 
 
 def test_golden_matrix_n5_m4():
-    mat = lefschetz_matrix(AlgebraSpec.generic(5), 4)
-    assert mat.rows_as_lists() == K52_PRINTED
-    assert all(mat.entries[i][j] == 0 for i in range(4) for j in range(4))
+    rows = lefschetz_matrix(AlgebraSpec.generic(5), 4).rows_as_lists()
+    assert rows == K52_PRINTED
+    assert all(rows[i][j] == 0 for i in range(4) for j in range(4))
 
 
 def test_m0_is_identity():
@@ -219,17 +218,39 @@ def test_structure_case1_m1_identity_blocks():
     assert [b.kind for b in report.blocks] == ["identity", "identity"]
 
 
+def _tampered(mat, *flips):
+    """A copy of ``mat`` with the entries at the (row, col) ``flips`` toggled."""
+    columns = [dict(column) for column in mat.columns]
+    for i, j in flips:
+        if columns[j].pop(i, 0) == 0:
+            columns[j][i] = 1
+    return dataclasses.replace(mat, columns=tuple(columns))
+
+
 def test_structure_violation_reports_first_entry():
     spec = AlgebraSpec.generic(3)
     mat = lefschetz_matrix(spec, 2)
-    rows = [list(r) for r in mat.entries]
-    rows[0][1] ^= 1
-    tampered = LefschetzMatrix(
-        mat.n, mat.m, tuple(tuple(r) for r in rows), mat.row_basis, mat.col_basis
-    )
+    with pytest.raises(StructureViolationError) as err:
+        check_structure(spec, _tampered(mat, (0, 1)))
+    assert (err.value.row, err.value.col) == (0, 1)
+    # a value other than 1 on the expected row set is a mismatch too
+    row = min(mat.columns[0])
+    columns = ({**mat.columns[0], row: 2},) + mat.columns[1:]
+    with pytest.raises(StructureViolationError) as err:
+        check_structure(spec, dataclasses.replace(mat, columns=columns))
+    e = err.value
+    assert (e.row, e.col, e.expected, e.got) == (row, 0, 1, 2)
+
+
+def test_structure_violation_off_block_reports_row_major_first():
+    # blocks K(3,1) + I1 + I1: both entries lie outside every block, and
+    # (1, 3) comes first in row-major order although its column is later
+    spec = AlgebraSpec.ones(3)
+    tampered = _tampered(lefschetz_matrix(spec, 2), (4, 0), (1, 3))
     with pytest.raises(StructureViolationError) as err:
         check_structure(spec, tampered)
-    assert (err.value.row, err.value.col) == (0, 1)
+    e = err.value
+    assert (e.row, e.col, e.expected, e.got) == (1, 3, 0, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -238,8 +259,12 @@ def test_structure_and_binary_invariants(n, maker):
     spec = maker(n)
     for m in range(n + 1):
         mat = lefschetz_matrix(spec, m)
-        assert len(mat.entries) == betti_closed_form(spec, m)
-        for row in mat.entries:
+        rows = mat.rows_as_lists()
+        assert len(rows) == mat.size == betti_closed_form(spec, m)
+        for column in mat.columns:
+            for v in column.values():
+                assert v == 1
+        for row in rows:
             for v in row:
                 assert v in (0, 1)
         if m % 2 == 0 and m:
@@ -247,9 +272,9 @@ def test_structure_and_binary_invariants(n, maker):
             # the generic case (unit weights have identity blocks)
             for i in range(mat.size):
                 if spec.mode is not Mode.ONES:
-                    assert mat.entries[i][i] == 0
+                    assert rows[i][i] == 0
                 for j in range(mat.size):
-                    assert mat.entries[i][j] == mat.entries[j][i]
+                    assert rows[i][j] == rows[j][i]
         report = check_structure(spec, mat)
         assert report.total_size == betti_closed_form(spec, m)
         assert mat.determinant() != 0

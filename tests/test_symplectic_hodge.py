@@ -431,3 +431,36 @@ def test_non_monomial_dc_raises(monkeypatch, broken, message):
     monkeypatch.setattr(symplectic_hodge, "dc", broken)
     with pytest.raises(InvariantViolationError, match=message):
         ddc_lemma_check(EXPLICIT[3], 3)
+
+
+def _star_unit_negated(spec, f):
+    """star with the sign of star(1) = vol flipped."""
+    image = star(spec, f)
+    return -image if f.degrees() == {0} else image
+
+
+def _dc_unsigned(spec, f):
+    """d^c without its (-1)^(k+1) sign."""
+    return star(spec, differential(spec, star(spec, f)))
+
+
+def _dc_missing_star(spec, f):
+    """d^c without the inner star, so it no longer squares to zero."""
+    return star(spec, differential(spec, f))
+
+
+@pytest.mark.parametrize(
+    "name, broken, reason",
+    [
+        ("star", _star_unit_negated, "star not involutive"),
+        ("dc", _dc_missing_star, "dc^2 != 0"),
+        ("dc", _dc_unsigned, "d dc != -dc d"),
+        ("_lambda", lambda spec, f: Form.zero(spec.two_n), "dc != [d, Lambda]"),
+    ],
+)
+def test_operator_suite_reports_broken_operator(monkeypatch, name, broken, reason):
+    spec = AlgebraSpec.ones(3)
+    assert symplectic_hodge.operator_suite_failures(spec) == []
+    monkeypatch.setattr(symplectic_hodge, name, broken)
+    reasons = {r for _, r in symplectic_hodge.operator_suite_failures(spec)}
+    assert reason in reasons
