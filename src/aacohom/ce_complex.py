@@ -30,6 +30,13 @@ from .errors import SizeLimitError, UnsupportedModeError
 from .exterior_algebra import Form, Monomial, all_monomials
 
 BRUTEFORCE_MAX_N = 7
+# Largest basis cohomology_basis lists, checked before it is built (one run
+# each, 2 CPUs, Python 3.11.7): `cohomology --basis` for ones n = 11, degree
+# 11 (127008 classes) takes 3.1 s and 213 MB, and for ones n = 14, degree 14
+# (5.9 million) had not finished after 60 s.  Explicit mode scans every
+# monomial of the degree, so there the limit bounds C(2n, degree); C(20, 10)
+# = 184756 takes 9 s.
+BASIS_MAX_SIZE = 127008
 GENERIC_WITNESS_BASE = 3
 
 
@@ -378,7 +385,14 @@ def cohomology_basis(spec: AlgebraSpec, degree: int) -> CohomologyBasis:
     """
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
-    if spec.mode is Mode.EXPLICIT:
+    explicit = spec.mode is Mode.EXPLICIT
+    size = comb(spec.two_n, degree) if explicit else betti_closed_form(spec, degree)
+    if size > BASIS_MAX_SIZE:
+        raise SizeLimitError(
+            f"a basis of H^{degree} at n = {spec.n} means {size} candidates; "
+            f"the limit is {BASIS_MAX_SIZE}"
+        )
+    if explicit:
         return _explicit_basis(spec, degree)
     if degree <= spec.n:
         return _pinned_basis(spec, degree, False)

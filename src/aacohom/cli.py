@@ -50,10 +50,12 @@ from .lattice import (
     lattice_failures,
 )
 from .lefschetz import (
+    DENSE_MAX_DIMENSION,
     block_layout,
     check_structure,
     hard_lefschetz_report,
     lefschetz_matrix,
+    require_size,
 )
 from .symplectic_hodge import operator_suite_failures
 
@@ -198,6 +200,13 @@ def _cmd_lefschetz(args):
         return results, ok
     if args.m is None:
         raise InvalidParameterError("--m is required (or use --hl)")
+    dense = args.emit_matrix or not args.check_kneser
+    size = require_size(spec, args.m)
+    if dense and size > DENSE_MAX_DIMENSION:
+        raise SizeLimitError(
+            f"the dense matrix of L_{args.m} has {size} rows; "
+            f"the limit is {DENSE_MAX_DIMENSION}"
+        )
     mat = lefschetz_matrix(spec, args.m)
     if args.check_kneser:
         report = check_structure(spec, mat)
@@ -212,7 +221,7 @@ def _cmd_lefschetz(args):
             }
             for b in report.blocks
         ]
-    if args.emit_matrix or not args.check_kneser:
+    if dense:
         results["matrix"] = mat.rows_as_lists()
         results["block_cuts"] = _lefschetz_cuts(spec, mat)
         results["row_labels"] = list(mat.row_basis.labels)
@@ -369,8 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # L_m determinants pass CPython's 4300-digit int-to-str limit from ones
+    # n = 10 on; lift it for this call (builds before 3.10.7 have no limit)
+    limited = hasattr(sys, "get_int_max_str_digits")
+    if limited:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(old_limit)
+
+
+def _run(args) -> int:
     started = time.monotonic()
     try:
         results, ok = args.fn(args)

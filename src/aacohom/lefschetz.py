@@ -20,6 +20,7 @@ from .ce_complex import (
     AlgebraSpec,
     Mode,
     _kneser_blocks,
+    betti_closed_form,
     cohomology_basis,
     delta_form,
     differential,
@@ -31,11 +32,56 @@ from .errors import (
     InvalidSymplecticFormError,
     InvariantViolationError,
     NotACocycleError,
+    SizeLimitError,
     StructureViolationError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, wedge
+from .exterior_algebra import Form, wedge, wedge_monomials
 from .kneser import KneserGraph, adjacency
+
+
+# Size limits, checked from closed forms before any basis is built (2 CPUs,
+# Python 3.11.7).  MAX_DIMENSION bounds dim H^m of one L_m: ones n = 10
+# (31752) runs `--hl` in 11 to 15 s and 70 MB over three runs, about 6 s
+# building the columns and 9 s the determinants; ones n = 11 would have
+# 127008 and determinants of 20778 digits.  MAX_BLOCK_VERTICES bounds the
+# largest Kneser block, K(n - m % 2, m // 2), whose determinant is the main
+# cost: the determinants of generic n = 11 (K(11,5), 462 vertices) take
+# 5.5 s, those of n = 12 32 s, 15 s of it for K(12,5) (792 vertices), and
+# `--hl` at n = 13 had not finished after 60 s.  DENSE_MAX_DIMENSION bounds
+# the dense rows of the CLI matrix payload: ones n = 8 (2450) takes 4.6 s
+# and 549 MB, and ones n = 9 (9800) ends in a MemoryError under a 2 GB
+# address-space cap.
+MAX_DIMENSION = 31752
+MAX_BLOCK_VERTICES = 462
+DENSE_MAX_DIMENSION = 2450
+
+
+def require_size(spec: AlgebraSpec, m: int) -> int:
+    """dim H^m, after checking L_m against MAX_DIMENSION and MAX_BLOCK_VERTICES.
+
+    Only Betti numbers and binomials are computed; SizeLimitError is raised
+    before any basis is built.
+    """
+    if spec.mode not in (Mode.GENERIC, Mode.ONES):
+        raise UnsupportedModeError(
+            "Lefschetz matrices are defined for the generic and ones modes"
+        )
+    if not 0 <= m <= spec.n:
+        raise ValueError(f"m must lie in [0, {spec.n}], got {m}")
+    size = betti_closed_form(spec, m)
+    if size > MAX_DIMENSION:
+        raise SizeLimitError(
+            f"L_{m} at n = {spec.n} has dimension {size}; "
+            f"the limit is {MAX_DIMENSION}"
+        )
+    block = math.comb(spec.n - m % 2, m // 2)
+    if block > MAX_BLOCK_VERTICES:
+        raise SizeLimitError(
+            f"L_{m} at n = {spec.n} has a Kneser block of {block} vertices; "
+            f"the limit is {MAX_BLOCK_VERTICES}"
+        )
+    return size
 
 
 @lru_cache(maxsize=None)
@@ -47,15 +93,19 @@ def standard_omega(spec: AlgebraSpec) -> Form:
     return form
 
 
+def _power(form: Form, k: int) -> Form:
+    """The k-th wedge power of a form (the unit for k = 0)."""
+    power = Form.one(form.two_n)
+    for _ in range(k):
+        power = wedge(power, form)
+    return power
+
+
 def omega_power(spec: AlgebraSpec, k: int) -> Form:
     """Exact expansion of w^k; for k = n this is n! times the volume form."""
     if not 0 <= k <= spec.n:
         raise ValueError(f"power {k} outside [0, {spec.n}]")
-    omega = standard_omega(spec)
-    power = Form.one(spec.two_n)
-    for _ in range(k):
-        power = wedge(power, omega)
-    return power
+    return _power(standard_omega(spec), k)
 
 
 @dataclass(frozen=True)
@@ -77,10 +127,7 @@ class SymplecticForm:
         closed = differential(spec, form).is_zero
         if not closed:
             raise InvalidSymplecticFormError("the form is not closed")
-        power = Form.one(spec.two_n)
-        for _ in range(spec.n):
-            power = wedge(power, form)
-        nondegenerate = not power.is_zero
+        nondegenerate = not _power(form, spec.n).is_zero
         if not nondegenerate:
             raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
         return cls(form, closed, nondegenerate)
@@ -133,42 +180,38 @@ class LefschetzMatrix:
 def _operator_columns(spec, m, omega_form):
     """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as sparse {row: value} maps.
 
-    Each image is projected to the cohomology monomials and read off the
-    target basis by a monomial lookup; every basis vector is +-1 times its
-    monomial, so a coordinate is the coefficient times that sign.
+    d is injective on monomials, so each product P ^ J of a (closed) power
+    term P with a source basis monomial J is a target basis monomial (one per
+    row: P -> P u J is injective) or an exact one (2n, nonzero weight): dropped.
     """
-    if not 0 <= m <= spec.n:
-        raise ValueError(f"m must lie in [0, {spec.n}], got {m}")
     source = cohomology_basis(spec, m)
     target = lefschetz_target_basis(spec, m)
-    power = Form.one(spec.two_n) / math.factorial(spec.n - m)
-    for _ in range(spec.n - m):
-        power = wedge(power, omega_form)
+    power = _power(omega_form, spec.n - m) / math.factorial(spec.n - m)
     rows = {
         mono: (i, sign)
         for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
     }
     columns = []
-    for vec in source.forms():
-        image = project_to_cohomology(spec, wedge(power, vec))
+    for mono, sign in zip(source.elements, source.signs):
         column = {}
-        for mono, c in image.terms.items():
-            if mono not in rows:
+        for term, c in power.terms.items():
+            product_sign, product = wedge_monomials(term, mono)
+            if not product_sign:
+                continue
+            if product in rows:
+                i, row_sign = rows[product]
+                column[i] = c * (product_sign * sign * row_sign)
+            elif not product.contains(spec.two_n) or weight_is_zero(spec, product):
                 raise InvariantViolationError(
-                    "projected image has a monomial outside the cohomology basis"
+                    f"{product} is outside the cohomology basis and not exact"
                 )
-            i, sign = rows[mono]
-            column[i] = c * sign
         columns.append(column)
     return source, target, columns
 
 
 def lefschetz_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
     """The matrix of L_m for the standard form; entries must come out in {0,1}."""
-    if spec.mode not in (Mode.GENERIC, Mode.ONES):
-        raise UnsupportedModeError(
-            "Lefschetz matrices are defined for the generic and ones modes"
-        )
+    require_size(spec, m)
     source, target, columns = _operator_columns(spec, m, standard_omega(spec))
     if len(source) != len(target):
         raise InvariantViolationError(
@@ -315,6 +358,8 @@ def hard_lefschetz_report(
         raise UnsupportedModeError(
             "hard-Lefschetz verdicts need the generic or ones mode"
         )
+    for m in range(spec.n + 1):
+        require_size(spec, m)
     if user_form is not None and not isinstance(user_form, SymplecticForm):
         user_form = SymplecticForm.validated(spec, user_form)
     rows_out = []

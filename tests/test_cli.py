@@ -155,6 +155,66 @@ def test_kneser_size_limit(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
+    import aacohom.ce_complex as ce
+    import aacohom.lefschetz as lf
+
+    def built(*args):
+        raise AssertionError("built a basis beyond the limit")
+
+    for module, name in ((ce, "_pinned_basis"), (ce, "_explicit_basis"),
+                         (lf, "cohomology_basis"),
+                         (lf, "lefschetz_target_basis")):
+        monkeypatch.setattr(module, name, built)
+    start = time.perf_counter()
+    # dense payload of 9800^2 cells; HL with dimension 127008; HL with a
+    # K(12,5) block of 792 vertices; 5.9 million basis classes; C(20,10)
+    # explicit monomials
+    for argv in (
+        "lefschetz --n 9 --mode ones --m 9",
+        "lefschetz --n 9 --mode ones --m 9 --emit-matrix --check-kneser",
+        "lefschetz --n 11 --mode ones --hl",
+        "lefschetz --n 13 --mode generic --hl",
+        "lefschetz --n 40 --mode ones --m 40 --check-kneser",
+        "cohomology --n 14 --mode ones --basis --degree 14",
+        "cohomology --n 10 --mode explicit --b 1,2,3,4,5,6,7,8,9 --basis "
+        "--degree 10",
+    ):
+        assert run(capsys, *argv.split())[0] == 2, argv
+    assert time.perf_counter() - start < 5
+
+
+def test_determinant_beyond_int_str_limit_prints_every_digit(
+    capsys, monkeypatch
+):
+    import sys
+    from fractions import Fraction
+
+    from aacohom.ce_complex import AlgebraSpec
+    from aacohom.lefschetz import HardLefschetzReport, OperatorSummary
+
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    det = 7 ** 6000
+    summary = OperatorSummary(0, 1, Fraction(det))
+    report = HardLefschetzReport(
+        AlgebraSpec.ones(2), "standard", (summary,), True
+    )
+    monkeypatch.setattr(cli, "hard_lefschetz_report", lambda spec: report)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        digits = str(det)
+        sys.set_int_max_str_digits(640)
+        code, out = run(capsys, "lefschetz", "--n", "2", "--mode", "ones", "--hl")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert len(digits) > 5000
+    assert code == 0
+    assert json.loads(out)["results"]["operators"][0]["determinant"] == digits
+
+
 def test_lattice_case1_payload(capsys):
     code, report = run_json(
         capsys, "lattice", "--case", "I", "--n", "5", "--d", "2,3,5,7"

@@ -2,6 +2,8 @@
 structure, hard-Lefschetz verdicts."""
 
 import dataclasses
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,13 +14,17 @@ from aacohom.ce_complex import (
     AlgebraSpec,
     Mode,
     betti_closed_form,
+    cohomology_basis,
     delta_form,
     gamma_form,
+    lefschetz_target_basis,
+    theta_form,
 )
 from aacohom.errors import (
     InvalidSymplecticFormError,
     InvariantViolationError,
     NotACocycleError,
+    SizeLimitError,
     StructureViolationError,
     UnsupportedModeError,
 )
@@ -188,6 +194,135 @@ def test_entry_other_than_one_raises(monkeypatch):
     # the --hl route shares the check; L_0 = (2w)^3 / 3! has entries 8
     with pytest.raises(InvariantViolationError, match="entry 8 outside"):
         hard_lefschetz_report(AlgebraSpec.generic(3))
+
+
+# ---------------------------------------------------------------------------
+# the monomial-product kernel against the projection route
+# ---------------------------------------------------------------------------
+
+
+def operator_columns_by_projection(spec, m, omega_form):
+    """Oracle: wedge each basis form with the power, project the image to
+    cohomology and read its terms off the target basis."""
+    source = cohomology_basis(spec, m)
+    target = lefschetz_target_basis(spec, m)
+    power = Form.one(spec.two_n) / math.factorial(spec.n - m)
+    for _ in range(spec.n - m):
+        power = wedge(power, omega_form)
+    rows = {
+        mono: (i, sign)
+        for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
+    }
+    columns = []
+    for vec in source.forms():
+        image = project_to_cohomology(spec, wedge(power, vec))
+        column = {}
+        for mono, c in image.terms.items():
+            i, sign = rows[mono]
+            column[i] = c * sign
+        columns.append(column)
+    return columns
+
+
+def _assert_kernel_matches_oracle(spec, form):
+    for m in range(spec.n + 1):
+        _, _, columns = lefschetz._operator_columns(spec, m, form)
+        assert columns == operator_columns_by_projection(spec, m, form), m
+
+
+def _seeded_user_form(spec, seed, thetas=3):
+    """delta, every gamma_i and a few theta_{i|j} with random rational
+    coefficients, redrawn until the form is symplectic."""
+    rng = random.Random(seed)
+    n = spec.n
+    pairs = [(i, j) for i in range(2, n + 1) for j in range(2, n + 1) if i != j]
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    while True:
+        form = delta_form(spec) * coeff()
+        for i in range(2, n + 1):
+            form = form + gamma_form(spec, i) * coeff()
+        for i, j in rng.sample(pairs, min(thetas, len(pairs))):
+            form = form + theta_form(spec, i, j) * coeff()
+        try:
+            return SymplecticForm.validated(spec, form).form
+        except InvalidSymplecticFormError:
+            continue
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_kernel_matches_projection_standard_form(n, maker):
+    spec = maker(n)
+    _assert_kernel_matches_oracle(spec, standard_omega(spec))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matches_projection_user_forms(n, seed):
+    spec = AlgebraSpec.ones(n)
+    _assert_kernel_matches_oracle(spec, _seeded_user_form(spec, seed))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_kernel_drops_exact_terms(n, maker):
+    # e^i ^ e^{2n} is exact for i != 1; the products it gives are dropped
+    spec = maker(n)
+    two_n = spec.two_n
+    exact = Form.zero(two_n)
+    for i, c in ((2, 3), (n, Fraction(-1, 2)), (two_n - 1, 5)):
+        exact = exact + Form.from_monomial(
+            Monomial.from_indices((i, two_n), two_n), c
+        )
+    bases = [standard_omega(spec)]
+    if spec.mode is Mode.ONES:
+        bases.append(_seeded_user_form(spec, 0))
+    for base in bases:
+        form = SymplecticForm.validated(spec, base + exact).form
+        _assert_kernel_matches_oracle(spec, form)
+
+
+def test_non_closed_form_raises():
+    # e^1 ^ e^3 (ones n = 3) has weight (0, 1): its product with gamma_2 is
+    # e^{1234}, neither a basis monomial nor exact; likewise e^2 ^ e^3 with
+    # e^1 ^ gamma_4 at n = 4
+    for n, pair, m in ((3, (1, 3), 2), (4, (2, 3), 3)):
+        spec = AlgebraSpec.ones(n)
+        form = Form.from_monomial(Monomial.from_indices(pair, spec.two_n))
+        with pytest.raises(InvariantViolationError, match="outside the cohomology"):
+            lefschetz._operator_columns(spec, m, form)
+
+
+# ---------------------------------------------------------------------------
+# size limits
+# ---------------------------------------------------------------------------
+
+
+def test_size_limits_admit_documented_runs():
+    for m in range(11):
+        lefschetz.require_size(AlgebraSpec.ones(10), m)  # --hl at ones n = 10
+    for m in range(12):
+        lefschetz.require_size(AlgebraSpec.generic(11), m)
+    assert lefschetz.require_size(AlgebraSpec.ones(9), 9) == 9800
+    # the dense payloads of the pinned ones n = 7 jobs, and ones n = 8
+    for n, m in ((7, 6), (7, 7), (8, 8)):
+        size = lefschetz.require_size(AlgebraSpec.ones(n), m)
+        assert size <= lefschetz.DENSE_MAX_DIMENSION
+    assert lefschetz.DENSE_MAX_DIMENSION < 9800
+
+
+def test_size_limits_raise():
+    with pytest.raises(SizeLimitError, match="dimension 127008"):
+        lefschetz.require_size(AlgebraSpec.ones(11), 11)
+    with pytest.raises(SizeLimitError, match="block of 792 vertices"):
+        lefschetz.require_size(AlgebraSpec.generic(12), 10)
+    with pytest.raises(SizeLimitError):
+        hard_lefschetz_report(AlgebraSpec.generic(13))
+    with pytest.raises(SizeLimitError):
+        lefschetz_matrix(AlgebraSpec.ones(40), 40)
 
 
 # ---------------------------------------------------------------------------
