@@ -8,13 +8,17 @@ for 2 <= i <= n, where s(i) = i + n - 1.  Consequently the differential is
     d(m) = (-1)^(deg m + 1) * <w(m), b> * (m u {2n}),
 
 where the weight w(m) records, for each j in 2..n, whether j and/or s(j)
-occurs in m.  Everything in this module (weights, cohomology bases, Betti
-numbers and the brute-force rank oracle) is built on that formula.
+occurs in m.  ``differential`` is the one place that formula is written; the
+brute-force rank oracle reads its matrices from it.  Since d maps distinct
+monomials to distinct monomials, a form is closed exactly when each of its
+monomials contains 2n or has weight zero: ``is_closed``, the cohomology
+bases and the closed-form Betti numbers rest on that weight test alone.
 
 Three weight modes fix how "<w, b> = 0" is decided:
 
 * GENERIC  - the b_j admit no nontrivial {-1,0,1} relation, so the test is
-  w = 0 as an integer vector (no numeric b values exist);
+  w = 0 as an integer vector (no numeric b values exist, so there is no
+  numeric d; the rank oracle substitutes the witness b_j = 3^j);
 * ONES     - every b_j = 1, so the test is sum(w) = 0;
 * EXPLICIT - concrete rationals, so the test is the exact dot product.
 """
@@ -118,9 +122,14 @@ class WeightVector:
         return self.value(spec) == 0
 
     def value(self, spec: AlgebraSpec) -> Fraction:
-        """The scalar <w, b> for a numeric mode."""
-        b = spec.numeric_b()
-        return sum((c * v for c, v in zip(self.coeffs, b)), Fraction(0))
+        """The scalar <w, b> for a numeric mode; every coefficient is 0 or +-1."""
+        total = Fraction(0)
+        for c, v in zip(self.coeffs, spec.numeric_b()):
+            if c > 0:
+                total += v
+            elif c:
+                total -= v
+        return total
 
 
 def weight(spec: AlgebraSpec, m: Monomial) -> WeightVector:
@@ -145,76 +154,40 @@ def weight_is_zero(spec: AlgebraSpec, m: Monomial) -> bool:
     return weight(spec, m).is_zero_for(spec)
 
 
-class SymbolicForm:
-    """A form whose coefficients are linear expressions in b_2..b_n.
+def differential(spec: AlgebraSpec, f: Form) -> Form:
+    """Exterior derivative of a form in a numeric mode.
 
-    Used for the differential in generic mode: every coefficient in this
-    complex is homogeneous of degree one in the b_j, so a vector of
-    rationals per monomial suffices.
-    """
-
-    __slots__ = ("terms", "two_n")
-
-    def __init__(self, terms, two_n):
-        self.terms = {m: tuple(v) for m, v in dict(terms).items() if any(v)}
-        self.two_n = two_n
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymbolicForm)
-            and self.two_n == other.two_n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{v}*{m}" for m, v in self.terms.items())
-
-
-def differential(spec: AlgebraSpec, f: Form):
-    """Exterior derivative of a form.
-
-    Numeric modes return a Form; generic mode returns a SymbolicForm whose
-    coefficients are weight vectors.  Satisfies d(d(f)) = 0 in every mode
-    because the image is supported on monomials containing 2n.
+    Generic mode has no numeric weights and raises UnsupportedModeError; its
+    closedness test is ``is_closed``.  Satisfies d(d(f)) = 0 because the
+    image is supported on monomials containing 2n.
     """
     if f.two_n != spec.two_n:
         raise ValueError(f"form ambient {f.two_n} does not match 2n={spec.two_n}")
+    if spec.mode is Mode.GENERIC:
+        raise UnsupportedModeError("generic mode has no numeric differential")
     top = spec.two_n
-    symbolic = spec.mode is Mode.GENERIC
+    top_bit = 1 << (top - 1)
     out = {}
     for m, c in f.terms.items():
-        if m.contains(top):
+        if m.mask & top_bit:
             continue
-        w = weight(spec, m)
-        sign = -1 if m.degree % 2 == 0 else 1  # (-1)^(deg+1)
-        target = Monomial(m.mask | (1 << (top - 1)), top)
-        if symbolic:
-            if not any(w.coeffs):
-                continue
-            scale = sign * c
-            vec = tuple(scale * x for x in w.coeffs)
-            old = out.get(target)
-            out[target] = (
-                vec if old is None else tuple(a + b for a, b in zip(old, vec))
-            )
-        else:
-            value = w.value(spec)
-            if value:
-                out[target] = out.get(target, Fraction(0)) + sign * c * value
-    if symbolic:
-        return SymbolicForm(out, top)
+        value = weight(spec, m).value(spec)
+        if value:
+            sign = -1 if m.degree % 2 == 0 else 1  # (-1)^(deg+1)
+            out[Monomial(m.mask | top_bit, top)] = sign * c * value
     return Form(out, top)
 
 
 def is_closed(spec: AlgebraSpec, f: Form) -> bool:
-    d = differential(spec, f)
-    return d.is_zero
+    """Whether d f = 0, in every mode: each monomial contains 2n or has weight zero.
+
+    Exact because d maps distinct monomials to distinct monomials, so the
+    terms of a form cannot cancel in its image.
+    """
+    if f.two_n != spec.two_n:
+        raise ValueError(f"form ambient {f.two_n} does not match 2n={spec.two_n}")
+    top = spec.two_n
+    return all(m.contains(top) or weight_is_zero(spec, m) for m in f.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -432,41 +405,24 @@ def betti_closed_form(spec: AlgebraSpec, degree: int) -> int:
     )
 
 
-def _bruteforce_weights(spec):
-    if spec.mode is Mode.GENERIC:
-        # exact integer witness for the generic hypothesis: distinct powers
-        # of three admit no nontrivial {-1,0,1} relation
-        return tuple(
-            Fraction(GENERIC_WITNESS_BASE ** j) for j in range(2, spec.n + 1)
-        )
-    return spec.numeric_b()
+def _rank_of_d(spec, degree):
+    """Rank of d on the degree-k forms.
 
-
-def _differential_rows(spec, degree, b):
-    """Columns of d restricted to degree, as sparse rows of its transpose."""
-    sources = all_monomials(spec.two_n, degree)
-    targets = {m: i for i, m in enumerate(all_monomials(spec.two_n, degree + 1))}
-    top_bit = 1 << (spec.two_n - 1)
-    rows = []
-    for m in sources:
-        if m.mask & top_bit:
-            continue
-        value = sum(
-            (c * v for c, v in zip(weight(spec, m).coeffs, b)), Fraction(0)
-        )
-        if value:
-            sign = -1 if m.degree % 2 == 0 else 1
-            target = Monomial(m.mask | top_bit, spec.two_n)
-            rows.append({targets[target]: sign * value})
-    return rows
+    d sends each monomial to a multiple of one monomial, and distinct
+    monomials to distinct ones, so the terms of d applied to the sum of all
+    degree-k monomials are the nonzero columns of d, one row each.
+    """
+    everything = Form(dict.fromkeys(all_monomials(spec.two_n, degree), 1), spec.two_n)
+    image = differential(spec, everything)
+    return exact_linalg.rank([{t.mask: c} for t, c in image.terms.items()])
 
 
 def betti_bruteforce(spec: AlgebraSpec, degree: int) -> int:
     """Betti number as dim ker d_k - rank d_{k-1}, by exact elimination.
 
-    Independent of the closed-form route: it builds the full differential
-    matrices column by column and computes ranks by fraction-free Gaussian
-    elimination.  Generic mode substitutes the power-of-three witness.
+    Independent of the closed-form route: the ranks are those of the
+    matrices of ``differential``.  Generic mode substitutes the
+    power-of-three witness.
     """
     if spec.n > BRUTEFORCE_MAX_N:
         raise SizeLimitError(
@@ -474,19 +430,15 @@ def betti_bruteforce(spec: AlgebraSpec, degree: int) -> int:
         )
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
-    b = _bruteforce_weights(spec)
-    dim_k = comb(spec.two_n, degree)
-    rank_k = (
-        exact_linalg.rank(_differential_rows(spec, degree, b))
-        if degree < spec.two_n
-        else 0
-    )
-    rank_prev = (
-        exact_linalg.rank(_differential_rows(spec, degree - 1, b))
-        if degree > 0
-        else 0
-    )
-    return dim_k - rank_k - rank_prev
+    if spec.mode is Mode.GENERIC:
+        # exact integer witness for the generic hypothesis: distinct powers
+        # of three admit no nontrivial {-1,0,1} relation
+        spec = AlgebraSpec.explicit(
+            GENERIC_WITNESS_BASE ** j for j in range(2, spec.n + 1)
+        )
+    rank_k = _rank_of_d(spec, degree) if degree < spec.two_n else 0
+    rank_prev = _rank_of_d(spec, degree - 1) if degree > 0 else 0
+    return comb(spec.two_n, degree) - rank_k - rank_prev
 
 
 def betti_sequence(spec: AlgebraSpec, bruteforce: bool = False) -> list:

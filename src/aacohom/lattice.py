@@ -223,11 +223,11 @@ def case1_params(n: int, d_list=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def t_value(m: int, dps: int = DEFAULT_DPS) -> mpf:
+def t_value(m: int) -> mpf:
     """t_m = log((m + sqrt(m^2 - 4)) / 2), so that e^t + e^{-t} = m."""
     if m < 3:
         raise InvalidParameterError(f"t_m needs m >= 3, got {m}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         return mp.log((m + mp.sqrt(m * m - 4)) / 2)
 
 
@@ -256,11 +256,7 @@ class Hypothesis1Certificate:
 
 
 def hypothesis1_certificate(
-    m_list,
-    t_values=None,
-    require_structural: bool = True,
-    tolerance=NUMERIC_TOLERANCE,
-    dps: int = DEFAULT_DPS,
+    m_list, require_structural: bool = True
 ) -> Hypothesis1Certificate:
     """Certify independence of the t_{m_j}; see Hypothesis1Certificate.
 
@@ -289,9 +285,8 @@ def hypothesis1_certificate(
             f"square-free parts {d_list} share the prime {offending}",
             prime=offending,
         )
-    if t_values is None:
-        t_values = [t_value(m, dps) for m in ms]
-    with mp.workdps(dps):
+    t_values = [t_value(m) for m in ms]
+    with mp.workdps(DEFAULT_DPS):
         numeric_min = None
         for eps in itertools.product((-1, 0, 1), repeat=len(ms)):
             if not any(eps):
@@ -299,7 +294,7 @@ def hypothesis1_certificate(
             total = abs(mp.fsum(e * t for e, t in zip(eps, t_values) if e))
             if numeric_min is None or total < numeric_min:
                 numeric_min = total
-        numeric_ok = numeric_min is not None and numeric_min > mpf(tolerance)
+        numeric_ok = numeric_min is not None and numeric_min > NUMERIC_TOLERANCE
     return Hypothesis1Certificate(
         tuple(ms), tuple(d_list), structural_ok, offending, numeric_min, numeric_ok
     )
@@ -359,7 +354,7 @@ def companion_matrix_sl(m_list, size: int) -> list:
     return e
 
 
-def build_lattice(case: str, n: int, params, dps: int = DEFAULT_DPS) -> LatticeSpec:
+def build_lattice(case: str, n: int, params) -> LatticeSpec:
     """Assemble and numerically verify a lattice package.
 
     Case II takes a single integer m >= 3 (time parameter t0 = t_m, unit
@@ -376,7 +371,7 @@ def build_lattice(case: str, n: int, params, dps: int = DEFAULT_DPS) -> LatticeS
             raise InvalidParameterError(f"case II needs m >= 3, got {m}")
         m_list = [m] * (n - 1)
         d_list = [_squarefree_part_m(m)]
-        t0 = t_value(m, dps)
+        t0 = t_value(m)
         t_list = [t0] * (n - 1)
     elif case == "I":
         solutions = list(params)
@@ -393,10 +388,10 @@ def build_lattice(case: str, n: int, params, dps: int = DEFAULT_DPS) -> LatticeS
                 raise InvariantViolationError(
                     f"square-free part of {s.m}^2-4 is not {s.d}"
                 )
-        certificate = hypothesis1_certificate(solutions, dps=dps)
-        with mp.workdps(dps):
+        certificate = hypothesis1_certificate(solutions)
+        with mp.workdps(DEFAULT_DPS):
             t0 = mpf(1)
-        t_list = [t_value(s.m, dps) for s in solutions]
+        t_list = [t_value(s.m) for s in solutions]
     else:
         raise InvalidParameterError(f"unknown case {case!r}; use 'I' or 'II'")
 
@@ -406,7 +401,7 @@ def build_lattice(case: str, n: int, params, dps: int = DEFAULT_DPS) -> LatticeS
     if det != 1:
         raise InvariantViolationError(f"det E = {det} != 1")
 
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         # weights of A' = diag(0, w_2, -w_2, ..., w_n, -w_n)
         weights = (
             t_list if case == "I" else [mpf(1)] * (n - 1)

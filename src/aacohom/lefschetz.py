@@ -23,8 +23,8 @@ from .ce_complex import (
     betti_closed_form,
     cohomology_basis,
     delta_form,
-    differential,
     gamma_form,
+    is_closed,
     lefschetz_target_basis,
     weight_is_zero,
 )
@@ -124,7 +124,7 @@ class SymplecticForm:
     def validated(cls, spec: AlgebraSpec, form: Form) -> "SymplecticForm":
         if form.degrees() not in ({2}, set()):
             raise InvalidSymplecticFormError("a symplectic form must be a 2-form")
-        closed = differential(spec, form).is_zero
+        closed = is_closed(spec, form)
         if not closed:
             raise InvalidSymplecticFormError("the form is not closed")
         nondegenerate = not _power(form, spec.n).is_zero
@@ -139,7 +139,7 @@ def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
     A monomial containing 2n with nonzero reduced weight is exact; what is
     left is supported exactly on the cohomology-basis monomials.
     """
-    if not differential(spec, f).is_zero:
+    if not is_closed(spec, f):
         raise NotACocycleError("cannot project a non-closed form")
     return Form(
         {m: c for m, c in f.terms.items() if weight_is_zero(spec, m)}, f.two_n
@@ -365,12 +365,13 @@ def hard_lefschetz_report(
     rows_out = []
     for m in range(spec.n + 1):
         if user_form is None:
-            columns = lefschetz_matrix(spec, m).columns
+            matrix = lefschetz_matrix(spec, m)
+            size, det = matrix.size, Fraction(matrix.determinant())
         else:
             _, _, columns = _operator_columns(spec, m, user_form.form)
-        # det A^T = det A, so the columns serve as the rows
-        det = exact_linalg.det_sparse(columns)
-        rows_out.append(OperatorSummary(m, len(columns), det))
+            # det A^T = det A, so the columns serve as the rows
+            size, det = len(columns), exact_linalg.det_sparse(columns)
+        rows_out.append(OperatorSummary(m, size, det))
     description = "standard" if user_form is None else "user"
     verdict = all(op.determinant != 0 for op in rows_out)
     return HardLefschetzReport(spec, description, tuple(rows_out), verdict)

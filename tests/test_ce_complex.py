@@ -10,7 +10,6 @@ from aacohom import exact_linalg
 from aacohom.ce_complex import (
     AlgebraSpec,
     Mode,
-    SymbolicForm,
     betti_bruteforce,
     betti_closed_form,
     betti_sequence,
@@ -141,20 +140,21 @@ def test_differential_pinned_examples():
     d23 = differential(spec, Form.from_monomial(mono((2, 3), 10)))
     assert d23 == Form.from_monomial(mono((2, 3, 10), 10), -(3 + 5))
 
-    for make in (AlgebraSpec.generic, AlgebraSpec.ones):
-        s = make(5)
-        assert differential(s, gamma_form(s, 2)).is_zero
+    ones = AlgebraSpec.ones(5)
+    assert differential(ones, gamma_form(ones, 2)).is_zero
+    generic = AlgebraSpec.generic(5)
+    assert is_closed(generic, gamma_form(generic, 2))
 
     # anything containing e^{2n} is killed
     assert differential(spec, Form.from_monomial(mono((4, 10), 10))).is_zero
 
 
-def test_differential_generic_is_symbolic():
+def test_differential_generic_is_unsupported():
     spec = AlgebraSpec.generic(3)
-    d = differential(spec, Form.covector(2, 6))
-    assert isinstance(d, SymbolicForm)
-    assert d.terms == {mono((2, 6), 6): (Fraction(1), Fraction(0))}
-    assert differential(spec, gamma_form(spec, 2)).is_zero
+    with pytest.raises(UnsupportedModeError):
+        differential(spec, Form.covector(2, 6))
+    assert not is_closed(spec, Form.covector(2, 6))
+    assert is_closed(spec, gamma_form(spec, 2))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -171,13 +171,65 @@ def test_d_squared_is_zero_exhaustive(n):
             for spec in specs:
                 assert differential(spec, differential(spec, f)).is_zero
             # generic mode: the image consists of monomials containing 2n,
-            # each of which is symbolically closed
-            image = differential(generic, f)
-            for target in image.terms:
-                assert target.contains(top)
-                assert differential(
-                    generic, Form.from_monomial(target)
-                ).is_zero
+            # each of which is closed
+            if not is_closed(generic, f):
+                target = Monomial(m.mask | 1 << (top - 1), top)
+                assert is_closed(generic, Form.from_monomial(target))
+
+
+def _numeric_specs(n):
+    return [
+        AlgebraSpec.ones(n),
+        AlgebraSpec.explicit([Fraction(3) ** j for j in range(1, n)]),
+        # a {-1,0,1} relation (b_2 + b_3 = b_4 from n = 4 on) closes more forms
+        AlgebraSpec.explicit([1, 2, 3][: n - 1] + [5] * (n - 4)),
+    ]
+
+
+def _monomial_forms(two_n):
+    return [
+        Form.from_monomial(m)
+        for k in range(two_n + 1)
+        for m in all_monomials(two_n, k)
+    ]
+
+
+def _seeded_forms(two_n, rng, count=60):
+    """Multi-term forms of one degree: random sums of monomials."""
+    forms = []
+    for _ in range(count):
+        pool = all_monomials(two_n, rng.randint(0, two_n))
+        picked = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        forms.append(
+            Form({m: rng.choice((-2, -1, 1, 3)) for m in picked}, two_n)
+        )
+    return forms
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_closed_matches_differential(n):
+    rng = random.Random(n)
+    monomial_forms = _monomial_forms(2 * n)
+    for spec in _numeric_specs(n):
+        # a sum of basis classes plus an exact form is closed
+        closed_sums = [
+            sum(cohomology_basis(spec, k).forms(), Form.zero(2 * n))
+            + differential(spec, rng.choice(monomial_forms))
+            for k in range(2 * n + 1)
+        ]
+        forms = monomial_forms + _seeded_forms(2 * n, rng) + closed_sums
+        closed = [is_closed(spec, f) for f in forms]
+        assert closed == [differential(spec, f).is_zero for f in forms]
+        assert any(closed) and not all(closed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generic_is_closed_matches_the_witness(n):
+    generic = AlgebraSpec.generic(n)
+    witness = AlgebraSpec.explicit([3 ** j for j in range(2, n + 1)])
+    rng = random.Random(10 + n)
+    for f in _monomial_forms(2 * n) + _seeded_forms(2 * n, rng):
+        assert is_closed(generic, f) == differential(witness, f).is_zero
 
 
 # ---------------------------------------------------------------------------

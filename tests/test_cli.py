@@ -40,6 +40,20 @@ def test_cohomology_brute_crosscheck(capsys):
     assert report["results"]["betti"] == report["results"]["betti_bruteforce"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cohomology --n 3 --mode explicit --b 1,2 --check-brute",
+        "cohomology --n 3 --mode ones --basis --degree 2 --check-brute",
+    ],
+)
+def test_check_brute_catches_a_wrong_oracle(capsys, monkeypatch, argv):
+    assert run(capsys, *argv.split())[0] == 0
+    real = cli.betti_bruteforce
+    monkeypatch.setattr(cli, "betti_bruteforce", lambda spec, k: real(spec, k) + 1)
+    assert run(capsys, *argv.split())[0] == 1
+
+
 def test_cohomology_explicit_weights(capsys):
     code, report = run_json(
         capsys, "cohomology", "--n", "3", "--mode", "explicit", "--b", "1/2,1/3"
