@@ -142,13 +142,11 @@ def criterion_kneser_structure(max_n: int) -> dict:
             for m in range(n + 1):
                 mat = lefschetz_matrix(spec, m)
                 try:
-                    report = check_structure(spec, mat)
+                    check_structure(spec, mat)
                 except Exception as exc:  # noqa: BLE001 - recorded, not masked
                     failures.append([spec.mode.value, n, m, str(exc)])
                     continue
                 checked += 1
-                if report.total_size != mat.size:
-                    failures.append([spec.mode.value, n, m, "size mismatch"])
     return {
         "id": 5,
         "name": name,

@@ -26,6 +26,7 @@ Three weight modes fix how "<w, b> = 0" is decided:
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -405,6 +406,7 @@ def betti_closed_form(spec: AlgebraSpec, degree: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def _rank_of_d(spec, degree):
     """Rank of d on the degree-k forms.
 

@@ -172,14 +172,14 @@ def _cmd_cohomology(args):
     return results, ok
 
 
-def _lefschetz_cuts(spec, mat):
+def _lefschetz_cuts(spec, mat, report):
     """Block boundaries for the text rendering and the JSON payload.
 
-    Ones mode reports them only after the structure check.  Generic even
-    m >= 2 has a single block and is cut where the classes containing delta
-    end instead.
+    Ones mode reports them only with the structure check's ``report``.
+    Generic even m >= 2 has a single block and is cut where the classes
+    containing delta end instead.
     """
-    if spec.mode is Mode.ONES and mat.structure is None:
+    if spec.mode is Mode.ONES and report is None:
         return []
     cuts = [b.offset for b in block_layout(spec, mat.m)[1:]]
     if spec.mode is Mode.GENERIC and mat.m and mat.m % 2 == 0:
@@ -210,6 +210,7 @@ def _cmd_lefschetz(args):
             f"the limit is {DENSE_MAX_DIMENSION}"
         )
     mat = lefschetz_matrix(spec, args.m)
+    report = None
     if args.check_kneser:
         report = check_structure(spec, mat)
         results["structure"] = report.summary()
@@ -225,7 +226,7 @@ def _cmd_lefschetz(args):
         ]
     if dense:
         results["matrix"] = mat.rows_as_lists()
-        results["block_cuts"] = _lefschetz_cuts(spec, mat)
+        results["block_cuts"] = _lefschetz_cuts(spec, mat, report)
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
     det = mat.determinant()

@@ -146,7 +146,7 @@ def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LefschetzMatrix:
     """L_m as sparse {row: 1} columns in the pinned bases (rows: H^{2n-m})."""
 
@@ -155,7 +155,6 @@ class LefschetzMatrix:
     columns: tuple
     row_basis: object
     col_basis: object
-    structure: object = None
 
     @property
     def size(self) -> int:
@@ -319,8 +318,6 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
                     mismatches.append((i, j, want.get(i, 0), got.get(i, 0)))
     if mismatches:
         raise StructureViolationError(*min(mismatches))  # first in row-major order
-
-    matrix.structure = report
     return report
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from aacohom import exact_linalg
+from aacohom import ce_complex, exact_linalg
 from aacohom.ce_complex import (
     AlgebraSpec,
     Mode,
@@ -316,6 +316,20 @@ def test_betti_bruteforce_examples():
     assert betti_bruteforce(AlgebraSpec.ones(3), 2) == 5
     assert betti_bruteforce(AlgebraSpec.ones(2), 0) == 1
     assert betti_bruteforce(AlgebraSpec.explicit([3, 9]), 0) == 1
+
+
+def test_betti_sequence_builds_each_d_once(monkeypatch):
+    calls = []
+
+    def counted(spec, form):
+        calls.append(form)
+        return differential(spec, form)
+
+    ce_complex._rank_of_d.cache_clear()
+    monkeypatch.setattr(ce_complex, "differential", counted)
+    spec = AlgebraSpec.explicit([1, 2])
+    assert betti_sequence(spec, bruteforce=True) == [1, 2, 3, 4, 3, 2, 1]
+    assert len(calls) == spec.two_n  # one per degree 0..2n-1
 
 
 def test_betti_bruteforce_size_guard():

@@ -240,6 +240,14 @@ def test_lattice_case1_payload(capsys):
     assert res["hypothesis1_certified"] is True
 
 
+def test_lattice_default_size_is_fast(capsys):
+    started = time.monotonic()
+    code, report = run_json(capsys, "lattice", "--case", "I", "--n", "13")
+    assert code == 0
+    assert report["results"]["hypothesis1_certified"] is True
+    assert time.monotonic() - started < 5
+
+
 def test_lattice_case2_payload(capsys):
     code, report = run_json(
         capsys, "lattice", "--case", "II", "--n", "3", "--m", "3"

@@ -1,6 +1,7 @@
 """Pell equations, independence certificates and lattice packages."""
 
 import dataclasses
+import itertools
 
 import pytest
 from mpmath import mp, mpf
@@ -12,6 +13,7 @@ from aacohom.errors import (
 )
 from aacohom.exact_linalg import det_bareiss
 from aacohom.lattice import (
+    DEFAULT_DPS,
     PellSolution,
     alt_remark_params,
     assert_minimal,
@@ -153,6 +155,59 @@ def test_certificate_default_parameters_scale():
 def test_certificate_size_guard():
     with pytest.raises(SizeLimitError):
         hypothesis1_certificate([3] * 13, require_structural=False)
+
+
+def _sign_search_min(ms):
+    """min |sum eps_j t_j| over every nonzero eps in {-1,0,1}^k, one by one."""
+    t_values = [t_value(m) for m in ms]
+    with mp.workdps(DEFAULT_DPS):
+        numeric_min = None
+        for eps in itertools.product((-1, 0, 1), repeat=len(ms)):
+            if not any(eps):
+                continue
+            total = abs(mp.fsum(e * t for e, t in zip(eps, t_values) if e))
+            if numeric_min is None or total < numeric_min:
+                numeric_min = total
+        return numeric_min
+
+
+# the moduli the `lattice` benchmark workload draws for seeds 0-2
+WORKLOAD_MODULI = (
+    [3, 11, 19, 43, 47, 53, 59, 61, 71, 73, 97],
+    [5, 7, 11, 17, 23, 31, 43, 47, 59, 79, 89],
+    [5, 7, 13, 23, 29, 37, 43, 53, 61, 71, 83],
+)
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [[s.m for s in case1_params(n)] for n in range(2, 13)]
+    + [[4, 8, 55, 2981], [3, 7, 18], [3, 3]]
+    + [[s.m for s in case1_params(12, d)] for d in WORKLOAD_MODULI],
+)
+def test_subset_sum_gap_matches_sign_search(ms):
+    cert = hypothesis1_certificate(ms, require_structural=False)
+    assert abs(cert.numeric_min - _sign_search_min(ms)) < mpf("1e-35")
+
+
+@pytest.mark.parametrize("ms", [[3, 7, 18], [3, 3]])
+def test_numeric_tier_rejects_a_relation(ms):
+    # t_18 = t_3 + t_7, since (3 + sqrt 5)/2 (7 + sqrt 45)/2 = (18 + sqrt 320)/2
+    cert = hypothesis1_certificate(ms, require_structural=False)
+    assert not cert.numeric_ok
+    assert not cert.certified
+
+
+def test_structural_tier_rejects_the_relation():
+    with pytest.raises(CertificateFailureError) as err:
+        hypothesis1_certificate([3, 7, 18])
+    assert err.value.prime == 5
+
+
+def test_certificate_of_no_values_has_no_minimum():
+    cert = hypothesis1_certificate([])
+    assert cert.numeric_min is None
+    assert not cert.numeric_ok
 
 
 # ---------------------------------------------------------------------------
