@@ -102,31 +102,83 @@ def _int_list(text):
 
 
 def _matrix_lines(rows, cuts=()):
-    """Space-separated integer rows with optional block separators."""
+    """Space-separated integer rows with optional block separators.
+
+    One format string serves every row, so a row costs one ``str.format``
+    call; a cut column is preceded by ``|`` and a cut row by a dashed line.
+    """
     cuts = {c for c in cuts if 0 < c < len(rows)}
-    lines = []
     width = len(rows[0]) if rows else 0
+    line = " ".join("| {}" if j in cuts else "{}" for j in range(width))
+    rule = "-" * (2 * width + 2 * len(cuts) - 1)
+    lines = []
     for i, row in enumerate(rows):
         if i in cuts:
-            lines.append("-" * (2 * width + 2 * len(cuts) - 1))
-        cells = []
-        for j, v in enumerate(row):
-            if j in cuts:
-                cells.append("|")
-            cells.append(str(v))
-        lines.append(" ".join(cells))
+            lines.append(rule)
+        lines.append(line.format(*row))
     return lines
 
 
+def _json(value, out, pad):
+    """Append ``json.dumps(value, indent=2, sort_keys=True)`` to ``out``.
+
+    ``pad`` is the indent of the line ``value`` starts on.  A list of plain
+    ints (no bools) becomes one piece built by ``str``, so a matrix costs a
+    fixed number of C-level calls per row; every other scalar goes through
+    ``json.dumps``.  Keys must be ``str``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {key!r}")
+            out.append(sep + inner + json.dumps(key) + ": ")
+            _json(value[key], out, inner)
+            sep = ",\n"
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            body = str(list(value))[1:-1].replace(", ", ",\n" + inner)
+            out.append("[\n" + inner + body + "\n" + pad + "]")
+            return
+        sep = "[\n"
+        for item in value:
+            out.append(sep + inner)
+            _json(item, out, inner)
+            sep = ",\n"
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def emit(report: dict, fmt: str) -> str:
-    """Render a report: stable JSON, plain text, or CSV for matrices."""
+    """Render a report: stable JSON, plain text, or CSV for matrices.
+
+    JSON is byte-identical to ``json.dumps(report, indent=2,
+    sort_keys=True)`` but is assembled by ``_json`` into one list of pieces
+    joined once.  Text and CSV fill one format string per matrix, so each
+    row is one ``str.format`` call.  The output is returned as one string,
+    whose size ``benchmarks/tracer.py`` books as ``cli.emit_bytes``.
+    """
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        out = []
+        _json(report, out, "")
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         matrix = report.get("results", {}).get("matrix")
         if matrix is None:
             raise InvalidParameterError("csv output needs a matrix payload")
-        return "\n".join(",".join(str(v) for v in row) for row in matrix) + "\n"
+        line = ",".join(["{}"] * (len(matrix[0]) if matrix else 0))
+        return "\n".join(line.format(*row) for row in matrix) + "\n"
     lines = [f"command: {report['command']}"]
     for key, value in sorted(report.get("params", {}).items()):
         lines.append(f"{key}: {value}")

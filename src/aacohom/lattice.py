@@ -40,6 +40,10 @@ MAX_EXHAUSTIVE = 12
 # `lattice --n 3 --alt-k 5,6` (m ~ e^32) takes under a second, while
 # `--alt-k 6,7` (m ~ e^64) had not finished after 20 s.
 ALT_REMARK_MAX_EXPONENT = 6
+# Case II builds the dense (2n-1)^2 companion matrix E and prints it: at the
+# limit E has 2449 rows, inside the CLI's dense payload limit (2450), and
+# `lattice --case II --n 1225 --m 3` takes 2.7 s and 262 MB (2 CPUs).
+CASE2_MAX_N = 1225
 PELL_ITERATION_CAP = 10 ** 6
 
 
@@ -369,6 +373,10 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
         m = int(params)
         if m < 3:
             raise InvalidParameterError(f"case II needs m >= 3, got {m}")
+        if n > CASE2_MAX_N:
+            raise SizeLimitError(
+                f"case II is limited to n <= {CASE2_MAX_N}, got {n}"
+            )
         m_list = [m] * (n - 1)
         d_list = [_squarefree_part_m(m)]
         t0 = t_value(m)
@@ -397,7 +405,7 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
 
     size = 2 * n - 1
     e_matrix = companion_matrix_sl(m_list, size)
-    det = exact_linalg.det_bareiss(e_matrix)
+    det = exact_linalg.det_sparse(e_matrix)
     if det != 1:
         raise InvariantViolationError(f"det E = {det} != 1")
 
@@ -456,7 +464,7 @@ def lattice_failures(package: LatticeSpec) -> list:
     when there is one, certified.
     """
     failures = []
-    if exact_linalg.det_bareiss([list(row) for row in package.E]) != 1:
+    if exact_linalg.det_sparse(package.E) != 1:
         failures.append("det E != 1")
     if not package.residual < RESIDUAL_TOLERANCE:
         failures.append("conjugacy residual too large")

@@ -49,9 +49,9 @@ from .kneser import KneserGraph, adjacency
 # cost: the determinants of generic n = 11 (K(11,5), 462 vertices) take
 # 5.5 s, those of n = 12 32 s, 15 s of it for K(12,5) (792 vertices), and
 # `--hl` at n = 13 had not finished after 60 s.  DENSE_MAX_DIMENSION bounds
-# the dense rows of the CLI matrix payload: ones n = 8 (2450) takes 4.6 s
-# and 549 MB, and ones n = 9 (9800) ends in a MemoryError under a 2 GB
-# address-space cap.
+# the dense rows of the CLI matrix payload: ones n = 8 (2450) prints its
+# 66 MB of JSON in 1.6 to 1.8 s with a 196 MB peak (2 CPUs); at ones n = 9
+# (9800) `rows_as_lists` alone would hold 96 M cells.
 MAX_DIMENSION = 31752
 MAX_BLOCK_VERTICES = 462
 DENSE_MAX_DIMENSION = 2450

@@ -256,6 +256,14 @@ def test_lattice_case2_payload(capsys):
     assert report["results"]["m_list"] == ["3", "3"]
 
 
+@pytest.mark.parametrize("n, expected", [("300", 0), ("1226", 2)])
+def test_lattice_case2_is_fast_or_refused(capsys, n, expected):
+    started = time.monotonic()
+    code, _ = run(capsys, "lattice", "--case", "II", "--n", n, "--m", "3")
+    assert code == expected
+    assert time.monotonic() - started < 5
+
+
 def test_lattice_alt_params(capsys):
     code, report = run_json(
         capsys, "lattice", "--n", "5", "--alt-k", "1,2,3,4"

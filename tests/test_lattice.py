@@ -11,14 +11,16 @@ from aacohom.errors import (
     InvalidParameterError,
     SizeLimitError,
 )
-from aacohom.exact_linalg import det_bareiss
+from aacohom.exact_linalg import det_bareiss, det_sparse
 from aacohom.lattice import (
+    CASE2_MAX_N,
     DEFAULT_DPS,
     PellSolution,
     alt_remark_params,
     assert_minimal,
     build_lattice,
     case1_params,
+    companion_matrix_sl,
     first_primes,
     hypothesis1_certificate,
     is_squarefree,
@@ -229,6 +231,18 @@ def test_case2_package_m3():
         with mp.workdps(40):
             expected_t = mp.log((3 + mp.sqrt(5)) / 2)
             assert abs(pkg.t0 - expected_t) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_case2_sparse_determinant_matches_bareiss(n):
+    e_matrix = companion_matrix_sl([3] * (n - 1), 2 * n - 1)
+    assert det_sparse(e_matrix) == det_bareiss(e_matrix) == 1
+
+
+def test_case2_size_limit():
+    build_lattice("II", CASE2_MAX_N, 3)
+    with pytest.raises(SizeLimitError):
+        build_lattice("II", CASE2_MAX_N + 1, 3)
 
 
 def test_case1_reference_package():
