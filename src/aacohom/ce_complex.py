@@ -32,7 +32,7 @@ from math import comb
 
 from . import exact_linalg
 from .errors import SizeLimitError, UnsupportedModeError
-from .exterior_algebra import Form, Monomial, all_monomials
+from .exterior_algebra import Form, Monomial, all_monomials, below_parity
 
 BRUTEFORCE_MAX_N = 7
 # Largest basis cohomology_basis lists, checked before it is built (one run
@@ -209,7 +209,8 @@ class CohomologyBasis:
     ``signs[i]`` is the coefficient of ``elements[i]`` inside the product
     form the label describes (the gamma/theta products are not in ascending
     index order, so they may equal minus the normalized monomial).  The
-    represented basis vector is signs[i] * elements[i].
+    represented basis vector is signs[i] * elements[i].  ``labels`` is None
+    for a basis built without them, since only output reads them.
     """
 
     degree: int
@@ -298,60 +299,71 @@ def _label(spec, half, target, free, theta):
                  "e2n" if half == "e2n" else "")
 
 
-def _pinned_basis(spec, m, target):
+def _pinned_basis(spec, m, target, labelled):
     """Basis of H^m (source side) or of H^{2n-m} (target side) in block order.
 
     The class of a free subset I of a block is the product
     [e^1] gammabar_C theta_{R|S} [e^{2n}], where C = I on the source side
     and C = ground minus I on the target side, and gammabar_1 = delta.  Its
     sign is the parity of the inversion count of the factor index sequence.
+    e^1 and e^{2n} stand at their sorted places.  Each gamma pair (i, s(i))
+    with i >= 2 crosses each later one once (s(i) > n) and delta crosses
+    every pair twice, so g such pairs give C(g, 2); the crossings of the
+    gammas with the thetas are a bit count against ``below_parity`` of the
+    theta indices, and those among the thetas are fixed per block.
     """
     two_n = spec.two_n
+    top = 1 << (two_n - 1)
+    pair = {1: 1 | top}  # index -> mask of its gamma pair; delta for 1
+    for i in range(2, spec.n + 1):
+        pair[i] = 1 << (i - 1) | 1 << (spec.sigma(i) - 1)
     elements, labels, signs = [], [], []
     for half, p, r, s, ground, free in _kneser_blocks(spec, m):
-        thetas = [i for a, b in zip(r, s) for i in (a, spec.sigma(b))]
-        theta = "theta_{%s|%s}" % (_idx_label(r), _idx_label(s)) if p else ""
-        for idx in combinations(ground, free):
-            gammas = [x for x in ground if x not in idx] if target else idx
-            seq = [1] if half == "e1" else []
-            for i in gammas:
-                seq += (1, two_n) if i == 1 else (i, spec.sigma(i))
-            seq += thetas
-            if half == "e2n":
-                seq.append(two_n)
-            mask = inversions = 0
-            for i in seq:
-                inversions += (mask >> i).bit_count()
-                mask |= 1 << (i - 1)
-            elements.append(Monomial(mask, two_n))
-            labels.append(_label(spec, half, target, idx, theta))
+        if labelled:
+            theta = "theta_{%s|%s}" % (_idx_label(r), _idx_label(s)) if p else ""
+            labels.extend(
+                _label(spec, half, target, idx, theta)
+                for idx in combinations(ground, free)
+            )
+        thetas = theta_inversions = 0
+        for a, b in zip(r, s):
+            for i in (a, spec.sigma(b)):
+                theta_inversions += (thetas >> i).bit_count()
+                thetas |= 1 << (i - 1)
+        crossings = below_parity(thetas, two_n)
+        base = thetas | (1 if half == "e1" else 0) | (top if half == "e2n" else 0)
+        pairs = [pair[i] for i in ground]
+        everything = sum(pairs)
+        count = len(ground) - free if target else free
+        for chosen in combinations(pairs, free):
+            gammas = everything - sum(chosen) if target else sum(chosen)
+            g = count - (gammas & 1)  # pairs other than delta
+            inversions = g * (g - 1) // 2 + (gammas & crossings).bit_count()
+            inversions += theta_inversions
+            elements.append(Monomial(base | gammas, two_n))
             signs.append(-1 if inversions & 1 else 1)
     degree = two_n - m if target else m
-    return CohomologyBasis(degree, tuple(elements), tuple(labels), tuple(signs))
+    labels = tuple(labels) if labelled else None
+    return CohomologyBasis(degree, tuple(elements), labels, tuple(signs))
 
 
-def _explicit_basis(spec, degree):
+def _explicit_basis(spec, degree, labelled):
     """Weight-zero monomials in plain lexicographic order.
 
     Off the two hypotheses there is no distinguished gamma/theta structure,
     so elements are labelled by their covector indices directly.
     """
-    builder_elements = []
-    labels = []
-    for m in all_monomials(spec.two_n, degree):
-        if weight_is_zero(spec, m):
-            builder_elements.append(m)
-            labels.append(repr(m))
-    return CohomologyBasis(
-        degree,
-        tuple(builder_elements),
-        tuple(labels),
-        tuple(1 for _ in builder_elements),
+    elements = tuple(
+        m for m in all_monomials(spec.two_n, degree) if weight_is_zero(spec, m)
     )
+    labels = tuple(map(repr, elements)) if labelled else None
+    return CohomologyBasis(degree, elements, labels, (1,) * len(elements))
 
 
-def cohomology_basis(spec: AlgebraSpec, degree: int) -> CohomologyBasis:
-    """Ordered monomial basis of H^degree.
+def cohomology_basis(
+    spec: AlgebraSpec, degree: int, labels: bool = True
+) -> CohomologyBasis:
+    """Ordered monomial basis of H^degree, with ``labels`` if asked for.
 
     Degrees at most n use the gamma-bar ordering (the domain side of the
     Lefschetz operators); degrees above n use the complementary Gamma-bar
@@ -367,13 +379,15 @@ def cohomology_basis(spec: AlgebraSpec, degree: int) -> CohomologyBasis:
             f"the limit is {BASIS_MAX_SIZE}"
         )
     if explicit:
-        return _explicit_basis(spec, degree)
+        return _explicit_basis(spec, degree, labels)
     if degree <= spec.n:
-        return _pinned_basis(spec, degree, False)
-    return _pinned_basis(spec, spec.two_n - degree, True)
+        return _pinned_basis(spec, degree, False, labels)
+    return _pinned_basis(spec, spec.two_n - degree, True, labels)
 
 
-def lefschetz_target_basis(spec: AlgebraSpec, m: int) -> CohomologyBasis:
+def lefschetz_target_basis(
+    spec: AlgebraSpec, m: int, labels: bool = True
+) -> CohomologyBasis:
     """Basis of H^{2n-m} in codomain order (complement flavour).
 
     Coincides with cohomology_basis(spec, 2n - m) except when m = n, where
@@ -383,8 +397,8 @@ def lefschetz_target_basis(spec: AlgebraSpec, m: int) -> CohomologyBasis:
     if not 0 <= m <= spec.n:
         raise ValueError(f"m must lie in [0, {spec.n}], got {m}")
     if spec.mode is Mode.EXPLICIT:
-        return _explicit_basis(spec, spec.two_n - m)
-    return _pinned_basis(spec, m, True)
+        return _explicit_basis(spec, spec.two_n - m, labels)
+    return _pinned_basis(spec, m, True, labels)
 
 
 def betti_closed_form(spec: AlgebraSpec, degree: int) -> int:

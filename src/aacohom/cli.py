@@ -51,7 +51,6 @@ from .lattice import (
 )
 from .lefschetz import (
     DENSE_MAX_DIMENSION,
-    block_layout,
     check_structure,
     hard_lefschetz_report,
     lefschetz_matrix,
@@ -224,18 +223,18 @@ def _cmd_cohomology(args):
     return results, ok
 
 
-def _lefschetz_cuts(spec, mat, report):
+def _lefschetz_cuts(spec, report, check_kneser):
     """Block boundaries for the text rendering and the JSON payload.
 
-    Ones mode reports them only with the structure check's ``report``.
-    Generic even m >= 2 has a single block and is cut where the classes
-    containing delta end instead.
+    Ones mode reports them only with ``--check-kneser``.  Generic even
+    m >= 2 has a single block and is cut where the classes containing delta
+    end instead.
     """
-    if spec.mode is Mode.ONES and report is None:
+    if spec.mode is Mode.ONES and not check_kneser:
         return []
-    cuts = [b.offset for b in block_layout(spec, mat.m)[1:]]
-    if spec.mode is Mode.GENERIC and mat.m and mat.m % 2 == 0:
-        cuts.append(comb(spec.n - 1, mat.m // 2 - 1))
+    cuts = [b.offset for b in report.blocks[1:]]
+    if spec.mode is Mode.GENERIC and report.m and report.m % 2 == 0:
+        cuts.append(comb(spec.n - 1, report.m // 2 - 1))
     return cuts
 
 
@@ -261,10 +260,10 @@ def _cmd_lefschetz(args):
             f"the dense matrix of L_{args.m} has {size} rows; "
             f"the limit is {DENSE_MAX_DIMENSION}"
         )
-    mat = lefschetz_matrix(spec, args.m)
-    report = None
+    mat = lefschetz_matrix(spec, args.m, labels=dense)
+    # the determinant is read off the verified blocks, so the check always runs
+    report = check_structure(spec, mat)
     if args.check_kneser:
-        report = check_structure(spec, mat)
         results["structure"] = report.summary()
         results["blocks"] = [
             {
@@ -278,10 +277,10 @@ def _cmd_lefschetz(args):
         ]
     if dense:
         results["matrix"] = mat.rows_as_lists()
-        results["block_cuts"] = _lefschetz_cuts(spec, mat, report)
+        results["block_cuts"] = _lefschetz_cuts(spec, report, args.check_kneser)
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
-    det = mat.determinant()
+    det = report.determinant()
     results["determinant"] = str(det)
     ok = ok and det != 0
     return results, ok
@@ -478,6 +477,7 @@ def _run(args) -> int:
     except USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    del report, results  # free the dense payload before stdout copies the text
     sys.stdout.write(rendered)
     print(f"[{args.command}] {elapsed:.3f}s", file=sys.stderr)
     return 0 if ok else 1

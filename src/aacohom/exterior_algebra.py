@@ -92,6 +92,21 @@ def wedge_monomials(a: Monomial, b: Monomial):
     return sign, Monomial(a.mask | b.mask, a.two_n)
 
 
+def below_parity(mask: int, width: int) -> int:
+    """Bit p set iff an odd number of the bits of ``mask`` lie below p.
+
+    For disjoint monomials a and b, a ^ b has the sign
+    (-1)^((a & below_parity(b, width)).bit_count()), one bit count instead
+    of a loop over the indices of a.
+    """
+    below = mask << 1
+    shift = 1
+    while shift < width:  # prefix XOR in log2(width) steps
+        below ^= below << shift
+        shift <<= 1
+    return below
+
+
 def all_monomials(two_n: int, degree: int):
     """Degree-homogeneous monomials in lexicographic index order."""
     return [

@@ -3,7 +3,9 @@
 Vertices are the k-subsets of {1, ..., n} in lexicographic order; two
 vertices are adjacent iff the subsets are disjoint.  The eigenvalues are
 the integers lambda_j = (-1)^j C(n-k-j, k-j) for 0 <= j <= k, all nonzero
-when n >= 2k, which is what makes these graphs invertible.
+when n >= 2k, which is what makes these graphs invertible; lambda_j has
+multiplicity C(n, j) - C(n, j-1), so det A(K(n, k)) is their product
+(Lovasz 1979; Godsil-Royle, Algebraic Graph Theory, section 9.4).
 """
 
 from dataclasses import dataclass
@@ -87,6 +89,14 @@ def spectrum(g: KneserGraph) -> list:
     ]
 
 
+def determinant(g: KneserGraph) -> int:
+    """det A(K(n, k)) in closed form: each lambda_j to the C(n,j) - C(n,j-1)."""
+    det = 1
+    for value, j in spectrum(g):
+        det *= value ** (comb(g.n, j) - (comb(g.n, j - 1) if j else 0))
+    return det
+
+
 @dataclass(frozen=True)
 class InvertibilityCertificate:
     graph: KneserGraph
@@ -98,10 +108,11 @@ class InvertibilityCertificate:
 def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
     """Exact invertibility certificate.
 
-    Computes det(A) by fraction-free elimination and checks that the
-    annihilating polynomial prod_j (A - lambda_j I) vanishes.  A zero
-    determinant would contradict the spectral description and is reported
-    as an invariant violation.  Graphs above VERIFY_MAX_VERTICES raise
+    Computes det(A) by fraction-free elimination, checks it against the
+    closed form ``determinant`` and checks that the annihilating polynomial
+    prod_j (A - lambda_j I) vanishes.  A zero determinant or one other than
+    the closed form would contradict the spectral description and is
+    reported as an invariant violation.  Graphs above VERIFY_MAX_VERTICES raise
     SizeLimitError before any work.
     """
     require_vertex_count(g, VERIFY_MAX_VERTICES)
@@ -111,6 +122,11 @@ def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
     if det == 0:
         raise InvariantViolationError(
             f"adjacency of K({g.n},{g.k}) has determinant 0"
+        )
+    if det != determinant(g):
+        raise InvariantViolationError(
+            f"adjacency of K({g.n},{g.k}) has determinant {det}, "
+            f"not the closed form {determinant(g)}"
         )
     size = len(a)
     product = exact_linalg.identity_int(size)

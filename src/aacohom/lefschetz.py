@@ -6,11 +6,19 @@ delta plus the sum of the gamma_i.  The operator L_m: H^m -> H^{2n-m} is
 ce_complex.  In the generic-weight case the even matrices are adjacency
 matrices of Kneser graphs and the odd ones split into two such diagonal
 blocks; in the all-ones case the matrices decompose blockwise over the
-theta-pairs.  All entries are exact; the hard-Lefschetz verdict is a list
-of exact nonzero determinants.
+theta-pairs.  All entries are exact integers, read off bit-mask products of
+the power's terms with the basis monomials.
+
+For the standard form the hard-Lefschetz verdict follows the paper's proof:
+``check_structure`` verifies, entry by entry, that L_m is the direct sum of
+``block_layout``, and det L_m is then the product of the closed-form Kneser
+determinants of its blocks (``StructureReport.determinant``), so no
+elimination runs.  A user-supplied form has no such structure; its
+determinants come from sparse elimination (``exact_linalg.det_sparse``).
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,24 +44,27 @@ from .errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, wedge, wedge_monomials
-from .kneser import KneserGraph, adjacency
+from .exterior_algebra import Form, Monomial, below_parity, wedge
+from .kneser import KneserGraph, adjacency, determinant
 
 
 # Size limits, checked from closed forms before any basis is built (2 CPUs,
 # Python 3.11.7).  MAX_DIMENSION bounds dim H^m of one L_m: ones n = 10
-# (31752) runs `--hl` in 11 to 15 s and 70 MB over three runs, about 6 s
-# building the columns and 9 s the determinants; ones n = 11 would have
-# 127008 and determinants of 20778 digits.  MAX_BLOCK_VERTICES bounds the
-# largest Kneser block, K(n - m % 2, m // 2), whose determinant is the main
-# cost: the determinants of generic n = 11 (K(11,5), 462 vertices) take
-# 5.5 s, those of n = 12 32 s, 15 s of it for K(12,5) (792 vertices), and
-# `--hl` at n = 13 had not finished after 60 s.  DENSE_MAX_DIMENSION bounds
-# the dense rows of the CLI matrix payload: ones n = 8 (2450) prints its
-# 66 MB of JSON in 1.6 to 1.8 s with a 196 MB peak (2 CPUs); at ones n = 9
-# (9800) `rows_as_lists` alone would hold 96 M cells.
+# (31752) runs `--hl` in 2.3 to 2.9 s and 53 MB, building the columns and
+# checking the blocks; ones n = 11 (127008) took 8.4 to 11.5 s and 146 MB
+# with the limits lifted.  MAX_BLOCK_VERTICES bounds the largest Kneser block,
+# K(n - m % 2, m // 2), whose dense adjacency check_structure builds: generic
+# n = 12 (K(12,6), 924 vertices) runs `--hl` in 1.4 to 2.4 s and 29 MB and
+# `--m --emit-matrix --check-kneser` in under 1 s for every m, and n = 13
+# (K(13,6), 1716) took 4.9 s and 48 MB with the limits lifted.  The
+# user-form route of hard_lefschetz_report, reachable only from the
+# library, still eliminates: a generic n = 11 form takes 7.6 s and an
+# n = 12 one 42 s and 34 MB.  DENSE_MAX_DIMENSION bounds the dense rows of
+# the CLI matrix payload: ones n = 8 (2450) prints its 66 MB of JSON in 1.6
+# to 1.8 s with a 196 MB peak (2 CPUs); at ones n = 9 (9800)
+# `rows_as_lists` alone would hold 96 M cells.
 MAX_DIMENSION = 31752
-MAX_BLOCK_VERTICES = 462
+MAX_BLOCK_VERTICES = 924
 DENSE_MAX_DIMENSION = 2450
 
 
@@ -93,19 +104,19 @@ def standard_omega(spec: AlgebraSpec) -> Form:
     return form
 
 
-def _power(form: Form, k: int) -> Form:
-    """The k-th wedge power of a form (the unit for k = 0)."""
-    power = Form.one(form.two_n)
-    for _ in range(k):
-        power = wedge(power, form)
-    return power
+def _divided_powers(form: Form, top: int) -> list:
+    """[form^k / k! for k = 0..top], each from the one before: top wedges."""
+    powers = [Form.one(form.two_n)]
+    for k in range(1, top + 1):
+        powers.append(wedge(powers[-1], form) / k)
+    return powers
 
 
 def omega_power(spec: AlgebraSpec, k: int) -> Form:
     """Exact expansion of w^k; for k = n this is n! times the volume form."""
     if not 0 <= k <= spec.n:
         raise ValueError(f"power {k} outside [0, {spec.n}]")
-    return _power(standard_omega(spec), k)
+    return _divided_powers(standard_omega(spec), k)[k] * math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ class SymplecticForm:
         closed = is_closed(spec, form)
         if not closed:
             raise InvalidSymplecticFormError("the form is not closed")
-        nondegenerate = not _power(form, spec.n).is_zero
+        nondegenerate = not _divided_powers(form, spec.n)[-1].is_zero
         if not nondegenerate:
             raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
         return cls(form, closed, nondegenerate)
@@ -160,13 +171,6 @@ class LefschetzMatrix:
     def size(self) -> int:
         return len(self.columns)
 
-    def determinant(self) -> int:
-        # det A^T = det A, so the columns serve as the rows
-        det = exact_linalg.det_sparse(self.columns)
-        if det.denominator != 1:
-            raise InvariantViolationError("integer matrix with fractional det")
-        return det.numerator
-
     def rows_as_lists(self) -> list:
         """The dense 0/1 rows, for output only."""
         rows = [[0] * self.size for _ in range(self.size)]
@@ -176,42 +180,68 @@ class LefschetzMatrix:
         return rows
 
 
-def _operator_columns(spec, m, omega_form):
+def _operator_columns(spec, m, omega_form, power=None, labels=False):
     """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as sparse {row: value} maps.
 
-    d is injective on monomials, so each product P ^ J of a (closed) power
-    term P with a source basis monomial J is a target basis monomial (one per
-    row: P -> P u J is injective) or an exact one (2n, nonzero weight): dropped.
+    ``power`` is that divided power of ``omega_form`` if the caller has built
+    it already; the bases carry ``labels`` only if asked for.  d is injective
+    on monomials, so each product P ^ J of a (closed) power term P with a
+    source basis monomial J is a target basis monomial (one per row:
+    P -> P u J is injective) or an exact one (2n, nonzero weight): dropped.
+    Terms are (mask, coefficient) pairs, the coefficient an int when
+    integral: P ^ J vanishes when the masks meet, and its sign is a bit
+    count of P against ``below_parity`` of J.
     """
-    source = cohomology_basis(spec, m)
-    target = lefschetz_target_basis(spec, m)
-    power = _power(omega_form, spec.n - m) / math.factorial(spec.n - m)
+    if power is None:
+        power = _divided_powers(omega_form, spec.n - m)[-1]
+    source = cohomology_basis(spec, m, labels)
+    target = lefschetz_target_basis(spec, m, labels)
+    two_n = spec.two_n
+    terms = [
+        (t.mask, c.numerator if c.denominator == 1 else c)
+        for t, c in power.terms.items()
+    ]
     rows = {
-        mono: (i, sign)
+        mono.mask: (i, sign)
         for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
     }
     columns = []
     for mono, sign in zip(source.elements, source.signs):
+        mask = mono.mask
+        below = below_parity(mask, two_n)
         column = {}
-        for term, c in power.terms.items():
-            product_sign, product = wedge_monomials(term, mono)
-            if not product_sign:
+        for pm, c in terms:
+            if pm & mask:
                 continue
-            if product in rows:
-                i, row_sign = rows[product]
-                column[i] = c * (product_sign * sign * row_sign)
-            elif not product.contains(spec.two_n) or weight_is_zero(spec, product):
-                raise InvariantViolationError(
-                    f"{product} is outside the cohomology basis and not exact"
-                )
+            hit = rows.get(pm | mask)
+            if hit is None:
+                product = Monomial(pm | mask, two_n)
+                if not product.contains(two_n) or weight_is_zero(spec, product):
+                    raise InvariantViolationError(
+                        f"{product} is outside the cohomology basis "
+                        "and not exact"
+                    )
+                continue
+            i, row_sign = hit
+            if (pm & below).bit_count() & 1:
+                row_sign = -row_sign
+            column[i] = c if sign == row_sign else -c
         columns.append(column)
     return source, target, columns
 
 
-def lefschetz_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
-    """The matrix of L_m for the standard form; entries must come out in {0,1}."""
+def lefschetz_matrix(
+    spec: AlgebraSpec, m: int, power: Form = None, labels: bool = False
+) -> LefschetzMatrix:
+    """The matrix of L_m for the standard form; entries must come out in {0,1}.
+
+    ``power`` is w^{n-m} / (n-m)! if the caller has built it already; the
+    bases carry ``labels`` only if asked for.
+    """
     require_size(spec, m)
-    source, target, columns = _operator_columns(spec, m, standard_omega(spec))
+    source, target, columns = _operator_columns(
+        spec, m, standard_omega(spec), power, labels
+    )
     if len(source) != len(target):
         raise InvariantViolationError(
             f"H^{m} and H^{spec.two_n - m} have different dimensions"
@@ -241,6 +271,8 @@ class Block:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """The verified block decomposition of L_m, made by ``check_structure``."""
+
     case: str
     m: int
     blocks: tuple
@@ -249,6 +281,14 @@ class StructureReport:
     @property
     def total_size(self) -> int:
         return sum(b.size for b in self.blocks)
+
+    def determinant(self) -> int:
+        """det L_m: the product of the Kneser determinants, 1 per identity block."""
+        det = 1
+        counts = Counter(b.params for b in self.blocks if b.kind == "kneser")
+        for params, count in counts.items():
+            det *= determinant(KneserGraph(*params)) ** count
+        return det
 
     def summary(self) -> str:
         parts = []
@@ -297,28 +337,36 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
         case = "II"
     else:
         raise UnsupportedModeError("structure checks need generic or ones mode")
-    report = StructureReport(case, matrix.m, block_layout(spec, matrix.m), True)
-    size = matrix.size
-    if report.total_size != size:
+    blocks = block_layout(spec, matrix.m)
+    total = sum(b.size for b in blocks)
+    if total != matrix.size:
         raise StructureViolationError(
-            0, 0, f"total block size {report.total_size}", size
+            0, 0, f"total block size {total}", matrix.size
         )
 
+    patterns = {}  # params -> the rows of each column, relative to the block
     mismatches = []  # (row, col, expected, got)
-    for b in report.blocks:
-        if b.kind == "identity":
-            content = [[1]]
-        else:
-            content = adjacency(KneserGraph(*b.params))
-        for j, row in enumerate(content, b.offset):  # symmetric: row j is column j
-            want = {b.offset + i: v for i, v in enumerate(row) if v}
+    for b in blocks:
+        if b.params not in patterns:
+            if b.kind == "kneser":
+                content = adjacency(KneserGraph(*b.params))
+            else:
+                content = [[1]]
+            # symmetric: row j is column j
+            patterns[b.params] = [
+                [i for i, v in enumerate(row) if v] for row in content
+            ]
+        for j, rows in enumerate(patterns[b.params], b.offset):
+            want = dict.fromkeys([b.offset + i for i in rows], 1)
             got = matrix.columns[j]
+            if got == want:
+                continue
             for i in want.keys() | got.keys():
                 if want.get(i, 0) != got.get(i, 0):
                     mismatches.append((i, j, want.get(i, 0), got.get(i, 0)))
     if mismatches:
         raise StructureViolationError(*min(mismatches))  # first in row-major order
-    return report
+    return StructureReport(case, matrix.m, blocks, True)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +394,14 @@ def hard_lefschetz_report(
 ) -> HardLefschetzReport:
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
-    With no user form the standard w is used and every entry must be 1, as
-    in ``lefschetz_matrix``; a user-supplied form is validated and its operator
-    matrices are computed in the same pinned bases (entries may then be any
-    rationals, e.g. scaled by powers of the scaling factor).
+    The divided powers w^k / k! are built once, as a chain.  With no user
+    form the standard w is used: every entry must be 1, as in
+    ``lefschetz_matrix``, and det L_m is read off the block structure that
+    ``check_structure`` has verified, as a product of closed-form Kneser
+    determinants.  A user-supplied form is validated, its operator matrices
+    are computed in the same pinned bases (entries may then be any
+    rationals, e.g. scaled by powers of the scaling factor) and their
+    determinants come from sparse elimination.
     """
     if spec.mode not in (Mode.GENERIC, Mode.ONES):
         raise UnsupportedModeError(
@@ -359,16 +411,19 @@ def hard_lefschetz_report(
         require_size(spec, m)
     if user_form is not None and not isinstance(user_form, SymplecticForm):
         user_form = SymplecticForm.validated(spec, user_form)
+    form = standard_omega(spec) if user_form is None else user_form.form
+    powers = _divided_powers(form, spec.n)
     rows_out = []
     for m in range(spec.n + 1):
+        power = powers[spec.n - m]
         if user_form is None:
-            matrix = lefschetz_matrix(spec, m)
-            size, det = matrix.size, Fraction(matrix.determinant())
+            matrix = lefschetz_matrix(spec, m, power)
+            size, det = matrix.size, check_structure(spec, matrix).determinant()
         else:
-            _, _, columns = _operator_columns(spec, m, user_form.form)
+            _, _, columns = _operator_columns(spec, m, form, power)
             # det A^T = det A, so the columns serve as the rows
             size, det = len(columns), exact_linalg.det_sparse(columns)
-        rows_out.append(OperatorSummary(m, size, det))
+        rows_out.append(OperatorSummary(m, size, Fraction(det)))
     description = "standard" if user_form is None else "user"
     verdict = all(op.determinant != 0 for op in rows_out)
     return HardLefschetzReport(spec, description, tuple(rows_out), verdict)

@@ -182,7 +182,7 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
     # dense payload of 9800^2 cells; HL with dimension 127008; HL with a
-    # K(12,5) block of 792 vertices; 5.9 million basis classes; C(20,10)
+    # K(13,6) block of 1716 vertices; 5.9 million basis classes; C(20,10)
     # explicit monomials
     for argv in (
         "lefschetz --n 9 --mode ones --m 9",
@@ -307,6 +307,14 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_invertible", broken)
     code, _ = run(capsys, "kneser", "--n", "5", "--k", "2", "--verify")
     assert code == 1
+
+
+def test_flipped_lefschetz_entry_exits_1(capsys, monkeypatch):
+    from test_lefschetz import _flip_one_entry
+
+    _flip_one_entry(monkeypatch, 2)
+    code, out = run(capsys, "lefschetz", "--n", "4", "--mode", "ones", "--hl")
+    assert (code, out) == (1, "")
 
 
 def test_failed_criterion_exits_1(capsys, monkeypatch):

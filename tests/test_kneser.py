@@ -8,7 +8,13 @@ from aacohom.errors import (
     SizeLimitError,
 )
 from aacohom.exact_linalg import det_bareiss
-from aacohom.kneser import KneserGraph, adjacency, spectrum, verify_invertible
+from aacohom.kneser import (
+    KneserGraph,
+    adjacency,
+    determinant,
+    spectrum,
+    verify_invertible,
+)
 
 K52_PRINTED = [
     [0, 0, 0, 0, 0, 0, 0, 1, 1, 1],
@@ -69,6 +75,30 @@ def test_verify_invertible_examples():
 
     assert verify_invertible(KneserGraph(2, 1)).determinant == -1
     assert verify_invertible(KneserGraph(6, 3)).determinant != 0
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_closed_form_determinant_matches_elimination(n):
+    for k in range(1, n // 2 + 1):
+        g = KneserGraph(n, k)
+        assert determinant(g) == det_bareiss(adjacency(g)), (n, k)
+
+
+def test_closed_form_examples():
+    # K(5,2) is the Petersen graph: 3^1 (-2)^4 1^5 = 48
+    assert determinant(KneserGraph(5, 2)) == 48
+    assert determinant(KneserGraph(2, 1)) == -1
+    assert determinant(KneserGraph(7, 1)) == 6 * (-1) ** 6
+    with pytest.raises(InvalidParameterError):
+        determinant(KneserGraph(3, 2))
+
+
+def test_certificate_cross_checks_the_closed_form(monkeypatch):
+    import aacohom.kneser as kn
+
+    monkeypatch.setattr(kn, "determinant", lambda g: 47)
+    with pytest.raises(InvariantViolationError, match="not the closed form 47"):
+        kn.verify_invertible(KneserGraph(5, 2))
 
 
 def test_empty_graph_rejected():

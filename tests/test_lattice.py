@@ -1,7 +1,6 @@
 """Pell equations, independence certificates and lattice packages."""
 
 import dataclasses
-import itertools
 
 import pytest
 from mpmath import mp, mpf
@@ -160,17 +159,18 @@ def test_certificate_size_guard():
 
 
 def _sign_search_min(ms):
-    """min |sum eps_j t_j| over every nonzero eps in {-1,0,1}^k, one by one."""
+    """min |sum eps_j t_j| over every nonzero eps in {-1,0,1}^k.
+
+    All 3^k signed sums are built level by level, one value at a time; the
+    all-zero vector is the one whose every choice is 0, the middle entry.
+    """
     t_values = [t_value(m) for m in ms]
     with mp.workdps(DEFAULT_DPS):
-        numeric_min = None
-        for eps in itertools.product((-1, 0, 1), repeat=len(ms)):
-            if not any(eps):
-                continue
-            total = abs(mp.fsum(e * t for e, t in zip(eps, t_values) if e))
-            if numeric_min is None or total < numeric_min:
-                numeric_min = total
-        return numeric_min
+        sums = [mpf(0)]
+        for t in t_values:
+            sums = [s + e for s in sums for e in (-t, 0, t)]
+        del sums[len(sums) // 2]  # eps = (0, ..., 0)
+        return min(map(abs, sums))
 
 
 # the moduli the `lattice` benchmark workload draws for seeds 0-2

@@ -28,7 +28,14 @@ from aacohom.errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from aacohom.exterior_algebra import Form, Monomial, wedge
+from aacohom.exact_linalg import det_sparse
+from aacohom.exterior_algebra import (
+    Form,
+    Monomial,
+    below_parity,
+    wedge,
+    wedge_monomials,
+)
 from aacohom.kneser import KneserGraph, adjacency
 from aacohom.lefschetz import (
     SymplecticForm,
@@ -72,6 +79,17 @@ def test_omega_power_n5_square():
     assert power == 2 * expected
     assert len(power.terms) == 10
     assert all(abs(c) == 2 for c in power.terms.values())
+
+
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_divided_power_chain(maker):
+    spec = maker(5)
+    powers = lefschetz._divided_powers(standard_omega(spec), spec.n)
+    assert len(powers) == spec.n + 1
+    for k, power in enumerate(powers):
+        assert power == omega_power(spec, k) / math.factorial(k)
+        # w^k / k! is the sum of the k-fold products of the n pairs
+        assert len(power.terms) == math.comb(spec.n, k)
 
 
 def test_omega_power_top_is_factorial_times_volume():
@@ -170,13 +188,10 @@ def test_requires_hypothesis_mode():
 def test_image_outside_target_basis_raises(monkeypatch):
     full = lefschetz.lefschetz_target_basis
 
-    def truncated(spec, m):
-        basis = full(spec, m)
+    def truncated(spec, m, *args):
+        basis = full(spec, m, *args)
         return dataclasses.replace(
-            basis,
-            elements=basis.elements[:-1],
-            labels=basis.labels[:-1],
-            signs=basis.signs[:-1],
+            basis, elements=basis.elements[:-1], signs=basis.signs[:-1]
         )
 
     monkeypatch.setattr(lefschetz, "lefschetz_target_basis", truncated)
@@ -222,6 +237,17 @@ def operator_columns_by_projection(spec, m, omega_form):
             column[i] = c * sign
         columns.append(column)
     return columns
+
+
+def test_below_parity_gives_the_wedge_sign():
+    rng = random.Random(5)
+    for width in (4, 9, 16, 33, 70):
+        for _ in range(200):
+            a, b = rng.getrandbits(width), rng.getrandbits(width)
+            a &= ~b
+            sign, _ = wedge_monomials(Monomial(a, width), Monomial(b, width))
+            parity = (a & below_parity(b, width)).bit_count() & 1
+            assert sign == (-1 if parity else 1)
 
 
 def _assert_kernel_matches_oracle(spec, form):
@@ -304,8 +330,8 @@ def test_non_closed_form_raises():
 def test_size_limits_admit_documented_runs():
     for m in range(11):
         lefschetz.require_size(AlgebraSpec.ones(10), m)  # --hl at ones n = 10
-    for m in range(12):
-        lefschetz.require_size(AlgebraSpec.generic(11), m)
+    for m in range(13):
+        lefschetz.require_size(AlgebraSpec.generic(12), m)  # --hl at generic n = 12
     assert lefschetz.require_size(AlgebraSpec.ones(9), 9) == 9800
     # the dense payloads of the pinned ones n = 7 jobs, and ones n = 8
     for n, m in ((7, 6), (7, 7), (8, 8)):
@@ -317,8 +343,8 @@ def test_size_limits_admit_documented_runs():
 def test_size_limits_raise():
     with pytest.raises(SizeLimitError, match="dimension 127008"):
         lefschetz.require_size(AlgebraSpec.ones(11), 11)
-    with pytest.raises(SizeLimitError, match="block of 792 vertices"):
-        lefschetz.require_size(AlgebraSpec.generic(12), 10)
+    with pytest.raises(SizeLimitError, match="block of 1716 vertices"):
+        lefschetz.require_size(AlgebraSpec.generic(13), 12)
     with pytest.raises(SizeLimitError):
         hard_lefschetz_report(AlgebraSpec.generic(13))
     with pytest.raises(SizeLimitError):
@@ -412,7 +438,57 @@ def test_structure_and_binary_invariants(n, maker):
                     assert rows[i][j] == rows[j][i]
         report = check_structure(spec, mat)
         assert report.total_size == betti_closed_form(spec, m)
-        assert mat.determinant() != 0
+        assert report.determinant() == det_sparse(mat.columns) != 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_certified_determinant_matches_elimination(n, maker):
+    spec = maker(n)
+    report = hard_lefschetz_report(spec)
+    for op in report.operators:
+        columns = lefschetz_matrix(spec, op.m).columns
+        assert op.determinant == det_sparse(columns) != 0, op.m
+
+
+def _flip_one_entry(monkeypatch, at_m):
+    """Make the kernel toggle the entry (0, 0) of L_{at_m}, keeping 0/1 values."""
+    kernel = lefschetz._operator_columns
+
+    def flipped(spec, m, *args):
+        source, target, columns = kernel(spec, m, *args)
+        if m == at_m:
+            first = dict(columns[0])
+            if first.pop(0, None) is None:
+                first[0] = 1
+            columns = [first] + columns[1:]
+        return source, target, columns
+
+    monkeypatch.setattr(lefschetz, "_operator_columns", flipped)
+
+
+@pytest.mark.parametrize("at_m", range(5))
+def test_flipped_entry_is_no_certificate(monkeypatch, at_m):
+    spec = AlgebraSpec.ones(4)
+    _flip_one_entry(monkeypatch, at_m)
+    with pytest.raises(StructureViolationError) as err:
+        hard_lefschetz_report(spec)
+    assert (err.value.row, err.value.col) == (0, 0)
+
+
+def test_hl_report_builds_no_labels(monkeypatch):
+    import aacohom.ce_complex as ce
+
+    def labelled(*args):
+        raise AssertionError("built labels nobody prints")
+
+    monkeypatch.setattr(ce, "_label", labelled)
+    spec = AlgebraSpec.ones(4)
+    assert hard_lefschetz_report(spec).hard_lefschetz
+    assert hard_lefschetz_report(spec, _seeded_user_form(spec, 0)).hard_lefschetz
+    assert lefschetz_matrix(spec, 2).row_basis.labels is None
+    with pytest.raises(AssertionError, match="labels nobody prints"):
+        cohomology_basis(spec, 4)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
