@@ -8,11 +8,15 @@ for 2 <= i <= n, where s(i) = i + n - 1.  Consequently the differential is
     d(m) = (-1)^(deg m + 1) * <w(m), b> * (m u {2n}),
 
 where the weight w(m) records, for each j in 2..n, whether j and/or s(j)
-occurs in m.  ``differential`` is the one place that formula is written; the
+occurs in m.  ``d_monomial`` is the one place that formula is written; the
 brute-force rank oracle reads its matrices from it.  Since d maps distinct
 monomials to distinct monomials, a form is closed exactly when each of its
 monomials contains 2n or has weight zero: ``is_closed``, the cohomology
 bases and the closed-form Betti numbers rest on that weight test alone.
+``d_monomial`` works on bit masks and sums <w(m), b> from a per-spec table
+of each bit's share (``AlgebraSpec.bit_weights``).  ``differential``,
+``is_closed`` and the symplectic Hodge kernel call it; the explicit-mode
+bases read the same table.
 
 Three weight modes fix how "<w, b> = 0" is decided:
 
@@ -26,21 +30,30 @@ Three weight modes fix how "<w, b> = 0" is decided:
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from . import exact_linalg
 from .errors import SizeLimitError, UnsupportedModeError
-from .exterior_algebra import Form, Monomial, all_monomials, below_parity
+from .exterior_algebra import (
+    Form,
+    Monomial,
+    all_monomials,
+    below_parity,
+    degree_masks,
+)
 
 BRUTEFORCE_MAX_N = 7
 # Largest basis cohomology_basis lists, checked before it is built (one run
 # each, 2 CPUs, Python 3.11.7): `cohomology --basis` for ones n = 11, degree
 # 11 (127008 classes) takes 3.1 s and 213 MB, and for ones n = 14, degree 14
 # (5.9 million) had not finished after 60 s.  Explicit mode scans every
-# monomial of the degree, so there the limit bounds C(2n, degree); C(20, 10)
-# = 184756 takes 9 s.
+# monomial of the degree, so there the limit bounds C(2n, degree).  Each
+# candidate's weight is tested on its int mask, and only the weight-zero
+# ones become Monomials: the 184756 candidates of `cohomology --n 10 --mode
+# explicit --b 1,...,9 --basis --degree 10` (above the limit, so measured
+# with it lifted) take 0.3 s, against 5.4 s with a Monomial per candidate.
 BASIS_MAX_SIZE = 127008
 GENERIC_WITNESS_BASE = 3
 
@@ -108,6 +121,29 @@ class AlgebraSpec:
             return self.b
         raise UnsupportedModeError("generic mode has no numeric weights")
 
+    @cached_property
+    def bit_weights(self) -> tuple:
+        """(shares, scale): bit i of a mask adds shares[i] / scale to <w, b>.
+
+        Index j adds b_j, index s(j) adds -b_j, and 1 and 2n add nothing.
+        ``scale`` is the least common denominator of the b_j, so the shares
+        and their sums stay integers.  Generic mode has no numeric b and
+        reads the witness b_j = 3^j instead: by balanced ternary its
+        {-1, 0, 1} combinations vanish only when every coefficient does, so
+        a zero sum there is w = 0.  Built on first use.
+        """
+        if self.mode is Mode.GENERIC:
+            b = [GENERIC_WITNESS_BASE ** j for j in range(2, self.n + 1)]
+        else:
+            b = self.numeric_b()
+        scale = lcm(*(Fraction(v).denominator for v in b))
+        shares = [0] * self.two_n
+        for j, v in zip(range(2, self.n + 1), b):
+            share = int(v * scale)
+            shares[j - 1] = share
+            shares[self.sigma(j) - 1] = -share
+        return tuple(shares), scale
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -151,12 +187,42 @@ def weight(spec: AlgebraSpec, m: Monomial) -> WeightVector:
     return WeightVector(tuple(coeffs))
 
 
+def _scaled_weight(spec: AlgebraSpec, mask: int) -> int:
+    """scale * <w(mask), b>, summed over the set bits from ``bit_weights``."""
+    shares = spec.bit_weights[0]
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += shares[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 def weight_is_zero(spec: AlgebraSpec, m: Monomial) -> bool:
-    return weight(spec, m).is_zero_for(spec)
+    return not _scaled_weight(spec, m.mask)
+
+
+def d_monomial(spec: AlgebraSpec, mask: int):
+    """d of the monomial ``mask``: (target mask, coefficient), or None if zero.
+
+    d e^m = (-1)^(deg m + 1) <w(m), b> e^(m u {2n}), with an int coefficient
+    unless a weight is non-integral.  Generic mode reads the witness weights
+    of ``bit_weights``, so there only "is it None" is meaningful.
+    """
+    shares, scale = spec.bit_weights
+    top = 1 << (len(shares) - 1)
+    if mask & top:
+        return None
+    total = _scaled_weight(spec, mask)
+    if not total:
+        return None
+    if not mask.bit_count() & 1:
+        total = -total
+    return mask | top, total if scale == 1 else Fraction(total, scale)
 
 
 def differential(spec: AlgebraSpec, f: Form) -> Form:
-    """Exterior derivative of a form in a numeric mode.
+    """Exterior derivative of a form in a numeric mode, term by term.
 
     Generic mode has no numeric weights and raises UnsupportedModeError; its
     closedness test is ``is_closed``.  Satisfies d(d(f)) = 0 because the
@@ -167,28 +233,24 @@ def differential(spec: AlgebraSpec, f: Form) -> Form:
     if spec.mode is Mode.GENERIC:
         raise UnsupportedModeError("generic mode has no numeric differential")
     top = spec.two_n
-    top_bit = 1 << (top - 1)
     out = {}
     for m, c in f.terms.items():
-        if m.mask & top_bit:
-            continue
-        value = weight(spec, m).value(spec)
-        if value:
-            sign = -1 if m.degree % 2 == 0 else 1  # (-1)^(deg+1)
-            out[Monomial(m.mask | top_bit, top)] = sign * c * value
+        image = d_monomial(spec, m.mask)
+        if image:
+            target, value = image
+            out[Monomial(target, top)] = c * value
     return Form(out, top)
 
 
 def is_closed(spec: AlgebraSpec, f: Form) -> bool:
-    """Whether d f = 0, in every mode: each monomial contains 2n or has weight zero.
+    """Whether d f = 0, in every mode: d kills each monomial of f.
 
     Exact because d maps distinct monomials to distinct monomials, so the
     terms of a form cannot cancel in its image.
     """
     if f.two_n != spec.two_n:
         raise ValueError(f"form ambient {f.two_n} does not match 2n={spec.two_n}")
-    top = spec.two_n
-    return all(m.contains(top) or weight_is_zero(spec, m) for m in f.terms)
+    return all(d_monomial(spec, m.mask) is None for m in f.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +416,9 @@ def _explicit_basis(spec, degree, labelled):
     so elements are labelled by their covector indices directly.
     """
     elements = tuple(
-        m for m in all_monomials(spec.two_n, degree) if weight_is_zero(spec, m)
+        Monomial(mask, spec.two_n)
+        for mask in degree_masks(spec.two_n, degree)
+        if not _scaled_weight(spec, mask)
     )
     labels = tuple(map(repr, elements)) if labelled else None
     return CohomologyBasis(degree, elements, labels, (1,) * len(elements))

@@ -107,12 +107,14 @@ def below_parity(mask: int, width: int) -> int:
     return below
 
 
+def degree_masks(two_n: int, degree: int) -> list:
+    """Masks of the degree-homogeneous monomials in lexicographic index order."""
+    return [sum(c) for c in combinations([1 << i for i in range(two_n)], degree)]
+
+
 def all_monomials(two_n: int, degree: int):
     """Degree-homogeneous monomials in lexicographic index order."""
-    return [
-        Monomial.from_indices(ix, two_n)
-        for ix in combinations(range(1, two_n + 1), degree)
-    ]
+    return [Monomial(mask, two_n) for mask in degree_masks(two_n, degree)]
 
 
 class Form:

@@ -5,9 +5,18 @@ alpha ^ (star beta) = w^{-1}(alpha, beta) vol, where vol = w^n / n! and
 w^{-1} extends the inverse pairing on covectors by the determinant rule.
 Each index has one partner under the standard form, so w^{-1} pairs a
 monomial with a single monomial, the set of its partners, and star sends
-each monomial to +- the complement of that set; the sign is read off in
-closed form and cached per degree.  On top of star sit
+each monomial to +- the complement of that set.  On top of star sit
 d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda].
+
+The operator suite runs on bit masks: a form is a dict {mask: coeff}, with
+int coefficients unless an explicit weight is non-integral.  Star is one
+table {mask: (mask', +-1)} per 2n, each entry derived from the defining
+identity on first use; d is ``ce_complex.d_monomial``; d^c, L (the terms
+of w, signed by ``below_parity``), Lambda and [d, Lambda] are composed from
+the two.  The Form-level ``star``, ``dc``, ``ddc_lemma_check`` and
+``harmonic_representative`` are thin adapters over the same tables, while
+``lefschetz_l``, ``lambda_and_h`` and ``dc_as_commutator`` keep to Forms
+with L from ``wedge``, a second route the tests compare against.
 
 Since d is monomial-diagonal, d, d^c and their composites send each
 monomial to a single monomial, distinct ones to distinct ones.  The d d^c
@@ -26,6 +35,7 @@ from .ce_complex import (
     AlgebraSpec,
     Mode,
     cohomology_basis,
+    d_monomial,
     differential,
     is_closed,
 )
@@ -36,10 +46,23 @@ from .errors import (
     SizeLimitError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, Monomial, all_monomials, wedge, wedge_monomials
+from .exterior_algebra import (
+    Form,
+    Monomial,
+    all_monomials,
+    below_parity,
+    degree_masks,
+    wedge,
+    wedge_monomials,
+)
 from .lefschetz import omega_power, standard_omega
 
-HODGE_MAX_N = 6
+# Largest n of the operator suite, checked before any operator is built
+# (one run each, 2 CPUs, Python 3.11.7): `hodge --n 7 --mode ones` takes
+# 1.4-2.0 s and 25 MB, far inside the 30 s budget CI gives it.  n = 8 would
+# take 7.7 s and 34 MB, 3.4 s of it the per-monomial det_bareiss through
+# which _StarTable derives its 2^16 entries from the defining identity.
+HODGE_MAX_N = 7
 
 
 def _pair_partner(i: int, two_n: int) -> int:
@@ -67,11 +90,15 @@ def omega_inverse(a: Monomial, b: Monomial) -> int:
     """Determinant extension of w^{-1} to equal-degree monomials."""
     if a.degree != b.degree:
         return 0
-    ai = a.indices
-    bi = b.indices
-    matrix = [
-        [omega_inverse_covectors(x, y, a.two_n) for y in bi] for x in ai
-    ]
+    # each row has at most one nonzero entry, in the column of the partner
+    column = {y: j for j, y in enumerate(b.indices)}
+    matrix = []
+    for x in a.indices:
+        row = [0] * len(column)
+        y = _pair_partner(x, a.two_n)
+        if y in column:
+            row[column[y]] = omega_inverse_covectors(x, y, a.two_n)
+        matrix.append(row)
     return exact_linalg.det_bareiss(matrix)
 
 
@@ -87,40 +114,136 @@ def _volume_data(two_n: int):
     return mono, coeff
 
 
-@lru_cache(maxsize=None)
-def _star_columns(two_n: int, degree: int):
-    """Matrix of star on degree-``degree`` monomials, stored column-wise.
+class _StarTable(dict):
+    """Star on the monomials of one ambient dimension: {mask: (mask', +-1)}.
 
     w^{-1}(e^A, e^J) vanishes unless A = p(J), the set of partners of J, so
-    the defining identity has one nonzero equation per column:
+    the defining identity has one nonzero equation per monomial:
     star e^J = vol_sign w^{-1}(e^{p(J)}, e^J) sign(e^{p(J)} ^ e^C) e^C with
-    C the complement of p(J).  Each column is a single +-1 entry.
+    C the complement of p(J).  Each entry is derived on first use.
     """
-    _, vol_sign = _volume_data(two_n)
-    vol_sign = int(vol_sign)
-    full = (1 << two_n) - 1
-    columns = {}
-    for mono in all_monomials(two_n, degree):
+
+    def __init__(self, two_n: int):
+        super().__init__()
+        self.two_n = two_n
+        self.vol_sign = int(_volume_data(two_n)[1])
+
+    def __missing__(self, mask: int):
+        two_n = self.two_n
+        mono = Monomial(mask, two_n)
         partner = Monomial.from_indices(
             [_pair_partner(i, two_n) for i in mono.indices], two_n
         )
-        rest = Monomial(full ^ partner.mask, two_n)
+        rest = Monomial(((1 << two_n) - 1) ^ partner.mask, two_n)
         sign, _ = wedge_monomials(partner, rest)
-        columns[mono] = {rest: vol_sign * omega_inverse(partner, mono) * sign}
-    return columns
+        entry = (rest.mask, self.vol_sign * omega_inverse(partner, mono) * sign)
+        self[mask] = entry
+        return entry
+
+
+@lru_cache(maxsize=None)
+def _star_table(two_n: int) -> _StarTable:
+    """The one star table of the 2n-dimensional algebra, filled as it is read."""
+    return _StarTable(two_n)
+
+
+@lru_cache(maxsize=None)
+def _omega_pairs(two_n: int) -> tuple:
+    """Masks of the terms e^i ^ e^{p(i)} of w, each with coefficient +1."""
+    return tuple(
+        1 << (i - 1) | 1 << (_pair_partner(i, two_n) - 1)
+        for i in range(1, two_n // 2 + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the kernel: operators on {mask: coeff}
+#
+# Coefficients are ints unless an explicit weight is non-integral.  star is
+# a signed permutation of the monomials and d sends distinct monomials to
+# distinct ones, so their images (and d^c's) need no summing; L, Lambda and
+# the sums do.
+# ---------------------------------------------------------------------------
+
+
+def _terms(f: Form) -> dict:
+    return {m.mask: c for m, c in f.terms.items()}
+
+
+def _form(terms: dict, two_n: int) -> Form:
+    return Form({Monomial(mask, two_n): c for mask, c in terms.items()}, two_n)
+
+
+def _combine(a: dict, b: dict, scale: int) -> dict:
+    """a + scale * b, without zero coefficients."""
+    out = dict(a)
+    for mask, c in b.items():
+        out[mask] = out.get(mask, 0) + scale * c
+    return {mask: c for mask, c in out.items() if c}
+
+
+def _star_terms(two_n: int, terms: dict) -> dict:
+    table = _star_table(two_n)
+    out = {}
+    for mask, c in terms.items():
+        target, sign = table[mask]
+        out[target] = sign * c
+    return out
+
+
+def _d_terms(spec: AlgebraSpec, terms: dict) -> dict:
+    out = {}
+    for mask, c in terms.items():
+        image = d_monomial(spec, mask)
+        if image:
+            target, value = image
+            out[target] = value * c
+    return out
+
+
+def _dc_terms(spec: AlgebraSpec, terms: dict) -> dict:
+    """d^c = (-1)^{k+1} star d star on each degree-k monomial."""
+    table = _star_table(spec.two_n)
+    out = {}
+    for mask, c in terms.items():
+        middle, before = table[mask]
+        image = d_monomial(spec, middle)
+        if image:
+            target, value = image
+            result, after = table[target]
+            sign = before * after if mask.bit_count() & 1 else -before * after
+            out[result] = sign * value * c
+    return out
+
+
+def _l_terms(spec: AlgebraSpec, terms: dict) -> dict:
+    """L = w ^ ., the sign of each pair ^ monomial read from ``below_parity``."""
+    two_n = spec.two_n
+    out = {}
+    for mask, c in terms.items():
+        below = below_parity(mask, two_n)
+        for pair in _omega_pairs(two_n):
+            if not pair & mask:
+                target = pair | mask
+                value = -c if (pair & below).bit_count() & 1 else c
+                out[target] = out.get(target, 0) + value
+    return {mask: c for mask, c in out.items() if c}
+
+
+def _lambda_terms(spec: AlgebraSpec, terms: dict) -> dict:
+    """Lambda = star L star."""
+    two_n = spec.two_n
+    return _star_terms(two_n, _l_terms(spec, _star_terms(two_n, terms)))
+
+
+# ---------------------------------------------------------------------------
+# Form-level operators
+# ---------------------------------------------------------------------------
 
 
 def star(spec: AlgebraSpec, f: Form) -> Form:
     """Symplectic star of a form (applied degreewise); an exact involution."""
-    out = Form.zero(spec.two_n)
-    for degree in f.degrees():
-        columns = _star_columns(spec.two_n, degree)
-        terms = {}
-        for mono, coeff in f.homogeneous_part(degree).terms.items():
-            for target, v in columns[mono].items():
-                terms[target] = terms.get(target, Fraction(0)) + coeff * v
-        out = out + Form(terms, spec.two_n)
-    return out
+    return _form(_star_terms(spec.two_n, _terms(f)), spec.two_n)
 
 
 def _require_numeric(spec):
@@ -133,12 +256,7 @@ def _require_numeric(spec):
 def dc(spec: AlgebraSpec, f: Form) -> Form:
     """Symplectic codifferential, degree -1: (-1)^{k+1} star d star on each part."""
     _require_numeric(spec)
-    out = Form.zero(spec.two_n)
-    for degree in f.degrees():
-        part = f.homogeneous_part(degree)
-        sign = 1 if degree % 2 else -1  # (-1)^(k+1)
-        out = out + sign * star(spec, differential(spec, star(spec, part)))
-    return out
+    return _form(_dc_terms(spec, _terms(f)), spec.two_n)
 
 
 def lefschetz_l(spec: AlgebraSpec, f: Form) -> Form:
@@ -203,24 +321,27 @@ def operator_matrix(spec, op, source_degree, target_degree) -> OperatorMatrix:
 
 
 def _monomial_preimages(spec: AlgebraSpec, op, degree: int) -> dict:
-    """{target: (source, coeff)} with op(source) = coeff * target.
+    """{target: (source, coeff)} with op({source: 1}) = {target: coeff}.
 
-    Sources are the degree-``degree`` monomials.  Subspaces read off this map
+    Sources are the degree-``degree`` masks.  Subspaces read off this map
     are exact only if op sends each monomial to at most one monomial and
     distinct monomials to distinct ones, so both are checked.
     """
     preimages = {}
-    for source in all_monomials(spec.two_n, degree):
-        terms = op(Form.from_monomial(source)).terms
+    for source in degree_masks(spec.two_n, degree):
+        terms = op({source: 1})
         if not terms:
             continue
         if len(terms) > 1:
             raise InvariantViolationError(
-                f"the image of {source} has {len(terms)} terms, not one"
+                f"the image of {Monomial(source, spec.two_n)} has "
+                f"{len(terms)} terms, not one"
             )
         ((target, coeff),) = terms.items()
         if target in preimages:
-            raise InvariantViolationError(f"two monomials map onto {target}")
+            raise InvariantViolationError(
+                f"two monomials map onto {Monomial(target, spec.two_n)}"
+            )
         preimages[target] = (source, coeff)
     return preimages
 
@@ -235,27 +356,28 @@ def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
     _require_numeric(spec)
     if not is_closed(spec, class_rep):
         raise NotACocycleError("harmonic representatives need a closed input")
-    rhs = dc(spec, class_rep)
-    if rhs.is_zero:
+    terms = _terms(class_rep)
+    rhs = _dc_terms(spec, terms)
+    if not rhs:
         return class_rep
     if not class_rep.is_homogeneous():
         raise ValueError("class representative must be homogeneous")
     (degree,) = class_rep.degrees()
     preimages = _monomial_preimages(
-        spec, lambda g: dc(spec, differential(spec, g)), degree - 1
+        spec, lambda g: _dc_terms(spec, _d_terms(spec, g)), degree - 1
     )
     correction = {}
-    for target, value in rhs.terms.items():
+    for target, value in rhs.items():
         if target not in preimages:
             raise NoHarmonicRepresentativeError(
                 f"no harmonic representative in degree {degree}"
             )
         source, coeff = preimages[target]
-        correction[source] = -value / coeff
-    result = class_rep + differential(spec, Form(correction, spec.two_n))
-    if not (is_closed(spec, result) and dc(spec, result).is_zero):
+        correction[source] = -Fraction(value) / coeff
+    result = _combine(terms, _d_terms(spec, correction), 1)
+    if _d_terms(spec, result) or _dc_terms(spec, result):
         raise NoHarmonicRepresentativeError("solver returned a non-harmonic form")
-    return result
+    return _form(result, spec.two_n)
 
 
 def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
@@ -274,10 +396,10 @@ def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
     d_image_of = {}
     if degree >= 1:
         d_preimages = _monomial_preimages(
-            spec, lambda g: differential(spec, g), degree - 1
+            spec, lambda g: _d_terms(spec, g), degree - 1
         )
         d_image_of = {source: target for target, (source, _) in d_preimages.items()}
-    dc_preimages = _monomial_preimages(spec, lambda g: dc(spec, g), degree)
+    dc_preimages = _monomial_preimages(spec, lambda g: _dc_terms(spec, g), degree)
     not_killed = {source for source, _ in dc_preimages.values()}
     image_ddc = {d_image_of[t] for t in dc_preimages if t in d_image_of}
     return set(d_image_of.values()) - not_killed == image_ddc
@@ -289,28 +411,36 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
     For each degree k: every monomial f must satisfy star star f = f,
     (d^c)^2 f = 0, d d^c f = -d^c d f and d^c f = [d, Lambda] f; the dd^c
     lemma must hold in degree k; and every basis class of H^k must have a
-    harmonic representative.  Above n = HODGE_MAX_N it raises SizeLimitError
-    before building any operator.
+    harmonic representative.  The monomial checks run on masks.  Above
+    n = HODGE_MAX_N it raises SizeLimitError before building any operator.
     """
     if spec.n > HODGE_MAX_N:
         raise SizeLimitError(f"the operator suite is limited to n <= {HODGE_MAX_N}")
+    _require_numeric(spec)
+    two_n = spec.two_n
     failures = []
-    for k in range(spec.two_n + 1):
-        for mono in all_monomials(spec.two_n, k):
-            f = Form.from_monomial(mono)
-            if star(spec, star(spec, f)) != f:
+    for k in range(two_n + 1):
+        for mask in degree_masks(two_n, k):
+            f = {mask: 1}
+            if _star_terms(two_n, _star_terms(two_n, f)) != f:
                 failures.append((k, "star not involutive"))
-            dc_f = dc(spec, f)
-            if not dc(spec, dc_f).is_zero:
+            dc_f = _dc_terms(spec, f)
+            if _dc_terms(spec, dc_f):
                 failures.append((k, "dc^2 != 0"))
-            if differential(spec, dc_f) != -dc(spec, differential(spec, f)):
+            d_f = _d_terms(spec, f)
+            if _combine(_d_terms(spec, dc_f), _dc_terms(spec, d_f), 1):
                 failures.append((k, "d dc != -dc d"))
-            if dc_f != dc_as_commutator(spec, f):
+            commutator = _combine(
+                _d_terms(spec, _lambda_terms(spec, f)),
+                _lambda_terms(spec, d_f),
+                -1,
+            )
+            if dc_f != commutator:
                 failures.append((k, "dc != [d, Lambda]"))
         if not ddc_lemma_check(spec, k):
             failures.append((k, "dd^c lemma fails"))
         for vec in cohomology_basis(spec, k).forms():
             rep = harmonic_representative(spec, vec)
-            if not (is_closed(spec, rep) and dc(spec, rep).is_zero):
+            if not (is_closed(spec, rep) and not _dc_terms(spec, _terms(rep))):
                 failures.append((k, "non-harmonic representative"))
     return failures

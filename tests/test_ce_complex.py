@@ -14,6 +14,7 @@ from aacohom.ce_complex import (
     betti_closed_form,
     betti_sequence,
     cohomology_basis,
+    d_monomial,
     delta_form,
     differential,
     gamma_form,
@@ -76,6 +77,32 @@ def test_mode_dependent_zero_test(spec, coeffs, zero):
     m = mono((2, spec.sigma(3)), spec.two_n)  # theta_{2|3}
     assert weight(spec, m).coeffs == coeffs
     assert weight(spec, m).is_zero_for(spec) is zero
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mask_weight_table_matches_weight_vectors(n):
+    """The per-bit table decides weight zero as WeightVector does, in every mode."""
+    specs = [
+        AlgebraSpec.generic(n),
+        AlgebraSpec.ones(n),
+        AlgebraSpec.explicit([Fraction(j, j + 1) for j in range(2, n + 1)]),
+        AlgebraSpec.explicit([1] * (n - 2) + [2]),
+    ]
+    for spec in specs:
+        for degree in range(spec.two_n + 1):
+            for m in all_monomials(spec.two_n, degree):
+                assert weight_is_zero(spec, m) == weight(spec, m).is_zero_for(spec)
+
+
+def test_d_monomial_coefficient_is_int_unless_a_weight_is_not():
+    integral = AlgebraSpec.explicit([3, 9])
+    rational = AlgebraSpec.explicit([Fraction(9, 5), 9])
+    theta = mono((2, 5), 6).mask  # theta_{2|3}: <w, b> = b_2 - b_3, degree 2
+    assert d_monomial(integral, theta) == (theta | 1 << 5, 6)
+    assert type(d_monomial(integral, theta)[1]) is int
+    assert d_monomial(rational, theta) == (theta | 1 << 5, Fraction(36, 5))
+    assert d_monomial(rational, mono((2, 4), 6).mask) is None  # gamma_2
+    assert d_monomial(rational, mono((3, 6), 6).mask) is None  # contains 2n
 
 
 # ---------------------------------------------------------------------------

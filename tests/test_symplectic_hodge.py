@@ -20,11 +20,16 @@ from aacohom.errors import (
     SizeLimitError,
     UnsupportedModeError,
 )
-from aacohom.exterior_algebra import Form, all_monomials, wedge
+from aacohom.exterior_algebra import Form, all_monomials, degree_masks, wedge
 from aacohom.lefschetz import hard_lefschetz_report, omega_power
 from aacohom.symplectic_hodge import (
     HODGE_MAX_N,
-    _star_columns,
+    _d_terms,
+    _dc_terms,
+    _l_terms,
+    _lambda_terms,
+    _star_table,
+    _star_terms,
     dc,
     dc_as_commutator,
     ddc_lemma_check,
@@ -97,12 +102,10 @@ def test_star_defining_identity(n):
     """
     spec = EXPLICIT.get(n) or AlgebraSpec.generic(n)
     vol = volume(spec)
+    table = _star_table(spec.two_n)
     for degree in range(spec.two_n + 1):
-        columns = _star_columns(spec.two_n, degree)
-        assert all(
-            type(v) is int for col in columns.values() for v in col.values()
-        )
         monos = all_monomials(spec.two_n, degree)
+        assert all(type(table[m.mask][1]) is int for m in monos)
         for beta in monos:
             star_beta = star(spec, Form.from_monomial(beta))
             for alpha in monos:
@@ -195,6 +198,70 @@ def test_lambda_and_h_degree_bookkeeping():
                 for j in range(len(composed[0])):
                     composed[i][j] -= second[i][j]
         assert tuple(tuple(r) for r in composed) == h_direct.entries
+
+
+# ---------------------------------------------------------------------------
+# the mask kernel against independent routes
+# ---------------------------------------------------------------------------
+
+KERNEL_SPECS = {
+    "ones-2": AlgebraSpec.ones(2),
+    "ones-3": AlgebraSpec.ones(3),
+    "ones-4": AlgebraSpec.ones(4),
+    "b=3": EXPLICIT[2],
+    "b=3,9": EXPLICIT[3],
+    "b=3,9,27": EXPLICIT[4],
+    "b=9/5,9,3/4": AlgebraSpec.explicit([Fraction(9, 5), 9, Fraction(3, 4)]),
+    "b=1,1,2": AlgebraSpec.explicit([1, 1, 2]),
+}
+
+
+def _mask_terms(f):
+    return {m.mask: c for m, c in f.terms.items()}
+
+
+def _difference(a, b):
+    out = dict(a)
+    for mask, c in b.items():
+        out[mask] = out.get(mask, 0) - c
+    return {mask: c for mask, c in out.items() if c}
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS.values(), ids=KERNEL_SPECS.keys())
+def test_kernel_matches_form_routes(spec):
+    """Kernel d equals ``differential`` and kernel Lambda equals the Lambda of
+    ``lambda_and_h``, whose L is ``wedge`` with w rather than ``below_parity``;
+    on every monomial and on a seeded sum per degree."""
+    rng = random.Random(spec.n)
+    for k in range(spec.two_n + 1):
+        monos = all_monomials(spec.two_n, k)
+        forms = [Form.from_monomial(m) for m in monos]
+        forms.append(Form({m: rng.randint(-3, 3) for m in monos}, spec.two_n))
+        for f in forms:
+            terms = _mask_terms(f)
+            assert _d_terms(spec, terms) == _mask_terms(differential(spec, f))
+            lam, _ = lambda_and_h(spec, f)
+            assert _lambda_terms(spec, terms) == _mask_terms(lam)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS.values(), ids=KERNEL_SPECS.keys())
+def test_kernel_h_is_degree_minus_n(spec):
+    """H = [L, Lambda] acts on degree k as (k - n) times the identity."""
+    for k in range(spec.two_n + 1):
+        for mask in degree_masks(spec.two_n, k):
+            f = {mask: 1}
+            h = _difference(
+                _l_terms(spec, _lambda_terms(spec, f)),
+                _lambda_terms(spec, _l_terms(spec, f)),
+            )
+            assert h == ({mask: k - spec.n} if k != spec.n else {})
+
+
+@pytest.mark.parametrize("b", [(1, 1, 2), (1, 1, 2, 2)])
+def test_operator_suite_passes_with_weight_relations(b):
+    """For the standard form hard Lefschetz holds for every weight vector, so
+    weights with {-1, 0, 1} relations pass the suite as well."""
+    assert symplectic_hodge.operator_suite_failures(AlgebraSpec.explicit(b)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +468,13 @@ def test_monomial_route_matches_elimination(spec):
 
 
 def test_monomial_route_matches_elimination_when_lemma_fails(monkeypatch):
-    """With d^c replaced by zero, Ker d^c n Im d = Im d != 0 = Im dd^c."""
+    """With d^c replaced by zero, Ker d^c n Im d = Im d != 0 = Im dd^c.
+
+    The kernel's d^c is broken, so the Form-level ``dc`` the oracle reads
+    is zero as well.
+    """
     spec = EXPLICIT[3]
-    monkeypatch.setattr(
-        symplectic_hodge, "dc", lambda spec, f: Form.zero(spec.two_n)
-    )
+    monkeypatch.setattr(symplectic_hodge, "_dc_terms", lambda spec, terms: {})
     verdicts = [ddc_lemma_check(spec, k) for k in range(spec.two_n + 1)]
     assert verdicts == [
         ddc_lemma_by_elimination(spec, k) for k in range(spec.two_n + 1)
@@ -413,14 +482,14 @@ def test_monomial_route_matches_elimination_when_lemma_fails(monkeypatch):
     assert verdicts[0] and not all(verdicts)
 
 
-def _two_terms(spec, f):
-    image = dc(spec, f)
-    return image if image.is_zero else image + Form.one(spec.two_n)
+def _two_terms(spec, terms):
+    image = _dc_terms(spec, terms)
+    return {**image, 0: 1} if image else image
 
 
-def _one_target(spec, f):
-    image = dc(spec, f)
-    return image if image.is_zero else Form.one(spec.two_n)
+def _one_target(spec, terms):
+    image = _dc_terms(spec, terms)
+    return {0: 1} if image else image
 
 
 @pytest.mark.parametrize(
@@ -428,39 +497,50 @@ def _one_target(spec, f):
     [(_two_terms, "has 2 terms"), (_one_target, "two monomials map onto")],
 )
 def test_non_monomial_dc_raises(monkeypatch, broken, message):
-    monkeypatch.setattr(symplectic_hodge, "dc", broken)
+    monkeypatch.setattr(symplectic_hodge, "_dc_terms", broken)
     with pytest.raises(InvariantViolationError, match=message):
         ddc_lemma_check(EXPLICIT[3], 3)
 
 
-def _star_unit_negated(spec, f):
-    """star with the sign of star(1) = vol flipped."""
-    image = star(spec, f)
-    return -image if f.degrees() == {0} else image
+def _star_unit_negated(two_n):
+    """The star table with the sign of star(1) = vol flipped."""
+    table = {mask: _star_table(two_n)[mask] for mask in range(1 << two_n)}
+    target, sign = table[0]
+    table[0] = (target, -sign)
+    return table
 
 
-def _dc_unsigned(spec, f):
+def _dc_unsigned(spec, terms):
     """d^c without its (-1)^(k+1) sign."""
-    return star(spec, differential(spec, star(spec, f)))
+    two_n = spec.two_n
+    return _star_terms(two_n, _d_terms(spec, _star_terms(two_n, terms)))
 
 
-def _dc_missing_star(spec, f):
+def _dc_missing_star(spec, terms):
     """d^c without the inner star, so it no longer squares to zero."""
-    return star(spec, differential(spec, f))
+    return _star_terms(spec.two_n, _d_terms(spec, terms))
+
+
+# the kernel primitive behind each operator the suite checks
+KERNEL_PRIMITIVE = {
+    "star": "_star_table",
+    "dc": "_dc_terms",
+    "_lambda": "_lambda_terms",
+}
 
 
 @pytest.mark.parametrize(
-    "name, broken, reason",
+    "operator, broken, reason",
     [
         ("star", _star_unit_negated, "star not involutive"),
         ("dc", _dc_missing_star, "dc^2 != 0"),
         ("dc", _dc_unsigned, "d dc != -dc d"),
-        ("_lambda", lambda spec, f: Form.zero(spec.two_n), "dc != [d, Lambda]"),
+        ("_lambda", lambda spec, terms: {}, "dc != [d, Lambda]"),
     ],
 )
-def test_operator_suite_reports_broken_operator(monkeypatch, name, broken, reason):
+def test_operator_suite_reports_broken_operator(monkeypatch, operator, broken, reason):
     spec = AlgebraSpec.ones(3)
     assert symplectic_hodge.operator_suite_failures(spec) == []
-    monkeypatch.setattr(symplectic_hodge, name, broken)
+    monkeypatch.setattr(symplectic_hodge, KERNEL_PRIMITIVE[operator], broken)
     reasons = {r for _, r in symplectic_hodge.operator_suite_failures(spec)}
     assert reason in reasons
