@@ -2,13 +2,12 @@
 
 Subcommands: cohomology, lefschetz, kneser, hodge, lattice, verify-all.
 Reports go to stdout (JSON by default; --format text/csv for matrices),
-diagnostics and wall time to stderr.  Exit codes: 0 all checks passed,
+rendered by ``render.emit``; diagnostics and wall time go to stderr.  Exit codes: 0 all checks passed,
 1 a mathematical check failed, 2 usage error.  Identical invocations
 produce byte-identical stdout.
 """
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .kneser import (
     MAX_VERTICES,
     VERIFY_MAX_VERTICES,
     KneserGraph,
-    adjacency,
+    neighbours,
     require_vertex_count,
     spectrum,
     verify_invertible,
@@ -56,6 +55,7 @@ from .lefschetz import (
     lefschetz_matrix,
     require_size,
 )
+from .render import OnesRows, emit
 from .symplectic_hodge import operator_suite_failures
 
 USAGE_ERRORS = (
@@ -98,99 +98,6 @@ def _parse_spec(args) -> AlgebraSpec:
 
 def _int_list(text):
     return [int(part) for part in text.split(",")]
-
-
-def _matrix_lines(rows, cuts=()):
-    """Space-separated integer rows with optional block separators.
-
-    One format string serves every row, so a row costs one ``str.format``
-    call; a cut column is preceded by ``|`` and a cut row by a dashed line.
-    """
-    cuts = {c for c in cuts if 0 < c < len(rows)}
-    width = len(rows[0]) if rows else 0
-    line = " ".join("| {}" if j in cuts else "{}" for j in range(width))
-    rule = "-" * (2 * width + 2 * len(cuts) - 1)
-    lines = []
-    for i, row in enumerate(rows):
-        if i in cuts:
-            lines.append(rule)
-        lines.append(line.format(*row))
-    return lines
-
-
-def _json(value, out, pad):
-    """Append ``json.dumps(value, indent=2, sort_keys=True)`` to ``out``.
-
-    ``pad`` is the indent of the line ``value`` starts on.  A list of plain
-    ints (no bools) becomes one piece built by ``str``, so a matrix costs a
-    fixed number of C-level calls per row; every other scalar goes through
-    ``json.dumps``.  Keys must be ``str``.
-    """
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n"
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, got {key!r}")
-            out.append(sep + inner + json.dumps(key) + ": ")
-            _json(value[key], out, inner)
-            sep = ",\n"
-        out.append("\n" + pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        if set(map(type, value)) == {int}:
-            body = str(list(value))[1:-1].replace(", ", ",\n" + inner)
-            out.append("[\n" + inner + body + "\n" + pad + "]")
-            return
-        sep = "[\n"
-        for item in value:
-            out.append(sep + inner)
-            _json(item, out, inner)
-            sep = ",\n"
-        out.append("\n" + pad + "]")
-    else:
-        out.append(json.dumps(value))
-
-
-def emit(report: dict, fmt: str) -> str:
-    """Render a report: stable JSON, plain text, or CSV for matrices.
-
-    JSON is byte-identical to ``json.dumps(report, indent=2,
-    sort_keys=True)`` but is assembled by ``_json`` into one list of pieces
-    joined once.  Text and CSV fill one format string per matrix, so each
-    row is one ``str.format`` call.  The output is returned as one string,
-    whose size ``benchmarks/tracer.py`` books as ``cli.emit_bytes``.
-    """
-    if fmt == "json":
-        out = []
-        _json(report, out, "")
-        out.append("\n")
-        return "".join(out)
-    if fmt == "csv":
-        matrix = report.get("results", {}).get("matrix")
-        if matrix is None:
-            raise InvalidParameterError("csv output needs a matrix payload")
-        line = ",".join(["{}"] * (len(matrix[0]) if matrix else 0))
-        return "\n".join(line.format(*row) for row in matrix) + "\n"
-    lines = [f"command: {report['command']}"]
-    for key, value in sorted(report.get("params", {}).items()):
-        lines.append(f"{key}: {value}")
-    results = report.get("results", {})
-    for key, value in results.items():
-        if key == "matrix":
-            lines.extend(_matrix_lines(value, results.get("block_cuts", ())))
-        elif key == "block_cuts":
-            continue
-        else:
-            lines.append(f"{key}: {value}")
-    lines.append(f"status: {report['status']}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_cohomology(args):
@@ -253,14 +160,14 @@ def _cmd_lefschetz(args):
         return results, ok
     if args.m is None:
         raise InvalidParameterError("--m is required (or use --hl)")
-    dense = args.emit_matrix or not args.check_kneser
+    emit_matrix = args.emit_matrix or not args.check_kneser
     size = require_size(spec, args.m)
-    if dense and size > DENSE_MAX_DIMENSION:
+    if emit_matrix and size > DENSE_MAX_DIMENSION:
         raise SizeLimitError(
             f"the dense matrix of L_{args.m} has {size} rows; "
             f"the limit is {DENSE_MAX_DIMENSION}"
         )
-    mat = lefschetz_matrix(spec, args.m, labels=dense)
+    mat = lefschetz_matrix(spec, args.m, labels=emit_matrix)
     # the determinant is read off the verified blocks, so the check always runs
     report = check_structure(spec, mat)
     if args.check_kneser:
@@ -275,8 +182,12 @@ def _cmd_lefschetz(args):
             }
             for b in report.blocks
         ]
-    if dense:
-        results["matrix"] = mat.rows_as_lists()
+    if emit_matrix:
+        ones = [[] for _ in range(mat.size)]
+        for j, column in enumerate(mat.columns):
+            for i in column:
+                ones[i].append(j)
+        results["matrix"] = OnesRows(mat.size, tuple(ones))
         results["block_cuts"] = _lefschetz_cuts(spec, report, args.check_kneser)
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
@@ -295,7 +206,7 @@ def _cmd_kneser(args):
     }
     ok = True
     if args.emit_matrix or not (args.spectrum or args.verify):
-        results["matrix"] = adjacency(g)
+        results["matrix"] = OnesRows(g.vertex_count, tuple(neighbours(g)))
     if args.spectrum:
         results["eigenvalues"] = [
             {"j": j, "value": value} for value, j in spectrum(g)
@@ -477,7 +388,7 @@ def _run(args) -> int:
     except USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    del report, results  # free the dense payload before stdout copies the text
+    del report, results  # free the payload before stdout copies the text
     sys.stdout.write(rendered)
     print(f"[{args.command}] {elapsed:.3f}s", file=sys.stderr)
     return 0 if ok else 1

@@ -69,7 +69,12 @@ def rank(rows) -> int:
 
 
 def det_bareiss(matrix) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each step drops the pivot row and column, and each row below is
+    updated by one list comprehension: (pivot * x - lead * y) // prev,
+    exact by Sylvester's identity.  A row with a zero lead only scales.
+    """
     n = len(matrix)
     if n == 0:
         return 1
@@ -78,21 +83,27 @@ def det_bareiss(matrix) -> int:
         raise ValueError("matrix is not square")
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
+    while len(m) > 1:
+        if m[0][0] == 0:
+            swap = next((r for r in range(1, len(m)) if m[r][0]), None)
+            if swap is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            m[0], m[swap] = m[swap], m[0]
+            sign = -sign
+        pivot, top = m[0][0], m[0][1:]
+        rest = []
+        for row in m[1:]:
+            lead = row[0]
+            if lead:
+                row = [(pivot * x - lead * y) // prev for x, y in zip(row[1:], top)]
+            elif pivot == prev:
+                row = row[1:]
+            else:
+                row = [pivot * x // prev for x in row[1:]]
+            rest.append(row)
+        m = rest
+        prev = pivot
+    return sign * m[0][0]
 
 
 def det_sparse(rows) -> Fraction:

@@ -15,11 +15,14 @@ from math import comb
 from . import exact_linalg
 from .errors import InvalidParameterError, InvariantViolationError, SizeLimitError
 
-# Vertex-count limits, from one run each on 2 CPUs (Python 3.11).  The CLI
-# lists every vertex and by default the dense adjacency: K(12,6) (924
-# vertices) takes 1.2 s and 96 MB, K(13,6) (1716) 3.2 s and 280 MB, K(14,7)
-# (3432) 14 s and 1 GB.  verify_invertible eliminates and multiplies dense
-# matrices: K(10,5) (252) takes 1.3 s, K(11,4) (330) 14 s, K(11,5) (462) 23 s.
+# Vertex-count limits, from one run each of the whole CLI call with the
+# limits lifted, on 2 CPUs (Python 3.11.7).  The CLI lists every vertex and
+# by default the adjacency matrix, rendered from the neighbour lists:
+# K(12,6) (924 vertices, 9 MB of JSON) takes 0.3 s and 40 MB, K(13,6)
+# (1716) 0.5 s and 85 MB, K(14,7) (3432, 130 MB of JSON) 1.0 s and 271 MB.
+# verify_invertible eliminates the dense adjacency and applies the
+# annihilator through the neighbour lists: K(10,5) (252) takes 0.4 s,
+# K(11,4) (330) 2.9 s and K(11,5) (462) 2.7 s, four fifths of it elimination.
 MAX_VERTICES = 924
 VERIFY_MAX_VERTICES = 252
 
@@ -72,6 +75,23 @@ def adjacency(g: KneserGraph) -> list:
     ]
 
 
+def neighbours(g: KneserGraph) -> list:
+    """For each vertex, the sorted indices of the vertices adjacent to it.
+
+    The neighbours of I are the k-subsets of its complement; drawn from the
+    sorted complement they come in lexicographic, hence index, order.
+    K(n, 0) has the single vertex () and no loop.
+    """
+    if g.k == 0:
+        return [[]]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ground = range(1, g.n + 1)
+    return [
+        [index[w] for w in combinations([x for x in ground if x not in v], g.k)]
+        for v in index
+    ]
+
+
 def spectrum(g: KneserGraph) -> list:
     """Eigenvalues as (value, j) pairs for j = 0..k.
 
@@ -108,16 +128,22 @@ class InvertibilityCertificate:
 def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
     """Exact invertibility certificate.
 
-    Computes det(A) by fraction-free elimination, checks it against the
-    closed form ``determinant`` and checks that the annihilating polynomial
-    prod_j (A - lambda_j I) vanishes.  A zero determinant or one other than
-    the closed form would contradict the spectral description and is
-    reported as an invariant violation.  Graphs above VERIFY_MAX_VERTICES raise
-    SizeLimitError before any work.
+    Reads A from ``neighbours``, computes det(A) by fraction-free
+    elimination of its dense rows, checks it against the closed form
+    ``determinant`` and checks, through the neighbour lists, that the
+    annihilating polynomial prod_j (A - lambda_j I) vanishes.  A zero
+    determinant or one other than the closed form would contradict the
+    spectral description and is reported as an invariant violation.  Graphs
+    above VERIFY_MAX_VERTICES raise SizeLimitError before any work.
     """
     require_vertex_count(g, VERIFY_MAX_VERTICES)
-    a = adjacency(g)
     eigs = spectrum(g)
+    adjacent = neighbours(g)
+    size = len(adjacent)
+    a = [[0] * size for _ in range(size)]
+    for row, columns in zip(a, adjacent):
+        for j in columns:
+            row[j] = 1
     det = exact_linalg.det_bareiss(a)
     if det == 0:
         raise InvariantViolationError(
@@ -128,14 +154,20 @@ def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
             f"adjacency of K({g.n},{g.k}) has determinant {det}, "
             f"not the closed form {determinant(g)}"
         )
-    size = len(a)
+    # the factors are polynomials in A, so they commute and each can act from
+    # the left: row i of (A - lambda I) P is the sum of the rows of P at i's
+    # neighbours less lambda times row i (zipped with row i first, so that
+    # an isolated vertex keeps its row)
     product = exact_linalg.identity_int(size)
     for value, _ in eigs:
-        shifted = [
-            [a[i][j] - (value if i == j else 0) for j in range(size)]
-            for i in range(size)
+        shift = value + 1
+        product = [
+            [
+                sum(cells) - shift * cells[0]
+                for cells in zip(row, *[product[j] for j in columns])
+            ]
+            for row, columns in zip(product, adjacent)
         ]
-        product = exact_linalg.matmul_int(product, shifted)
     vanishes = exact_linalg.is_zero_matrix(product)
     if not vanishes:
         raise InvariantViolationError(

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .exterior_algebra import Form, Monomial, below_parity, wedge
-from .kneser import KneserGraph, adjacency, determinant
+from .kneser import KneserGraph, determinant, neighbours
 
 
 # Size limits, checked from closed forms before any basis is built (2 CPUs,
@@ -53,16 +53,16 @@ from .kneser import KneserGraph, adjacency, determinant
 # (31752) runs `--hl` in 2.3 to 2.9 s and 53 MB, building the columns and
 # checking the blocks; ones n = 11 (127008) took 8.4 to 11.5 s and 146 MB
 # with the limits lifted.  MAX_BLOCK_VERTICES bounds the largest Kneser block,
-# K(n - m % 2, m // 2), whose dense adjacency check_structure builds: generic
-# n = 12 (K(12,6), 924 vertices) runs `--hl` in 1.4 to 2.4 s and 29 MB and
-# `--m --emit-matrix --check-kneser` in under 1 s for every m, and n = 13
-# (K(13,6), 1716) took 4.9 s and 48 MB with the limits lifted.  The
-# user-form route of hard_lefschetz_report, reachable only from the
-# library, still eliminates: a generic n = 11 form takes 7.6 s and an
-# n = 12 one 42 s and 34 MB.  DENSE_MAX_DIMENSION bounds the dense rows of
-# the CLI matrix payload: ones n = 8 (2450) prints its 66 MB of JSON in 1.6
-# to 1.8 s with a 196 MB peak (2 CPUs); at ones n = 9 (9800)
-# `rows_as_lists` alone would hold 96 M cells.
+# K(n - m % 2, m // 2), whose neighbour lists check_structure compares with
+# the columns: generic n = 12 (K(12,6), 924 vertices) runs `--hl` in 0.9 s
+# and 23 MB and `--m --emit-matrix --check-kneser` in under 0.4 s for m = 11
+# and 12, and n = 13 (K(13,6), 1716) takes 1.6 s and 29 MB with the limits
+# lifted.  The user-form route of hard_lefschetz_report, reachable only from
+# the library, still eliminates: a generic n = 11 form takes 7.6 s and an
+# n = 12 one 42 s and 34 MB.  DENSE_MAX_DIMENSION bounds the CLI matrix
+# payload, which prints every cell: ones n = 8 (2450) prints its 66 MB of
+# JSON in 0.6 s with a 150 MB peak, or its text in 0.3 s and 55 MB; ones
+# n = 9 (9800) would print about 1 GB.
 MAX_DIMENSION = 31752
 MAX_BLOCK_VERTICES = 924
 DENSE_MAX_DIMENSION = 2450
@@ -348,14 +348,11 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
     mismatches = []  # (row, col, expected, got)
     for b in blocks:
         if b.params not in patterns:
+            # symmetric: the neighbours of j are the rows of column j
             if b.kind == "kneser":
-                content = adjacency(KneserGraph(*b.params))
+                patterns[b.params] = neighbours(KneserGraph(*b.params))
             else:
-                content = [[1]]
-            # symmetric: row j is column j
-            patterns[b.params] = [
-                [i for i, v in enumerate(row) if v] for row in content
-            ]
+                patterns[b.params] = [[0]]
         for j, rows in enumerate(patterns[b.params], b.offset):
             want = dict.fromkeys([b.offset + i for i in rows], 1)
             got = matrix.columns[j]

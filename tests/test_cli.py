@@ -135,6 +135,30 @@ def test_csv_kneser(capsys):
     assert out == "0,1\n1,0\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "lefschetz --n 5 --mode ones --m 4 --emit-matrix --check-kneser",
+        "lefschetz --n 5 --mode generic --m 3 --emit-matrix",
+        "kneser --n 5 --k 2 --emit-matrix",
+        "kneser --n 6 --k 3",
+    ],
+)
+def test_matrix_payloads_build_no_dense_rows(capsys, monkeypatch, fmt, argv):
+    from aacohom import kneser, lefschetz
+
+    def dense(*args):
+        raise AssertionError("built a dense matrix for output")
+
+    monkeypatch.setattr(lefschetz.LefschetzMatrix, "rows_as_lists", dense)
+    for module in (cli, kneser, lefschetz):
+        monkeypatch.setattr(module, "adjacency", dense, raising=False)
+    code, out = run(capsys, "--format", fmt, *argv.split())
+    assert code == 0
+    assert "1" in out
+
+
 def test_csv_without_matrix_is_usage_error(capsys):
     code, _ = run(
         capsys, "--format", "csv", "cohomology", "--n", "3", "--mode", "generic"

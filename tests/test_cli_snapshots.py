@@ -11,6 +11,10 @@ stdout changed.  The groups cover:
   block cuts: generic even m >= 2 cuts at C(n-1, k-1), generic m = 0 has
   none, and ones mode reports cuts only under ``--check-kneser``;
 * ``cohomology --basis --degree d`` for every d, same n and modes;
+* ``--format csv lefschetz --emit-matrix`` for every m, same n and modes,
+  and ``kneser --emit-matrix`` in json, text and csv for every k at
+  n = 1..6, including k = 0 and the edgeless n < 2k.  These were pinned
+  from the dense-row renderer, before matrix payloads became sparse;
 * the CLI examples of the README.  ``verify-all --max-n 6`` is left to the
   benchmark, which pins it too, because it takes longer than this suite.
 """
@@ -57,12 +61,34 @@ def _cohomology_calls(mode, n):
         ]
 
 
+def _csv_lefschetz_calls(mode):
+    for n in SNAPSHOT_N:
+        for m in range(n + 1):
+            for extra in ([], ["--check-kneser"]):
+                yield [
+                    "--format", "csv", "lefschetz", "--n", str(n), "--mode",
+                    mode, "--m", str(m), "--emit-matrix", *extra,
+                ]
+
+
+def _kneser_calls(fmt):
+    for n in range(1, 7):
+        for k in range(n + 1):
+            yield [
+                "--format", fmt, "kneser", "--n", str(n), "--k", str(k),
+                "--emit-matrix",
+            ]
+
+
 def _groups():
     groups = {}
     for mode in MODES:
         for n in SNAPSHOT_N:
             groups[f"lefschetz {mode} n={n}"] = list(_lefschetz_calls(mode, n))
             groups[f"cohomology {mode} n={n}"] = list(_cohomology_calls(mode, n))
+        groups[f"lefschetz csv {mode}"] = list(_csv_lefschetz_calls(mode))
+    for fmt in ("json", "text", "csv"):
+        groups[f"kneser {fmt}"] = list(_kneser_calls(fmt))
     for example in README_EXAMPLES:
         groups[example] = [example.split()]
     return groups
@@ -103,6 +129,16 @@ PINNED = {
         "d0c733e71149b2364913e362dc38addef27723f412fac1611efe51f16bd7c4d6",
     "cohomology ones n=5":
         "9e338d57661b223336f46f91520c75c330df2b1e51fb266155884c934ca978fa",
+    "lefschetz csv generic":
+        "b5a3b0ef1601b13d13c5c8d1d05a835335b0b1482a85c009d45bef6bc15a594e",
+    "lefschetz csv ones":
+        "2997d29851b704246d8ce8a69a526084e63b789de2a3c2965de039777c89329f",
+    "kneser json":
+        "18a669019a51f95c277a4e9cf7ddd212829a83c328178f96b15a6a7348cdb7c9",
+    "kneser text":
+        "63736af641c025fe93c61e34402f810bc7cd88ba5ea7edc8afbccd8319380615",
+    "kneser csv":
+        "fbbac9f04d7776a5cd8d613abe517b6a40d8f8aca88b0a2eb403631ab109591f",
     "cohomology --n 5 --mode generic --betti --check-brute":
         "d8ff2e692ad8ba1b211768b4fa1340ad83e6ae2846aa94df17a9b535cb6e7062",
     "cohomology --n 5 --mode generic --basis --degree 4":

@@ -2,12 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import aacohom.cli as cli
+from aacohom import render
 from test_cli_snapshots import GROUPS
 
 TRICKY_TEXT = st.text(
@@ -118,7 +120,7 @@ def test_snapshot_reports_have_only_str_keys(capsys, monkeypatch):
 
 
 def matrix_lines_oracle(rows, cuts=()):
-    """The per-cell rendering that ``cli._matrix_lines`` must reproduce."""
+    """The per-cell rendering that ``render._matrix_lines`` must reproduce."""
     cuts = {c for c in cuts if 0 < c < len(rows)}
     lines = []
     width = len(rows[0]) if rows else 0
@@ -158,7 +160,7 @@ def matrices_and_cuts(draw):
 @given(matrices_and_cuts())
 def test_matrix_lines_match_per_cell_oracle(case):
     rows, cuts = case
-    assert cli._matrix_lines(rows, cuts) == matrix_lines_oracle(rows, cuts)
+    assert render._matrix_lines(rows, cuts) == matrix_lines_oracle(rows, cuts)
     report = {"results": {"matrix": rows}}
     expected = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
     assert cli.emit(report, "csv") == expected
@@ -175,4 +177,69 @@ def test_matrix_lines_match_per_cell_oracle(case):
     ],
 )
 def test_matrix_lines_fixed_cases(rows, cuts):
-    assert cli._matrix_lines(rows, cuts) == matrix_lines_oracle(rows, cuts)
+    assert render._matrix_lines(rows, cuts) == matrix_lines_oracle(rows, cuts)
+
+
+def csv_oracle(rows):
+    return "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
+
+
+@st.composite
+def ones_payloads_and_cuts(draw):
+    width = draw(st.integers(0, 80))
+    if width:
+        # the first and last columns are drawn often
+        column = st.one_of(
+            st.sampled_from([0, width - 1]), st.integers(0, width - 1)
+        )
+        row = st.one_of(
+            st.just([]), st.sets(column, max_size=width).map(sorted)
+        )
+    else:
+        row = st.just([])
+    ones = draw(st.lists(row, max_size=12))
+    height = len(ones)
+    cut = st.one_of(
+        st.integers(-2, max(height, width) + 2),
+        st.sampled_from([0, height, width]),
+    )
+    cuts = draw(st.lists(cut, max_size=6))
+    return render.OnesRows(width, tuple(map(tuple, ones))), cuts
+
+
+def dense_rows(payload):
+    return [
+        [1 if j in row else 0 for j in range(payload.width)]
+        for row in payload.ones
+    ]
+
+
+@PROPERTY
+@given(
+    ones_payloads_and_cuts(),
+    st.sampled_from([1, 2, 3, 7, 64, render.ONES_CHUNK]),
+)
+def test_ones_payload_renders_like_its_dense_rows(case, chunk):
+    payload, cuts = case
+    rows = dense_rows(payload)
+
+    def report(matrix):
+        return {
+            "command": "c",
+            "status": "ok",
+            "results": {"matrix": matrix, "block_cuts": cuts, "z": [1, 2]},
+        }
+
+    def dumps(value):
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    with mock.patch.object(render, "ONES_CHUNK", chunk):
+        rendered = {
+            fmt: cli.emit(report(payload), fmt) for fmt in ("json", "text", "csv")
+        }
+        top_level = cli.emit({"m": payload, "a": [payload]}, "json")
+    assert rendered["json"] == dumps(report(rows))
+    assert top_level == dumps({"m": rows, "a": [rows]})
+    lines = ["command: c", *matrix_lines_oracle(rows, cuts)]
+    assert rendered["text"] == "\n".join([*lines, "z: [1, 2]", "status: ok\n"])
+    assert rendered["csv"] == csv_oracle(rows)

@@ -12,6 +12,7 @@ from aacohom.kneser import (
     KneserGraph,
     adjacency,
     determinant,
+    neighbours,
     spectrum,
     verify_invertible,
 )
@@ -47,6 +48,15 @@ def test_k21_swap_matrix():
 def test_kn1_is_complete_graph(n):
     a = adjacency(KneserGraph(n, 1))
     assert a == [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_neighbours_are_the_ones_of_adjacency(n):
+    # every k, so k = 0 (one vertex, no loop) and the edgeless n < 2k too
+    for k in range(n + 1):
+        g = KneserGraph(n, k)
+        expected = [[j for j, v in enumerate(row) if v] for row in adjacency(g)]
+        assert neighbours(g) == expected, (n, k)
 
 
 def test_kn0_single_vertex_convention():
@@ -115,6 +125,7 @@ def test_size_limits_checked_before_enumeration(monkeypatch):
         raise AssertionError("enumerated a graph above the limit")
 
     monkeypatch.setattr(kn, "adjacency", enumerated)
+    monkeypatch.setattr(kn, "neighbours", enumerated)
     big = KneserGraph(11, 5)  # 462 vertices
     assert big.vertex_count > kn.VERIFY_MAX_VERTICES
     with pytest.raises(SizeLimitError):
@@ -127,9 +138,20 @@ def test_size_limits_checked_before_enumeration(monkeypatch):
 def test_zero_determinant_violation(monkeypatch):
     import aacohom.kneser as kn
 
-    monkeypatch.setattr(kn, "adjacency", lambda g: [[0, 0], [0, 0]])
+    # the certificate reads A from the neighbour lists: two isolated vertices
+    monkeypatch.setattr(kn, "neighbours", lambda g: [[], []])
     with pytest.raises(InvariantViolationError):
         kn.verify_invertible(KneserGraph(2, 1))
+
+
+def test_wrong_spectrum_fails_the_annihilator(monkeypatch):
+    import aacohom.kneser as kn
+
+    # K(5,2) has eigenvalues 3, -2, 1; with 2 for 1 the product cannot vanish
+    monkeypatch.setattr(kn, "spectrum", lambda g: [(3, 0), (-2, 1), (2, 2)])
+    monkeypatch.setattr(kn, "determinant", lambda g: 48)
+    with pytest.raises(InvariantViolationError, match="does not vanish"):
+        kn.verify_invertible(KneserGraph(5, 2))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
