@@ -9,10 +9,11 @@ for 2 <= i <= n, where s(i) = i + n - 1.  Consequently the differential is
 
 where the weight w(m) records, for each j in 2..n, whether j and/or s(j)
 occurs in m.  ``d_monomial`` is the one place that formula is written; the
-brute-force rank oracle reads its matrices from it.  Since d maps distinct
-monomials to distinct monomials, a form is closed exactly when each of its
-monomials contains 2n or has weight zero: ``is_closed``, the cohomology
-bases and the closed-form Betti numbers rest on that weight test alone.
+brute-force rank oracle reads its matrices from it, one int mask at a time,
+with no Form built.  Since d maps distinct monomials to distinct monomials,
+a form is closed exactly when each of its monomials contains 2n or has
+weight zero: ``is_closed``, the cohomology bases and the closed-form Betti
+numbers rest on that weight test alone.
 ``d_monomial`` works on bit masks and sums <w(m), b> from a per-spec table
 of each bit's share (``AlgebraSpec.bit_weights``).  ``differential``,
 ``is_closed`` and the symplectic Hodge kernel call it; the explicit-mode
@@ -39,7 +40,6 @@ from .errors import SizeLimitError, UnsupportedModeError
 from .exterior_algebra import (
     Form,
     Monomial,
-    all_monomials,
     below_parity,
     degree_masks,
 )
@@ -486,23 +486,24 @@ def betti_closed_form(spec: AlgebraSpec, degree: int) -> int:
 
 @lru_cache(maxsize=None)
 def _rank_of_d(spec, degree):
-    """Rank of d on the degree-k forms.
+    """Rank of d on the degree-k forms, by elimination.
 
     d sends each monomial to a multiple of one monomial, and distinct
-    monomials to distinct ones, so the terms of d applied to the sum of all
-    degree-k monomials are the nonzero columns of d, one row each.
+    monomials to distinct ones, so each nonzero column of d is one row
+    {target mask: coefficient}, read off ``d_monomial`` over the int masks
+    of ``degree_masks``.  The rows still go through ``exact_linalg.rank``,
+    so the oracle does not rest on the closed form.
     """
-    everything = Form(dict.fromkeys(all_monomials(spec.two_n, degree), 1), spec.two_n)
-    image = differential(spec, everything)
-    return exact_linalg.rank([{t.mask: c} for t, c in image.terms.items()])
+    images = (d_monomial(spec, mask) for mask in degree_masks(spec.two_n, degree))
+    return exact_linalg.rank([{target: c} for target, c in filter(None, images)])
 
 
 def betti_bruteforce(spec: AlgebraSpec, degree: int) -> int:
     """Betti number as dim ker d_k - rank d_{k-1}, by exact elimination.
 
-    Independent of the closed-form route: the ranks are those of the
-    matrices of ``differential``.  Generic mode substitutes the
-    power-of-three witness.
+    Independent of the closed-form route: the ranks are eliminations of the
+    matrices of d, built from ``d_monomial`` on int masks (``_rank_of_d``).
+    Generic mode substitutes the power-of-three witness.
     """
     if spec.n > BRUTEFORCE_MAX_N:
         raise SizeLimitError(

@@ -13,24 +13,26 @@ Matrices are lists of rows; sparse rows are dicts column -> value.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _as_int_rows(rows):
     """Copy rows (sparse dicts or dense lists) into integer sparse dicts.
 
-    Each row is scaled by the lcm of its denominators; scaling rows by
-    nonzero constants does not change the rank.
+    A row whose nonzero entries are all ints passes through as they are;
+    only a row holding a Fraction is scaled by the lcm of its denominators.
+    Scaling rows by nonzero constants does not change the rank.
     """
     out = []
     for row in rows:
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        frac = {j: Fraction(v) for j, v in items if v}
-        if not frac:
+        row = {j: v for j, v in items if v}
+        if all(type(v) is int for v in row.values()):
+            if row:
+                out.append(row)
             continue
-        scale = 1
-        for v in frac.values():
-            scale = scale * v.denominator // gcd(scale, v.denominator)
+        frac = {j: Fraction(v) for j, v in row.items()}
+        scale = lcm(*(v.denominator for v in frac.values()))
         out.append({j: int(v * scale) for j, v in frac.items()})
     return out
 

@@ -7,7 +7,11 @@ ce_complex.  In the generic-weight case the even matrices are adjacency
 matrices of Kneser graphs and the odd ones split into two such diagonal
 blocks; in the all-ones case the matrices decompose blockwise over the
 theta-pairs.  All entries are exact integers, read off bit-mask products of
-the power's terms with the basis monomials.
+the power's terms with the basis monomials.  The divided powers w^k / k! are
+one int mask chain per form (``_mask_power_chain``), cached on the form and
+shared by ``lefschetz_matrix``, ``hard_lefschetz_report`` and
+``SymplecticForm.validated``; for the standard form every coefficient is
++-1, so no Fraction is built.
 
 For the standard form the hard-Lefschetz verdict follows the paper's proof:
 ``check_structure`` verifies, entry by entry, that L_m is the direct sum of
@@ -44,7 +48,7 @@ from .errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, Monomial, below_parity, wedge
+from .exterior_algebra import Form, Monomial, below_parity
 from .kneser import KneserGraph, determinant, neighbours
 
 
@@ -104,19 +108,64 @@ def standard_omega(spec: AlgebraSpec) -> Form:
     return form
 
 
-def _divided_powers(form: Form, top: int) -> list:
-    """[form^k / k! for k = 0..top], each from the one before: top wedges."""
-    powers = [Form.one(form.two_n)]
+@lru_cache(maxsize=32)
+def _mask_power_chain(form: Form, top: int) -> tuple:
+    """[{mask: coeff} of form^k / k! for k = 0..top] (cached per form).
+
+    Each power is the one before times each (mask, coeff) term T of the
+    form: P ^ T vanishes when the masks meet, and its sign is a bit count of
+    P against ``below_parity`` of T.  Each sum is divided by k exactly, so a
+    coefficient stays an int when it is integral; a Fraction appears only
+    for a form with non-integral coefficients.  The key is the form itself,
+    so two forms on one spec never share a chain.
+    """
+    two_n = form.two_n
+    terms = [
+        (t.mask, below_parity(t.mask, two_n), _as_int(c))
+        for t, c in form.terms.items()
+    ]
+    chain = [{0: 1}]
     for k in range(1, top + 1):
-        powers.append(wedge(powers[-1], form) / k)
-    return powers
+        sums = {}
+        for pm, pc in chain[-1].items():
+            for tm, below, tc in terms:
+                if pm & tm:
+                    continue
+                v = pc * tc
+                if (pm & below).bit_count() & 1:
+                    v = -v
+                sums[pm | tm] = sums.get(pm | tm, 0) + v
+        chain.append({mask: _divide(v, k) for mask, v in sums.items() if v})
+    return tuple(chain)
+
+
+def _as_int(c):
+    """An integral Fraction as an int; anything else unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _divide(v, k: int):
+    """v / k exactly: an int when the quotient is integral."""
+    if type(v) is int and not v % k:
+        return v // k
+    return _as_int(Fraction(v) / k)
+
+
+def _as_form(power: dict, two_n: int) -> Form:
+    return Form({Monomial(mask, two_n): c for mask, c in power.items()}, two_n)
+
+
+def _divided_powers(form: Form, top: int) -> list:
+    """[form^k / k! for k = 0..top] as Forms, read off ``_mask_power_chain``."""
+    return [_as_form(p, form.two_n) for p in _mask_power_chain(form, top)]
 
 
 def omega_power(spec: AlgebraSpec, k: int) -> Form:
     """Exact expansion of w^k; for k = n this is n! times the volume form."""
     if not 0 <= k <= spec.n:
         raise ValueError(f"power {k} outside [0, {spec.n}]")
-    return _divided_powers(standard_omega(spec), k)[k] * math.factorial(k)
+    power = _mask_power_chain(standard_omega(spec), spec.n)[k]
+    return _as_form(power, spec.two_n) * math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -138,7 +187,7 @@ class SymplecticForm:
         closed = is_closed(spec, form)
         if not closed:
             raise InvalidSymplecticFormError("the form is not closed")
-        nondegenerate = not _divided_powers(form, spec.n)[-1].is_zero
+        nondegenerate = bool(_mask_power_chain(form, spec.n)[-1])
         if not nondegenerate:
             raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
         return cls(form, closed, nondegenerate)
@@ -183,24 +232,23 @@ class LefschetzMatrix:
 def _operator_columns(spec, m, omega_form, power=None, labels=False):
     """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as sparse {row: value} maps.
 
-    ``power`` is that divided power of ``omega_form`` if the caller has built
-    it already; the bases carry ``labels`` only if asked for.  d is injective
-    on monomials, so each product P ^ J of a (closed) power term P with a
-    source basis monomial J is a target basis monomial (one per row:
-    P -> P u J is injective) or an exact one (2n, nonzero weight): dropped.
-    Terms are (mask, coefficient) pairs, the coefficient an int when
-    integral: P ^ J vanishes when the masks meet, and its sign is a bit
-    count of P against ``below_parity`` of J.
+    The divided power is read off the cached ``_mask_power_chain`` of
+    ``omega_form``, unless the caller passes it as the Form ``power``; the
+    bases carry ``labels`` only if asked for.  d is injective on monomials,
+    so each product P ^ J of a (closed) power term P with a source basis
+    monomial J is a target basis monomial (one per row: P -> P u J is
+    injective) or an exact one (2n, nonzero weight): dropped.  Terms are
+    (mask, coefficient) pairs, the coefficient an int when integral: P ^ J
+    vanishes when the masks meet, and its sign is a bit count of P against
+    ``below_parity`` of J.
     """
     if power is None:
-        power = _divided_powers(omega_form, spec.n - m)[-1]
+        terms = _mask_power_chain(omega_form, spec.n)[spec.n - m].items()
+    else:
+        terms = [(t.mask, _as_int(c)) for t, c in power.terms.items()]
     source = cohomology_basis(spec, m, labels)
     target = lefschetz_target_basis(spec, m, labels)
     two_n = spec.two_n
-    terms = [
-        (t.mask, c.numerator if c.denominator == 1 else c)
-        for t, c in power.terms.items()
-    ]
     rows = {
         mono.mask: (i, sign)
         for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
@@ -235,8 +283,9 @@ def lefschetz_matrix(
 ) -> LefschetzMatrix:
     """The matrix of L_m for the standard form; entries must come out in {0,1}.
 
-    ``power`` is w^{n-m} / (n-m)! if the caller has built it already; the
-    bases carry ``labels`` only if asked for.
+    ``power`` is w^{n-m} / (n-m)! as a Form if the caller has built it
+    already, else it is read off the cached mask chain; the bases carry
+    ``labels`` only if asked for.
     """
     require_size(spec, m)
     source, target, columns = _operator_columns(
@@ -391,8 +440,9 @@ def hard_lefschetz_report(
 ) -> HardLefschetzReport:
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
-    The divided powers w^k / k! are built once, as a chain.  With no user
-    form the standard w is used: every entry must be 1, as in
+    The divided powers w^k / k! come from the one cached
+    ``_mask_power_chain`` of the form.  With no user form the standard w is
+    used: every entry must be 1, as in
     ``lefschetz_matrix``, and det L_m is read off the block structure that
     ``check_structure`` has verified, as a product of closed-form Kneser
     determinants.  A user-supplied form is validated, its operator matrices
@@ -408,16 +458,13 @@ def hard_lefschetz_report(
         require_size(spec, m)
     if user_form is not None and not isinstance(user_form, SymplecticForm):
         user_form = SymplecticForm.validated(spec, user_form)
-    form = standard_omega(spec) if user_form is None else user_form.form
-    powers = _divided_powers(form, spec.n)
     rows_out = []
     for m in range(spec.n + 1):
-        power = powers[spec.n - m]
         if user_form is None:
-            matrix = lefschetz_matrix(spec, m, power)
+            matrix = lefschetz_matrix(spec, m)
             size, det = matrix.size, check_structure(spec, matrix).determinant()
         else:
-            _, _, columns = _operator_columns(spec, m, form, power)
+            _, _, columns = _operator_columns(spec, m, user_form.form)
             # det A^T = det A, so the columns serve as the rows
             size, det = len(columns), exact_linalg.det_sparse(columns)
         rows_out.append(OperatorSummary(m, size, Fraction(det)))

@@ -84,6 +84,90 @@ def test_rank_accepts_sparse_and_rational_rows():
     assert xl.rank(rows) == 2  # first two rows are proportional
 
 
+def fraction_rank(rows, ncols):
+    """Oracle: rank by dense Gauss elimination over Fraction."""
+    dense = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        vec = [Fraction(0)] * ncols
+        for j, v in items:
+            vec[j] = Fraction(v)
+        dense.append(vec)
+    rk = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rk, len(dense)) if dense[i][c]), None)
+        if pivot is None:
+            continue
+        dense[rk], dense[pivot] = dense[pivot], dense[rk]
+        for i in range(rk + 1, len(dense)):
+            f = dense[i][c] / dense[rk][c]
+            dense[i] = [a - f * b for a, b in zip(dense[i], dense[rk])]
+        rk += 1
+    return rk
+
+
+def _mixed_rows(rng, nrows, ncols):
+    """Random rows as int dicts, Fraction dicts and dense lists, some of
+    them combinations of earlier rows; dicts may hold explicit zeros."""
+
+    def entry():
+        v = rng.choice((0, 0, 1, -1, 2, 3))
+        if rng.random() < 0.4:
+            return Fraction(v, rng.randint(1, 4))
+        return v
+
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            vec = [0] * ncols
+            for row in (a, b):
+                items = row.items() if isinstance(row, dict) else enumerate(row)
+                for j, v in items:
+                    vec[j] += v * f if row is b else v
+        else:
+            vec = [entry() for _ in range(ncols)]
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append(vec)
+        elif kind == 1:
+            rows.append({j: v for j, v in enumerate(vec) if v or rng.random() < 0.2})
+        else:
+            rows.append({j: int(v) for j, v in enumerate(vec)
+                         if Fraction(v).denominator == 1 and (v or rng.random() < 0.2)})
+    return rows
+
+
+def test_rank_of_mixed_rows_against_fraction_oracle():
+    rng = random.Random(21)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _mixed_rows(rng, nrows, ncols)
+        assert xl.rank(rows) == fraction_rank(rows, ncols)
+
+
+def test_as_int_rows_scales_each_row():
+    rng = random.Random(22)
+    for _ in range(100):
+        rows = _mixed_rows(rng, rng.randint(1, 6), rng.randint(1, 6))
+        nonzero = []
+        for row in rows:
+            items = row.items() if isinstance(row, dict) else enumerate(row)
+            row = {j: v for j, v in items if v}
+            if row:
+                nonzero.append(row)
+        out = xl._as_int_rows(rows)
+        assert len(out) == len(nonzero)
+        for row, scaled in zip(nonzero, out):
+            assert scaled.keys() == row.keys()
+            assert all(type(v) is int for v in scaled.values())
+            if all(type(v) is int for v in row.values()):
+                assert scaled == row  # all-int rows pass through
+            else:  # one nonzero scale for the whole row
+                assert len({Fraction(scaled[j]) / row[j] for j in row}) == 1
+
+
 def test_nullspace_annihilates():
     rng = random.Random(14)
     for _ in range(40):

@@ -92,6 +92,69 @@ def test_divided_power_chain(maker):
         assert len(power.terms) == math.comb(spec.n, k)
 
 
+def wedge_power_chain(form, top):
+    """Oracle: [form^k / k! for k = 0..top] by repeated Form wedges."""
+    chain = [Form.one(form.two_n)]
+    for k in range(1, top + 1):
+        chain.append(wedge(chain[-1], form) / k)
+    return [{t.mask: c for t, c in power.terms.items()} for power in chain]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_mask_chain_matches_wedge_oracle_standard_form(n, maker):
+    spec = maker(n)
+    form = standard_omega(spec)
+    chain = lefschetz._mask_power_chain(form, n)
+    assert list(chain) == wedge_power_chain(form, n)
+    # the k-fold products of the n pairs, each with coefficient +-1
+    for k, power in enumerate(chain):
+        assert len(power) == math.comb(n, k)
+        assert all(type(c) is int and abs(c) == 1 for c in power.values())
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (5, 2), (6, 3), (7, 4)])
+def test_mask_chain_matches_wedge_oracle_user_forms(n, seed):
+    spec = AlgebraSpec.ones(n)
+    form = _seeded_user_form(spec, seed)
+    assert any(c.denominator > 1 for c in form.terms.values())
+    chain = lefschetz._mask_power_chain(form, n)
+    assert list(chain) == wedge_power_chain(form, n)
+    # integral coefficients come out as ints, the rest as proper Fractions
+    for power in chain:
+        for c in power.values():
+            assert type(c) is int or c.denominator > 1
+
+
+def test_mask_chain_matches_wedge_oracle_mixed_degrees():
+    # int coefficients on terms of degree 0..3: odd terms do not commute,
+    # and the scalar term makes form^k / k! non-integral
+    rng = random.Random(8)
+    for _ in range(20):
+        two_n = rng.choice((4, 6))
+        form = Form.zero(two_n)
+        for _ in range(rng.randint(1, 5)):
+            mask = sum(rng.sample([1 << i for i in range(two_n)], rng.randint(0, 3)))
+            form = form + Form.from_monomial(Monomial(mask, two_n), rng.randint(-3, 3))
+        top = rng.randint(1, 4)
+        assert list(lefschetz._mask_power_chain(form, top)) == wedge_power_chain(
+            form, top
+        )
+
+
+def test_mask_chain_is_cached_per_form():
+    spec = AlgebraSpec.ones(4)
+    omega = standard_omega(spec)
+    chain = lefschetz._mask_power_chain(omega, spec.n)
+    assert lefschetz._mask_power_chain(omega * 1, spec.n) is chain  # equal form
+    doubled = lefschetz._mask_power_chain(2 * omega, spec.n)
+    assert doubled is not chain
+    assert doubled[1] == {mask: 2 * c for mask, c in chain[1].items()}
+    assert doubled[spec.n] == {
+        mask: 2 ** spec.n * c for mask, c in chain[spec.n].items()
+    }
+
+
 def test_omega_power_top_is_factorial_times_volume():
     for n in (2, 3, 4):
         spec = AlgebraSpec.generic(n)
