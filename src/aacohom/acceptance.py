@@ -10,6 +10,7 @@ from .ce_complex import (
     AlgebraSpec,
     betti_bruteforce,
     betti_closed_form,
+    betti_sequence,
 )
 from .kneser import KneserGraph, verify_invertible
 from .lattice import (
@@ -19,7 +20,7 @@ from .lattice import (
     lattice_failures,
     pell_min_solution,
 )
-from .lefschetz import check_structure, hard_lefschetz_report, lefschetz_matrix
+from .lefschetz import check_structure, lefschetz_matrix
 from .symplectic_hodge import operator_suite_failures
 
 GOLDEN_M4_5 = (
@@ -41,11 +42,31 @@ PELL_GOLDEN = {2: (6, 4), 3: (4, 2), 5: (3, 1), 7: (16, 6)}
 ALT_REMARK_GOLDEN = (4, 8, 55, 2981)
 
 
+_reports = None  # {(spec, m): StructureReport of L_m} while verify_all runs
+
+
+def _structure_report(spec: AlgebraSpec, m: int, matrix=None):
+    """check_structure of L_m (built unless given), once per verify_all call."""
+    if _reports is not None and (spec, m) in _reports:
+        return _reports[spec, m]
+    report = check_structure(spec, matrix or lefschetz_matrix(spec, m))
+    if _reports is not None:
+        _reports[spec, m] = report
+    return report
+
+
+def _standard_specs(max_n: int):
+    for n in range(2, min(6, max_n) + 1):
+        yield from (AlgebraSpec.generic(n), AlgebraSpec.ones(n))
+
+
 def criterion_golden_matrix(max_n: int) -> dict:
     name = "golden 10x10 Lefschetz matrix for n=5, m=4 (generic mode)"
     if max_n < 5:
         return {"id": 1, "name": name, "skipped": True, "passed": True}
-    mat = lefschetz_matrix(AlgebraSpec.generic(5), 4)
+    spec = AlgebraSpec.generic(5)
+    mat = lefschetz_matrix(spec, 4)
+    _structure_report(spec, 4, mat)  # criteria 4 and 5 reuse this check
     rows = mat.rows_as_lists()
     matches = rows == [list(row) for row in GOLDEN_M4_5]
     zero_block = all(rows[i][j] == 0 for i in range(4) for j in range(4))
@@ -57,101 +78,75 @@ def criterion_golden_matrix(max_n: int) -> dict:
     }
 
 
-def criterion_betti_case1(max_n: int) -> dict:
-    name = "Betti numbers, generic weights: closed form == brute force"
-    top = min(6, max_n)
+def _betti_criterion(max_n, ident, label, make, top, golden):
+    """Closed form == brute force for n = 2..top, and one golden sequence."""
+    top = min(top, max_n)
     mismatches = []
     for n in range(2, top + 1):
-        spec = AlgebraSpec.generic(n)
+        spec = make(n)
         for k in range(2 * n + 1):
             if betti_closed_form(spec, k) != betti_bruteforce(spec, k):
                 mismatches.append([n, k])
-    seq_ok = True
-    if max_n >= 5:
-        spec5 = AlgebraSpec.generic(5)
-        seq_ok = (
-            tuple(betti_closed_form(spec5, k) for k in range(11))
-            == BETTI_GENERIC_N5
-        )
+    golden_n = len(golden) // 2
+    seq_ok = max_n < golden_n or tuple(betti_sequence(make(golden_n))) == golden
     return {
-        "id": 2,
-        "name": name,
+        "id": ident,
+        "name": f"Betti numbers, {label} weights: closed form == brute force",
         "passed": not mismatches and seq_ok,
         "details": {
             "n_range": [2, top],
             "mismatches": mismatches,
-            "n5_sequence_ok": seq_ok,
+            f"n{golden_n}_sequence_ok": seq_ok,
         },
     }
+
+
+def criterion_betti_case1(max_n: int) -> dict:
+    return _betti_criterion(
+        max_n, 2, "generic", AlgebraSpec.generic, 6, BETTI_GENERIC_N5
+    )
 
 
 def criterion_betti_case2(max_n: int) -> dict:
-    name = "Betti numbers, unit weights: closed form == brute force"
-    top = min(5, max_n)
-    mismatches = []
-    for n in range(2, top + 1):
-        spec = AlgebraSpec.ones(n)
-        for k in range(2 * n + 1):
-            if betti_closed_form(spec, k) != betti_bruteforce(spec, k):
-                mismatches.append([n, k])
-    seq_ok = True
-    if max_n >= 3:
-        spec3 = AlgebraSpec.ones(3)
-        seq_ok = (
-            tuple(betti_closed_form(spec3, k) for k in range(7)) == BETTI_ONES_N3
-        )
-    return {
-        "id": 3,
-        "name": name,
-        "passed": not mismatches and seq_ok,
-        "details": {
-            "n_range": [2, top],
-            "mismatches": mismatches,
-            "n3_sequence_ok": seq_ok,
-        },
-    }
+    return _betti_criterion(max_n, 3, "unit", AlgebraSpec.ones, 5, BETTI_ONES_N3)
 
 
 def criterion_hard_lefschetz(max_n: int) -> dict:
     name = "hard-Lefschetz: det(L_m) != 0 for all m, both modes"
-    top = min(6, max_n)
-    failures = []
-    for n in range(2, top + 1):
-        for spec in (AlgebraSpec.generic(n), AlgebraSpec.ones(n)):
-            report = hard_lefschetz_report(spec)
-            failures.extend(
-                [spec.mode.value, n, op.m]
-                for op in report.operators
-                if op.determinant == 0
-            )
+    failures = [
+        [spec.mode.value, spec.n, m]
+        for spec in _standard_specs(max_n)
+        for m in range(spec.n + 1)
+        if _structure_report(spec, m).determinant() == 0
+    ]
     return {
         "id": 4,
         "name": name,
         "passed": not failures,
-        "details": {"n_range": [2, top], "zero_determinants": failures},
+        "details": {"n_range": [2, min(6, max_n)], "zero_determinants": failures},
     }
 
 
 def criterion_kneser_structure(max_n: int) -> dict:
     name = "Lefschetz matrices decompose into Kneser adjacency blocks"
-    top = min(6, max_n)
     failures = []
     checked = 0
-    for n in range(2, top + 1):
-        for spec in (AlgebraSpec.generic(n), AlgebraSpec.ones(n)):
-            for m in range(n + 1):
-                mat = lefschetz_matrix(spec, m)
-                try:
-                    check_structure(spec, mat)
-                except Exception as exc:  # noqa: BLE001 - recorded, not masked
-                    failures.append([spec.mode.value, n, m, str(exc)])
-                    continue
+    for spec in _standard_specs(max_n):
+        for m in range(spec.n + 1):
+            try:
+                _structure_report(spec, m)
                 checked += 1
+            except Exception as exc:  # noqa: BLE001 - recorded, not masked
+                failures.append([spec.mode.value, spec.n, m, str(exc)])
     return {
         "id": 5,
         "name": name,
         "passed": not failures,
-        "details": {"n_range": [2, top], "checked": checked, "failures": failures},
+        "details": {
+            "n_range": [2, min(6, max_n)],
+            "checked": checked,
+            "failures": failures,
+        },
     }
 
 
@@ -256,9 +251,14 @@ CRITERIA = (
 
 def verify_all(max_n: int = 5) -> dict:
     """Run every criterion capped at max_n; deterministic payload."""
+    global _reports
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    results = [fn(max_n) for fn in CRITERIA]
+    _reports = {}
+    try:
+        results = [fn(max_n) for fn in CRITERIA]
+    finally:
+        _reports = None
     return {
         "max_n": max_n,
         "criteria": results,

@@ -36,10 +36,12 @@ TRACE_TOLERANCE = mpf("1e-12")
 # Set by NUMERIC_TOLERANCE, not time: the default primes give a least gap of
 # 3.0e-5 at n = 14 but 3.4e-7 at n = 15, which fails though coprimality holds.
 MAX_EXHAUSTIVE = 12
-# m_j ~ 2cosh(2^(k_j - 1)), and the structural tier trial-divides m_j -+ 2:
-# `lattice --n 3 --alt-k 5,6` (m ~ e^32) takes under a second, while
-# `--alt-k 6,7` (m ~ e^64) had not finished after 20 s.
-ALT_REMARK_MAX_EXPONENT = 6
+# Budget 2 s (2 CPUs, Python 3.11.7).  Placing m_j ~ 2cosh(2^(k_j - 1))
+# runs mpmath cosh at 1.5 * 2^k_j bits, and nothing factors m_j -+ 2:
+# `lattice --n 3 --alt-k 15,16` takes 0.7 to 1.2 s and the longest list,
+# `--n 13 --alt-k 5,...,16`, 1.4 s, while k = 17 alone takes 3.6 s and
+# 17,18 took 19 s.  The subset-sum gap takes under 0.02 s of each.
+ALT_REMARK_MAX_EXPONENT = 16
 # Case II builds the dense (2n-1)^2 companion matrix E and prints it: at the
 # limit E has 2449 rows, inside the CLI's dense payload limit (2450), and
 # `lattice --case II --n 1225 --m 3` takes 2.7 s and 262 MB (2 CPUs).
@@ -239,68 +241,65 @@ def t_value(m: int) -> mpf:
 
 @dataclass(frozen=True)
 class Hypothesis1Certificate:
-    """Two-tier independence certificate for a family of t-values.
+    """Independence certificate for a family of t-values.
 
-    structural tier: the square-free parts d_j of m_j^2 - 4 are pairwise
+    Structural: the square-free parts d_j of m_j^2 - 4 are pairwise
     coprime, which makes the radicals sqrt(d_j) independent and hence
-    forbids any {-1,0,1} relation among the t_{m_j}.
-
-    numeric tier: min |sum eps_j t_{m_j}| over nonzero eps in {-1,0,1}^(n-1)
-    at high precision.  Each such eps is 1_A - 1_B for subsets A != B, so
-    this is the least gap between adjacent sorted subset sums.
+    forbids any {-1,0,1} relation among the t_{m_j}; a certificate exists
+    only once this holds.  Numeric: ``numeric_min`` and ``numeric_ok`` are
+    the ``subset_sum_gap`` of the m_j.
     """
 
     m_list: tuple
     d_list: tuple
-    structural_ok: bool
-    offending_prime: int
     numeric_min: object
     numeric_ok: bool
 
     @property
     def certified(self) -> bool:
-        return self.structural_ok and self.numeric_ok
+        return self.numeric_ok
 
 
-def hypothesis1_certificate(
-    m_list, require_structural: bool = True
-) -> Hypothesis1Certificate:
-    """Certify independence of the t_{m_j}; see Hypothesis1Certificate.
+def subset_sum_gap(ms) -> tuple:
+    """(min |sum eps_j t_{m_j}| over nonzero eps in {-1,0,1}^k, its verdict).
 
-    ``m_list`` may also be a list of PellSolution.  With
-    ``require_structural`` a shared prime raises CertificateFailureError.
+    Each such eps is 1_A - 1_B for subsets A != B, so the minimum is the
+    least gap between adjacent sorted subset sums, found at high precision
+    (None for k = 0); the verdict is whether it exceeds NUMERIC_TOLERANCE.
+    No m_j is factored.
     """
-    ms = [s.m if isinstance(s, PellSolution) else int(s) for s in m_list]
     if len(ms) > MAX_EXHAUSTIVE:
         raise SizeLimitError(
             f"the exhaustive search is limited to {MAX_EXHAUSTIVE} values"
-        )
-    d_list = [_squarefree_part_m(m) for m in ms]
-    structural_ok = True
-    offending = None
-    for i in range(len(d_list)):
-        for j in range(i + 1, len(d_list)):
-            g = gcd(d_list[i], d_list[j])
-            if g > 1:
-                structural_ok = False
-                offending = min(_factorize(g))
-                break
-        if not structural_ok:
-            break
-    if not structural_ok and require_structural:
-        raise CertificateFailureError(
-            f"square-free parts {d_list} share the prime {offending}",
-            prime=offending,
         )
     with mp.workdps(DEFAULT_DPS):
         sums = [0]
         for t in map(t_value, ms):
             sums += [s + t for s in sums]
         sums.sort()
-        numeric_min = min((b - a for a, b in zip(sums, sums[1:])), default=None)
-        numeric_ok = numeric_min is not None and numeric_min > NUMERIC_TOLERANCE
+        gap = min((b - a for a, b in zip(sums, sums[1:])), default=None)
+        return gap, gap is not None and gap > NUMERIC_TOLERANCE
+
+
+def hypothesis1_certificate(m_list) -> Hypothesis1Certificate:
+    """Certify independence of the t_{m_j}; see Hypothesis1Certificate.
+
+    ``m_list`` may also be a list of PellSolution.  Square-free parts that
+    share a prime raise CertificateFailureError.
+    """
+    ms = [s.m if isinstance(s, PellSolution) else int(s) for s in m_list]
+    numeric_min, numeric_ok = subset_sum_gap(ms)
+    d_list = [_squarefree_part_m(m) for m in ms]
+    for a, b in itertools.combinations(d_list, 2):
+        g = gcd(a, b)
+        if g > 1:
+            prime = min(_factorize(g))
+            raise CertificateFailureError(
+                f"square-free parts {d_list} share the prime {prime}",
+                prime=prime,
+            )
     return Hypothesis1Certificate(
-        tuple(ms), tuple(d_list), structural_ok, offending, numeric_min, numeric_ok
+        tuple(ms), tuple(d_list), numeric_min, numeric_ok
     )
 
 

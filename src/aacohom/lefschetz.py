@@ -151,21 +151,14 @@ def _divide(v, k: int):
     return _as_int(Fraction(v) / k)
 
 
-def _as_form(power: dict, two_n: int) -> Form:
-    return Form({Monomial(mask, two_n): c for mask, c in power.items()}, two_n)
-
-
-def _divided_powers(form: Form, top: int) -> list:
-    """[form^k / k! for k = 0..top] as Forms, read off ``_mask_power_chain``."""
-    return [_as_form(p, form.two_n) for p in _mask_power_chain(form, top)]
-
-
 def omega_power(spec: AlgebraSpec, k: int) -> Form:
     """Exact expansion of w^k; for k = n this is n! times the volume form."""
     if not 0 <= k <= spec.n:
         raise ValueError(f"power {k} outside [0, {spec.n}]")
     power = _mask_power_chain(standard_omega(spec), spec.n)[k]
-    return _as_form(power, spec.two_n) * math.factorial(k)
+    scale = math.factorial(k)
+    terms = {Monomial(mask, spec.two_n): c * scale for mask, c in power.items()}
+    return Form(terms, spec.two_n)
 
 
 @dataclass(frozen=True)
@@ -173,8 +166,6 @@ class SymplecticForm:
     """A validated symplectic form: closed and with w^n != 0 exactly."""
 
     form: Form
-    closed: bool
-    nondegenerate: bool
 
     @classmethod
     def standard(cls, spec: AlgebraSpec) -> "SymplecticForm":
@@ -184,13 +175,11 @@ class SymplecticForm:
     def validated(cls, spec: AlgebraSpec, form: Form) -> "SymplecticForm":
         if form.degrees() not in ({2}, set()):
             raise InvalidSymplecticFormError("a symplectic form must be a 2-form")
-        closed = is_closed(spec, form)
-        if not closed:
+        if not is_closed(spec, form):
             raise InvalidSymplecticFormError("the form is not closed")
-        nondegenerate = bool(_mask_power_chain(form, spec.n)[-1])
-        if not nondegenerate:
+        if not _mask_power_chain(form, spec.n)[-1]:
             raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
-        return cls(form, closed, nondegenerate)
+        return cls(form)
 
 
 def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
@@ -221,7 +210,7 @@ class LefschetzMatrix:
         return len(self.columns)
 
     def rows_as_lists(self) -> list:
-        """The dense 0/1 rows, for output only."""
+        """The dense 0/1 rows, for tests and the golden-matrix criterion."""
         rows = [[0] * self.size for _ in range(self.size)]
         for j, column in enumerate(self.columns):
             for i in column:
@@ -229,12 +218,12 @@ class LefschetzMatrix:
         return rows
 
 
-def _operator_columns(spec, m, omega_form, power=None, labels=False):
+def _operator_columns(spec, m, omega_form, labels=False):
     """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as sparse {row: value} maps.
 
     The divided power is read off the cached ``_mask_power_chain`` of
-    ``omega_form``, unless the caller passes it as the Form ``power``; the
-    bases carry ``labels`` only if asked for.  d is injective on monomials,
+    ``omega_form``; the bases carry ``labels`` only if asked for.  Returns
+    (source basis, target basis, columns).  d is injective on monomials,
     so each product P ^ J of a (closed) power term P with a source basis
     monomial J is a target basis monomial (one per row: P -> P u J is
     injective) or an exact one (2n, nonzero weight): dropped.  Terms are
@@ -242,10 +231,7 @@ def _operator_columns(spec, m, omega_form, power=None, labels=False):
     vanishes when the masks meet, and its sign is a bit count of P against
     ``below_parity`` of J.
     """
-    if power is None:
-        terms = _mask_power_chain(omega_form, spec.n)[spec.n - m].items()
-    else:
-        terms = [(t.mask, _as_int(c)) for t, c in power.terms.items()]
+    terms = _mask_power_chain(omega_form, spec.n)[spec.n - m].items()
     source = cohomology_basis(spec, m, labels)
     target = lefschetz_target_basis(spec, m, labels)
     two_n = spec.two_n
@@ -279,17 +265,16 @@ def _operator_columns(spec, m, omega_form, power=None, labels=False):
 
 
 def lefschetz_matrix(
-    spec: AlgebraSpec, m: int, power: Form = None, labels: bool = False
+    spec: AlgebraSpec, m: int, labels: bool = False
 ) -> LefschetzMatrix:
     """The matrix of L_m for the standard form; entries must come out in {0,1}.
 
-    ``power`` is w^{n-m} / (n-m)! as a Form if the caller has built it
-    already, else it is read off the cached mask chain; the bases carry
-    ``labels`` only if asked for.
+    w^{n-m} / (n-m)! is read off the cached mask chain of the standard form;
+    the bases carry ``labels`` only if asked for.
     """
     require_size(spec, m)
     source, target, columns = _operator_columns(
-        spec, m, standard_omega(spec), power, labels
+        spec, m, standard_omega(spec), labels
     )
     if len(source) != len(target):
         raise InvariantViolationError(
@@ -430,7 +415,6 @@ class OperatorSummary:
 @dataclass(frozen=True)
 class HardLefschetzReport:
     spec: AlgebraSpec
-    form_description: str
     operators: tuple
     hard_lefschetz: bool
 
@@ -468,6 +452,5 @@ def hard_lefschetz_report(
             # det A^T = det A, so the columns serve as the rows
             size, det = len(columns), exact_linalg.det_sparse(columns)
         rows_out.append(OperatorSummary(m, size, Fraction(det)))
-    description = "standard" if user_form is None else "user"
     verdict = all(op.determinant != 0 for op in rows_out)
-    return HardLefschetzReport(spec, description, tuple(rows_out), verdict)
+    return HardLefschetzReport(spec, tuple(rows_out), verdict)

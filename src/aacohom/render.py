@@ -1,9 +1,8 @@
 """Rendering of CLI reports: stable JSON, plain text, or CSV for matrices.
 
-``emit`` turns a report dict into one string.  Matrices come either as
-dense integer rows or, for the 0/1 matrices of ``lefschetz`` and
-``kneser``, as a ``OnesRows`` payload that lists each row's ones; both
-render to the same bytes.
+``emit`` turns a report dict into one string.  A ``matrix`` payload is a
+``OnesRows``, which lists each row's ones (the 0/1 matrices of
+``lefschetz`` and ``kneser``); it renders to the bytes of its dense rows.
 """
 
 import json
@@ -71,7 +70,10 @@ def _json_ones(payload, out, pad):
 
 
 def _text_ones(payload, cuts, out):
-    """``_matrix_lines`` of a ``OnesRows`` payload, each line newline-ended."""
+    """Space-separated rows of a ``OnesRows`` payload, each newline-ended.
+
+    A cut column is preceded by ``|`` and a cut row by a dashed line.
+    """
     cuts = {c for c in cuts if 0 < c < len(payload.ones)}
     width = payload.width
     seps = [" | " if j in cuts else " " for j in range(1, width)]
@@ -81,24 +83,6 @@ def _text_ones(payload, cuts, out):
         if i in cuts:
             out.append(rule)
         out += pieces
-
-
-def _matrix_lines(rows, cuts=()):
-    """Space-separated integer rows with optional block separators.
-
-    One format string serves every row, so a row costs one ``str.format``
-    call; a cut column is preceded by ``|`` and a cut row by a dashed line.
-    """
-    cuts = {c for c in cuts if 0 < c < len(rows)}
-    width = len(rows[0]) if rows else 0
-    line = " ".join("| {}" if j in cuts else "{}" for j in range(width))
-    rule = "-" * (2 * width + 2 * len(cuts) - 1)
-    lines = []
-    for i, row in enumerate(rows):
-        if i in cuts:
-            lines.append(rule)
-        lines.append(line.format(*row))
-    return lines
 
 
 def _json(value, out, pad):
@@ -149,11 +133,11 @@ def emit(report: dict, fmt: str) -> str:
 
     JSON is byte-identical to ``json.dumps(report, indent=2,
     sort_keys=True)`` but is assembled by ``_json`` into one list of pieces
-    joined once.  For dense rows, text and CSV fill one format string per
-    matrix, so each row is one ``str.format`` call.  A ``OnesRows`` matrix
-    is rendered in every format from one zero-row template, whose chunks
-    the rows share (``_ones_rows``).  The output is returned as one string,
-    whose size ``benchmarks/tracer.py`` books as ``cli.emit_bytes``.
+    joined once.  A ``OnesRows`` matrix is rendered in every format from
+    one zero-row template, whose chunks the rows share (``_ones_rows``);
+    CSV needs one under ``results["matrix"]``.  The output is returned as
+    one string, whose size ``benchmarks/tracer.py`` books as
+    ``cli.emit_bytes``.
     """
     out = []
     if fmt == "json":
@@ -162,11 +146,8 @@ def emit(report: dict, fmt: str) -> str:
         return "".join(out)
     if fmt == "csv":
         matrix = report.get("results", {}).get("matrix")
-        if matrix is None:
-            raise InvalidParameterError("csv output needs a matrix payload")
         if not isinstance(matrix, OnesRows):
-            line = ",".join(["{}"] * (len(matrix[0]) if matrix else 0))
-            return "\n".join(line.format(*row) for row in matrix) + "\n"
+            raise InvalidParameterError("csv output needs a matrix payload")
         if not matrix.ones:
             return "\n"
         width = matrix.width
@@ -179,12 +160,8 @@ def emit(report: dict, fmt: str) -> str:
         out.append(f"{key}: {value}\n")
     results = report.get("results", {})
     for key, value in results.items():
-        if key == "matrix":
-            cuts = results.get("block_cuts", ())
-            if isinstance(value, OnesRows):
-                _text_ones(value, cuts, out)
-            else:
-                out += [line + "\n" for line in _matrix_lines(value, cuts)]
+        if isinstance(value, OnesRows):
+            _text_ones(value, results.get("block_cuts", ()), out)
         elif key != "block_cuts":
             out.append(f"{key}: {value}\n")
     out.append(f"status: {report['status']}\n")

@@ -292,14 +292,6 @@ class OperatorMatrix:
     target_degree: int
     entries: tuple
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperatorMatrix)
-            and self.source_degree == other.source_degree
-            and self.target_degree == other.target_degree
-            and self.entries == other.entries
-        )
-
 
 def operator_matrix(spec, op, source_degree, target_degree) -> OperatorMatrix:
     """Assemble the matrix of ``op`` column by column in the monomial bases."""

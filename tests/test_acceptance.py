@@ -257,3 +257,22 @@ def test_criterion_11_determinism(capsys):
     assert payload["all_passed"] is True
     with capsys.disabled():
         report(11, "verify-all --max-n 5 emits byte-identical JSON twice")
+
+
+def test_verify_all_builds_each_standard_operator_once(monkeypatch):
+    from aacohom import acceptance, lefschetz
+
+    kernel = lefschetz._operator_columns
+    calls = []
+
+    def counted(spec, m, *args):
+        calls.append((spec, m))
+        return kernel(spec, m, *args)
+
+    monkeypatch.setattr(lefschetz, "_operator_columns", counted)
+    assert acceptance.verify_all(6)["all_passed"]
+    # n = 2..6 in both modes, m = 0..n; criterion 1's L_4 at n = 5 is one
+    assert len(calls) == len(set(calls)) == 2 * sum(n + 1 for n in range(2, 7))
+    # nothing outlives the call: a second run builds every L_m again
+    acceptance.verify_all(6)
+    assert len(calls) == 100

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -235,9 +239,7 @@ def test_determinant_beyond_int_str_limit_prints_every_digit(
         pytest.skip("this Python has no int-to-str digit limit")
     det = 7 ** 6000
     summary = OperatorSummary(0, 1, Fraction(det))
-    report = HardLefschetzReport(
-        AlgebraSpec.ones(2), "standard", (summary,), True
-    )
+    report = HardLefschetzReport(AlgebraSpec.ones(2), (summary,), True)
     monkeypatch.setattr(cli, "hard_lefschetz_report", lambda spec: report)
     old = sys.get_int_max_str_digits()
     try:
@@ -296,6 +298,42 @@ def test_lattice_alt_params(capsys):
     assert report["results"]["alt_params"] == ["4", "8", "55", "2981"]
 
 
+def test_lattice_alt_params_factor_nothing(capsys, monkeypatch):
+    from aacohom import lattice
+
+    def factoring(*args):
+        raise AssertionError("--alt-k factored an m_j")
+
+    monkeypatch.setattr(lattice, "_factorize", factoring)
+    monkeypatch.setattr(lattice, "_squarefree_part_m", factoring)
+    code, report = run_json(capsys, "lattice", "--n", "5", "--alt-k", "1,2,3,4")
+    assert code == 0
+    assert report["results"]["numeric_independence"] is True
+
+
+def _cli_process(*argv, seconds):
+    """Run the CLI in a fresh interpreter, killed after ``seconds``."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "aacohom.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=seconds,
+    )
+
+
+def test_lattice_alt_k_guard_admits_its_limit_in_time():
+    from aacohom.lattice import ALT_REMARK_MAX_EXPONENT as top
+
+    done = _cli_process("lattice", "--n", "3", "--alt-k", f"{top - 1},{top}",
+                        seconds=30)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["numeric_independence"] is True
+    over = _cli_process("lattice", "--n", "3", "--alt-k", f"{top},{top + 1}",
+                        seconds=30)
+    assert over.returncode == 2
+    assert "size guard" in over.stderr
+
+
 def test_lattice_bad_trace_residual_exits_1(capsys, monkeypatch):
     build = cli.build_lattice
 
@@ -315,7 +353,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "lattice", "--case", "II", "--n", "3")[0] == 2
     assert run(capsys, "cohomology", "--n", "3", "--mode", "explicit")[0] == 2
     assert run(capsys, "kneser", "--n", "3", "--k", "2", "--verify")[0] == 2
-    assert run(capsys, "lattice", "--n", "3", "--alt-k", "6,7")[0] == 2
+    assert run(capsys, "lattice", "--n", "3", "--alt-k", "16,17")[0] == 2
     assert run(
         capsys, "cohomology", "--n", "2", "--mode", "explicit", "--b", "1/0"
     )[0] == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import aacohom.cli as cli
 from aacohom import render
+from aacohom.errors import InvalidParameterError
 from test_cli_snapshots import GROUPS
 
 TRICKY_TEXT = st.text(
@@ -120,7 +121,7 @@ def test_snapshot_reports_have_only_str_keys(capsys, monkeypatch):
 
 
 def matrix_lines_oracle(rows, cuts=()):
-    """The per-cell rendering that ``render._matrix_lines`` must reproduce."""
+    """The per-cell text rendering of dense rows, cell by cell."""
     cuts = {c for c in cuts if 0 < c < len(rows)}
     lines = []
     width = len(rows[0]) if rows else 0
@@ -136,48 +137,15 @@ def matrix_lines_oracle(rows, cuts=()):
     return lines
 
 
-CELLS = st.one_of(st.integers(0, 1), st.integers(-10 ** 6, 10 ** 6))
-
-
-@st.composite
-def matrices_and_cuts(draw):
-    size = draw(st.integers(0, 7))
-    rows = draw(
-        st.lists(
-            st.lists(CELLS, min_size=size, max_size=size),
-            min_size=size,
-            max_size=size,
-        )
-    )
-    cut = st.one_of(
-        st.integers(-2, size + 2), st.sampled_from([0, size]), st.integers(1, 6)
-    )
-    cuts = draw(st.lists(cut, max_size=6))
-    return rows, cuts
-
-
-@PROPERTY
-@given(matrices_and_cuts())
-def test_matrix_lines_match_per_cell_oracle(case):
-    rows, cuts = case
-    assert render._matrix_lines(rows, cuts) == matrix_lines_oracle(rows, cuts)
-    report = {"results": {"matrix": rows}}
-    expected = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-    assert cli.emit(report, "csv") == expected
-
-
-@pytest.mark.parametrize(
-    "rows, cuts",
-    [
-        ([], []),
-        ([], [0, 1]),
-        ([[5]], [0, 1, 1]),
-        ([[0, 1, 0], [1, 0, 1], [0, 1, 1]], [2, 1, 2, 0, 3, -1, 9]),
-        ([[-12, 3], [40, -5]], [1]),
-    ],
-)
-def test_matrix_lines_fixed_cases(rows, cuts):
-    assert render._matrix_lines(rows, cuts) == matrix_lines_oracle(rows, cuts)
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_dense_matrix_payload_is_not_a_matrix(fmt):
+    # only OnesRows render as matrices; dense rows are one more result line
+    report = {"command": "c", "status": "ok", "results": {"matrix": [[0, 1]]}}
+    if fmt == "csv":
+        with pytest.raises(InvalidParameterError):
+            cli.emit(report, fmt)
+    else:
+        assert cli.emit(report, fmt) == "command: c\nmatrix: [[0, 1]]\nstatus: ok\n"
 
 
 def csv_oracle(rows):

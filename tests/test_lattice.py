@@ -26,6 +26,7 @@ from aacohom.lattice import (
     lattice_failures,
     pell_min_solution,
     squarefree_part,
+    subset_sum_gap,
     t_value,
 )
 
@@ -139,12 +140,12 @@ def test_certificate_fails_on_repeated_modulus():
 
 
 def test_certificate_numeric_tier_for_cosh_parameters():
-    cert = hypothesis1_certificate(
-        [4, 8, 55, 2981], require_structural=False
-    )
-    assert not cert.structural_ok  # 4 and 55 both contribute the prime 3
-    assert cert.numeric_ok
-    assert cert.numeric_min > mpf("1e-6")
+    with pytest.raises(CertificateFailureError) as err:
+        hypothesis1_certificate([4, 8, 55, 2981])
+    assert err.value.prime == 3  # 4 and 55 both contribute the prime 3
+    gap, ok = subset_sum_gap([4, 8, 55, 2981])
+    assert ok
+    assert gap > mpf("1e-6")
 
 
 def test_certificate_default_parameters_scale():
@@ -155,7 +156,9 @@ def test_certificate_default_parameters_scale():
 
 def test_certificate_size_guard():
     with pytest.raises(SizeLimitError):
-        hypothesis1_certificate([3] * 13, require_structural=False)
+        hypothesis1_certificate([3] * 13)
+    with pytest.raises(SizeLimitError):
+        subset_sum_gap([3] * 13)
 
 
 def _sign_search_min(ms):
@@ -188,16 +191,16 @@ WORKLOAD_MODULI = (
     + [[s.m for s in case1_params(12, d)] for d in WORKLOAD_MODULI],
 )
 def test_subset_sum_gap_matches_sign_search(ms):
-    cert = hypothesis1_certificate(ms, require_structural=False)
-    assert abs(cert.numeric_min - _sign_search_min(ms)) < mpf("1e-35")
+    gap, _ = subset_sum_gap(ms)
+    assert abs(gap - _sign_search_min(ms)) < mpf("1e-35")
 
 
 @pytest.mark.parametrize("ms", [[3, 7, 18], [3, 3]])
 def test_numeric_tier_rejects_a_relation(ms):
     # t_18 = t_3 + t_7, since (3 + sqrt 5)/2 (7 + sqrt 45)/2 = (18 + sqrt 320)/2
-    cert = hypothesis1_certificate(ms, require_structural=False)
-    assert not cert.numeric_ok
-    assert not cert.certified
+    gap, ok = subset_sum_gap(ms)
+    assert not ok
+    assert gap < mpf("1e-30")
 
 
 def test_structural_tier_rejects_the_relation():
@@ -333,7 +336,7 @@ def test_alt_remark_validation():
     with pytest.raises(SizeLimitError):
         alt_remark_params(2, (25,))
     with pytest.raises(SizeLimitError):
-        alt_remark_params(3, (6, 7))
+        alt_remark_params(3, (16, 17))
 
 
 def test_alt_remark_values_sit_in_their_intervals():

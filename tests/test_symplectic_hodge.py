@@ -152,6 +152,15 @@ def test_dc_identities_as_matrices(n):
         assert all(v == 0 for row in anti.entries for v in row)
 
 
+def test_operator_matrix_equality_is_by_fields():
+    spec = EXPLICIT[2]
+    a = operator_matrix(spec, lambda f: dc(spec, f), 2, 1)
+    b = operator_matrix(spec, lambda f: dc_as_commutator(spec, f), 2, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != operator_matrix(spec, lambda f: dc(spec, f), 3, 2)
+    assert a != 5
+
+
 def test_dc_requires_numeric_mode():
     with pytest.raises(UnsupportedModeError):
         dc(AlgebraSpec.generic(2), Form.one(4))
