@@ -318,33 +318,6 @@ def _join(*parts):
     return "*".join(p for p in parts if p and p != "1") or "1"
 
 
-def _kneser_blocks(spec, m):
-    """The Kneser blocks of L_m in pinned basis order.
-
-    Yields (half, p, R, S, ground, free) per block.  ``half`` is None for
-    even m and "e1" or "e2n" for the two halves of odd m = 2k+1.  R and S
-    are disjoint p-subsets of {2..n} naming the factor theta_{R|S}; generic
-    mode (case I) is ones mode (case II) restricted to p = 0.  The classes
-    of a block are indexed by the ``free``-subsets of ``ground`` in
-    lexicographic order, and L_m acts on them as the adjacency matrix of
-    K(len(ground), free), or as the identity when free = 0.
-    """
-    n = spec.n
-    k, odd = divmod(m, 2)
-    lowest = 2 if odd else 1
-    top_p = k if spec.mode is Mode.ONES else 0
-    for half in ("e1", "e2n") if odd else (None,):
-        for p in range(top_p + 1):
-            for r in combinations(range(2, n + 1), p):
-                rest = [x for x in range(2, n + 1) if x not in r]
-                for s in combinations(rest, p):
-                    ground = tuple(
-                        x for x in range(lowest, n + 1)
-                        if x not in r and x not in s
-                    )
-                    yield half, p, r, s, ground, k - p
-
-
 def _label(spec, half, target, free, theta):
     """Label of one class; the cases differ only in even target labels."""
     rest = [i for i in free if i != 1]
@@ -361,32 +334,42 @@ def _label(spec, half, target, free, theta):
                  "e2n" if half == "e2n" else "")
 
 
-def _pinned_basis(spec, m, target, labelled):
-    """Basis of H^m (source side) or of H^{2n-m} (target side) in block order.
+def _pinned_bases(spec, m, labelled, sides):
+    """([a basis per side in ``sides``], blocks) from one walk of L_m's blocks.
 
-    The class of a free subset I of a block is the product
-    [e^1] gammabar_C theta_{R|S} [e^{2n}], where C = I on the source side
-    and C = ground minus I on the target side, and gammabar_1 = delta.  Its
-    sign is the parity of the inversion count of the factor index sequence.
-    e^1 and e^{2n} stand at their sorted places.  Each gamma pair (i, s(i))
+    Side False is H^m and side True is H^{2n-m}, both in block order.  A
+    block is (half, p, R, S, ground, free): ``half`` is None for even m and
+    "e1" or "e2n" for the halves of odd m = 2k+1; R and S are disjoint
+    p-subsets of {2..n} naming theta_{R|S}; generic mode (case I) has only
+    p = 0.  L_m acts on the block's classes, the ``free``-subsets I of
+    ``ground`` in lexicographic order, as the adjacency matrix of
+    K(len(ground), free), or as the identity when free = 0.  The class of I
+    is [e^1] gammabar_C theta_{R|S} [e^{2n}], where C = I on side False and
+    C = ground minus I on side True, and gammabar_1 = delta.  Its sign is
+    the parity of the inversion count of the factor index sequence.  e^1
+    and e^{2n} stand at their sorted places.  Each gamma pair (i, s(i))
     with i >= 2 crosses each later one once (s(i) > n) and delta crosses
     every pair twice, so g such pairs give C(g, 2); the crossings of the
     gammas with the thetas are a bit count against ``below_parity`` of the
     theta indices, and those among the thetas are fixed per block.
     """
-    two_n = spec.two_n
+    n, two_n = spec.n, spec.two_n
+    k, odd = divmod(m, 2)
+    lowest = 2 if odd else 1
     top = 1 << (two_n - 1)
     pair = {1: 1 | top}  # index -> mask of its gamma pair; delta for 1
-    for i in range(2, spec.n + 1):
+    for i in range(2, n + 1):
         pair[i] = 1 << (i - 1) | 1 << (spec.sigma(i) - 1)
-    elements, labels, signs = [], [], []
-    for half, p, r, s, ground, free in _kneser_blocks(spec, m):
-        if labelled:
-            theta = "theta_{%s|%s}" % (_idx_label(r), _idx_label(s)) if p else ""
-            labels.extend(
-                _label(spec, half, target, idx, theta)
-                for idx in combinations(ground, free)
-            )
+    blocks = [
+        (half, p, r, s, tuple(x for x in range(lowest, n + 1)
+                              if x not in r and x not in s), k - p)
+        for half in (("e1", "e2n") if odd else (None,))
+        for p in range(k + 1 if spec.mode is Mode.ONES else 1)
+        for r in combinations(range(2, n + 1), p)
+        for s in combinations([x for x in range(2, n + 1) if x not in r], p)
+    ]
+    out = [([], [], []) for _ in sides]  # elements, labels, signs per side
+    for half, p, r, s, ground, free in blocks:
         thetas = theta_inversions = 0
         for a, b in zip(r, s):
             for i in (a, spec.sigma(b)):
@@ -396,17 +379,26 @@ def _pinned_basis(spec, m, target, labelled):
         base = thetas | (1 if half == "e1" else 0) | (top if half == "e2n" else 0)
         pairs = [pair[i] for i in ground]
         everything = sum(pairs)
-        count = len(ground) - free if target else free
-        for chosen in combinations(pairs, free):
-            gammas = everything - sum(chosen) if target else sum(chosen)
-            g = count - (gammas & 1)  # pairs other than delta
-            inversions = g * (g - 1) // 2 + (gammas & crossings).bit_count()
-            inversions += theta_inversions
-            elements.append(Monomial(base | gammas, two_n))
-            signs.append(-1 if inversions & 1 else 1)
-    degree = two_n - m if target else m
-    labels = tuple(labels) if labelled else None
-    return CohomologyBasis(degree, tuple(elements), labels, tuple(signs))
+        for target, (elements, labels, signs) in zip(sides, out):
+            if labelled:
+                theta = "theta_{%s|%s}" % (_idx_label(r), _idx_label(s))
+                labels.extend(
+                    _label(spec, half, target, idx, theta if p else "")
+                    for idx in combinations(ground, free)
+                )
+            count = len(ground) - free if target else free
+            for chosen in combinations(pairs, free):
+                gammas = everything - sum(chosen) if target else sum(chosen)
+                g = count - (gammas & 1)  # pairs other than delta
+                inversions = g * (g - 1) // 2 + (gammas & crossings).bit_count()
+                inversions += theta_inversions
+                elements.append(Monomial(base | gammas, two_n))
+                signs.append(-1 if inversions & 1 else 1)
+    return [
+        CohomologyBasis(two_n - m if target else m, tuple(elements),
+                        tuple(labels) if labelled else None, tuple(signs))
+        for target, (elements, labels, signs) in zip(sides, out)
+    ], blocks
 
 
 def _explicit_basis(spec, degree, labelled):
@@ -445,8 +437,8 @@ def cohomology_basis(
     if explicit:
         return _explicit_basis(spec, degree, labels)
     if degree <= spec.n:
-        return _pinned_basis(spec, degree, False, labels)
-    return _pinned_basis(spec, spec.two_n - degree, True, labels)
+        return _pinned_bases(spec, degree, labels, (False,))[0][0]
+    return _pinned_bases(spec, spec.two_n - degree, labels, (True,))[0][0]
 
 
 def lefschetz_target_basis(
@@ -462,7 +454,7 @@ def lefschetz_target_basis(
         raise ValueError(f"m must lie in [0, {spec.n}], got {m}")
     if spec.mode is Mode.EXPLICIT:
         return _explicit_basis(spec, spec.two_n - m, labels)
-    return _pinned_basis(spec, m, True, labels)
+    return _pinned_bases(spec, m, labels, (True,))[0][0]
 
 
 def betti_closed_form(spec: AlgebraSpec, degree: int) -> int:

@@ -260,6 +260,13 @@ class Hypothesis1Certificate:
         return self.numeric_ok
 
 
+def require_exhaustive(count: int) -> None:
+    if count > MAX_EXHAUSTIVE:
+        raise SizeLimitError(
+            f"the exhaustive search is limited to {MAX_EXHAUSTIVE} values"
+        )
+
+
 def subset_sum_gap(ms) -> tuple:
     """(min |sum eps_j t_{m_j}| over nonzero eps in {-1,0,1}^k, its verdict).
 
@@ -268,10 +275,7 @@ def subset_sum_gap(ms) -> tuple:
     (None for k = 0); the verdict is whether it exceeds NUMERIC_TOLERANCE.
     No m_j is factored.
     """
-    if len(ms) > MAX_EXHAUSTIVE:
-        raise SizeLimitError(
-            f"the exhaustive search is limited to {MAX_EXHAUSTIVE} values"
-        )
+    require_exhaustive(len(ms))
     with mp.workdps(DEFAULT_DPS):
         sums = [0]
         for t in map(t_value, ms):
@@ -284,12 +288,13 @@ def subset_sum_gap(ms) -> tuple:
 def hypothesis1_certificate(m_list) -> Hypothesis1Certificate:
     """Certify independence of the t_{m_j}; see Hypothesis1Certificate.
 
-    ``m_list`` may also be a list of PellSolution.  Square-free parts that
-    share a prime raise CertificateFailureError.
+    ``m_list`` may also hold PellSolutions, whose d alone is factored.
+    Square-free parts that share a prime raise CertificateFailureError.
     """
     ms = [s.m if isinstance(s, PellSolution) else int(s) for s in m_list]
     numeric_min, numeric_ok = subset_sum_gap(ms)
-    d_list = [_squarefree_part_m(m) for m in ms]
+    d_list = [squarefree_part(s.d) if isinstance(s, PellSolution)
+              else _squarefree_part_m(m) for s, m in zip(m_list, ms)]
     for a, b in itertools.combinations(d_list, 2):
         g = gcd(a, b)
         if g > 1:
@@ -391,7 +396,8 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
         m_list = [s.m for s in solutions]
         d_list = [s.d for s in solutions]
         for s in solutions:
-            if _squarefree_part_m(s.m) != s.d:
+            # m^2 - 4 = d k^2 exactly, so its square-free part is d's
+            if not is_squarefree(s.d):
                 raise InvariantViolationError(
                     f"square-free part of {s.m}^2-4 is not {s.d}"
                 )
@@ -506,6 +512,7 @@ def alt_remark_params(n: int, k_list) -> list:
         raise SizeLimitError(
             f"exponents above {ALT_REMARK_MAX_EXPONENT} exceed the size guard"
         )
+    require_exhaustive(len(k_list))  # before any cosh: the gap takes them all
     out = []
     for k in k_list:
         # enough bits to place an integer next to 2cosh(2^(k-1)) ~ e^(2^(k-1))

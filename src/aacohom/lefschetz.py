@@ -15,10 +15,11 @@ shared by ``lefschetz_matrix``, ``hard_lefschetz_report`` and
 
 For the standard form the hard-Lefschetz verdict follows the paper's proof:
 ``check_structure`` verifies, entry by entry, that L_m is the direct sum of
-``block_layout``, and det L_m is then the product of the closed-form Kneser
-determinants of its blocks (``StructureReport.determinant``), so no
-elimination runs.  A user-supplied form has no such structure; its
-determinants come from sparse elimination (``exact_linalg.det_sparse``).
+its ``blocks``, laid out by the walk that pinned its bases, and det L_m is
+then the product of the closed-form Kneser determinants of its blocks
+(``StructureReport.determinant``), so no elimination runs.  A user-supplied
+form has no such structure; its determinants come from sparse elimination
+(``exact_linalg.det_sparse``).
 """
 
 import math
@@ -31,13 +32,12 @@ from . import exact_linalg
 from .ce_complex import (
     AlgebraSpec,
     Mode,
-    _kneser_blocks,
+    _pinned_bases,
     betti_closed_form,
     cohomology_basis,
     delta_form,
     gamma_form,
     is_closed,
-    lefschetz_target_basis,
     weight_is_zero,
 )
 from .errors import (
@@ -197,13 +197,15 @@ def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
 
 @dataclass(frozen=True)
 class LefschetzMatrix:
-    """L_m as sparse {row: 1} columns in the pinned bases (rows: H^{2n-m})."""
+    """L_m as sparse {row: 1} columns in the pinned bases (rows: H^{2n-m})
+    and the ``blocks`` of its predicted layout."""
 
     n: int
     m: int
     columns: tuple
     row_basis: object
     col_basis: object
+    blocks: tuple
 
     @property
     def size(self) -> int:
@@ -223,18 +225,22 @@ def _operator_columns(spec, m, omega_form, labels=False):
 
     The divided power is read off the cached ``_mask_power_chain`` of
     ``omega_form``; the bases carry ``labels`` only if asked for.  Returns
-    (source basis, target basis, columns).  d is injective on monomials,
-    so each product P ^ J of a (closed) power term P with a source basis
-    monomial J is a target basis monomial (one per row: P -> P u J is
-    injective) or an exact one (2n, nonzero weight): dropped.  Terms are
-    (mask, coefficient) pairs, the coefficient an int when integral: P ^ J
-    vanishes when the masks meet, and its sign is a bit count of P against
-    ``below_parity`` of J.
+    (source basis, target basis, columns, walk): both bases and the blocks
+    come from one ``_pinned_bases`` walk (explicit mode has no walk).  d is
+    injective on monomials, so each product P ^ J of a (closed) power term
+    P with a source basis monomial J is a target basis monomial (one per
+    row: P -> P u J is injective) or an exact one (2n, nonzero weight):
+    dropped.  Terms are (mask, coefficient) pairs, the coefficient an int
+    when integral: P ^ J vanishes when the masks meet, and its sign is a bit
+    count of P against ``below_parity`` of J.
     """
     terms = _mask_power_chain(omega_form, spec.n)[spec.n - m].items()
-    source = cohomology_basis(spec, m, labels)
-    target = lefschetz_target_basis(spec, m, labels)
     two_n = spec.two_n
+    if spec.mode is Mode.EXPLICIT:  # plain weight-zero monomials, no walk
+        source = cohomology_basis(spec, m, labels)
+        target, walk = cohomology_basis(spec, two_n - m, labels), None
+    else:
+        (source, target), walk = _pinned_bases(spec, m, labels, (False, True))
     rows = {
         mono.mask: (i, sign)
         for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
@@ -261,7 +267,7 @@ def _operator_columns(spec, m, omega_form, labels=False):
                 row_sign = -row_sign
             column[i] = c if sign == row_sign else -c
         columns.append(column)
-    return source, target, columns
+    return source, target, columns, walk
 
 
 def lefschetz_matrix(
@@ -273,20 +279,17 @@ def lefschetz_matrix(
     the bases carry ``labels`` only if asked for.
     """
     require_size(spec, m)
-    source, target, columns = _operator_columns(
+    source, target, columns, walk = _operator_columns(
         spec, m, standard_omega(spec), labels
     )
-    if len(source) != len(target):
-        raise InvariantViolationError(
-            f"H^{m} and H^{spec.two_n - m} have different dimensions"
-        )
     for column in columns:
         for v in column.values():
             if v != 1:
                 raise InvariantViolationError(
                     f"Lefschetz entry {v} outside {{0,1}}: sign-convention bug"
                 )
-    return LefschetzMatrix(spec.n, m, tuple(columns), target, source)
+    blocks = _layout(spec, walk)
+    return LefschetzMatrix(spec.n, m, tuple(columns), target, source, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +313,6 @@ class StructureReport:
     case: str
     m: int
     blocks: tuple
-    verified: bool
 
     @property
     def total_size(self) -> int:
@@ -335,8 +337,8 @@ class StructureReport:
         return " + ".join(parts)
 
 
-def block_layout(spec: AlgebraSpec, m: int) -> tuple:
-    """The predicted blocks of L_m, in the order of the pinned bases.
+def _layout(spec: AlgebraSpec, walk) -> tuple:
+    """The predicted blocks of L_m from its walk, in the order of the bases.
 
     Generic mode: a single Kneser block A(K(n, k)) for m = 2k, or two
     diagonal copies of A(K(n-1, k)) for m = 2k+1.  Ones mode: a direct sum
@@ -345,49 +347,45 @@ def block_layout(spec: AlgebraSpec, m: int) -> tuple:
     edgeless-graph adjacencies.
     """
     ones = spec.mode is Mode.ONES
-    blocks = []
-    offset = 0
-    for half, p, r, s, ground, free in _kneser_blocks(spec, m):
-        parts = []
-        if ones:
-            parts.append(f"p={p} R={r} S={s}" if p else "p=0")
-        if half:
-            parts.append(f"{half} half")
+    blocks, offset = [], 0
+    for half, p, r, s, ground, free in walk:
+        tag = [f"p={p} R={r} S={s}" if p else "p=0"] if ones else []
+        tag += [f"{half} half"] if half else []
+        kind, params = "identity", ()
         if free:
             kind, params = "kneser", (len(ground), free)
-        else:
-            kind, params = "identity", ()
         size = math.comb(len(ground), free)
-        blocks.append(Block(offset, size, kind, params, ", ".join(parts)))
+        blocks.append(Block(offset, size, kind, params, ", ".join(tag)))
         offset += size
     return tuple(blocks)
 
 
 def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureReport:
-    """Verify the block decomposition of ``block_layout`` column by column."""
-    if spec.mode is Mode.GENERIC:
-        case = "I"
-    elif spec.mode is Mode.ONES:
-        case = "II"
-    else:
+    """Verify that ``matrix.blocks`` tile the matrix and match its columns."""
+    case = {Mode.GENERIC: "I", Mode.ONES: "II"}.get(spec.mode)
+    if case is None:
         raise UnsupportedModeError("structure checks need generic or ones mode")
-    blocks = block_layout(spec, matrix.m)
-    total = sum(b.size for b in blocks)
+    total = sum(b.size for b in matrix.blocks)
     if total != matrix.size:
         raise StructureViolationError(
             0, 0, f"total block size {total}", matrix.size
         )
-
-    patterns = {}  # params -> the rows of each column, relative to the block
+    patterns = {}  # (kind, params) -> the rows of each column, in the block
     mismatches = []  # (row, col, expected, got)
-    for b in blocks:
-        if b.params not in patterns:
+    end = 0
+    for b in matrix.blocks:
+        key = b.kind, b.params
+        if key not in patterns:
             # symmetric: the neighbours of j are the rows of column j
-            if b.kind == "kneser":
-                patterns[b.params] = neighbours(KneserGraph(*b.params))
-            else:
-                patterns[b.params] = [[0]]
-        for j, rows in enumerate(patterns[b.params], b.offset):
+            patterns[key] = (neighbours(KneserGraph(*b.params))
+                             if b.kind == "kneser" else [[0]])
+        if (b.offset, b.size) != (end, len(patterns[key])):
+            raise StructureViolationError(
+                end, end, f"a block of size {len(patterns[key])}",
+                f"size {b.size} at offset {b.offset}",
+            )
+        end += b.size
+        for j, rows in enumerate(patterns[key], b.offset):
             want = dict.fromkeys([b.offset + i for i in rows], 1)
             got = matrix.columns[j]
             if got == want:
@@ -397,7 +395,7 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
                     mismatches.append((i, j, want.get(i, 0), got.get(i, 0)))
     if mismatches:
         raise StructureViolationError(*min(mismatches))  # first in row-major order
-    return StructureReport(case, matrix.m, blocks, True)
+    return StructureReport(case, matrix.m, matrix.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +443,10 @@ def hard_lefschetz_report(
     rows_out = []
     for m in range(spec.n + 1):
         if user_form is None:
-            matrix = lefschetz_matrix(spec, m)
-            size, det = matrix.size, check_structure(spec, matrix).determinant()
+            report = check_structure(spec, lefschetz_matrix(spec, m))
+            size, det = report.total_size, report.determinant()
         else:
-            _, _, columns = _operator_columns(spec, m, user_form.form)
+            columns = _operator_columns(spec, m, user_form.form)[2]
             # det A^T = det A, so the columns serve as the rows
             size, det = len(columns), exact_linalg.det_sparse(columns)
         rows_out.append(OperatorSummary(m, size, Fraction(det)))

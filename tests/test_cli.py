@@ -204,9 +204,8 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
     def built(*args):
         raise AssertionError("built a basis beyond the limit")
 
-    for module, name in ((ce, "_pinned_basis"), (ce, "_explicit_basis"),
-                         (lf, "cohomology_basis"),
-                         (lf, "lefschetz_target_basis")):
+    for module, name in ((ce, "_pinned_bases"), (ce, "_explicit_basis"),
+                         (lf, "_pinned_bases"), (lf, "cohomology_basis")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
     # dense payload of 9800^2 cells; HL with dimension 127008; HL with a
@@ -311,6 +310,32 @@ def test_lattice_alt_params_factor_nothing(capsys, monkeypatch):
     assert report["results"]["numeric_independence"] is True
 
 
+def test_lattice_alt_k_count_is_checked_before_any_cosh(capsys, monkeypatch):
+    from aacohom import lattice
+
+    def cosh(*args):
+        raise AssertionError("--alt-k placed an m_j beyond the count limit")
+
+    monkeypatch.setattr(lattice.mp, "cosh", cosh)
+    ks = ",".join(str(k) for k in range(1, 17))
+    assert cli.main(["lattice", "--n", "17", "--alt-k", ks]) == 2
+    err = capsys.readouterr().err
+    assert "the exhaustive search is limited to 12 values" in err
+
+
+def test_lattice_case1_factors_no_m(capsys, monkeypatch):
+    # m^2 - 4 = d k^2 for a Pell solution, so only the small d is factored
+    from aacohom import lattice
+
+    def factoring(*args):
+        raise AssertionError("case I factored m -+ 2")
+
+    monkeypatch.setattr(lattice, "_squarefree_part_m", factoring)
+    code, report = run_json(capsys, "lattice", "--case", "I", "--n", "5")
+    assert code == 0
+    assert report["results"]["hypothesis1_certified"] is True
+
+
 def _cli_process(*argv, seconds):
     """Run the CLI in a fresh interpreter, killed after ``seconds``."""
     src = pathlib.Path(cli.__file__).parents[1]
@@ -332,6 +357,13 @@ def test_lattice_alt_k_guard_admits_its_limit_in_time():
                         seconds=30)
     assert over.returncode == 2
     assert "size guard" in over.stderr
+
+
+def test_lattice_case1_with_a_30_digit_m_ends():
+    # d = 991 has a 30-digit minimal m; only that the run ends is asserted
+    done = _cli_process("lattice", "--case", "I", "--n", "2", "--d", "991",
+                        seconds=10)
+    assert done.returncode in (0, 1), done.stderr
 
 
 def test_lattice_bad_trace_residual_exits_1(capsys, monkeypatch):

@@ -251,15 +251,18 @@ def test_requires_hypothesis_mode():
 
 
 def test_image_outside_target_basis_raises(monkeypatch):
-    full = lefschetz.lefschetz_target_basis
+    full = lefschetz._pinned_bases
 
-    def truncated(spec, m, *args):
-        basis = full(spec, m, *args)
-        return dataclasses.replace(
-            basis, elements=basis.elements[:-1], signs=basis.signs[:-1]
-        )
+    def truncated(spec, m, labelled, sides):
+        bases, walk = full(spec, m, labelled, sides)
+        bases = [
+            dataclasses.replace(b, elements=b.elements[:-1], signs=b.signs[:-1])
+            if target else b
+            for b, target in zip(bases, sides)
+        ]
+        return bases, walk
 
-    monkeypatch.setattr(lefschetz, "lefschetz_target_basis", truncated)
+    monkeypatch.setattr(lefschetz, "_pinned_bases", truncated)
     spec = AlgebraSpec.generic(3)
     with pytest.raises(InvariantViolationError, match="outside the cohomology"):
         lefschetz._operator_columns(spec, 2, standard_omega(spec))
@@ -317,7 +320,7 @@ def test_below_parity_gives_the_wedge_sign():
 
 def _assert_kernel_matches_oracle(spec, form):
     for m in range(spec.n + 1):
-        _, _, columns = lefschetz._operator_columns(spec, m, form)
+        columns = lefschetz._operator_columns(spec, m, form)[2]
         assert columns == operator_columns_by_projection(spec, m, form), m
 
 
@@ -355,6 +358,14 @@ def test_kernel_matches_projection_standard_form(n, maker):
 def test_kernel_matches_projection_user_forms(n, seed):
     spec = AlgebraSpec.ones(n)
     _assert_kernel_matches_oracle(spec, _seeded_user_form(spec, seed))
+
+
+@pytest.mark.parametrize("b", [(1, 2), (1, 1, 2), (1, 2, 3)])
+def test_kernel_matches_projection_explicit_weights(b):
+    # no block tree in explicit mode: the bases are plain weight-zero monomials
+    spec = AlgebraSpec.explicit(b)
+    _assert_kernel_matches_oracle(spec, standard_omega(spec))
+    assert lefschetz._operator_columns(spec, 1, standard_omega(spec))[3] is None
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -479,6 +490,51 @@ def test_structure_violation_off_block_reports_row_major_first():
     assert (e.row, e.col, e.expected, e.got) == (1, 3, 0, 1)
 
 
+def test_blocks_that_leave_out_the_last_raise():
+    spec = AlgebraSpec.ones(3)
+    mat = lefschetz_matrix(spec, 2)
+    with pytest.raises(StructureViolationError) as err:
+        check_structure(spec, dataclasses.replace(mat, blocks=mat.blocks[:-1]))
+    assert err.value.got == mat.size
+
+
+def test_mutated_layout_raises():
+    # blocks K(3,1) at 0, I1 at 3 and I1 at 4
+    spec = AlgebraSpec.ones(3)
+    mat = lefschetz_matrix(spec, 2)
+    kneser, first, last = mat.blocks
+    relaid = (
+        dataclasses.replace(first, offset=0),
+        dataclasses.replace(kneser, offset=1),
+        last,
+    )
+    for blocks in (
+        (first, kneser, last),  # two blocks swapped
+        relaid,  # swapped, with the offsets laid out again
+        (kneser, dataclasses.replace(first, offset=4), last),  # offset + 1
+        (kneser, dataclasses.replace(first, offset=2), last),  # offset - 1
+        (dataclasses.replace(kneser, size=2), first, last, last),
+    ):
+        with pytest.raises(StructureViolationError):
+            check_structure(spec, dataclasses.replace(mat, blocks=blocks))
+
+
+def test_hl_report_walks_the_block_tree_once_per_m(monkeypatch):
+    import aacohom.ce_complex as ce
+
+    walk = ce._pinned_bases
+    calls = []
+
+    def counted(spec, m, *args):
+        calls.append(m)
+        return walk(spec, m, *args)
+
+    monkeypatch.setattr(ce, "_pinned_bases", counted)
+    monkeypatch.setattr(lefschetz, "_pinned_bases", counted)
+    assert hard_lefschetz_report(AlgebraSpec.ones(5)).hard_lefschetz
+    assert sorted(calls) == list(range(6))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
 def test_structure_and_binary_invariants(n, maker):
@@ -521,13 +577,13 @@ def _flip_one_entry(monkeypatch, at_m):
     kernel = lefschetz._operator_columns
 
     def flipped(spec, m, *args):
-        source, target, columns = kernel(spec, m, *args)
+        source, target, columns, walk = kernel(spec, m, *args)
         if m == at_m:
             first = dict(columns[0])
             if first.pop(0, None) is None:
                 first[0] = 1
             columns = [first] + columns[1:]
-        return source, target, columns
+        return source, target, columns, walk
 
     monkeypatch.setattr(lefschetz, "_operator_columns", flipped)
 
