@@ -20,7 +20,7 @@ from .lattice import (
     lattice_failures,
     pell_min_solution,
 )
-from .lefschetz import check_structure, lefschetz_matrix
+from .lefschetz import lefschetz_matrix
 from .symplectic_hodge import operator_suite_failures
 
 GOLDEN_M4_5 = (
@@ -42,17 +42,16 @@ PELL_GOLDEN = {2: (6, 4), 3: (4, 2), 5: (3, 1), 7: (16, 6)}
 ALT_REMARK_GOLDEN = (4, 8, 55, 2981)
 
 
-_reports = None  # {(spec, m): StructureReport of L_m} while verify_all runs
+_matrices = None  # {(spec, m): verified L_m} while verify_all runs
 
 
-def _structure_report(spec: AlgebraSpec, m: int, matrix=None):
-    """check_structure of L_m (built unless given), once per verify_all call."""
-    if _reports is not None and (spec, m) in _reports:
-        return _reports[spec, m]
-    report = check_structure(spec, matrix or lefschetz_matrix(spec, m))
-    if _reports is not None:
-        _reports[spec, m] = report
-    return report
+def _matrix(spec: AlgebraSpec, m: int):
+    """lefschetz_matrix(spec, m), built once per verify_all call."""
+    if _matrices is None:
+        return lefschetz_matrix(spec, m)
+    if (spec, m) not in _matrices:
+        _matrices[spec, m] = lefschetz_matrix(spec, m)
+    return _matrices[spec, m]
 
 
 def _standard_specs(max_n: int):
@@ -65,8 +64,7 @@ def criterion_golden_matrix(max_n: int) -> dict:
     if max_n < 5:
         return {"id": 1, "name": name, "skipped": True, "passed": True}
     spec = AlgebraSpec.generic(5)
-    mat = lefschetz_matrix(spec, 4)
-    _structure_report(spec, 4, mat)  # criteria 4 and 5 reuse this check
+    mat = _matrix(spec, 4)  # criteria 4 and 5 reuse it
     rows = mat.rows_as_lists()
     matches = rows == [list(row) for row in GOLDEN_M4_5]
     zero_block = all(rows[i][j] == 0 for i in range(4) for j in range(4))
@@ -117,7 +115,7 @@ def criterion_hard_lefschetz(max_n: int) -> dict:
         [spec.mode.value, spec.n, m]
         for spec in _standard_specs(max_n)
         for m in range(spec.n + 1)
-        if _structure_report(spec, m).determinant() == 0
+        if _matrix(spec, m).determinant() == 0
     ]
     return {
         "id": 4,
@@ -134,7 +132,7 @@ def criterion_kneser_structure(max_n: int) -> dict:
     for spec in _standard_specs(max_n):
         for m in range(spec.n + 1):
             try:
-                _structure_report(spec, m)
+                _matrix(spec, m)
                 checked += 1
             except Exception as exc:  # noqa: BLE001 - recorded, not masked
                 failures.append([spec.mode.value, spec.n, m, str(exc)])
@@ -251,14 +249,14 @@ CRITERIA = (
 
 def verify_all(max_n: int = 5) -> dict:
     """Run every criterion capped at max_n; deterministic payload."""
-    global _reports
+    global _matrices
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    _reports = {}
+    _matrices = {}
     try:
         results = [fn(max_n) for fn in CRITERIA]
     finally:
-        _reports = None
+        _matrices = None
     return {
         "max_n": max_n,
         "criteria": results,

@@ -50,7 +50,6 @@ from .lattice import (
 )
 from .lefschetz import (
     DENSE_MAX_DIMENSION,
-    check_structure,
     hard_lefschetz_report,
     lefschetz_matrix,
     require_size,
@@ -130,7 +129,7 @@ def _cmd_cohomology(args):
     return results, ok
 
 
-def _lefschetz_cuts(spec, report, check_kneser):
+def _lefschetz_cuts(spec, mat, check_kneser):
     """Block boundaries for the text rendering and the JSON payload.
 
     Ones mode reports them only with ``--check-kneser``.  Generic even
@@ -139,9 +138,9 @@ def _lefschetz_cuts(spec, report, check_kneser):
     """
     if spec.mode is Mode.ONES and not check_kneser:
         return []
-    cuts = [b.offset for b in report.blocks[1:]]
-    if spec.mode is Mode.GENERIC and report.m and report.m % 2 == 0:
-        cuts.append(comb(spec.n - 1, report.m // 2 - 1))
+    cuts = [b.offset for b in mat.blocks[1:]]
+    if spec.mode is Mode.GENERIC and mat.m and mat.m % 2 == 0:
+        cuts.append(comb(spec.n - 1, mat.m // 2 - 1))
     return cuts
 
 
@@ -161,17 +160,16 @@ def _cmd_lefschetz(args):
     if args.m is None:
         raise InvalidParameterError("--m is required (or use --hl)")
     emit_matrix = args.emit_matrix or not args.check_kneser
-    size = require_size(spec, args.m)
+    size, = require_size(spec, [args.m])
     if emit_matrix and size > DENSE_MAX_DIMENSION:
         raise SizeLimitError(
             f"the dense matrix of L_{args.m} has {size} rows; "
             f"the limit is {DENSE_MAX_DIMENSION}"
         )
+    # verified on construction: the determinant is read off its blocks
     mat = lefschetz_matrix(spec, args.m, labels=emit_matrix)
-    # the determinant is read off the verified blocks, so the check always runs
-    report = check_structure(spec, mat)
     if args.check_kneser:
-        results["structure"] = report.summary()
+        results["structure"] = mat.summary()
         results["blocks"] = [
             {
                 "offset": b.offset,
@@ -180,7 +178,7 @@ def _cmd_lefschetz(args):
                 "params": list(b.params),
                 "tag": b.tag,
             }
-            for b in report.blocks
+            for b in mat.blocks
         ]
     if emit_matrix:
         ones = [[] for _ in range(mat.size)]
@@ -188,10 +186,10 @@ def _cmd_lefschetz(args):
             for i in column:
                 ones[i].append(j)
         results["matrix"] = OnesRows(mat.size, tuple(ones))
-        results["block_cuts"] = _lefschetz_cuts(spec, report, args.check_kneser)
+        results["block_cuts"] = _lefschetz_cuts(spec, mat, args.check_kneser)
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
-    det = report.determinant()
+    det = mat.determinant()
     results["determinant"] = str(det)
     ok = ok and det != 0
     return results, ok

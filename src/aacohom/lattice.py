@@ -17,6 +17,7 @@ the conjugacy itself is verified numerically at high precision.
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from mpmath import mp, mpf
@@ -46,7 +47,12 @@ ALT_REMARK_MAX_EXPONENT = 16
 # limit E has 2449 rows, inside the CLI's dense payload limit (2450), and
 # `lattice --case II --n 1225 --m 3` takes 2.7 s and 262 MB (2 CPUs).
 CASE2_MAX_N = 1225
-PELL_ITERATION_CAP = 10 ** 6
+# Trial division reaches FACTOR_BOUND in 2.1 s (2 CPUs, Python 3.11.7; 2^23
+# in 1 s), so a factorization that ended within 1 s without it still ends.
+# The Pell expansion passes PELL_MAX_BITS in 1.3 s for d = 10^12 + 39 (30000
+# bits took 7 s); d = 10000141, with a 16312-bit unit, takes 1.6 s.
+FACTOR_BOUND = 2 ** 24
+PELL_MAX_BITS = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -55,27 +61,36 @@ PELL_ITERATION_CAP = 10 ** 6
 
 
 def _factorize(x: int) -> dict:
-    """Prime factorization by trial division; x >= 1."""
+    """Prime factorization by trial division below FACTOR_BOUND; x >= 1.
+
+    A cofactor with no prime factor below the bound is prime when it is
+    below FACTOR_BOUND^2; a larger one may not be, so SizeLimitError.
+    """
     factors = {}
-    for p in itertools.chain((2,), range(3, isqrt(x) + 1, 2)):
+    for p in itertools.chain((2,), range(3, FACTOR_BOUND, 2)):
         if p * p > x:
             break
         while x % p == 0:
             factors[p] = factors.get(p, 0) + 1
             x //= p
+    if x >= FACTOR_BOUND ** 2:
+        raise SizeLimitError(
+            f"a {x.bit_length()}-bit cofactor has no prime factor below "
+            f"{FACTOR_BOUND}, where trial division stops"
+        )
     if x > 1:
         factors[x] = factors.get(x, 0) + 1
     return factors
 
 
 def is_squarefree(d: int) -> bool:
-    if d < 1:
-        return False
-    return all(e == 1 for e in _factorize(d).values())
+    return d >= 1 and squarefree_part(d) == d
 
 
+@lru_cache(maxsize=256)
 def squarefree_part(x: int) -> int:
-    """Product of the primes dividing x an odd number of times."""
+    """Product of the primes dividing x an odd number of times; cached, as
+    one case I d is checked up to four times on its way to a lattice."""
     if x < 1:
         raise InvalidParameterError(f"square-free part needs x >= 1, got {x}")
     part = 1
@@ -86,15 +101,10 @@ def squarefree_part(x: int) -> int:
 
 
 def _squarefree_part_m(m: int) -> int:
-    # m^2 - 4 = (m-2)(m+2): factoring the two halves keeps trial division cheap
-    factors = _factorize(m - 2) if m > 2 else {}
-    for p, e in _factorize(m + 2).items():
-        factors[p] = factors.get(p, 0) + e
-    part = 1
-    for p, e in factors.items():
-        if e % 2:
-            part *= p
-    return part
+    # m^2 - 4 = (m-2)(m+2): two smaller factorizations, and for square-free
+    # s, t the square-free part of s t is s t / gcd(s, t)^2
+    s, t = squarefree_part(m - 2), squarefree_part(m + 2)
+    return s * t // gcd(s, t) ** 2
 
 
 def _icbrt(x: int) -> int:
@@ -149,15 +159,17 @@ def _pell_unit(d: int):
     p, q, a = 0, 1, a0
     h_prev, k_prev = 1, 0
     h, k = a0, 1
-    for _ in range(PELL_ITERATION_CAP):
-        if h * h - d * k * k == 1:
-            return h, k
+    while h * h - d * k * k != 1:
+        if h.bit_length() > PELL_MAX_BITS:
+            raise SizeLimitError(
+                f"the Pell unit for d = {d} has more than {PELL_MAX_BITS} bits"
+            )
         p = a * q - p
         q = (d - p * p) // q
         a = (a0 + p) // q
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
-    raise InvariantViolationError(f"no Pell unit found for d={d}")
+    return h, k
 
 
 def pell_min_solution(d: int) -> PellSolution:
@@ -231,11 +243,19 @@ def case1_params(n: int, d_list=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def t_value(m: int) -> mpf:
-    """t_m = log((m + sqrt(m^2 - 4)) / 2), so that e^t + e^{-t} = m."""
+def _dps(ms) -> int:
+    """DEFAULT_DPS, or 20 digits past the longest m if that is more."""
+    return max(DEFAULT_DPS, int(max(m.bit_length() for m in ms) * 0.302) + 21)
+
+
+def t_value(m: int, dps: int = None) -> mpf:
+    """t_m = log((m + sqrt(m^2 - 4)) / 2), so that e^t + e^{-t} = m.
+
+    ``dps`` defaults to ``_dps([m])``, enough to reproduce m from t.
+    """
     if m < 3:
         raise InvalidParameterError(f"t_m needs m >= 3, got {m}")
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(dps or _dps([m])):
         return mp.log((m + mp.sqrt(m * m - 4)) / 2)
 
 
@@ -271,14 +291,14 @@ def subset_sum_gap(ms) -> tuple:
     """(min |sum eps_j t_{m_j}| over nonzero eps in {-1,0,1}^k, its verdict).
 
     Each such eps is 1_A - 1_B for subsets A != B, so the minimum is the
-    least gap between adjacent sorted subset sums, found at high precision
+    least gap between adjacent sorted subset sums, found at DEFAULT_DPS
     (None for k = 0); the verdict is whether it exceeds NUMERIC_TOLERANCE.
     No m_j is factored.
     """
     require_exhaustive(len(ms))
     with mp.workdps(DEFAULT_DPS):
         sums = [0]
-        for t in map(t_value, ms):
+        for t in (t_value(m, DEFAULT_DPS) for m in ms):
             sums += [s + t for s in sums]
         sums.sort()
         gap = min((b - a for a, b in zip(sums, sums[1:])), default=None)
@@ -414,7 +434,7 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
     if det != 1:
         raise InvariantViolationError(f"det E = {det} != 1")
 
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(_dps(m_list)):
         # weights of A' = diag(0, w_2, -w_2, ..., w_n, -w_n)
         weights = (
             t_list if case == "I" else [mpf(1)] * (n - 1)
@@ -481,16 +501,8 @@ def lattice_failures(package: LatticeSpec) -> list:
 
 
 def _mat2(a, b):
-    return [
-        [
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ],
-        [
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ],
-    ]
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)]
+            for i in (0, 1)]
 
 
 def alt_remark_params(n: int, k_list) -> list:

@@ -15,9 +15,10 @@ shared by ``lefschetz_matrix``, ``hard_lefschetz_report`` and
 
 For the standard form the hard-Lefschetz verdict follows the paper's proof:
 ``check_structure`` verifies, entry by entry, that L_m is the direct sum of
-its ``blocks``, laid out by the walk that pinned its bases, and det L_m is
-then the product of the closed-form Kneser determinants of its blocks
-(``StructureReport.determinant``), so no elimination runs.  A user-supplied
+its ``blocks``, laid out by the walk that pinned its bases, before
+``lefschetz_matrix`` returns it; det L_m is then the product of the
+closed-form Kneser determinants of its blocks
+(``LefschetzMatrix.determinant``), so no elimination runs.  A user-supplied
 form has no such structure; its determinants come from sparse elimination
 (``exact_linalg.det_sparse``).
 """
@@ -52,28 +53,29 @@ from .exterior_algebra import Form, Monomial, below_parity
 from .kneser import KneserGraph, determinant, neighbours
 
 
-# Size limits, checked from closed forms before any basis is built (2 CPUs,
-# Python 3.11.7).  MAX_DIMENSION bounds dim H^m of one L_m: ones n = 10
-# (31752) runs `--hl` in 2.3 to 2.9 s and 53 MB, building the columns and
-# checking the blocks; ones n = 11 (127008) took 8.4 to 11.5 s and 146 MB
-# with the limits lifted.  MAX_BLOCK_VERTICES bounds the largest Kneser block,
-# K(n - m % 2, m // 2), whose neighbour lists check_structure compares with
-# the columns: generic n = 12 (K(12,6), 924 vertices) runs `--hl` in 0.9 s
-# and 23 MB and `--m --emit-matrix --check-kneser` in under 0.4 s for m = 11
-# and 12, and n = 13 (K(13,6), 1716) takes 1.6 s and 29 MB with the limits
-# lifted.  The user-form route of hard_lefschetz_report, reachable only from
-# the library, still eliminates: a generic n = 11 form takes 7.6 s and an
-# n = 12 one 42 s and 34 MB.  DENSE_MAX_DIMENSION bounds the CLI matrix
+# One work budget for the standard L_m, counted from Betti numbers and
+# binomials before any basis is built (2 CPUs, Python 3.11.7).  The standard
+# form's power chain costs n 2^n products (``_mask_power_chain``), and each
+# of the dim H^m source monomials costs C(n, n - m) products with the power's
+# terms (``_operator_columns``) plus 2n for its source and target basis
+# monomials and its column check.  Admitted: ones n = 10 `--hl` (8.07 M) in
+# 1.7 to 2.1 s and 40 MB, generic n = 13 `--hl` (3.97 M) in 0.8 s and 28 MB,
+# ones n = 11 `--m 9 --check-kneser` (6.81 M) in 2.4 s and 79 MB, generic
+# n = 18 `--m 0` (4.72 M) in 2.1 s and 43 MB.  Refused: generic n = 19 `--m 0` (9.96 M; n = 20
+# took 9.9 s), ones n = 12 `--m 12` (10.7 M; 4.7 s and 261 MB), generic
+# n = 14 `--hl` (13.3 M; 2.0 s) and ones n = 11 `--hl` (45.1 M; 8.2 s and
+# 142 MB).  The user-form route of hard_lefschetz_report, reachable only from
+# the library, is held to the same count but still eliminates: a generic
+# n = 12 form takes 42 s.  DENSE_MAX_DIMENSION bounds the CLI matrix
 # payload, which prints every cell: ones n = 8 (2450) prints its 66 MB of
 # JSON in 0.6 s with a 150 MB peak, or its text in 0.3 s and 55 MB; ones
 # n = 9 (9800) would print about 1 GB.
-MAX_DIMENSION = 31752
-MAX_BLOCK_VERTICES = 924
+MAX_WORK = 9_000_000
 DENSE_MAX_DIMENSION = 2450
 
 
-def require_size(spec: AlgebraSpec, m: int) -> int:
-    """dim H^m, after checking L_m against MAX_DIMENSION and MAX_BLOCK_VERTICES.
+def require_size(spec: AlgebraSpec, ms) -> list:
+    """[dim H^m for m in ms], after checking the L_m together against MAX_WORK.
 
     Only Betti numbers and binomials are computed; SizeLimitError is raised
     before any basis is built.
@@ -82,21 +84,19 @@ def require_size(spec: AlgebraSpec, m: int) -> int:
         raise UnsupportedModeError(
             "Lefschetz matrices are defined for the generic and ones modes"
         )
-    if not 0 <= m <= spec.n:
-        raise ValueError(f"m must lie in [0, {spec.n}], got {m}")
-    size = betti_closed_form(spec, m)
-    if size > MAX_DIMENSION:
+    n, sizes = spec.n, []
+    work = n * 2 ** n
+    for m in ms:
+        if not 0 <= m <= n:
+            raise ValueError(f"m must lie in [0, {n}], got {m}")
+        sizes.append(betti_closed_form(spec, m))
+        work += sizes[-1] * (math.comb(n, n - m) + 2 * n)
+    if work > MAX_WORK:
         raise SizeLimitError(
-            f"L_{m} at n = {spec.n} has dimension {size}; "
-            f"the limit is {MAX_DIMENSION}"
+            f"L_m for m = {', '.join(map(str, ms))} at n = {n} needs {work} "
+            f"products; the budget is {MAX_WORK}"
         )
-    block = math.comb(spec.n - m % 2, m // 2)
-    if block > MAX_BLOCK_VERTICES:
-        raise SizeLimitError(
-            f"L_{m} at n = {spec.n} has a Kneser block of {block} vertices; "
-            f"the limit is {MAX_BLOCK_VERTICES}"
-        )
-    return size
+    return sizes
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +198,8 @@ def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
 @dataclass(frozen=True)
 class LefschetzMatrix:
     """L_m as sparse {row: 1} columns in the pinned bases (rows: H^{2n-m})
-    and the ``blocks`` of its predicted layout."""
+    and the ``blocks`` of its layout; ``lefschetz_matrix`` returns one only
+    once ``check_structure`` has matched the blocks with the columns."""
 
     n: int
     m: int
@@ -218,6 +219,24 @@ class LefschetzMatrix:
             for i in column:
                 rows[i][j] = 1
         return rows
+
+    def determinant(self) -> int:
+        """det L_m: the product of the Kneser determinants, 1 per identity block."""
+        det = 1
+        counts = Counter(b.params for b in self.blocks if b.kind == "kneser")
+        for params, count in counts.items():
+            det *= determinant(KneserGraph(*params)) ** count
+        return det
+
+    def summary(self) -> str:
+        parts = []
+        for b in self.blocks:
+            if b.kind == "kneser":
+                parts.append("A(K(%d,%d))%s" % (b.params[0], b.params[1],
+                                                f" {b.tag}" if b.tag else ""))
+            else:
+                parts.append("I1%s" % (f" {b.tag}" if b.tag else ""))
+        return " + ".join(parts)
 
 
 def _operator_columns(spec, m, omega_form, labels=False):
@@ -273,12 +292,14 @@ def _operator_columns(spec, m, omega_form, labels=False):
 def lefschetz_matrix(
     spec: AlgebraSpec, m: int, labels: bool = False
 ) -> LefschetzMatrix:
-    """The matrix of L_m for the standard form; entries must come out in {0,1}.
+    """The verified matrix of L_m for the standard form.
 
-    w^{n-m} / (n-m)! is read off the cached mask chain of the standard form;
-    the bases carry ``labels`` only if asked for.
+    The work is checked against MAX_WORK first; w^{n-m} / (n-m)! is read off
+    the cached mask chain of the standard form and the bases carry
+    ``labels`` only if asked for.  Entries must come out in {0,1}, and the
+    columns must match the blocks of the walk (``check_structure``).
     """
-    require_size(spec, m)
+    require_size(spec, [m])
     source, target, columns, walk = _operator_columns(
         spec, m, standard_omega(spec), labels
     )
@@ -289,7 +310,9 @@ def lefschetz_matrix(
                     f"Lefschetz entry {v} outside {{0,1}}: sign-convention bug"
                 )
     blocks = _layout(spec, walk)
-    return LefschetzMatrix(spec.n, m, tuple(columns), target, source, blocks)
+    matrix = LefschetzMatrix(spec.n, m, tuple(columns), target, source, blocks)
+    check_structure(spec, matrix)
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -304,37 +327,6 @@ class Block:
     kind: str  # "kneser" or "identity"
     params: tuple  # (n, k) for kneser blocks, () for identity
     tag: str
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """The verified block decomposition of L_m, made by ``check_structure``."""
-
-    case: str
-    m: int
-    blocks: tuple
-
-    @property
-    def total_size(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    def determinant(self) -> int:
-        """det L_m: the product of the Kneser determinants, 1 per identity block."""
-        det = 1
-        counts = Counter(b.params for b in self.blocks if b.kind == "kneser")
-        for params, count in counts.items():
-            det *= determinant(KneserGraph(*params)) ** count
-        return det
-
-    def summary(self) -> str:
-        parts = []
-        for b in self.blocks:
-            if b.kind == "kneser":
-                parts.append("A(K(%d,%d))%s" % (b.params[0], b.params[1],
-                                                f" {b.tag}" if b.tag else ""))
-            else:
-                parts.append("I1%s" % (f" {b.tag}" if b.tag else ""))
-        return " + ".join(parts)
 
 
 def _layout(spec: AlgebraSpec, walk) -> tuple:
@@ -360,11 +352,13 @@ def _layout(spec: AlgebraSpec, walk) -> tuple:
     return tuple(blocks)
 
 
-def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureReport:
-    """Verify that ``matrix.blocks`` tile the matrix and match its columns."""
-    case = {Mode.GENERIC: "I", Mode.ONES: "II"}.get(spec.mode)
-    if case is None:
-        raise UnsupportedModeError("structure checks need generic or ones mode")
+def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> None:
+    """Verify that ``matrix.blocks`` tile the matrix and match its columns.
+
+    ``spec`` is not consulted: the blocks carry the layout.  A bad layout, or
+    the first differing entry in row-major order, raises
+    StructureViolationError.
+    """
     total = sum(b.size for b in matrix.blocks)
     if total != matrix.size:
         raise StructureViolationError(
@@ -395,7 +389,6 @@ def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> StructureRepo
                     mismatches.append((i, j, want.get(i, 0), got.get(i, 0)))
     if mismatches:
         raise StructureViolationError(*min(mismatches))  # first in row-major order
-    return StructureReport(case, matrix.m, matrix.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +416,23 @@ def hard_lefschetz_report(
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
     The divided powers w^k / k! come from the one cached
-    ``_mask_power_chain`` of the form.  With no user form the standard w is
-    used: every entry must be 1, as in
-    ``lefschetz_matrix``, and det L_m is read off the block structure that
-    ``check_structure`` has verified, as a product of closed-form Kneser
-    determinants.  A user-supplied form is validated, its operator matrices
-    are computed in the same pinned bases (entries may then be any
-    rationals, e.g. scaled by powers of the scaling factor) and their
-    determinants come from sparse elimination.
+    ``_mask_power_chain`` of the form, and the work of every L_m is checked
+    against MAX_WORK before any basis is built.  With no user form each L_m
+    is a verified ``lefschetz_matrix`` and det L_m is read off its blocks,
+    as a product of closed-form Kneser determinants.  A user-supplied form
+    is validated, its operator matrices are computed in the same pinned
+    bases (entries may then be any rationals, e.g. scaled by powers of the
+    scaling factor) and their determinants come from sparse elimination.
     """
-    if spec.mode not in (Mode.GENERIC, Mode.ONES):
-        raise UnsupportedModeError(
-            "hard-Lefschetz verdicts need the generic or ones mode"
-        )
-    for m in range(spec.n + 1):
-        require_size(spec, m)
+    require_size(spec, range(spec.n + 1))
     if user_form is not None and not isinstance(user_form, SymplecticForm):
         user_form = SymplecticForm.validated(spec, user_form)
     rows_out = []
     for m in range(spec.n + 1):
         if user_form is None:
-            report = check_structure(spec, lefschetz_matrix(spec, m))
-            size, det = report.total_size, report.determinant()
+            matrix = lefschetz_matrix(spec, m)
+            size, det = matrix.size, matrix.determinant()
+            del matrix  # free L_m before L_{m+1} is built
         else:
             columns = _operator_columns(spec, m, user_form.form)[2]
             # det A^T = det A, so the columns serve as the rows

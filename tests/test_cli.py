@@ -208,14 +208,13 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
                          (lf, "_pinned_bases"), (lf, "cohomology_basis")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
-    # dense payload of 9800^2 cells; HL with dimension 127008; HL with a
-    # K(13,6) block of 1716 vertices; 5.9 million basis classes; C(20,10)
-    # explicit monomials
+    # dense payload of 9800^2 cells; HL of 45 and 13 million products;
+    # 5.9 million basis classes; C(20,10) explicit monomials
     for argv in (
         "lefschetz --n 9 --mode ones --m 9",
         "lefschetz --n 9 --mode ones --m 9 --emit-matrix --check-kneser",
         "lefschetz --n 11 --mode ones --hl",
-        "lefschetz --n 13 --mode generic --hl",
+        "lefschetz --n 14 --mode generic --hl",
         "lefschetz --n 40 --mode ones --m 40 --check-kneser",
         "cohomology --n 14 --mode ones --basis --degree 14",
         "cohomology --n 10 --mode explicit --b 1,2,3,4,5,6,7,8,9 --basis "
@@ -223,6 +222,35 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
     ):
         assert run(capsys, *argv.split())[0] == 2, argv
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv", ["--n 24 --mode generic --m 0",
+                                  "--n 24 --mode ones --m 1"])
+def test_lefschetz_power_chain_beyond_the_budget_is_refused(
+    capsys, monkeypatch, argv
+):
+    import aacohom.ce_complex as ce
+    import aacohom.lefschetz as lf
+
+    def built(*args):
+        raise AssertionError("built a power chain or basis beyond the budget")
+
+    for module, name in ((lf, "_mask_power_chain"), (lf, "_pinned_bases"),
+                         (ce, "_pinned_bases")):
+        monkeypatch.setattr(module, name, built)
+    start = time.perf_counter()
+    assert cli.main(["lefschetz", *argv.split()]) == 2
+    assert time.perf_counter() - start < 5
+    assert "the budget is" in capsys.readouterr().err
+
+
+def test_lefschetz_generic_n13_hl_runs(capsys):
+    # K(13,6) has 1716 vertices: refused by the old block limit, 0.7 s now
+    start = time.perf_counter()
+    code, report = run_json(capsys, "lefschetz", "--n", "13", "--hl")
+    assert code == 0
+    assert report["results"]["hard_lefschetz"] is True
+    assert time.perf_counter() - start < 10
 
 
 def test_determinant_beyond_int_str_limit_prints_every_digit(
@@ -359,11 +387,31 @@ def test_lattice_alt_k_guard_admits_its_limit_in_time():
     assert "size guard" in over.stderr
 
 
-def test_lattice_case1_with_a_30_digit_m_ends():
-    # d = 991 has a 30-digit minimal m; only that the run ends is asserted
-    done = _cli_process("lattice", "--case", "I", "--n", "2", "--d", "991",
+def _assert_case1_passes(d):
+    done = _cli_process("lattice", "--case", "I", "--n", "2", "--d", d,
                         seconds=10)
-    assert done.returncode in (0, 1), done.stderr
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "ok"
+
+
+def test_lattice_case1_with_a_30_digit_m_ends():
+    # the working precision grows with m, so the trace residual passes
+    _assert_case1_passes("991")
+
+
+def test_lattice_case1_with_a_251_digit_m_passes():
+    _assert_case1_passes("1000003")
+
+
+@pytest.mark.parametrize("argv", [
+    "--case I --n 2 --d 1000000000000000000000000000057",  # trial division
+    "--case II --n 2 --m 1000000000000000000000000000007",  # of m -+ 2
+    "--case I --n 2 --d 1000000000039",  # a Pell unit of over 16384 bits
+])
+def test_lattice_long_inputs_are_refused_in_time(argv):
+    done = _cli_process("lattice", *argv.split(), seconds=10)
+    assert done.returncode == 2, done.stderr
+    assert "usage error" in done.stderr
 
 
 def test_lattice_bad_trace_residual_exits_1(capsys, monkeypatch):

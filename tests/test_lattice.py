@@ -1,6 +1,7 @@
 """Pell equations, independence certificates and lattice packages."""
 
 import dataclasses
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -10,6 +11,7 @@ from aacohom.errors import (
     InvalidParameterError,
     SizeLimitError,
 )
+from aacohom import lattice
 from aacohom.exact_linalg import det_bareiss, det_sparse
 from aacohom.lattice import (
     CASE2_MAX_N,
@@ -81,6 +83,65 @@ def test_squarefree_helpers():
     assert squarefree_part(12) == 3
     assert squarefree_part(1) == 1
     assert first_primes(4) == [2, 3, 5, 7]
+
+
+def _naive_factors(x):
+    factors, p = {}, 2
+    while x > 1:
+        while x % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            x //= p
+        p += 1
+    return factors
+
+
+def test_factorize_is_exact_below_the_bound_squared(monkeypatch):
+    monkeypatch.setattr(lattice, "FACTOR_BOUND", 100)
+    rng = random.Random(7)
+    # 9973 is the largest prime below 100^2: no factor below 100, no break
+    for x in [1, 2, 9973, 97 * 89, 2 ** 13, 99 * 101] + [
+        rng.randrange(1, 10 ** 6) for _ in range(300)
+    ]:
+        cofactor = x
+        for p in range(2, 100):
+            while cofactor % p == 0:
+                cofactor //= p
+        if cofactor < 100 ** 2:
+            assert lattice._factorize(x) == _naive_factors(x), x
+        else:
+            with pytest.raises(SizeLimitError, match="trial division stops"):
+                lattice._factorize(x)
+    with pytest.raises(SizeLimitError):
+        lattice._factorize(101 * 103)
+
+
+def test_case1_factors_each_modulus_once(monkeypatch):
+    lattice.squarefree_part.cache_clear()
+    calls = []
+    factorize = lattice._factorize
+    monkeypatch.setattr(
+        lattice, "_factorize", lambda x: calls.append(x) or factorize(x)
+    )
+    package = build_lattice("I", 3, case1_params(3, [13, 29]))
+    assert lattice_failures(package) == []
+    assert sorted(calls) == [13, 29]
+
+
+def test_pell_unit_is_bounded_in_bits(monkeypatch):
+    unit = lattice._pell_unit(991)
+    monkeypatch.setattr(lattice, "PELL_MAX_BITS", unit[0].bit_length())
+    assert lattice._pell_unit(991) == unit
+    monkeypatch.setattr(lattice, "PELL_MAX_BITS", 50)
+    with pytest.raises(SizeLimitError, match="more than 50 bits"):
+        pell_min_solution(991)
+
+
+def test_precision_grows_with_m():
+    # the 30-digit m of d = 991 needs more than 40 digits for its trace
+    sol = pell_min_solution(991)
+    assert lattice._dps([3, 16]) == DEFAULT_DPS < lattice._dps([sol.m])
+    package = build_lattice("I", 2, [sol])
+    assert lattice_failures(package) == []
 
 
 def test_trace_identity():

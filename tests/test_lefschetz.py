@@ -404,25 +404,31 @@ def test_non_closed_form_raises():
 
 
 def test_size_limits_admit_documented_runs():
-    for m in range(11):
-        lefschetz.require_size(AlgebraSpec.ones(10), m)  # --hl at ones n = 10
-    for m in range(13):
-        lefschetz.require_size(AlgebraSpec.generic(12), m)  # --hl at generic n = 12
-    assert lefschetz.require_size(AlgebraSpec.ones(9), 9) == 9800
+    sizes = lefschetz.require_size(AlgebraSpec.ones(10), range(11))  # --hl
+    assert sizes == [betti_closed_form(AlgebraSpec.ones(10), m) for m in range(11)]
+    for n in (12, 13):
+        lefschetz.require_size(AlgebraSpec.generic(n), range(n + 1))  # --hl
+    lefschetz.require_size(AlgebraSpec.ones(11), [9])
+    lefschetz.require_size(AlgebraSpec.generic(18), [0])
+    assert lefschetz.require_size(AlgebraSpec.ones(9), [9]) == [9800]
     # the dense payloads of the pinned ones n = 7 jobs, and ones n = 8
     for n, m in ((7, 6), (7, 7), (8, 8)):
-        size = lefschetz.require_size(AlgebraSpec.ones(n), m)
+        size, = lefschetz.require_size(AlgebraSpec.ones(n), [m])
         assert size <= lefschetz.DENSE_MAX_DIMENSION
     assert lefschetz.DENSE_MAX_DIMENSION < 9800
 
 
 def test_size_limits_raise():
-    with pytest.raises(SizeLimitError, match="dimension 127008"):
-        lefschetz.require_size(AlgebraSpec.ones(11), 11)
-    with pytest.raises(SizeLimitError, match="block of 1716 vertices"):
-        lefschetz.require_size(AlgebraSpec.generic(13), 12)
+    with pytest.raises(SizeLimitError, match="needs 45066310 products"):
+        lefschetz.require_size(AlgebraSpec.ones(11), range(12))
+    with pytest.raises(SizeLimitError, match="needs 13341096 products"):
+        lefschetz.require_size(AlgebraSpec.generic(14), range(15))
     with pytest.raises(SizeLimitError):
-        hard_lefschetz_report(AlgebraSpec.generic(13))
+        lefschetz.require_size(AlgebraSpec.generic(19), [0])  # the chain alone
+    with pytest.raises(SizeLimitError):
+        lefschetz.require_size(AlgebraSpec.ones(12), [12])
+    with pytest.raises(SizeLimitError):
+        hard_lefschetz_report(AlgebraSpec.generic(14))
     with pytest.raises(SizeLimitError):
         lefschetz_matrix(AlgebraSpec.ones(40), 40)
 
@@ -434,25 +440,25 @@ def test_size_limits_raise():
 
 def test_structure_case1_even():
     spec = AlgebraSpec.generic(5)
-    report = check_structure(spec, lefschetz_matrix(spec, 4))
-    assert report.case == "I"
-    assert [(b.kind, b.params) for b in report.blocks] == [("kneser", (5, 2))]
+    mat = lefschetz_matrix(spec, 4)
+    assert mat.summary() == "A(K(5,2))"
+    assert [(b.kind, b.params) for b in mat.blocks] == [("kneser", (5, 2))]
 
 
 def test_structure_case2_n3_m2():
     spec = AlgebraSpec.ones(3)
-    report = check_structure(spec, lefschetz_matrix(spec, 2))
-    kinds = [(b.kind, b.size) for b in report.blocks]
+    mat = lefschetz_matrix(spec, 2)
+    kinds = [(b.kind, b.size) for b in mat.blocks]
     assert kinds == [("kneser", 3), ("identity", 1), ("identity", 1)]
-    assert report.total_size == 5 == betti_closed_form(spec, 2)
+    assert sum(b.size for b in mat.blocks) == 5 == betti_closed_form(spec, 2)
 
 
 def test_structure_case1_m1_identity_blocks():
     spec = AlgebraSpec.generic(2)
     mat = lefschetz_matrix(spec, 1)
     assert mat.rows_as_lists() == [[1, 0], [0, 1]]
-    report = check_structure(spec, mat)
-    assert [b.kind for b in report.blocks] == ["identity", "identity"]
+    check_structure(spec, mat)
+    assert [b.kind for b in mat.blocks] == ["identity", "identity"]
 
 
 def _tampered(mat, *flips):
@@ -557,9 +563,9 @@ def test_structure_and_binary_invariants(n, maker):
                     assert rows[i][i] == 0
                 for j in range(mat.size):
                     assert rows[i][j] == rows[j][i]
-        report = check_structure(spec, mat)
-        assert report.total_size == betti_closed_form(spec, m)
-        assert report.determinant() == det_sparse(mat.columns) != 0
+        check_structure(spec, mat)
+        assert sum(b.size for b in mat.blocks) == betti_closed_form(spec, m)
+        assert mat.determinant() == det_sparse(mat.columns) != 0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -592,9 +598,10 @@ def _flip_one_entry(monkeypatch, at_m):
 def test_flipped_entry_is_no_certificate(monkeypatch, at_m):
     spec = AlgebraSpec.ones(4)
     _flip_one_entry(monkeypatch, at_m)
-    with pytest.raises(StructureViolationError) as err:
-        hard_lefschetz_report(spec)
-    assert (err.value.row, err.value.col) == (0, 0)
+    for build in (hard_lefschetz_report, lambda s: lefschetz_matrix(s, at_m)):
+        with pytest.raises(StructureViolationError) as err:
+            build(spec)
+        assert (err.value.row, err.value.col) == (0, 0)
 
 
 def test_hl_report_builds_no_labels(monkeypatch):
