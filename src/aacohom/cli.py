@@ -10,6 +10,7 @@ produce byte-identical stdout.
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from math import comb
 
@@ -171,14 +172,7 @@ def _cmd_lefschetz(args):
     if args.check_kneser:
         results["structure"] = mat.summary()
         results["blocks"] = [
-            {
-                "offset": b.offset,
-                "size": b.size,
-                "kind": b.kind,
-                "params": list(b.params),
-                "tag": b.tag,
-            }
-            for b in mat.blocks
+            {**asdict(b), "params": list(b.params)} for b in mat.blocks
         ]
     if emit_matrix:
         ones = [[] for _ in range(mat.size)]

@@ -199,18 +199,6 @@ def pell_min_solution(d: int) -> PellSolution:
     return PellSolution(d, best[0], best[1])
 
 
-def assert_minimal(sol: PellSolution, cap: int = 10 ** 6) -> None:
-    """Exhaustively confirm no smaller positive solution exists (k below cap)."""
-    bound = min(sol.k, cap)
-    for y in range(1, bound):
-        a2 = sol.d * y * y + 4
-        a = isqrt(a2)
-        if a * a == a2:
-            raise InvariantViolationError(
-                f"smaller Pell solution ({a}, {y}) exists for d={sol.d}"
-            )
-
-
 def case1_params(n: int, d_list=None) -> list:
     """Minimal Pell solutions for n-1 pairwise coprime square-free moduli.
 
@@ -454,17 +442,15 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
                 [v[1][1] / det_v, -v[0][1] / det_v],
                 [-v[1][0] / det_v, v[0][0] / det_v],
             ]
-            o = 1 + 2 * j
-            for a in range(2):
-                for b in range(2):
-                    p_full[o + a][o + b] = v_inv[a][b]
-            # conjugacy residual: V diag(lam) V^{-1} - companion, blockwise
+            # conjugacy residual: V diag(lam) V^{-1} - the companion block of
+            # E, whose integers this precision holds exactly
             diag = [[lam_plus, mpf(0)], [mpf(0), lam_minus]]
             prod = _mat2(v, _mat2(diag, v_inv))
-            comp = [[mpf(0), mpf(-1)], [mpf(1), mpf(m)]]
-            for a in range(2):
-                for b in range(2):
-                    residual = max(residual, abs(prod[a][b] - comp[a][b]))
+            o = 1 + 2 * j
+            for a, b in itertools.product(range(2), repeat=2):
+                p_full[o + a][o + b] = v_inv[a][b]
+                gap = abs(prod[a][b] - e_matrix[o + a][o + b])
+                residual = max(residual, gap)
 
     return LatticeSpec(
         case,
@@ -501,8 +487,16 @@ def lattice_failures(package: LatticeSpec) -> list:
 
 
 def _mat2(a, b):
-    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)]
-            for i in (0, 1)]
+    return [
+        [
+            a[0][0] * b[0][0] + a[0][1] * b[1][0],
+            a[0][0] * b[0][1] + a[0][1] * b[1][1],
+        ],
+        [
+            a[1][0] * b[0][0] + a[1][1] * b[1][0],
+            a[1][0] * b[0][1] + a[1][1] * b[1][1],
+        ],
+    ]
 
 
 def alt_remark_params(n: int, k_list) -> list:

@@ -54,48 +54,55 @@ from .kneser import KneserGraph, determinant, neighbours
 
 
 # One work budget for the standard L_m, counted from Betti numbers and
-# binomials before any basis is built (2 CPUs, Python 3.11.7).  The standard
-# form's power chain costs n 2^n products (``_mask_power_chain``), and each
-# of the dim H^m source monomials costs C(n, n - m) products with the power's
-# terms (``_operator_columns``) plus 2n for its source and target basis
-# monomials and its column check.  Admitted: ones n = 10 `--hl` (8.07 M) in
-# 1.7 to 2.1 s and 40 MB, generic n = 13 `--hl` (3.97 M) in 0.8 s and 28 MB,
-# ones n = 11 `--m 9 --check-kneser` (6.81 M) in 2.4 s and 79 MB, generic
-# n = 18 `--m 0` (4.72 M) in 2.1 s and 43 MB.  Refused: generic n = 19 `--m 0` (9.96 M; n = 20
-# took 9.9 s), ones n = 12 `--m 12` (10.7 M; 4.7 s and 261 MB), generic
-# n = 14 `--hl` (13.3 M; 2.0 s) and ones n = 11 `--hl` (45.1 M; 8.2 s and
-# 142 MB).  The user-form route of hard_lefschetz_report, reachable only from
-# the library, is held to the same count but still eliminates: a generic
-# n = 12 form takes 42 s.  DENSE_MAX_DIMENSION bounds the CLI matrix
-# payload, which prints every cell: ones n = 8 (2450) prints its 66 MB of
-# JSON in 0.6 s with a 150 MB peak, or its text in 0.3 s and 55 MB; ones
-# n = 9 (9800) would print about 1 GB.
-MAX_WORK = 9_000_000
+# binomials before any basis is built, in power-chain products (about 0.47 us
+# each; 2 CPUs, Python 3.11.7): n 2^n for the standard form's chain, and per
+# source monomial of H^m a quarter of C(n, n - m) (the power terms it meets in
+# ``_operator_columns``, mostly skipped at about 0.1 us) plus 2n (its basis
+# monomials and column check).  Admitted, timed over several runs: ones n = 12
+# `--m 6` (7.76 M) in 2.1 to 3.7 s, generic n = 16 `--m 11` (7.80 M) in 2.5 to
+# 4.5 s and 87 MB, generic n = 17 `--m 14` (6.20 M; the slowest, 3.1 to 4.2 s
+# and 145 MB) and ones n = 10 `--hl` (3.72 M) in 1.8 to 2.7 s.  Refused:
+# generic n = 18 `--m 16` (7.96 M; 6.5 s, 177 MB) and `--m 6` (8.54 M; 4.6 s),
+# any n >= 19 by its chain alone (9.96 M; generic n = 20 `--m 0` took 9.9 s),
+# generic n = 15 `--hl` (12.6 M; 5.5 s) and ones n = 11 `--hl` (18.4 M; 8.2 s).
+# The user-form route of hard_lefschetz_report, reachable only from the
+# library, is held to the same count but still eliminates: a generic n = 12
+# form takes 42 s.  DENSE_MAX_DIMENSION bounds the CLI matrix payload, which
+# prints every cell: ones n = 8 (2450) prints its 66 MB of JSON in 0.6 s with a
+# 150 MB peak; ones n = 9 (9800) would print about 1 GB.
+MAX_WORK = 7_800_000
 DENSE_MAX_DIMENSION = 2450
 
 
 def require_size(spec: AlgebraSpec, ms) -> list:
     """[dim H^m for m in ms], after checking the L_m together against MAX_WORK.
 
-    Only Betti numbers and binomials are computed; SizeLimitError is raised
-    before any basis is built.
+    Only Betti numbers and binomials are computed, and SizeLimitError is
+    raised before any basis is built, at the first L_m that passes the budget.
     """
     if spec.mode not in (Mode.GENERIC, Mode.ONES):
         raise UnsupportedModeError(
             "Lefschetz matrices are defined for the generic and ones modes"
         )
     n, sizes = spec.n, []
-    work = n * 2 ** n
+    # from n = MAX_WORK.bit_length() on 2^n alone passes the budget, so a
+    # larger n is refused before it is shifted
+    if n >= MAX_WORK.bit_length() or n << n > MAX_WORK:
+        raise SizeLimitError(
+            f"the power chain at n = {n} alone passes the budget of "
+            f"{MAX_WORK} products"
+        )
+    work = n << n
     for m in ms:
         if not 0 <= m <= n:
             raise ValueError(f"m must lie in [0, {n}], got {m}")
         sizes.append(betti_closed_form(spec, m))
-        work += sizes[-1] * (math.comb(n, n - m) + 2 * n)
-    if work > MAX_WORK:
-        raise SizeLimitError(
-            f"L_m for m = {', '.join(map(str, ms))} at n = {n} needs {work} "
-            f"products; the budget is {MAX_WORK}"
-        )
+        work += sizes[-1] * (math.comb(n, n - m) // 4 + 2 * n)
+        if work > MAX_WORK:
+            raise SizeLimitError(
+                f"L_{m} at n = {n} brings the work to {work} products; "
+                f"the budget is {MAX_WORK}"
+            )
     return sizes
 
 
@@ -311,7 +318,7 @@ def lefschetz_matrix(
                 )
     blocks = _layout(spec, walk)
     matrix = LefschetzMatrix(spec.n, m, tuple(columns), target, source, blocks)
-    check_structure(spec, matrix)
+    check_structure(matrix)
     return matrix
 
 
@@ -352,11 +359,10 @@ def _layout(spec: AlgebraSpec, walk) -> tuple:
     return tuple(blocks)
 
 
-def check_structure(spec: AlgebraSpec, matrix: LefschetzMatrix) -> None:
+def check_structure(matrix: LefschetzMatrix) -> None:
     """Verify that ``matrix.blocks`` tile the matrix and match its columns.
 
-    ``spec`` is not consulted: the blocks carry the layout.  A bad layout, or
-    the first differing entry in row-major order, raises
+    A bad layout, or the first differing entry in row-major order, raises
     StructureViolationError.
     """
     total = sum(b.size for b in matrix.blocks)

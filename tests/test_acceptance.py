@@ -140,11 +140,11 @@ def test_criterion_05_kneser_structure(capsys):
                 assert [r[half:] for r in rows[half:]] == block
                 assert all(v == 0 for r in rows[:half] for v in r[half:])
                 assert all(v == 0 for r in rows[half:] for v in r[:half])
-            check_structure(generic, mat)
+            check_structure(mat)
         ones = AlgebraSpec.ones(n)
         for m in range(n + 1):
             mat = lefschetz_matrix(ones, m)
-            check_structure(ones, mat)
+            check_structure(mat)
             assert sum(b.size for b in mat.blocks) == betti_closed_form(ones, m)
     elapsed = time.monotonic() - started
     with capsys.disabled():

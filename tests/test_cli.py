@@ -208,13 +208,13 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
                          (lf, "_pinned_bases"), (lf, "cohomology_basis")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
-    # dense payload of 9800^2 cells; HL of 45 and 13 million products;
+    # dense payload of 9800^2 cells; HL past the budget at L_8 and L_10;
     # 5.9 million basis classes; C(20,10) explicit monomials
     for argv in (
         "lefschetz --n 9 --mode ones --m 9",
         "lefschetz --n 9 --mode ones --m 9 --emit-matrix --check-kneser",
         "lefschetz --n 11 --mode ones --hl",
-        "lefschetz --n 14 --mode generic --hl",
+        "lefschetz --n 15 --mode generic --hl",
         "lefschetz --n 40 --mode ones --m 40 --check-kneser",
         "cohomology --n 14 --mode ones --basis --degree 14",
         "cohomology --n 10 --mode explicit --b 1,2,3,4,5,6,7,8,9 --basis "
@@ -225,7 +225,9 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", ["--n 24 --mode generic --m 0",
-                                  "--n 24 --mode ones --m 1"])
+                                  "--n 24 --mode ones --m 1",
+                                  "--n 100000 --mode ones --hl",
+                                  "--n 100000 --mode generic --hl"])
 def test_lefschetz_power_chain_beyond_the_budget_is_refused(
     capsys, monkeypatch, argv
 ):
@@ -235,13 +237,14 @@ def test_lefschetz_power_chain_beyond_the_budget_is_refused(
     def built(*args):
         raise AssertionError("built a power chain or basis beyond the budget")
 
+    # the chain alone passes the budget, so not even a Betti number is needed
     for module, name in ((lf, "_mask_power_chain"), (lf, "_pinned_bases"),
-                         (ce, "_pinned_bases")):
+                         (ce, "_pinned_bases"), (lf, "betti_closed_form")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
     assert cli.main(["lefschetz", *argv.split()]) == 2
     assert time.perf_counter() - start < 5
-    assert "the budget is" in capsys.readouterr().err
+    assert "power chain at n = " in capsys.readouterr().err
 
 
 def test_lefschetz_generic_n13_hl_runs(capsys):

@@ -2,12 +2,14 @@
 
 import dataclasses
 import random
+from math import isqrt
 
 import pytest
 from mpmath import mp, mpf
 
 from aacohom.errors import (
     CertificateFailureError,
+    InvariantViolationError,
     InvalidParameterError,
     SizeLimitError,
 )
@@ -18,7 +20,6 @@ from aacohom.lattice import (
     DEFAULT_DPS,
     PellSolution,
     alt_remark_params,
-    assert_minimal,
     build_lattice,
     case1_params,
     companion_matrix_sl,
@@ -36,6 +37,18 @@ from aacohom.lattice import (
 # ---------------------------------------------------------------------------
 # Pell solutions
 # ---------------------------------------------------------------------------
+
+
+def assert_minimal(sol: PellSolution, cap: int = 10 ** 6) -> None:
+    """Exhaustively confirm no smaller positive solution exists (k below cap)."""
+    bound = min(sol.k, cap)
+    for y in range(1, bound):
+        a2 = sol.d * y * y + 4
+        a = isqrt(a2)
+        if a * a == a2:
+            raise InvariantViolationError(
+                f"smaller Pell solution ({a}, {y}) exists for d={sol.d}"
+            )
 
 
 @pytest.mark.parametrize(

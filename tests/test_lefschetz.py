@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -406,10 +407,16 @@ def test_non_closed_form_raises():
 def test_size_limits_admit_documented_runs():
     sizes = lefschetz.require_size(AlgebraSpec.ones(10), range(11))  # --hl
     assert sizes == [betti_closed_form(AlgebraSpec.ones(10), m) for m in range(11)]
-    for n in (12, 13):
+    for n in (12, 13, 14):
         lefschetz.require_size(AlgebraSpec.generic(n), range(n + 1))  # --hl
+    # the --m runs the dimension and block limits admitted in about 3 s
+    for n, m in ((11, 7), (12, 6), (13, 5), (14, 4), (14, 5), (15, 4), (16, 4)):
+        lefschetz.require_size(AlgebraSpec.ones(n), [m])
+    for n, m in ((16, 7), (17, 6), (17, 7), (18, 0), (18, 5)):
+        lefschetz.require_size(AlgebraSpec.generic(n), [m])
+    # runs they refused, the last one just under the budget
     lefschetz.require_size(AlgebraSpec.ones(11), [9])
-    lefschetz.require_size(AlgebraSpec.generic(18), [0])
+    lefschetz.require_size(AlgebraSpec.generic(16), [11])
     assert lefschetz.require_size(AlgebraSpec.ones(9), [9]) == [9800]
     # the dense payloads of the pinned ones n = 7 jobs, and ones n = 8
     for n, m in ((7, 6), (7, 7), (8, 8)):
@@ -419,18 +426,34 @@ def test_size_limits_admit_documented_runs():
 
 
 def test_size_limits_raise():
-    with pytest.raises(SizeLimitError, match="needs 45066310 products"):
+    # the budget runs out at one L_m, and the message names only that one
+    with pytest.raises(SizeLimitError, match="^L_8 at n = 11 brings the work "
+                       "to 9745508 products"):
         lefschetz.require_size(AlgebraSpec.ones(11), range(12))
-    with pytest.raises(SizeLimitError, match="needs 13341096 products"):
-        lefschetz.require_size(AlgebraSpec.generic(14), range(15))
+    with pytest.raises(SizeLimitError, match="^L_10 at n = 15 brings"):
+        lefschetz.require_size(AlgebraSpec.generic(15), range(16))
+    with pytest.raises(SizeLimitError, match="power chain at n = 19 alone"):
+        lefschetz.require_size(AlgebraSpec.generic(19), [0])
+    for spec, m in ((AlgebraSpec.ones(12), 12), (AlgebraSpec.generic(18), 16),
+                    (AlgebraSpec.generic(18), 6), (AlgebraSpec.ones(17), 4)):
+        with pytest.raises(SizeLimitError, match=f"^L_{m} at n = {spec.n}"):
+            lefschetz.require_size(spec, [m])
     with pytest.raises(SizeLimitError):
-        lefschetz.require_size(AlgebraSpec.generic(19), [0])  # the chain alone
-    with pytest.raises(SizeLimitError):
-        lefschetz.require_size(AlgebraSpec.ones(12), [12])
-    with pytest.raises(SizeLimitError):
-        hard_lefschetz_report(AlgebraSpec.generic(14))
+        hard_lefschetz_report(AlgebraSpec.generic(15))
     with pytest.raises(SizeLimitError):
         lefschetz_matrix(AlgebraSpec.ones(40), 40)
+
+
+def test_size_limit_refuses_a_huge_n_before_any_binomial(monkeypatch):
+    def counted(*args):
+        raise AssertionError("computed a Betti number past the chain's budget")
+
+    monkeypatch.setattr(lefschetz, "betti_closed_form", counted)
+    start = time.perf_counter()
+    for spec in (AlgebraSpec.ones(100000), AlgebraSpec.generic(10 ** 12)):
+        with pytest.raises(SizeLimitError, match="power chain"):
+            hard_lefschetz_report(spec)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +480,7 @@ def test_structure_case1_m1_identity_blocks():
     spec = AlgebraSpec.generic(2)
     mat = lefschetz_matrix(spec, 1)
     assert mat.rows_as_lists() == [[1, 0], [0, 1]]
-    check_structure(spec, mat)
+    check_structure(mat)
     assert [b.kind for b in mat.blocks] == ["identity", "identity"]
 
 
@@ -474,13 +497,13 @@ def test_structure_violation_reports_first_entry():
     spec = AlgebraSpec.generic(3)
     mat = lefschetz_matrix(spec, 2)
     with pytest.raises(StructureViolationError) as err:
-        check_structure(spec, _tampered(mat, (0, 1)))
+        check_structure(_tampered(mat, (0, 1)))
     assert (err.value.row, err.value.col) == (0, 1)
     # a value other than 1 on the expected row set is a mismatch too
     row = min(mat.columns[0])
     columns = ({**mat.columns[0], row: 2},) + mat.columns[1:]
     with pytest.raises(StructureViolationError) as err:
-        check_structure(spec, dataclasses.replace(mat, columns=columns))
+        check_structure(dataclasses.replace(mat, columns=columns))
     e = err.value
     assert (e.row, e.col, e.expected, e.got) == (row, 0, 1, 2)
 
@@ -491,7 +514,7 @@ def test_structure_violation_off_block_reports_row_major_first():
     spec = AlgebraSpec.ones(3)
     tampered = _tampered(lefschetz_matrix(spec, 2), (4, 0), (1, 3))
     with pytest.raises(StructureViolationError) as err:
-        check_structure(spec, tampered)
+        check_structure(tampered)
     e = err.value
     assert (e.row, e.col, e.expected, e.got) == (1, 3, 0, 1)
 
@@ -500,7 +523,7 @@ def test_blocks_that_leave_out_the_last_raise():
     spec = AlgebraSpec.ones(3)
     mat = lefschetz_matrix(spec, 2)
     with pytest.raises(StructureViolationError) as err:
-        check_structure(spec, dataclasses.replace(mat, blocks=mat.blocks[:-1]))
+        check_structure(dataclasses.replace(mat, blocks=mat.blocks[:-1]))
     assert err.value.got == mat.size
 
 
@@ -522,7 +545,7 @@ def test_mutated_layout_raises():
         (dataclasses.replace(kneser, size=2), first, last, last),
     ):
         with pytest.raises(StructureViolationError):
-            check_structure(spec, dataclasses.replace(mat, blocks=blocks))
+            check_structure(dataclasses.replace(mat, blocks=blocks))
 
 
 def test_hl_report_walks_the_block_tree_once_per_m(monkeypatch):
@@ -563,7 +586,7 @@ def test_structure_and_binary_invariants(n, maker):
                     assert rows[i][i] == 0
                 for j in range(mat.size):
                     assert rows[i][j] == rows[j][i]
-        check_structure(spec, mat)
+        check_structure(mat)
         assert sum(b.size for b in mat.blocks) == betti_closed_form(spec, m)
         assert mat.determinant() == det_sparse(mat.columns) != 0
 
