@@ -303,19 +303,14 @@ def lefschetz_matrix(
 
     The work is checked against MAX_WORK first; w^{n-m} / (n-m)! is read off
     the cached mask chain of the standard form and the bases carry
-    ``labels`` only if asked for.  Entries must come out in {0,1}, and the
-    columns must match the blocks of the walk (``check_structure``).
+    ``labels`` only if asked for.  Every column must equal its block's
+    pattern of ones exactly (``check_structure``), so an entry other than 0
+    or 1 raises StructureViolationError.
     """
     require_size(spec, [m])
     source, target, columns, walk = _operator_columns(
         spec, m, standard_omega(spec), labels
     )
-    for column in columns:
-        for v in column.values():
-            if v != 1:
-                raise InvariantViolationError(
-                    f"Lefschetz entry {v} outside {{0,1}}: sign-convention bug"
-                )
     blocks = _layout(spec, walk)
     matrix = LefschetzMatrix(spec.n, m, tuple(columns), target, source, blocks)
     check_structure(matrix)

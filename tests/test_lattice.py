@@ -1,7 +1,9 @@
 """Pell equations, independence certificates and lattice packages."""
 
 import dataclasses
+import hashlib
 import random
+import time
 from math import isqrt
 
 import pytest
@@ -140,13 +142,49 @@ def test_case1_factors_each_modulus_once(monkeypatch):
     assert sorted(calls) == [13, 29]
 
 
-def test_pell_unit_is_bounded_in_bits(monkeypatch):
-    unit = lattice._pell_unit(991)
-    monkeypatch.setattr(lattice, "PELL_MAX_BITS", unit[0].bit_length())
-    assert lattice._pell_unit(991) == unit
+def test_pell_solution_is_bounded_in_bits(monkeypatch):
+    sol = pell_min_solution(991)
+    monkeypatch.setattr(lattice, "PELL_MAX_BITS", sol.m.bit_length())
+    assert pell_min_solution(991) == sol
     monkeypatch.setattr(lattice, "PELL_MAX_BITS", 50)
     with pytest.raises(SizeLimitError, match="more than 50 bits"):
         pell_min_solution(991)
+
+
+def test_pell_digest_over_squarefree_moduli():
+    # (d, m, k) rows of every square-free d in [2, 3000), pinned from a
+    # second route: the doubled x^2 - d y^2 = 1 unit and, for d = 5 mod 8,
+    # the odd solution whose cube it is
+    digest = hashlib.sha256()
+    for d in range(2, 3000):
+        if is_squarefree(d):
+            sol = pell_min_solution(d)
+            digest.update(f"{d},{sol.m},{sol.k}\n".encode())
+    assert digest.hexdigest() == (
+        "b257ff3737412efa3db245d5115b2fbbd932b391c15693dce9a9cadd5ce1eb42"
+    )
+
+
+def test_pell_odd_solution_below_the_bound_is_found_fast():
+    # d = 5 mod 8: the odd minimal solution has 5702 bits, its cube (the
+    # x^2 - d y^2 = 1 unit, doubled) passes PELL_MAX_BITS
+    start = time.perf_counter()
+    sol = pell_min_solution(10000813)
+    assert time.perf_counter() - start < 1
+    assert sol.m.bit_length() == 5702 and sol.m % 2 == 1
+
+
+def test_pell_refusal_is_fast():
+    lattice.squarefree_part(10 ** 12 + 39)  # factor d outside the timing
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="more than 16384 bits"):
+        pell_min_solution(10 ** 12 + 39)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_pell_is_one_expansion():
+    assert not hasattr(lattice, "_pell_unit")
+    assert not hasattr(lattice, "_icbrt")
 
 
 def test_precision_grows_with_m():
@@ -331,6 +369,17 @@ def test_case1_reference_package():
     assert pkg.trace_residual < mpf("1e-12")
     assert pkg.certificate is not None and pkg.certificate.certified
     assert pkg.t0 == 1
+
+
+def test_build_and_certify_compute_det_e_once(monkeypatch):
+    calls = []
+    det = lattice.exact_linalg.det_sparse
+    monkeypatch.setattr(
+        lattice.exact_linalg, "det_sparse", lambda rows: calls.append(1) or det(rows)
+    )
+    pkg = build_lattice("II", 5, 7)
+    assert lattice_failures(pkg) == []
+    assert len(calls) == 1
 
 
 def test_lattice_failures_names_each_broken_field():

@@ -273,11 +273,14 @@ def test_entry_other_than_one_raises(monkeypatch):
     monkeypatch.setattr(
         lefschetz, "standard_omega", lambda spec: 2 * standard_omega(spec)
     )
-    with pytest.raises(InvariantViolationError, match="entry 2 outside"):
+    # check_structure compares every column with its pattern of ones
+    with pytest.raises(StructureViolationError) as err:
         lefschetz_matrix(AlgebraSpec.generic(3), 2)
+    assert (err.value.expected, err.value.got) == (1, 2)
     # the --hl route shares the check; L_0 = (2w)^3 / 3! has entries 8
-    with pytest.raises(InvariantViolationError, match="entry 8 outside"):
+    with pytest.raises(StructureViolationError) as err:
         hard_lefschetz_report(AlgebraSpec.generic(3))
+    assert (err.value.expected, err.value.got) == (1, 8)
 
 
 # ---------------------------------------------------------------------------
