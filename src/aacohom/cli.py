@@ -16,6 +16,7 @@ from math import comb
 
 from . import acceptance
 from .ce_complex import (
+    COHOMOLOGY_MAX_N,
     AlgebraSpec,
     Mode,
     betti_bruteforce,
@@ -101,6 +102,8 @@ def _int_list(text):
 
 
 def _cmd_cohomology(args):
+    if args.n > COHOMOLOGY_MAX_N:
+        raise SizeLimitError(f"cohomology is limited to n <= {COHOMOLOGY_MAX_N}")
     spec = _parse_spec(args)
     results = {}
     ok = True

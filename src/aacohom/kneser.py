@@ -59,11 +59,16 @@ class KneserGraph:
 
 
 def require_vertex_count(g: KneserGraph, limit: int) -> None:
-    """Raise SizeLimitError if g has more than ``limit`` vertices."""
-    if g.vertex_count > limit:
-        raise SizeLimitError(
-            f"K({g.n},{g.k}) has {g.vertex_count} vertices; the limit is {limit}"
-        )
+    """Raise SizeLimitError if g has more than ``limit`` vertices.
+
+    C(n, j) grows with j up to min(k, n - k), where it is the vertex count:
+    the check stops at the first one past the limit, never forming C(n, k).
+    """
+    count = 1
+    for j in range(min(g.k, g.n - g.k)):
+        count = count * (g.n - j) // (j + 1)
+        if count > limit:
+            raise SizeLimitError(f"K({g.n},{g.k}) has more than {limit} vertices")
 
 
 def adjacency(g: KneserGraph) -> list:

@@ -45,7 +45,7 @@ MAX_EXHAUSTIVE = 12
 ALT_REMARK_MAX_EXPONENT = 16
 # Case II builds the dense (2n-1)^2 companion matrix E and prints it: at the
 # limit E has 2449 rows, inside the CLI's dense payload limit (2450), and
-# `lattice --case II --n 1225 --m 3` takes 2.7 s and 262 MB (2 CPUs).
+# `lattice --case II --n 1225 --m 3` takes 2.0 to 2.6 s and 194 MB (2 CPUs).
 CASE2_MAX_N = 1225
 # Trial division reaches FACTOR_BOUND in 2.1 s (2 CPUs, Python 3.11.7; 2^23
 # in 1 s), so a factorization that ended within 1 s without it still ends.
@@ -181,6 +181,7 @@ def case1_params(n: int, d_list=None) -> list:
     """
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
+    require_exhaustive(n - 1)  # before any prime or Pell work
     if d_list is None:
         d_list = first_primes(n - 1)
     d_list = [int(d) for d in d_list]
@@ -307,7 +308,6 @@ class LatticeSpec:
     t_values: tuple
     t0: object
     E: tuple
-    P: tuple
     residual: object
     trace_residual: object
     certificate: Hypothesis1Certificate = None
@@ -385,27 +385,15 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
                     f"square-free part of {s.m}^2-4 is not {s.d}"
                 )
         certificate = hypothesis1_certificate(solutions)
-        with mp.workdps(DEFAULT_DPS):
-            t0 = mpf(1)
+        t0 = mpf(1)
         t_list = [t_value(s.m) for s in solutions]
     else:
         raise InvalidParameterError(f"unknown case {case!r}; use 'I' or 'II'")
 
-    size = 2 * n - 1
-    e_matrix = companion_matrix_sl(m_list, size)
-
     with mp.workdps(_dps(m_list)):
-        # weights of A' = diag(0, w_2, -w_2, ..., w_n, -w_n)
-        weights = (
-            t_list if case == "I" else [mpf(1)] * (n - 1)
-        )
-        p_full = [[mpf(0)] * size for _ in range(size)]
-        p_full[0][0] = mpf(1)
-        residual = mpf(0)
-        trace_residual = mpf(0)
-        for j, m in enumerate(m_list):
-            lam_plus = mp.exp(t0 * weights[j])
-            lam_minus = mp.exp(-t0 * weights[j])
+        residual = trace_residual = mpf(0)
+        for m, t in dict(zip(m_list, t_list)).items():
+            lam_plus, lam_minus = mp.exp(t), mp.exp(-t)
             trace_residual = max(trace_residual, abs(lam_plus + lam_minus - m))
             # eigenvectors (1, -lambda) of the companion block
             v = [[mpf(1), mpf(1)], [-lam_plus, -lam_minus]]
@@ -414,15 +402,13 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
                 [v[1][1] / det_v, -v[0][1] / det_v],
                 [-v[1][0] / det_v, v[0][0] / det_v],
             ]
-            # conjugacy residual: V diag(lam) V^{-1} - the companion block of
-            # E, whose integers this precision holds exactly
+            # conjugacy residual: V diag(lam) V^{-1} - [[0,-1],[1,m]], whose
+            # integers this precision holds exactly
             diag = [[lam_plus, mpf(0)], [mpf(0), lam_minus]]
             prod = _mat2(v, _mat2(diag, v_inv))
-            o = 1 + 2 * j
+            block = ((0, -1), (1, m))
             for a, b in itertools.product(range(2), repeat=2):
-                p_full[o + a][o + b] = v_inv[a][b]
-                gap = abs(prod[a][b] - e_matrix[o + a][o + b])
-                residual = max(residual, gap)
+                residual = max(residual, abs(prod[a][b] - block[a][b]))
 
     return LatticeSpec(
         case,
@@ -431,8 +417,7 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
         tuple(m_list),
         tuple(t_list),
         t0,
-        tuple(tuple(row) for row in e_matrix),
-        tuple(tuple(row) for row in p_full),
+        tuple(map(tuple, companion_matrix_sl(m_list, 2 * n - 1))),
         residual,
         trace_residual,
         certificate,

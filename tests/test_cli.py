@@ -410,11 +410,22 @@ def test_lattice_case1_with_a_251_digit_m_passes():
     "--case I --n 2 --d 1000000000000000000000000000057",  # trial division
     "--case II --n 2 --m 1000000000000000000000000000007",  # of m -+ 2
     "--case I --n 2 --d 1000000000039",  # a Pell unit of over 16384 bits
+    "--case I --n 100000",  # 99999 primes and Pell solutions
 ])
 def test_lattice_long_inputs_are_refused_in_time(argv):
     done = _cli_process("lattice", *argv.split(), seconds=10)
     assert done.returncode == 2, done.stderr
     assert "usage error" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "kneser --n 10000000 --k 5000000",  # C(n, k) has about 3 million digits
+    "cohomology --n 1000000 --mode ones --basis --degree 1000000",
+])
+def test_huge_counts_are_refused_in_time_without_printing_them(argv):
+    done = _cli_process(*argv.split(), seconds=10)
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.encode()) < 1000
 
 
 def test_lattice_bad_trace_residual_exits_1(capsys, monkeypatch):

@@ -382,6 +382,16 @@ def test_build_and_certify_compute_det_e_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_build_lattice_evaluates_each_distinct_block_once(monkeypatch):
+    calls = []
+    mat2 = lattice._mat2
+    monkeypatch.setattr(lattice, "_mat2", lambda a, b: calls.append(1) or mat2(a, b))
+    pkg = build_lattice("II", 50, 3)
+    # V (diag V^-1) once for the one m, not once for each of the 49 blocks
+    assert len(calls) == 2
+    assert lattice_failures(pkg) == []
+
+
 def test_lattice_failures_names_each_broken_field():
     pkg = build_lattice("I", 5, case1_params(5, [2, 3, 5, 7]))
     assert lattice_failures(pkg) == []
@@ -417,23 +427,6 @@ def test_build_lattice_validation():
         build_lattice("I", 3, [pell_min_solution(2)])  # wrong count
     with pytest.raises(InvalidParameterError):
         build_lattice("III", 3, 3)
-
-
-def test_conjugator_blocks_are_inverse_eigenvector_matrices():
-    pkg = build_lattice("II", 2, 3)
-    with mp.workdps(40):
-        lam = mp.exp(pkg.t0)
-        # P block times (1, -lambda) eigenvector matrix is the identity
-        v = [[mpf(1), mpf(1)], [-lam, -1 / lam]]
-        p = [[pkg.P[1][1], pkg.P[1][2]], [pkg.P[2][1], pkg.P[2][2]]]
-        prod = [
-            [sum(p[i][k] * v[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-        assert abs(prod[0][0] - 1) < mpf("1e-30")
-        assert abs(prod[1][1] - 1) < mpf("1e-30")
-        assert abs(prod[0][1]) < mpf("1e-30")
-        assert abs(prod[1][0]) < mpf("1e-30")
 
 
 # ---------------------------------------------------------------------------
