@@ -31,7 +31,7 @@ Three weight modes fix how "<w, b> = 0" is decided:
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from math import comb, lcm
 
@@ -43,6 +43,7 @@ from .exterior_algebra import (
     below_parity,
     degree_masks,
 )
+from .kneser import comb_past
 
 BRUTEFORCE_MAX_N = 7
 # Largest basis cohomology_basis lists, checked before it is built (one run
@@ -432,11 +433,13 @@ def cohomology_basis(
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
     explicit = spec.mode is Mode.EXPLICIT
-    size = comb(spec.two_n, degree) if explicit else betti_closed_form(spec, degree)
+    binom = partial(comb_past, limit=BASIS_MAX_SIZE)
+    size = (binom(spec.two_n, degree) if explicit
+            else betti_closed_form(spec, degree, binom))
     if size > BASIS_MAX_SIZE:
         raise SizeLimitError(
-            f"a basis of H^{degree} at n = {spec.n} means {size} candidates; "
-            f"the limit is {BASIS_MAX_SIZE}"
+            f"a basis of H^{degree} at n = {spec.n} means more than "
+            f"{BASIS_MAX_SIZE} candidates"
         )
     if explicit:
         return _explicit_basis(spec, degree, labels)
@@ -461,20 +464,22 @@ def lefschetz_target_basis(
     return _pinned_bases(spec, m, labels, (True,))[0][0]
 
 
-def betti_closed_form(spec: AlgebraSpec, degree: int) -> int:
-    """Betti number from the closed-form binomial expressions."""
+def betti_closed_form(spec: AlgebraSpec, degree: int, binom=comb) -> int:
+    """Betti number from the closed-form binomial expressions; they only add
+    and multiply binomials, so with a ``binom`` from ``kneser.comb_past`` it
+    passes the limit exactly when the Betti number does."""
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
     n = spec.n
     if spec.mode is Mode.GENERIC:
         if degree % 2 == 0:
-            return comb(n, degree // 2)
-        return 2 * comb(n - 1, (degree - 1) // 2)
+            return binom(n, degree // 2)
+        return 2 * binom(n - 1, (degree - 1) // 2)
     if spec.mode is Mode.ONES:
         if degree % 2 == 0:
             k = degree // 2
-            return comb(n - 1, k) ** 2 + (comb(n - 1, k - 1) ** 2 if k else 0)
-        return 2 * comb(n - 1, (degree - 1) // 2) ** 2
+            return binom(n - 1, k) ** 2 + (binom(n - 1, k - 1) ** 2 if k else 0)
+        return 2 * binom(n - 1, (degree - 1) // 2) ** 2
     raise UnsupportedModeError(
         "no closed-form Betti numbers in explicit mode; use betti_bruteforce"
     )

@@ -73,6 +73,8 @@ CHECK_ERRORS = (
     InvalidSymplecticFormError,
     NoHarmonicRepresentativeError,
 )
+# the commands whose report can carry a matrix, the one payload csv renders
+MATRIX_COMMANDS = ("lefschetz", "kneser")
 
 
 def _parse_spec(args) -> AlgebraSpec:
@@ -109,11 +111,12 @@ def _cmd_cohomology(args):
     ok = True
     explicit = spec.mode is Mode.EXPLICIT
     degrees = range(spec.two_n + 1)
+    if args.check_brute:  # first: BRUTEFORCE_MAX_N refuses before any work
+        brute = [betti_bruteforce(spec, k) for k in degrees]
     if args.betti or not args.basis:
         betti = betti_bruteforce if explicit else betti_closed_form
         results["betti"] = [betti(spec, k) for k in degrees]
     if args.check_brute:
-        brute = [betti_bruteforce(spec, k) for k in degrees]
         results["betti_bruteforce"] = brute
         # the reference computes no rank: basis sizes or the closed form
         if explicit:
@@ -353,6 +356,8 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     started = time.monotonic()
     try:
+        if args.format == "csv" and args.command not in MATRIX_COMMANDS:
+            raise InvalidParameterError("csv output needs a matrix payload")
         results, ok = args.fn(args)
     except CHECK_ERRORS as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -58,17 +58,22 @@ class KneserGraph:
         return comb(self.n - self.k, self.k)
 
 
-def require_vertex_count(g: KneserGraph, limit: int) -> None:
-    """Raise SizeLimitError if g has more than ``limit`` vertices.
-
-    C(n, j) grows with j up to min(k, n - k), where it is the vertex count:
-    the check stops at the first one past the limit, never forming C(n, k).
-    """
-    count = 1
-    for j in range(min(g.k, g.n - g.k)):
-        count = count * (g.n - j) // (j + 1)
+def comb_past(n: int, k: int, limit: int) -> int:
+    """C(n, k), or a number past ``limit``: C(n, j) grows with j up to
+    min(k, n - k), so the count stops at the first one past the limit."""
+    count = 1 if 0 <= k <= n else 0
+    for j in range(min(k, n - k)):
+        count = count * (n - j) // (j + 1)
         if count > limit:
-            raise SizeLimitError(f"K({g.n},{g.k}) has more than {limit} vertices")
+            break
+    return count
+
+
+def require_vertex_count(g: KneserGraph, limit: int) -> None:
+    """Raise SizeLimitError if g has more than ``limit`` vertices, counted
+    by ``comb_past`` so that a large C(n, k) is never formed."""
+    if comb_past(g.n, g.k, limit) > limit:
+        raise SizeLimitError(f"K({g.n},{g.k}) has more than {limit} vertices")
 
 
 def adjacency(g: KneserGraph) -> list:

@@ -9,18 +9,17 @@ blocks; in the all-ones case the matrices decompose blockwise over the
 theta-pairs.  All entries are exact integers, read off bit-mask products of
 the power's terms with the basis monomials.  The divided powers w^k / k! are
 one int mask chain per form (``_mask_power_chain``), cached on the form and
-shared by ``lefschetz_matrix``, ``hard_lefschetz_report`` and
-``SymplecticForm.validated``; for the standard form every coefficient is
-+-1, so no Fraction is built.
+shared by ``lefschetz_matrix`` and ``SymplecticForm.validated``; for the
+standard form every coefficient is +-1, so no Fraction is built.
 
-For the standard form the hard-Lefschetz verdict follows the paper's proof:
-``check_structure`` verifies, entry by entry, that L_m is the direct sum of
-its ``blocks``, laid out by the walk that pinned its bases, before
-``lefschetz_matrix`` returns it; det L_m is then the product of the
-closed-form Kneser determinants of its blocks
-(``LefschetzMatrix.determinant``), so no elimination runs.  A user-supplied
-form has no such structure; its determinants come from sparse elimination
-(``exact_linalg.det_sparse``).
+The hard-Lefschetz verdict follows the paper's proof: ``check_structure``
+verifies, entry by entry, that L_m is the direct sum of its ``blocks``, laid
+out by the walk that pinned its bases, before ``lefschetz_matrix`` returns
+it; det L_m is then the product of the closed-form Kneser determinants of
+its blocks (``LefschetzMatrix.determinant``), so no elimination runs.  A user
+form is certified as a pull-back phi*[w] by an automorphism phi
+(``pull_back_factors``); its det L_m is the standard one times powers of
+phi's two parameters.
 """
 
 import math
@@ -36,6 +35,7 @@ from .ce_complex import (
     _pinned_bases,
     betti_closed_form,
     cohomology_basis,
+    d_monomial,
     delta_form,
     gamma_form,
     is_closed,
@@ -65,11 +65,10 @@ from .kneser import KneserGraph, determinant, neighbours
 # generic n = 18 `--m 16` (7.96 M; 6.5 s, 177 MB) and `--m 6` (8.54 M; 4.6 s),
 # any n >= 19 by its chain alone (9.96 M; generic n = 20 `--m 0` took 9.9 s),
 # generic n = 15 `--hl` (12.6 M; 5.5 s) and ones n = 11 `--hl` (18.4 M; 8.2 s).
-# The user-form route of hard_lefschetz_report, reachable only from the
-# library, is held to the same count but still eliminates: a generic n = 12
-# form takes 42 s.  DENSE_MAX_DIMENSION bounds the CLI matrix payload, which
-# prints every cell: ones n = 8 (2450) prints its 66 MB of JSON in 0.6 s with a
-# 150 MB peak; ones n = 9 (9800) would print about 1 GB.
+# A user form of hard_lefschetz_report adds its validation (ones n = 10: 1.9 s
+# in all).  DENSE_MAX_DIMENSION bounds the CLI matrix payload, which prints
+# every cell: ones n = 8 (2450) prints its 66 MB of JSON in 0.6 s with a 150 MB
+# peak; ones n = 9 (9800) would print about 1 GB.
 MAX_WORK = 7_800_000
 DENSE_MAX_DIMENSION = 2450
 
@@ -251,14 +250,12 @@ def _operator_columns(spec, m, omega_form, labels=False):
 
     The divided power is read off the cached ``_mask_power_chain`` of
     ``omega_form``; the bases carry ``labels`` only if asked for.  Returns
-    (source basis, target basis, columns, walk): both bases and the blocks
-    come from one ``_pinned_bases`` walk (explicit mode has no walk).  d is
-    injective on monomials, so each product P ^ J of a (closed) power term
-    P with a source basis monomial J is a target basis monomial (one per
-    row: P -> P u J is injective) or an exact one (2n, nonzero weight):
-    dropped.  Terms are (mask, coefficient) pairs, the coefficient an int
-    when integral: P ^ J vanishes when the masks meet, and its sign is a bit
-    count of P against ``below_parity`` of J.
+    (source basis, target basis, columns, walk), from one ``_pinned_bases``
+    walk (explicit mode has none).  d is injective on monomials, so each
+    product P ^ J of a closed power term P with a source monomial J is a
+    target basis monomial (one per row: P -> P u J is injective) or an
+    exact one (2n, nonzero weight), dropped.  P ^ J vanishes when the masks
+    meet, and its sign is a bit count of P against ``below_parity`` of J.
     """
     terms = _mask_power_chain(omega_form, spec.n)[spec.n - m].items()
     two_n = spec.two_n
@@ -416,28 +413,109 @@ def hard_lefschetz_report(
 ) -> HardLefschetzReport:
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
-    The divided powers w^k / k! come from the one cached
-    ``_mask_power_chain`` of the form, and the work of every L_m is checked
-    against MAX_WORK before any basis is built.  With no user form each L_m
-    is a verified ``lefschetz_matrix`` and det L_m is read off its blocks,
-    as a product of closed-form Kneser determinants.  A user-supplied form
-    is validated, its operator matrices are computed in the same pinned
-    bases (entries may then be any rationals, e.g. scaled by powers of the
-    scaling factor) and their determinants come from sparse elimination.
+    The work of every L_m is checked against MAX_WORK first.  Each L_m is
+    the verified standard ``lefschetz_matrix``, its det read off its Kneser
+    blocks.  A user form is validated and certified as phi*[w_std]
+    (``pull_back_factors``); L_{phi* w} = phi* L_w (phi*)^{-1} on
+    cohomology, so its det L_m is the standard one times
+    a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
     """
     require_size(spec, range(spec.n + 1))
-    if user_form is not None and not isinstance(user_form, SymplecticForm):
-        user_form = SymplecticForm.validated(spec, user_form)
+    a = det_m = Fraction(1)
+    if user_form is not None:
+        if not isinstance(user_form, SymplecticForm):
+            user_form = SymplecticForm.validated(spec, user_form)
+        a, det_m = pull_back_factors(spec, user_form.form)
     rows_out = []
     for m in range(spec.n + 1):
-        if user_form is None:
-            matrix = lefschetz_matrix(spec, m)
-            size, det = matrix.size, matrix.determinant()
-            del matrix  # free L_m before L_{m+1} is built
-        else:
-            columns = _operator_columns(spec, m, user_form.form)[2]
-            # det A^T = det A, so the columns serve as the rows
-            size, det = len(columns), exact_linalg.det_sparse(columns)
-        rows_out.append(OperatorSummary(m, size, Fraction(det)))
+        matrix = lefschetz_matrix(spec, m)
+        size, det = matrix.size, matrix.determinant()
+        del matrix  # free L_m before L_{m+1} is built
+        (e0, s0), (e1, s1) = (_character_counts(spec, p)
+                              for p in (m, spec.two_n - m))
+        det *= a ** (e1 - e0) * det_m ** (s1 - s0)
+        rows_out.append(OperatorSummary(m, size, det))
     verdict = all(op.determinant != 0 for op in rows_out)
     return HardLefschetzReport(spec, tuple(rows_out), verdict)
+
+
+def _read_class(spec: AlgebraSpec, cls: dict) -> tuple:
+    """(a, M) of a class {mask: coeff}: a on delta, M[i-2][j-2] on e^i^e^s(j)."""
+    n, two_n = spec.n, spec.two_n
+    a, rows = 0, [[0] * (n - 1) for _ in range(n - 1)]
+    for mask, c in cls.items():
+        mono = Monomial(mask, two_n)
+        ij = mono.indices
+        if mask == 1 | 1 << (two_n - 1):
+            a = c
+        elif len(ij) == 2 and 2 <= ij[0] <= n < ij[1] < two_n:
+            rows[ij[0] - 2][ij[1] - n - 1] = c
+        else:
+            raise InvariantViolationError(f"{mono} is not delta or e^i^e^s(j)")
+    return a, rows
+
+
+def _pull(images: list, terms: dict, two_n: int) -> dict:
+    """phi* of a {mask: coeff} form: each monomial is the wedge of its
+    covectors' images, P ^ Q signed by P against ``below_parity`` of Q."""
+    out = Counter()
+    for mask, c in terms.items():
+        image = {0: c}
+        for k in (k for k in range(two_n) if mask >> k & 1):
+            wedge = Counter()
+            for q, e in images[k].items():
+                below = below_parity(q, two_n)
+                for p, v in image.items():
+                    if not p & q:
+                        odd = (p & below).bit_count() & 1
+                        wedge[p | q] += -v * e if odd else v * e
+            image = wedge
+        out.update(image)
+    return {mask: v for mask, v in out.items() if v}
+
+
+def _d(spec: AlgebraSpec, terms: dict) -> dict:
+    """d of a {mask: coeff} form; d is injective on monomials, so no sums."""
+    images = ((d_monomial(spec, mask), c) for mask, c in terms.items())
+    return {image[0]: c * image[1] for image, c in images if image}
+
+
+def pull_back_factors(spec: AlgebraSpec, form: Form) -> tuple:
+    """(a, det M) for a closed 2-form whose class is phi*[w_std], or raise.
+
+    The class (``project_to_cohomology``) gives (a, M) (``_read_class``);
+    phi* sends e^1 to a e^1 and e^{s(i)} to sum_j M_ij e^{s(j)}, and fixes
+    every other e^k.  Two exact checks raise InvariantViolationError: that
+    phi* commutes with d on each covector (phi is an automorphism; generic
+    witness weights force M diagonal), and that phi*(w_std) is the class.
+    """
+    n, two_n = spec.n, spec.two_n
+    cls = {t.mask: c for t, c in project_to_cohomology(spec, form).terms.items()}
+    a, rows = _read_class(spec, cls)
+    images = [{1: a}] + [{1 << k: 1} for k in range(1, two_n)]
+    for i, row in enumerate(rows):  # bit n + i is e^{s(i + 2)}
+        images[n + i] = {1 << (n + j): c for j, c in enumerate(row) if c}
+    for k in range(two_n):
+        if _d(spec, images[k]) != _pull(images, _d(spec, {1 << k: 1}), two_n):
+            raise InvariantViolationError(f"phi* and d differ on e^{k + 1}")
+    std = {t.mask: c for t, c in standard_omega(spec).terms.items()}
+    if _pull(images, std, two_n) != cls:
+        raise InvariantViolationError("phi*(w_std) differs from the class")
+    return Fraction(a), exact_linalg.det_sparse(rows)
+
+
+def _character_counts(spec: AlgebraSpec, p: int) -> tuple:
+    """(e(p), s(p)): the basis monomials of H^p with e^1, and with e^{s(2)}.
+
+    A class is [e^1] e^I e^{s(J)} [e^{2n}], I and J r-subsets of {2..n}
+    (I = J if generic): C(n-1, r)^2 (ones) or C(n-1, r) per choice of e^1
+    and e^{2n}, r / (n - 1) of them with s(2).  phi* acts on the e^{s(J)}
+    as Lambda^r M, so det phi*|H^p = a^{e(p)} det(M)^{s(p)}.
+    """
+    e = s = 0
+    for e1, e2n in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        r, odd = divmod(p - e1 - e2n, 2)
+        if not odd and r >= 0:
+            w = math.comb(spec.n - 1, r) ** (2 if spec.mode is Mode.ONES else 1)
+            e, s = e + w * e1, s + w * r // (spec.n - 1)
+    return e, s

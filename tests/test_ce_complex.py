@@ -445,3 +445,33 @@ def test_spec_validation():
     for m in (-1, 4, 7):  # L_m needs 0 <= m <= n
         with pytest.raises(ValueError):
             lefschetz_target_basis(AlgebraSpec.ones(3), m)
+
+
+@pytest.mark.parametrize("spec, degree", [
+    (AlgebraSpec.ones(2000), 2000),
+    (AlgebraSpec.generic(2000), 2000),
+    (AlgebraSpec.explicit(range(1, 2000)), 2000),
+])
+def test_basis_refusal_is_short(spec, degree):
+    with pytest.raises(SizeLimitError) as err:
+        cohomology_basis(spec, degree)
+    assert str(err.value) == (
+        f"a basis of H^{degree} at n = 2000 means more than "
+        f"{ce_complex.BASIS_MAX_SIZE} candidates"
+    )
+
+
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_capped_betti_passes_a_limit_exactly_when_the_betti_number_does(maker):
+    from functools import partial
+
+    from aacohom.kneser import comb_past
+
+    for limit in (10, 400, ce_complex.BASIS_MAX_SIZE):
+        binom = partial(comb_past, limit=limit)
+        for n in range(2, 15):
+            spec = maker(n)
+            for degree in range(spec.two_n + 1):
+                exact = betti_closed_form(spec, degree)
+                capped = betti_closed_form(spec, degree, binom)
+                assert capped == exact if exact <= limit else capped > limit

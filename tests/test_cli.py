@@ -421,11 +421,28 @@ def test_lattice_long_inputs_are_refused_in_time(argv):
 @pytest.mark.parametrize("argv", [
     "kneser --n 10000000 --k 5000000",  # C(n, k) has about 3 million digits
     "cohomology --n 1000000 --mode ones --basis --degree 1000000",
+    "cohomology --n 2000 --mode ones --basis --degree 2000",  # H^2000's size
 ])
 def test_huge_counts_are_refused_in_time_without_printing_them(argv):
     done = _cli_process(*argv.split(), seconds=10)
     assert done.returncode == 2, done.stderr
     assert len(done.stderr.encode()) < 1000
+
+
+@pytest.mark.parametrize("argv", [
+    "cohomology --n 2500 --mode ones --check-brute",
+    "--format csv cohomology --n 2500 --mode ones --betti",
+])
+def test_refused_before_any_betti_number(argv, capsys, monkeypatch):
+    def counted(*args):
+        raise AssertionError("computed a Betti number")
+
+    monkeypatch.setattr(cli, "betti_closed_form", counted)
+    assert run(capsys, *argv.split())[0] == 2
+    started = time.monotonic()
+    done = _cli_process(*argv.split(), seconds=10)
+    assert time.monotonic() - started < 1
+    assert done.returncode == 2, done.stderr
 
 
 def test_lattice_bad_trace_residual_exits_1(capsys, monkeypatch):

@@ -169,3 +169,17 @@ def test_invariants_up_to_n8(n):
         cert = verify_invertible(g)  # exact det != 0 and annihilator == 0
         assert cert.determinant == det_bareiss(a)
         assert all(v != 0 for v, _ in cert.eigenvalues)
+
+
+def test_comb_past_is_exact_up_to_its_limit():
+    from math import comb
+
+    from aacohom.kneser import comb_past
+
+    for n in range(0, 14):
+        for k in range(-1, n + 2):
+            exact = comb(n, k) if k >= 0 else 0
+            got = comb_past(n, k, 100)
+            assert got == exact if exact <= 100 else got > 100, (n, k)
+    # stops at C(n, 2), far below C(10**6, 5 * 10**5)
+    assert comb_past(10**6, 5 * 10**5, 1000) < 10**12

@@ -738,3 +738,96 @@ def test_standard_form_is_symplectic():
     for spec in (AlgebraSpec.generic(4), AlgebraSpec.ones(3)):
         sf = SymplecticForm.standard(spec)
         assert len(sf.form.terms) == spec.n
+
+
+# ---------------------------------------------------------------------------
+# the pull-back certificate of a user form
+# ---------------------------------------------------------------------------
+
+
+def _certificate_cases(spec):
+    """Seeded user forms (thetas only where they are closed), one with exact
+    junk added and one scaled standard form."""
+    thetas = 3 if spec.mode is Mode.ONES else 0
+    forms = [_seeded_user_form(spec, seed, thetas) for seed in range(6)]
+    two_n = spec.two_n
+    junk = Form.from_monomial(Monomial.from_indices((2, two_n), two_n), 7)
+    forms.append(forms[0] + junk)  # e^2 ^ e^{2n} is exact
+    forms.append(standard_omega(spec) * Fraction(-5, 3))
+    return forms
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_pull_back_determinants_match_elimination(n, maker):
+    spec = maker(n)
+    for form in _certificate_cases(spec):
+        report = hard_lefschetz_report(spec, form)
+        for op in report.operators:
+            columns = lefschetz._operator_columns(spec, op.m, form)[2]
+            assert op.determinant == det_sparse(columns) != 0, op.m
+        assert report.hard_lefschetz
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_character_counts_match_the_basis(n, maker):
+    spec = maker(n)
+    for p in range(spec.two_n + 1):
+        elements = cohomology_basis(spec, p, labels=False).elements
+        with_e1 = sum(mono.contains(1) for mono in elements)
+        with_s2 = sum(mono.contains(spec.sigma(2)) for mono in elements)
+        assert lefschetz._character_counts(spec, p) == (with_e1, with_s2), p
+
+
+def test_certificate_rejects_phi_that_does_not_commute_with_d(monkeypatch):
+    # generic weights differ, so moving M_22 to M_23 mixes e^{s(2)} with
+    # e^{s(3)}: phi is then no automorphism
+    spec = AlgebraSpec.generic(4)
+    read = lefschetz._read_class
+
+    def moved(spec, cls):
+        a, rows = read(spec, cls)
+        rows[0][1], rows[0][0] = rows[0][0], 0
+        return a, rows
+
+    monkeypatch.setattr(lefschetz, "_read_class", moved)
+    with pytest.raises(InvariantViolationError, match="phi\\* and d differ"):
+        hard_lefschetz_report(spec, _seeded_user_form(spec, 1, thetas=0))
+
+
+@pytest.mark.parametrize("forge", [
+    lambda a, rows: (2 * a, rows),
+    lambda a, rows: (a, [list(r) for r in zip(*rows)]),  # M transposed
+])
+def test_certificate_rejects_a_forged_reading(monkeypatch, forge):
+    spec = AlgebraSpec.ones(4)
+    form = _seeded_user_form(spec, 2)
+    read = lefschetz._read_class
+    monkeypatch.setattr(lefschetz, "_read_class",
+                        lambda spec, cls: forge(*read(spec, cls)))
+    with pytest.raises(InvariantViolationError, match="differs from the class"):
+        hard_lefschetz_report(spec, form)
+
+
+def test_certificate_rejects_a_monomial_outside_delta_and_m():
+    spec = AlgebraSpec.ones(3)
+    e12 = Monomial.from_indices((1, 2), spec.two_n).mask
+    with pytest.raises(InvariantViolationError, match="e\\^1\\^2"):
+        lefschetz._read_class(spec, {e12: 1})
+
+
+def test_user_form_report_eliminates_only_m(monkeypatch):
+    from aacohom import exact_linalg
+
+    det = exact_linalg.det_sparse
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(exact_linalg, "det_sparse", counted)
+    spec = AlgebraSpec.ones(5)
+    assert hard_lefschetz_report(spec, _seeded_user_form(spec, 3)).hard_lefschetz
+    assert calls == [spec.n - 1]
