@@ -5,14 +5,12 @@ from .ce_complex import (
     AlgebraSpec,
     CohomologyBasis,
     Mode,
-    WeightVector,
     betti_bruteforce,
     betti_closed_form,
     betti_sequence,
     cohomology_basis,
     differential,
     is_closed,
-    weight,
 )
 from .exterior_algebra import Form, Monomial, coefficient, top_pairing, wedge
 from .kneser import KneserGraph, adjacency, spectrum, verify_invertible
@@ -39,7 +37,6 @@ from .symplectic_hodge import (
     dc,
     ddc_lemma_check,
     harmonic_representative,
-    lambda_and_h,
     star,
 )
 
@@ -56,7 +53,6 @@ __all__ = [
     "Monomial",
     "PellSolution",
     "SymplecticForm",
-    "WeightVector",
     "adjacency",
     "alt_remark_params",
     "betti_bruteforce",
@@ -74,7 +70,6 @@ __all__ = [
     "harmonic_representative",
     "hypothesis1_certificate",
     "is_closed",
-    "lambda_and_h",
     "lefschetz_matrix",
     "omega_power",
     "pell_min_solution",
@@ -84,6 +79,5 @@ __all__ = [
     "star",
     "top_pairing",
     "verify_invertible",
-    "weight",
     "wedge",
 ]

@@ -15,9 +15,9 @@ a form is closed exactly when each of its monomials contains 2n or has
 weight zero: ``is_closed``, the cohomology bases and the closed-form Betti
 numbers rest on that weight test alone.
 ``d_monomial`` works on bit masks and sums <w(m), b> from a per-spec table
-of each bit's share (``AlgebraSpec.bit_weights``).  ``differential``,
-``is_closed`` and the symplectic Hodge kernel call it; the explicit-mode
-bases read the same table.
+of each bit's share (``AlgebraSpec.bit_weights``).  ``d_terms``, the d of
+every {mask: coeff} form and of ``differential``, applies it; ``is_closed``
+and the explicit-mode bases read the same table.
 
 Three weight modes fix how "<w, b> = 0" is decided:
 
@@ -150,48 +150,6 @@ class AlgebraSpec:
         return tuple(shares), scale
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Integer coefficients of b_2..b_n in the closedness scalar of a monomial."""
-
-    coeffs: tuple
-
-    def is_zero_for(self, spec: AlgebraSpec) -> bool:
-        if spec.mode is Mode.GENERIC:
-            return not any(self.coeffs)
-        if spec.mode is Mode.ONES:
-            return sum(self.coeffs) == 0
-        return self.value(spec) == 0
-
-    def value(self, spec: AlgebraSpec) -> Fraction:
-        """The scalar <w, b> for a numeric mode; every coefficient is 0 or +-1."""
-        total = Fraction(0)
-        for c, v in zip(self.coeffs, spec.numeric_b()):
-            if c > 0:
-                total += v
-            elif c:
-                total -= v
-        return total
-
-
-def weight(spec: AlgebraSpec, m: Monomial) -> WeightVector:
-    """Weight of a monomial: +1 for each j present, -1 for each s(j) present.
-
-    Indices 1 and 2n contribute nothing.
-    """
-    if m.two_n != spec.two_n:
-        raise ValueError(f"monomial ambient {m.two_n} does not match 2n={spec.two_n}")
-    coeffs = []
-    for j in range(2, spec.n + 1):
-        c = 0
-        if m.contains(j):
-            c += 1
-        if m.contains(spec.sigma(j)):
-            c -= 1
-        coeffs.append(c)
-    return WeightVector(tuple(coeffs))
-
-
 def _scaled_weight(spec: AlgebraSpec, mask: int) -> int:
     """scale * <w(mask), b>, summed over the set bits from ``bit_weights``."""
     shares = spec.bit_weights[0]
@@ -237,14 +195,17 @@ def differential(spec: AlgebraSpec, f: Form) -> Form:
         raise ValueError(f"form ambient {f.two_n} does not match 2n={spec.two_n}")
     if spec.mode is Mode.GENERIC:
         raise UnsupportedModeError("generic mode has no numeric differential")
-    top = spec.two_n
+    return Form.from_masks(d_terms(spec, f.masks()), spec.two_n)
+
+
+def d_terms(spec: AlgebraSpec, terms: dict) -> dict:
+    """d of a {mask: coeff} form; d is injective on monomials, so no sums."""
     out = {}
-    for m, c in f.terms.items():
-        image = d_monomial(spec, m.mask)
+    for mask, c in terms.items():
+        image = d_monomial(spec, mask)
         if image:
-            target, value = image
-            out[Monomial(target, top)] = c * value
-    return Form(out, top)
+            out[image[0]] = image[1] * c
+    return out
 
 
 def is_closed(spec: AlgebraSpec, f: Form) -> bool:

@@ -5,9 +5,9 @@ Three workhorses, all division-safe:
 * sparse fraction-free row echelon for ranks of large sparse integer
   matrices (rows are dicts, updates are the two-term integer combination
   pivot*row - entry*pivot_row followed by a gcd reduction);
-* dense Bareiss elimination for determinants of integer matrices;
-* dense Fraction Gauss-Jordan for solving, null spaces and RREF on the
-  small systems used by the operator suite.
+* Bareiss and sparse Fraction elimination for determinants;
+* dense Fraction Gauss-Jordan (``rref``) and ``matmul_int``, on which the
+  test oracles build their null spaces and solves.
 
 Matrices are lists of rows; sparse rows are dicts column -> value.
 """
@@ -76,6 +76,7 @@ def det_bareiss(matrix) -> int:
     Each step drops the pivot row and column, and each row below is
     updated by one list comprehension: (pivot * x - lead * y) // prev,
     exact by Sylvester's identity.  A row with a zero lead only scales.
+    A non-integral entry raises ValueError.
     """
     n = len(matrix)
     if n == 0:
@@ -83,6 +84,8 @@ def det_bareiss(matrix) -> int:
     m = [list(map(int, row)) for row in matrix]
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
+    if m != list(map(list, matrix)):
+        raise ValueError("matrix has a non-integral entry")
     sign = 1
     prev = 1
     while len(m) > 1:
@@ -114,13 +117,17 @@ def det_sparse(rows) -> Fraction:
     Suited to block-diagonal matrices: a column -> live-rows index finds the
     rows sharing each pivot column, so work stays inside the blocks.  Each
     pivot is the live row with the fewest entries, lowest index first.
+    Non-square input raises ValueError.
     """
     n = len(rows)
     live = {}
     holders = [set() for _ in range(n)]  # column -> live rows with an entry
     for i, row in enumerate(rows):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
+        dense = not isinstance(row, dict)
+        items = enumerate(row) if dense else row.items()
         live[i] = {j: Fraction(v) for j, v in items if v}
+        if dense and len(row) != n or any(not 0 <= j < n for j in live[i]):
+            raise ValueError("matrix is not square")
         for j in live[i]:
             holders[j].add(i)
     det = Fraction(1)
@@ -183,57 +190,6 @@ def rref(matrix):
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def nullspace(matrix, ncols=None):
-    """Basis of the right null space of ``matrix`` (A x = 0), as row vectors."""
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    if not matrix:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    rows, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve_particular(matrix, rhs):
-    """One solution x of A x = rhs over Fraction, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not matrix:
-        return [] if not any(rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None  # pivot in the rhs column: inconsistent
-        x[p] = rows[r][ncols]
-    return x
-
-
-def spans_equal(vectors_a, vectors_b) -> bool:
-    """Exact equality of the spans of two lists of rational row vectors."""
-    ra = rank(vectors_a)
-    rb = rank(vectors_b)
-    if ra != rb:
-        return False
-    return rank(list(vectors_a) + list(vectors_b)) == ra
 
 
 def matmul_int(a, b):

@@ -4,7 +4,9 @@ Covectors are indexed 1..2n.  A wedge monomial e^{i1} ^ ... ^ e^{ik} with
 strictly increasing indices is stored as a bit mask over the 2n positions
 (bit i-1 set iff index i occurs), so index collisions and inversion counts
 become word operations.  A form is a sparse map monomial -> Fraction; all
-arithmetic is exact and no value is ever mutated after construction.
+arithmetic is exact and no value is ever mutated after construction.  The
+mask kernels hold a form as {mask: coeff} (``Form.masks``) and multiply with
+``wedge_terms``; ``wedge`` keeps its own loop, the tests' reference.
 """
 
 from fractions import Fraction
@@ -107,14 +109,25 @@ def below_parity(mask: int, width: int) -> int:
     return below
 
 
+def wedge_terms(a: dict, b: dict, two_n: int) -> dict:
+    """a ^ b of two {mask: coeff} forms, without zero coefficients.
+
+    P ^ Q vanishes when the masks meet, and its sign is one bit count of P
+    against ``below_parity`` of Q.  The terms of a are the outer loop.
+    """
+    b = [(q, below_parity(q, two_n), c) for q, c in b.items()]
+    out = {}
+    for p, pc in a.items():
+        for q, below, qc in b:
+            if not p & q:
+                v = -pc * qc if (p & below).bit_count() & 1 else pc * qc
+                out[p | q] = out.get(p | q, 0) + v
+    return {mask: c for mask, c in out.items() if c}
+
+
 def degree_masks(two_n: int, degree: int) -> list:
     """Masks of the degree-homogeneous monomials in lexicographic index order."""
     return [sum(c) for c in combinations([1 << i for i in range(two_n)], degree)]
-
-
-def all_monomials(two_n: int, degree: int):
-    """Degree-homogeneous monomials in lexicographic index order."""
-    return [Monomial(mask, two_n) for mask in degree_masks(two_n, degree)]
 
 
 class Form:
@@ -153,6 +166,18 @@ class Form:
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff=1) -> "Form":
         return cls({mono: Fraction(coeff)}, mono.two_n)
+
+    @classmethod
+    def from_masks(cls, terms: dict, two_n: int) -> "Form":
+        """The form of a {mask: coeff} map, as the mask kernels return it."""
+        return cls({Monomial(mask, two_n): c for mask, c in terms.items()}, two_n)
+
+    def masks(self) -> dict:
+        """{mask: coeff}, an integral coefficient as an int, for the kernels."""
+        return {
+            m.mask: c.numerator if c.denominator == 1 else c
+            for m, c in self.terms.items()
+        }
 
     @property
     def is_zero(self) -> bool:

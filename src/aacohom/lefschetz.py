@@ -8,9 +8,10 @@ matrices of Kneser graphs and the odd ones split into two such diagonal
 blocks; in the all-ones case the matrices decompose blockwise over the
 theta-pairs.  All entries are exact integers, read off bit-mask products of
 the power's terms with the basis monomials.  The divided powers w^k / k! are
-one int mask chain per form (``_mask_power_chain``), cached on the form and
-shared by ``lefschetz_matrix`` and ``SymplecticForm.validated``; for the
-standard form every coefficient is +-1, so no Fraction is built.
+one int mask chain per form (``_mask_power_chain``, on ``wedge_terms``),
+cached on the form and shared by ``lefschetz_matrix`` and
+``SymplecticForm.validated``; for the standard form every coefficient is
++-1, so no Fraction is built.
 
 The hard-Lefschetz verdict follows the paper's proof: ``check_structure``
 verifies, entry by entry, that L_m is the direct sum of its ``blocks``, laid
@@ -18,8 +19,8 @@ out by the walk that pinned its bases, before ``lefschetz_matrix`` returns
 it; det L_m is then the product of the closed-form Kneser determinants of
 its blocks (``LefschetzMatrix.determinant``), so no elimination runs.  A user
 form is certified as a pull-back phi*[w] by an automorphism phi
-(``pull_back_factors``); its det L_m is the standard one times powers of
-phi's two parameters.
+(``pull_back_factors``, on ``wedge_terms`` and ``d_terms``); its det L_m
+is the standard one times powers of phi's two parameters.
 """
 
 import math
@@ -35,7 +36,7 @@ from .ce_complex import (
     _pinned_bases,
     betti_closed_form,
     cohomology_basis,
-    d_monomial,
+    d_terms,
     delta_form,
     gamma_form,
     is_closed,
@@ -49,7 +50,7 @@ from .errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, Monomial, below_parity
+from .exterior_algebra import Form, Monomial, below_parity, wedge_terms
 from .kneser import KneserGraph, determinant, neighbours
 
 
@@ -118,43 +119,26 @@ def standard_omega(spec: AlgebraSpec) -> Form:
 def _mask_power_chain(form: Form, top: int) -> tuple:
     """[{mask: coeff} of form^k / k! for k = 0..top] (cached per form).
 
-    Each power is the one before times each (mask, coeff) term T of the
-    form: P ^ T vanishes when the masks meet, and its sign is a bit count of
-    P against ``below_parity`` of T.  Each sum is divided by k exactly, so a
-    coefficient stays an int when it is integral; a Fraction appears only
-    for a form with non-integral coefficients.  The key is the form itself,
-    so two forms on one spec never share a chain.
+    Each power is the one before wedged with the form (``wedge_terms``, the
+    power's terms outer) and divided by k exactly, so a coefficient stays an
+    int when it is integral; a Fraction appears only for a form with
+    non-integral coefficients.  The key is the form itself, so two forms on
+    one spec never share a chain.
     """
-    two_n = form.two_n
-    terms = [
-        (t.mask, below_parity(t.mask, two_n), _as_int(c))
-        for t, c in form.terms.items()
-    ]
+    terms = form.masks()
     chain = [{0: 1}]
     for k in range(1, top + 1):
-        sums = {}
-        for pm, pc in chain[-1].items():
-            for tm, below, tc in terms:
-                if pm & tm:
-                    continue
-                v = pc * tc
-                if (pm & below).bit_count() & 1:
-                    v = -v
-                sums[pm | tm] = sums.get(pm | tm, 0) + v
-        chain.append({mask: _divide(v, k) for mask, v in sums.items() if v})
+        power = wedge_terms(chain[-1], terms, form.two_n)
+        chain.append({mask: _divide(v, k) for mask, v in power.items()})
     return tuple(chain)
-
-
-def _as_int(c):
-    """An integral Fraction as an int; anything else unchanged."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _divide(v, k: int):
     """v / k exactly: an int when the quotient is integral."""
     if type(v) is int and not v % k:
         return v // k
-    return _as_int(Fraction(v) / k)
+    q = Fraction(v) / k
+    return q.numerator if q.denominator == 1 else q
 
 
 def omega_power(spec: AlgebraSpec, k: int) -> Form:
@@ -163,8 +147,7 @@ def omega_power(spec: AlgebraSpec, k: int) -> Form:
         raise ValueError(f"power {k} outside [0, {spec.n}]")
     power = _mask_power_chain(standard_omega(spec), spec.n)[k]
     scale = math.factorial(k)
-    terms = {Monomial(mask, spec.two_n): c * scale for mask, c in power.items()}
-    return Form(terms, spec.two_n)
+    return Form.from_masks({m: c * scale for m, c in power.items()}, spec.two_n)
 
 
 @dataclass(frozen=True)
@@ -457,27 +440,14 @@ def _read_class(spec: AlgebraSpec, cls: dict) -> tuple:
 
 def _pull(images: list, terms: dict, two_n: int) -> dict:
     """phi* of a {mask: coeff} form: each monomial is the wedge of its
-    covectors' images, P ^ Q signed by P against ``below_parity`` of Q."""
+    covectors' images."""
     out = Counter()
     for mask, c in terms.items():
         image = {0: c}
         for k in (k for k in range(two_n) if mask >> k & 1):
-            wedge = Counter()
-            for q, e in images[k].items():
-                below = below_parity(q, two_n)
-                for p, v in image.items():
-                    if not p & q:
-                        odd = (p & below).bit_count() & 1
-                        wedge[p | q] += -v * e if odd else v * e
-            image = wedge
+            image = wedge_terms(image, images[k], two_n)
         out.update(image)
     return {mask: v for mask, v in out.items() if v}
-
-
-def _d(spec: AlgebraSpec, terms: dict) -> dict:
-    """d of a {mask: coeff} form; d is injective on monomials, so no sums."""
-    images = ((d_monomial(spec, mask), c) for mask, c in terms.items())
-    return {image[0]: c * image[1] for image, c in images if image}
 
 
 def pull_back_factors(spec: AlgebraSpec, form: Form) -> tuple:
@@ -490,16 +460,16 @@ def pull_back_factors(spec: AlgebraSpec, form: Form) -> tuple:
     witness weights force M diagonal), and that phi*(w_std) is the class.
     """
     n, two_n = spec.n, spec.two_n
-    cls = {t.mask: c for t, c in project_to_cohomology(spec, form).terms.items()}
+    cls = project_to_cohomology(spec, form).masks()
     a, rows = _read_class(spec, cls)
     images = [{1: a}] + [{1 << k: 1} for k in range(1, two_n)]
     for i, row in enumerate(rows):  # bit n + i is e^{s(i + 2)}
         images[n + i] = {1 << (n + j): c for j, c in enumerate(row) if c}
     for k in range(two_n):
-        if _d(spec, images[k]) != _pull(images, _d(spec, {1 << k: 1}), two_n):
+        pulled = _pull(images, d_terms(spec, {1 << k: 1}), two_n)
+        if d_terms(spec, images[k]) != pulled:
             raise InvariantViolationError(f"phi* and d differ on e^{k + 1}")
-    std = {t.mask: c for t, c in standard_omega(spec).terms.items()}
-    if _pull(images, std, two_n) != cls:
+    if _pull(images, standard_omega(spec).masks(), two_n) != cls:
         raise InvariantViolationError("phi*(w_std) differs from the class")
     return Fraction(a), exact_linalg.det_sparse(rows)
 

