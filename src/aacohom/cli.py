@@ -99,8 +99,13 @@ def _parse_spec(args) -> AlgebraSpec:
     return AlgebraSpec(args.n, mode)
 
 
-def _int_list(text):
-    return [int(part) for part in text.split(",")]
+def _int_list(option, text):
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InvalidParameterError(
+            f"{option} needs comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _cmd_cohomology(args):
@@ -241,8 +246,14 @@ def _cmd_hodge(args):
 def _cmd_lattice(args):
     results = {}
     ok = True
+    # conflicting options are refused here, before any mpmath work
     if args.alt_k:
-        values = alt_remark_params(args.n, _int_list(args.alt_k))
+        for option in ("case", "d", "m"):
+            if getattr(args, option) is not None:
+                raise InvalidParameterError(
+                    f"--{option} is not meaningful with --alt-k"
+                )
+        values = alt_remark_params(args.n, _int_list("--alt-k", args.alt_k))
         results["alt_params"] = [str(v) for v in values]
         _, ok = subset_sum_gap(values)
         results["numeric_independence"] = ok
@@ -251,13 +262,17 @@ def _cmd_lattice(args):
         raise InvalidParameterError("--case I or --case II is required")
     case = args.case.upper()
     if case == "I":
-        d_list = _int_list(args.d) if args.d else None
+        if args.m is not None:
+            raise InvalidParameterError("--m is only meaningful with --case II")
+        d_list = _int_list("--d", args.d) if args.d else None
         params = case1_params(args.n, d_list)
         results["pell_solutions"] = [
             {"d": s.d, "m": str(s.m), "k": str(s.k)} for s in params
         ]
         package = build_lattice("I", args.n, params)
     elif case == "II":
+        if args.d is not None:
+            raise InvalidParameterError("--d is only meaningful with --case I")
         if args.m is None:
             raise InvalidParameterError("case II needs --m")
         package = build_lattice("II", args.n, args.m)

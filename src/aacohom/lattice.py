@@ -12,15 +12,15 @@ prescribed multiplicative relations between the t_m = log((m+sqrt(m^2-4))/2):
   alternatively from integers squeezed between consecutive 2cosh(2^k).
 
 All algebraic claims (Pell identity, determinant, coprimality) are exact;
-the conjugacy itself is verified numerically at high precision.
+the conjugacy itself is verified numerically at high precision.  mpmath is
+imported only inside the functions that compute with it, so importing this
+module (and the CLI) does not load it.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-
-from mpmath import mp, mpf
 
 from . import exact_linalg
 from .errors import (
@@ -31,9 +31,11 @@ from .errors import (
 )
 
 DEFAULT_DPS = 40
-NUMERIC_TOLERANCE = mpf("1e-6")
-RESIDUAL_TOLERANCE = mpf("1e-9")
-TRACE_TOLERANCE = mpf("1e-12")
+# floats, so that no mpf is built at import; each is the binary value of
+# mpf("1e-6") etc. at mpmath's default 53-bit precision
+NUMERIC_TOLERANCE = 1e-6
+RESIDUAL_TOLERANCE = 1e-9
+TRACE_TOLERANCE = 1e-12
 # Set by NUMERIC_TOLERANCE, not time: the default primes give a least gap of
 # 3.0e-5 at n = 14 but 3.4e-7 at n = 15, which fails though coprimality holds.
 MAX_EXHAUSTIVE = 12
@@ -212,11 +214,13 @@ def _dps(ms) -> int:
     return max(DEFAULT_DPS, int(max(m.bit_length() for m in ms) * 0.302) + 21)
 
 
-def t_value(m: int, dps: int = None) -> mpf:
+def t_value(m: int, dps: int = None) -> "mpf":
     """t_m = log((m + sqrt(m^2 - 4)) / 2), so that e^t + e^{-t} = m.
 
     ``dps`` defaults to ``_dps([m])``, enough to reproduce m from t.
     """
+    from mpmath import mp
+
     if m < 3:
         raise InvalidParameterError(f"t_m needs m >= 3, got {m}")
     with mp.workdps(dps or _dps([m])):
@@ -259,6 +263,8 @@ def subset_sum_gap(ms) -> tuple:
     (None for k = 0); the verdict is whether it exceeds NUMERIC_TOLERANCE.
     No m_j is factored.
     """
+    from mpmath import mp
+
     require_exhaustive(len(ms))
     with mp.workdps(DEFAULT_DPS):
         sums = [0]
@@ -313,6 +319,8 @@ class LatticeSpec:
     certificate: Hypothesis1Certificate = None
 
     def to_json_dict(self) -> dict:
+        from mpmath import mp
+
         d = 2 * self.n - 1
         return {
             "case": self.case,
@@ -352,6 +360,8 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
     weights); case I takes the n-1 Pell solutions from case1_params
     (t0 = 1, weights t_{m_j}).
     """
+    from mpmath import mp, mpf
+
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
     case = str(case).upper()
@@ -462,6 +472,8 @@ def alt_remark_params(n: int, k_list) -> list:
     The t_{m_j} then have binary magnitudes 2^{k_j - 1} < t < 2^{k_j}, which
     makes them independent without any coprimality condition.
     """
+    from mpmath import mp, mpf
+
     k_list = [int(k) for k in k_list]
     if len(k_list) != n - 1:
         raise InvalidParameterError(

@@ -11,9 +11,10 @@ d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda].
 The operator suite runs on bit masks: a form is a dict {mask: coeff}
 (``Form.masks``), with int coefficients unless an explicit weight is
 non-integral.  Star is one table {mask: (mask', +-1)} per 2n, each entry
-derived from the defining identity on first use; d is ``ce_complex.d_terms``
-and L is one ``exterior_algebra.wedge_terms`` with the terms of
-``standard_omega``; d^c, Lambda and [d, Lambda] are composed from these.
+derived from the defining identity on first use, with w^{-1} in closed
+form; d is ``ce_complex.d_terms`` and L is one
+``exterior_algebra.wedge_terms`` with the terms of ``standard_omega``;
+d^c, Lambda and [d, Lambda] are composed from these.
 The Form-level ``star``, ``dc``, ``ddc_lemma_check`` and
 ``harmonic_representative`` are thin adapters over the same kernel.
 
@@ -28,7 +29,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import exact_linalg
 from .ce_complex import (
     AlgebraSpec,
     Mode,
@@ -47,17 +47,17 @@ from .errors import (
 from .exterior_algebra import (
     Form,
     Monomial,
+    below_parity,
     degree_masks,
-    wedge_monomials,
     wedge_terms,
 )
 from .lefschetz import omega_power, standard_omega
 
 # Largest n of the operator suite, checked before any operator is built
-# (one run each, 2 CPUs, Python 3.11.7): `hodge --n 7 --mode ones` takes
-# 1.4-2.0 s and 25 MB, far inside the 30 s budget CI gives it.  n = 8 would
-# take 7.7 s and 34 MB, 3.4 s of it the per-monomial det_bareiss through
-# which _StarTable derives its 2^16 entries from the defining identity.
+# (2 CPUs, Python 3.11.7): `hodge --n 7 --mode ones` takes 0.8-1.1 s and
+# 21 MB, far inside the 30 s budget CI gives it.  n = 8 would take 2.5-3.2 s
+# and 31 MB (in process, the limit lifted, two runs), 0.5 s of it filling
+# the 2^16-entry star table.
 HODGE_MAX_N = 7
 
 
@@ -69,33 +69,6 @@ def _pair_partner(i: int, two_n: int) -> int:
     if i == two_n:
         return 1
     return i + n - 1 if i <= n else i - n + 1
-
-
-def omega_inverse_covectors(a: int, b: int, two_n: int) -> int:
-    """w^{-1}(e^a, e^b) for the standard form; values in {-1, 0, 1}.
-
-    The sign is pinned so that star(1) = vol; each pair (low, high) gives
-    w^{-1}(e^low, e^high) = -1 and +1 the other way around.
-    """
-    if b != _pair_partner(a, two_n):
-        return 0
-    return -1 if a < b else 1
-
-
-def omega_inverse(a: Monomial, b: Monomial) -> int:
-    """Determinant extension of w^{-1} to equal-degree monomials."""
-    if a.degree != b.degree:
-        return 0
-    # each row has at most one nonzero entry, in the column of the partner
-    column = {y: j for j, y in enumerate(b.indices)}
-    matrix = []
-    for x in a.indices:
-        row = [0] * len(column)
-        y = _pair_partner(x, a.two_n)
-        if y in column:
-            row[column[y]] = omega_inverse_covectors(x, y, a.two_n)
-        matrix.append(row)
-    return exact_linalg.det_bareiss(matrix)
 
 
 @lru_cache(maxsize=None)
@@ -117,6 +90,13 @@ class _StarTable(dict):
     the defining identity has one nonzero equation per monomial:
     star e^J = vol_sign w^{-1}(e^{p(J)}, e^J) sign(e^{p(J)} ^ e^C) e^C with
     C the complement of p(J).  Each entry is derived on first use.
+
+    w^{-1}(e^{p(J)}, e^J) is the determinant of a signed permutation matrix:
+    row x of p(J) holds w^{-1}(e^x, e^y) in the column of its partner y, -1
+    when x < y and +1 otherwise (which pins star(1) = vol).  So it is the
+    product of those entries times the sign of the permutation, counted in
+    one pass over J from the top: the partners already seen below x are the
+    inversions.  The wedge sign is one bit count against ``below_parity``.
     """
 
     def __init__(self, two_n: int):
@@ -126,13 +106,15 @@ class _StarTable(dict):
 
     def __missing__(self, mask: int):
         two_n = self.two_n
-        mono = Monomial(mask, two_n)
-        partner = Monomial.from_indices(
-            [_pair_partner(i, two_n) for i in mono.indices], two_n
-        )
-        rest = Monomial(((1 << two_n) - 1) ^ partner.mask, two_n)
-        sign, _ = wedge_monomials(partner, rest)
-        entry = (rest.mask, self.vol_sign * omega_inverse(partner, mono) * sign)
+        odd = seen = 0  # seen has bit x for each partner x met so far
+        for y in reversed(Monomial(mask, two_n).indices):
+            x = _pair_partner(y, two_n)
+            odd += (seen & ((1 << x) - 1)).bit_count() + (x < y)
+            seen |= 1 << x
+        partner = seen >> 1  # bit x - 1 for index x, as in a mask
+        rest = ((1 << two_n) - 1) ^ partner
+        odd += (partner & below_parity(rest, two_n)).bit_count()
+        entry = (rest, -self.vol_sign if odd & 1 else self.vol_sign)
         self[mask] = entry
         return entry
 

@@ -3,17 +3,18 @@
 The weight vector of a monomial and the monomials of one degree as
 ``Monomial`` objects; Lambda, H and [d, Lambda] on Forms, with L from the
 Form ``wedge`` rather than the mask ``wedge_terms``; operators as dense
-matrices; and null spaces and solves by dense elimination (``rref``).
+matrices; null spaces and solves by dense elimination (``rref``); and the
+inverse pairing w^{-1} on monomials as a Bareiss determinant.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from aacohom.ce_complex import AlgebraSpec, Mode, differential
-from aacohom.exact_linalg import rank, rref
+from aacohom.exact_linalg import det_bareiss, rank, rref
 from aacohom.exterior_algebra import Form, Monomial, degree_masks, wedge
 from aacohom.lefschetz import standard_omega
-from aacohom.symplectic_hodge import _require_numeric, star
+from aacohom.symplectic_hodge import _pair_partner, _require_numeric, star
 
 
 # ---------------------------------------------------------------------------
@@ -180,3 +181,35 @@ def spans_equal(vectors_a, vectors_b) -> bool:
     if ra != rb:
         return False
     return rank(list(vectors_a) + list(vectors_b)) == ra
+
+
+# ---------------------------------------------------------------------------
+# the inverse pairing by elimination
+# ---------------------------------------------------------------------------
+
+
+def omega_inverse_covectors(a: int, b: int, two_n: int) -> int:
+    """w^{-1}(e^a, e^b) for the standard form; values in {-1, 0, 1}.
+
+    The sign is pinned so that star(1) = vol; each pair (low, high) gives
+    w^{-1}(e^low, e^high) = -1 and +1 the other way around.
+    """
+    if b != _pair_partner(a, two_n):
+        return 0
+    return -1 if a < b else 1
+
+
+def omega_inverse(a: Monomial, b: Monomial) -> int:
+    """Determinant extension of w^{-1} to equal-degree monomials."""
+    if a.degree != b.degree:
+        return 0
+    # each row has at most one nonzero entry, in the column of the partner
+    column = {y: j for j, y in enumerate(b.indices)}
+    matrix = []
+    for x in a.indices:
+        row = [0] * len(column)
+        y = _pair_partner(x, a.two_n)
+        if y in column:
+            row[column[y]] = omega_inverse_covectors(x, y, a.two_n)
+        matrix.append(row)
+    return det_bareiss(matrix)

@@ -1,5 +1,6 @@
 """CLI: subcommand payloads, output formats, exit codes, determinism."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -342,16 +343,49 @@ def test_lattice_alt_params_factor_nothing(capsys, monkeypatch):
 
 
 def test_lattice_alt_k_count_is_checked_before_any_cosh(capsys, monkeypatch):
-    from aacohom import lattice
+    import mpmath
 
     def cosh(*args):
         raise AssertionError("--alt-k placed an m_j beyond the count limit")
 
-    monkeypatch.setattr(lattice.mp, "cosh", cosh)
+    # the context object that lattice's function-local imports return
+    monkeypatch.setattr(mpmath.mp, "cosh", cosh)
     ks = ",".join(str(k) for k in range(1, 17))
     assert cli.main(["lattice", "--n", "17", "--alt-k", ks]) == 2
     err = capsys.readouterr().err
     assert "the exhaustive search is limited to 12 values" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--n 3 --alt-k 1,2 --case II --m 3",
+     "--case is not meaningful with --alt-k"),
+    ("--n 3 --alt-k 1,2 --m 3", "--m is not meaningful with --alt-k"),
+    ("--n 3 --alt-k 1,2 --d 2,3", "--d is not meaningful with --alt-k"),
+    ("--case I --n 3 --m 3", "--m is only meaningful with --case II"),
+    ("--case II --n 3 --m 3 --d 2,3", "--d is only meaningful with --case I"),
+])
+def test_lattice_conflicting_options_are_refused(capsys, monkeypatch, argv,
+                                                 message):
+    def computed(*args, **kwargs):
+        raise AssertionError("a conflicting option reached the lattice work")
+
+    for name in ("alt_remark_params", "case1_params", "build_lattice"):
+        monkeypatch.setattr(cli, name, computed)
+    assert cli.main(["lattice", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--case I --n 3 --d 2,,3",
+     "--d needs comma-separated integers, got '2,,3'"),
+    ("--n 3 --alt-k 1,x",
+     "--alt-k needs comma-separated integers, got '1,x'"),
+])
+def test_lattice_bad_integer_lists_name_the_option(capsys, argv, message):
+    assert cli.main(["lattice", *argv.split()]) == 2
+    assert capsys.readouterr().err.strip() == f"usage error: {message}"
 
 
 def test_lattice_case1_factors_no_m(capsys, monkeypatch):
@@ -375,6 +409,44 @@ def _cli_process(*argv, seconds):
         [sys.executable, "-m", "aacohom.cli", *argv],
         env=env, capture_output=True, text=True, timeout=seconds,
     )
+
+
+_MPMATH_PROBE = """
+import sys
+import aacohom.cli as cli
+loaded = {"import": "mpmath" in sys.modules}
+for argv in sys.argv[1:]:
+    code = cli.main(argv.split())
+    loaded[argv] = (code, "mpmath" in sys.modules)
+print(repr(loaded))
+"""
+
+
+def _mpmath_probe(*argvs):
+    """{argv: (exit code, mpmath loaded)} from cli.main in one fresh
+    interpreter, and under "import" whether importing the CLI loaded it."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE, *argvs],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_only_the_lattice_routes_load_mpmath():
+    exact = [
+        "lefschetz --n 5 --mode ones --hl",
+        "hodge --n 3 --mode ones",
+        "kneser --n 5 --k 2",
+        "cohomology --n 4",
+    ]
+    loaded = _mpmath_probe(*exact)
+    assert loaded.pop("import") is False
+    assert loaded == {argv: (0, False) for argv in exact}
+    for argv in ("lattice --case I --n 3", "lattice --n 3 --alt-k 1,2"):
+        assert _mpmath_probe(argv)[argv] == (0, True)
 
 
 def test_lattice_alt_k_guard_admits_its_limit_in_time():

@@ -21,19 +21,25 @@ from aacohom.errors import (
     SizeLimitError,
     UnsupportedModeError,
 )
-from aacohom.exterior_algebra import Form, degree_masks, wedge
+from aacohom.exterior_algebra import (
+    Form,
+    Monomial,
+    degree_masks,
+    wedge,
+    wedge_monomials,
+)
 from aacohom.lefschetz import hard_lefschetz_report, omega_power
 from aacohom.symplectic_hodge import (
     HODGE_MAX_N,
     _dc_terms,
     _l_terms,
     _lambda_terms,
+    _pair_partner,
     _star_table,
     _star_terms,
     dc,
     ddc_lemma_check,
     harmonic_representative,
-    omega_inverse,
     star,
 )
 
@@ -43,6 +49,7 @@ from oracles import (
     lambda_and_h,
     lefschetz_l,
     nullspace,
+    omega_inverse,
     operator_matrix,
     solve_particular,
     spans_equal,
@@ -119,6 +126,24 @@ def test_star_defining_identity(n):
                 lhs = wedge(Form.from_monomial(alpha), star_beta)
                 rhs = omega_inverse(alpha, beta) * vol
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("two_n", [4, 6, 8, 10, 12])
+def test_star_table_matches_the_bareiss_oracle(two_n):
+    """Every entry, with w^{-1} from the closed-form sign, equals the entry
+    built with w^{-1} as a Bareiss determinant."""
+    table = _star_table(two_n)
+    vol_sign = table.vol_sign
+    full = (1 << two_n) - 1
+    for mask in range(1 << two_n):
+        mono = Monomial(mask, two_n)
+        partner = Monomial.from_indices(
+            [_pair_partner(i, two_n) for i in mono.indices], two_n
+        )
+        rest = Monomial(full ^ partner.mask, two_n)
+        sign, _ = wedge_monomials(partner, rest)
+        expected = (rest.mask, vol_sign * omega_inverse(partner, mono) * sign)
+        assert table[mask] == expected, mask
 
 
 def test_dc_on_scalars_vanishes():
