@@ -300,7 +300,34 @@ def _label(spec, half, target, free, theta):
                  "e2n" if half == "e2n" else "")
 
 
-def _pinned_bases(spec, m, labelled, sides):
+def _theta_data(spec, r, s):
+    """(thetas, theta_inversions, crossings) of theta_{R|S}, R and S sorted:
+    the mask of its indices R and s(S); the inversions among them in factor
+    order (r_1, s(s_1), r_2, ...), C(p, 2) since each s(s_a) > n precedes
+    every later r_b; and ``below_parity`` of the mask, whose bits on a gamma
+    pair count the theta indices between its two indices."""
+    thetas = 0
+    for a, b in zip(r, s):  # bit b + n - 2 is s(b)
+        thetas |= 1 << (a - 1) | 1 << (b + spec.n - 2)
+    p = len(r)
+    return thetas, p * (p - 1) // 2, below_parity(thetas, spec.two_n)
+
+
+def _block_walk(spec, m):
+    """The blocks (half, p, R, S, ground, free) of L_m in basis order, one at
+    a time; ``_pinned_bases`` says what they name."""
+    n = spec.n
+    k, odd = divmod(m, 2)
+    for half in (("e1", "e2n") if odd else (None,)):
+        for p in range(k + 1 if spec.mode is Mode.ONES else 1):
+            for r in combinations(range(2, n + 1), p):
+                rest = [x for x in range(2 if odd else 1, n + 1) if x not in r]
+                for s in combinations([x for x in rest if x > 1], p):
+                    ground = tuple(x for x in rest if x not in s)
+                    yield half, p, r, s, ground, k - p
+
+
+def _pinned_bases(spec, m, labelled, sides, blocks=None):
     """([a basis per side in ``sides``], blocks) from one walk of L_m's blocks.
 
     Side False is H^m and side True is H^{2n-m}, both in block order.  A
@@ -316,32 +343,20 @@ def _pinned_bases(spec, m, labelled, sides):
     and e^{2n} stand at their sorted places.  Each gamma pair (i, s(i))
     with i >= 2 crosses each later one once (s(i) > n) and delta crosses
     every pair twice, so g such pairs give C(g, 2); the crossings of the
-    gammas with the thetas are a bit count against ``below_parity`` of the
-    theta indices, and those among the thetas are fixed per block.
+    gammas with the thetas are a bit count against the ``crossings`` of
+    ``_theta_data``, and those among the thetas are fixed per block.  The
+    bases cover the given ``blocks`` only, or the whole ``_block_walk``.
     """
     n, two_n = spec.n, spec.two_n
-    k, odd = divmod(m, 2)
-    lowest = 2 if odd else 1
     top = 1 << (two_n - 1)
     pair = {1: 1 | top}  # index -> mask of its gamma pair; delta for 1
     for i in range(2, n + 1):
         pair[i] = 1 << (i - 1) | 1 << (spec.sigma(i) - 1)
-    blocks = [
-        (half, p, r, s, tuple(x for x in range(lowest, n + 1)
-                              if x not in r and x not in s), k - p)
-        for half in (("e1", "e2n") if odd else (None,))
-        for p in range(k + 1 if spec.mode is Mode.ONES else 1)
-        for r in combinations(range(2, n + 1), p)
-        for s in combinations([x for x in range(2, n + 1) if x not in r], p)
-    ]
+    if blocks is None:
+        blocks = list(_block_walk(spec, m))
     out = [([], [], []) for _ in sides]  # elements, labels, signs per side
     for half, p, r, s, ground, free in blocks:
-        thetas = theta_inversions = 0
-        for a, b in zip(r, s):
-            for i in (a, spec.sigma(b)):
-                theta_inversions += (thetas >> i).bit_count()
-                thetas |= 1 << (i - 1)
-        crossings = below_parity(thetas, two_n)
+        thetas, theta_inversions, crossings = _theta_data(spec, r, s)
         base = thetas | (1 if half == "e1" else 0) | (top if half == "e2n" else 0)
         pairs = [pair[i] for i in ground]
         everything = sum(pairs)

@@ -247,7 +247,7 @@ def _cmd_lattice(args):
     results = {}
     ok = True
     # conflicting options are refused here, before any mpmath work
-    if args.alt_k:
+    if args.alt_k is not None:
         for option in ("case", "d", "m"):
             if getattr(args, option) is not None:
                 raise InvalidParameterError(
@@ -264,7 +264,7 @@ def _cmd_lattice(args):
     if case == "I":
         if args.m is not None:
             raise InvalidParameterError("--m is only meaningful with --case II")
-        d_list = _int_list("--d", args.d) if args.d else None
+        d_list = _int_list("--d", args.d) if args.d is not None else None
         params = case1_params(args.n, d_list)
         results["pell_solutions"] = [
             {"d": s.d, "m": str(s.m), "k": str(s.k)} for s in params

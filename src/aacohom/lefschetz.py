@@ -9,18 +9,33 @@ blocks; in the all-ones case the matrices decompose blockwise over the
 theta-pairs.  All entries are exact integers, read off bit-mask products of
 the power's terms with the basis monomials.  The divided powers w^k / k! are
 one int mask chain per form (``_mask_power_chain``, on ``wedge_terms``),
-cached on the form and shared by ``lefschetz_matrix`` and
-``SymplecticForm.validated``; for the standard form every coefficient is
-+-1, so no Fraction is built.
+cached on the form; for the standard form every coefficient is +-1, so no
+Fraction is built.
 
-The hard-Lefschetz verdict follows the paper's proof: ``check_structure``
-verifies, entry by entry, that L_m is the direct sum of its ``blocks``, laid
-out by the walk that pinned its bases, before ``lefschetz_matrix`` returns
-it; det L_m is then the product of the closed-form Kneser determinants of
-its blocks (``LefschetzMatrix.determinant``), so no elimination runs.  A user
-form is certified as a pull-back phi*[w] by an automorphism phi
+The hard-Lefschetz verdict follows the paper's proof.  ``lefschetz_matrix``
+builds the whole L_m, and ``check_structure`` verifies entry by entry that
+it is the direct sum of its ``blocks``, laid out by the walk that pinned its
+bases; det L_m is then the product of the closed-form Kneser determinants
+of its blocks (``LefschetzMatrix.determinant``), so no elimination runs.
+``hard_lefschetz_report`` builds no whole L_m (``_standard_operator``): the
+first block of each pattern (half, |ground|, free) is verified that way, and
+every other block by the theta term of its signs alone, for this reason.
+Let t(i) be the parity of the theta indices R u s(S) strictly between i and
+s(i); delta = (1, 2n) spans all 2p of them, so t(1) = 0.  The source class
+of C carries theta_inv + sum_{i in C} t(i), the target class of C' carries
+theta_inv + sum_{i in C'} t(i), and the product P ^ J of a power term P
+carries sum_{i in P} t(i) from the thetas of J.  Since C' is C u P,
+disjointly, the theta terms cancel.  The gamma and delta crossings depend
+only on |C|, |P| and delta, which leads every even ground, so every entry
+equals the first block's.  ``_check_thetas`` checks exactly that the sign
+code's theta term, the ``crossings`` of ``_theta_data``, is t(i) on each
+pair of the block's ground.
+
+A user form is certified as a pull-back phi*[w] by an automorphism phi
 (``pull_back_factors``, on ``wedge_terms`` and ``d_terms``); its det L_m
-is the standard one times powers of phi's two parameters.
+is the standard one times powers of phi's two parameters.  Its w^n != 0
+test reads the same class: no top form is exact, and (phi* w)^n =
+a det(M) w^n.  Explicit mode, with no such class, expands the chain.
 """
 
 import math
@@ -33,7 +48,9 @@ from . import exact_linalg
 from .ce_complex import (
     AlgebraSpec,
     Mode,
+    _block_walk,
     _pinned_bases,
+    _theta_data,
     betti_closed_form,
     cohomology_basis,
     d_terms,
@@ -55,30 +72,39 @@ from .kneser import KneserGraph, determinant, neighbours
 
 
 # One work budget for the standard L_m, counted from Betti numbers and
-# binomials before any basis is built, in power-chain products (about 0.47 us
+# binomials before any walk or basis, in power-chain products (about 0.47 us
 # each; 2 CPUs, Python 3.11.7): n 2^n for the standard form's chain, and per
-# source monomial of H^m a quarter of C(n, n - m) (the power terms it meets in
+# source monomial a quarter of C(n, n - m) (the power terms it meets in
 # ``_operator_columns``, mostly skipped at about 0.1 us) plus 2n (its basis
-# monomials and column check).  Admitted, timed over several runs: ones n = 12
-# `--m 6` (7.76 M) in 2.1 to 3.7 s, generic n = 16 `--m 11` (7.80 M) in 2.5 to
-# 4.5 s and 87 MB, generic n = 17 `--m 14` (6.20 M; the slowest, 3.1 to 4.2 s
-# and 145 MB) and ones n = 10 `--hl` (3.72 M) in 1.8 to 2.7 s.  Refused:
-# generic n = 18 `--m 16` (7.96 M; 6.5 s, 177 MB) and `--m 6` (8.54 M; 4.6 s),
-# any n >= 19 by its chain alone (9.96 M; generic n = 20 `--m 0` took 9.9 s),
-# generic n = 15 `--hl` (12.6 M; 5.5 s) and ones n = 11 `--hl` (18.4 M; 8.2 s).
-# A user form of hard_lefschetz_report adds its validation (ones n = 10: 1.9 s
-# in all).  DENSE_MAX_DIMENSION bounds the CLI matrix payload, which prints
-# every cell: ones n = 8 (2450) prints its 66 MB of JSON in 0.6 s with a 150 MB
-# peak; ones n = 9 (9800) would print about 1 GB.
+# monomials and column check).  ``lefschetz_matrix`` counts every source
+# monomial of H^m; ``hard_lefschetz_report`` counts those of each pattern's
+# first block, plus BLOCK_COST per ground index of every block (its walk and
+# ``_check_thetas``).  Whole matrix, admitted, timed over several runs: ones
+# n = 12 `--m 6` (7.76 M) in 2.1 to 3.7 s, generic n = 16 `--m 11` (7.80 M)
+# in 2.5 to 4.5 s and 87 MB, generic n = 17 `--m 14` (6.20 M; the slowest,
+# 3.1 to 4.2 s and 145 MB).  Refused: generic n = 18 `--m 16` (7.96 M; 6.5 s,
+# 177 MB) and `--m 6` (8.54 M; 4.6 s), and any n >= 19 by its chain alone
+# (9.96 M; generic n = 20 `--m 0` took 9.9 s).  `--hl`, three whole CLI runs
+# each: ones n = 10 (0.53 M) in 0.4 to 0.5 s, n = 11 (1.76 M) in 0.7 to 1.1 s,
+# n = 12 (5.53 M) in 1.9 to 3.1 s and 20 MB, generic n = 14 (3.88 M) in 1.3 to
+# 1.9 s; refused in under 0.2 s: ones n = 13 (18.5 M; 6.5 s in process with
+# the budget lifted) and generic n = 15 (12.6 M; 5.5 s).  A user form adds
+# its validation and certificate (ones n = 10: 0.2 s in all).
+# DENSE_MAX_DIMENSION bounds the CLI matrix payload, which prints every cell:
+# ones n = 8 (2450) prints its 66 MB of JSON in 0.6 s with a 150 MB peak; ones
+# n = 9 (9800) would print about 1 GB.
 MAX_WORK = 7_800_000
+BLOCK_COST = 5
 DENSE_MAX_DIMENSION = 2450
 
 
-def require_size(spec: AlgebraSpec, ms) -> list:
+def require_size(spec: AlgebraSpec, ms, blocks: bool = False) -> list:
     """[dim H^m for m in ms], after checking the L_m together against MAX_WORK.
 
-    Only Betti numbers and binomials are computed, and SizeLimitError is
-    raised before any basis is built, at the first L_m that passes the budget.
+    The work of each L_m is that of its whole matrix, or with ``blocks`` that
+    of ``_standard_operator``.  Only Betti numbers and binomials are
+    computed, and SizeLimitError is raised before any walk or basis, at the
+    first L_m that passes the budget.
     """
     if spec.mode not in (Mode.GENERIC, Mode.ONES):
         raise UnsupportedModeError(
@@ -97,13 +123,28 @@ def require_size(spec: AlgebraSpec, ms) -> list:
         if not 0 <= m <= n:
             raise ValueError(f"m must lie in [0, {n}], got {m}")
         sizes.append(betti_closed_form(spec, m))
-        work += sizes[-1] * (math.comb(n, n - m) // 4 + 2 * n)
+        tries = math.comb(n, n - m) // 4 + 2 * n  # per source row
+        work += _block_work(spec, m, tries) if blocks else sizes[-1] * tries
         if work > MAX_WORK:
             raise SizeLimitError(
                 f"L_{m} at n = {n} brings the work to {work} products; "
                 f"the budget is {MAX_WORK}"
             )
     return sizes
+
+
+def _block_work(spec: AlgebraSpec, m: int, tries: int) -> int:
+    """The work of ``_standard_operator`` on L_m: per half and per p, the
+    C(n-1, p) C(n-1-p, p) blocks of one pattern on a ground of n - 2p
+    (n - 1 - 2p for odd m) indices, BLOCK_COST per index, and ``tries`` per
+    source row of the first."""
+    n, (k, odd) = spec.n, divmod(m, 2)
+    work = 0
+    for p in range(k + 1 if spec.mode is Mode.ONES else 1):
+        ground = n - 2 * p - odd
+        count = math.comb(n - 1, p) * math.comb(n - 1 - p, p)
+        work += count * ground * BLOCK_COST + math.comb(ground, k - p) * tries
+    return work << odd  # the two halves of an odd m
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +207,13 @@ class SymplecticForm:
             raise InvalidSymplecticFormError("a symplectic form must be a 2-form")
         if not is_closed(spec, form):
             raise InvalidSymplecticFormError("the form is not closed")
-        if not _mask_power_chain(form, spec.n)[-1]:
+        if spec.mode is Mode.EXPLICIT:
+            degenerate = not _mask_power_chain(form, spec.n)[-1]
+        else:  # no top form is exact, and (phi* w_std)^n = a det(M) w_std^n
+            cls_terms = project_to_cohomology(spec, form).masks()
+            a, rows = _read_class(spec, cls_terms)
+            degenerate = not a or not exact_linalg.det_sparse(rows)
+        if degenerate:
             raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
         return cls(form)
 
@@ -211,11 +258,8 @@ class LefschetzMatrix:
 
     def determinant(self) -> int:
         """det L_m: the product of the Kneser determinants, 1 per identity block."""
-        det = 1
         counts = Counter(b.params for b in self.blocks if b.kind == "kneser")
-        for params, count in counts.items():
-            det *= determinant(KneserGraph(*params)) ** count
-        return det
+        return _kneser_product((*params, c) for params, c in counts.items())
 
     def summary(self) -> str:
         parts = []
@@ -228,17 +272,18 @@ class LefschetzMatrix:
         return " + ".join(parts)
 
 
-def _operator_columns(spec, m, omega_form, labels=False):
+def _operator_columns(spec, m, omega_form, labels=False, blocks=None):
     """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as sparse {row: value} maps.
 
     The divided power is read off the cached ``_mask_power_chain`` of
     ``omega_form``; the bases carry ``labels`` only if asked for.  Returns
     (source basis, target basis, columns, walk), from one ``_pinned_bases``
-    walk (explicit mode has none).  d is injective on monomials, so each
-    product P ^ J of a closed power term P with a source monomial J is a
-    target basis monomial (one per row: P -> P u J is injective) or an
-    exact one (2n, nonzero weight), dropped.  P ^ J vanishes when the masks
-    meet, and its sign is a bit count of P against ``below_parity`` of J.
+    walk (explicit mode has none), or from the given ``blocks`` only.  d is
+    injective on monomials, so each product P ^ J of a closed power term P
+    with a source monomial J is a target basis monomial (one per row: P ->
+    P u J is injective) or an exact one (2n, nonzero weight), dropped.
+    P ^ J vanishes when the masks meet, and its sign is a bit count of P
+    against ``below_parity`` of J.
     """
     terms = _mask_power_chain(omega_form, spec.n)[spec.n - m].items()
     two_n = spec.two_n
@@ -246,7 +291,9 @@ def _operator_columns(spec, m, omega_form, labels=False):
         source = cohomology_basis(spec, m, labels)
         target, walk = cohomology_basis(spec, two_n - m, labels), None
     else:
-        (source, target), walk = _pinned_bases(spec, m, labels, (False, True))
+        (source, target), walk = _pinned_bases(
+            spec, m, labels, (False, True), blocks
+        )
     rows = {
         mono.mask: (i, sign)
         for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
@@ -391,19 +438,94 @@ class HardLefschetzReport:
     hard_lefschetz: bool
 
 
+def _kneser_product(patterns) -> int:
+    """Prod det A(K(ground, free))^count over (ground, free, count)."""
+    det = 1
+    for ground, free, count in patterns:
+        det *= determinant(KneserGraph(ground, free)) ** count
+    return det
+
+
+def _check_thetas(spec, block, windows, offset) -> None:
+    """Raise StructureViolationError at ``offset`` unless the theta term of
+    the signs of ``block``, the ``crossings`` of ``_theta_data``, is t(i) on
+    each pair of its ground, counted from R and s(S) against ``windows``."""
+    _, _, r, s, ground, _ = block
+    crossings = _theta_data(spec, r, s)[2]
+    thetas = 0
+    for a, b in zip(r, s):  # bit b + n - 2 is s(b)
+        thetas |= 1 << (a - 1) | 1 << (b + spec.n - 2)
+    for i in ground:
+        pair, window = windows[i]
+        want = (thetas & window).bit_count() & 1
+        if want != (pair & crossings).bit_count() & 1:
+            raise StructureViolationError(
+                offset, offset, f"theta parity {want} on the pair of {i}",
+                1 - want,
+            )
+
+
+def _check_block(spec: AlgebraSpec, m: int, block, offset: int) -> int:
+    """The size of one block of the standard L_m, built alone by
+    ``_operator_columns`` and verified by ``check_structure``; a mismatch is
+    reported at its place in L_m, ``offset`` rows down."""
+    source, target, columns, walk = _operator_columns(
+        spec, m, standard_omega(spec), False, (block,)
+    )
+    matrix = LefschetzMatrix(
+        spec.n, m, tuple(columns), target, source, _layout(spec, walk)
+    )
+    try:
+        check_structure(matrix)
+    except StructureViolationError as err:
+        raise StructureViolationError(
+            offset + err.row, offset + err.col, err.expected, err.got
+        ) from None
+    return matrix.size
+
+
+def _standard_operator(spec: AlgebraSpec, m: int) -> tuple:
+    """(size, det) of the standard L_m from one ``_block_walk``, no matrix.
+
+    The first block of each pattern (half, |ground|, free) is verified
+    exactly (``_check_block``), every other one by ``_check_thetas``, which
+    by the module docstring makes it equal to its pattern's first.
+    """
+    n = spec.n
+    windows = {  # i -> (its gamma pair, the indices strictly inside it)
+        i: (1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i))
+        for i, j in [(1, 2 * n)] + [(i, i + n - 1) for i in range(2, n + 1)]
+    }
+    counts, sizes, offset = Counter(), {}, 0
+    for block in _block_walk(spec, m):
+        half, _, _, _, ground, free = block
+        key = half, len(ground), free
+        if key in sizes:
+            _check_thetas(spec, block, windows, offset)
+        else:
+            sizes[key] = _check_block(spec, m, block, offset)
+        counts[key] += 1
+        offset += sizes[key]
+    det = _kneser_product(
+        (ground, free, count)
+        for (_, ground, free), count in counts.items() if free
+    )
+    return offset, det
+
+
 def hard_lefschetz_report(
     spec: AlgebraSpec, user_form: SymplecticForm = None
 ) -> HardLefschetzReport:
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
-    The work of every L_m is checked against MAX_WORK first.  Each L_m is
-    the verified standard ``lefschetz_matrix``, its det read off its Kneser
-    blocks.  A user form is validated and certified as phi*[w_std]
-    (``pull_back_factors``); L_{phi* w} = phi* L_w (phi*)^{-1} on
+    The work of every L_m is checked against MAX_WORK first.  The size and
+    det of each standard L_m come from its blocks, with no whole matrix
+    (``_standard_operator``).  A user form is validated and certified as
+    phi*[w_std] (``pull_back_factors``); L_{phi* w} = phi* L_w (phi*)^{-1} on
     cohomology, so its det L_m is the standard one times
     a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
     """
-    require_size(spec, range(spec.n + 1))
+    require_size(spec, range(spec.n + 1), blocks=True)
     a = det_m = Fraction(1)
     if user_form is not None:
         if not isinstance(user_form, SymplecticForm):
@@ -411,9 +533,7 @@ def hard_lefschetz_report(
         a, det_m = pull_back_factors(spec, user_form.form)
     rows_out = []
     for m in range(spec.n + 1):
-        matrix = lefschetz_matrix(spec, m)
-        size, det = matrix.size, matrix.determinant()
-        del matrix  # free L_m before L_{m+1} is built
+        size, det = _standard_operator(spec, m)
         (e0, s0), (e1, s1) = (_character_counts(spec, p)
                               for p in (m, spec.two_n - m))
         det *= a ** (e1 - e0) * det_m ** (s1 - s0)

@@ -203,18 +203,19 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
     import aacohom.lefschetz as lf
 
     def built(*args):
-        raise AssertionError("built a basis beyond the limit")
+        raise AssertionError("walked blocks or built a basis beyond the limit")
 
     for module, name in ((ce, "_pinned_bases"), (ce, "_explicit_basis"),
-                         (lf, "_pinned_bases"), (lf, "cohomology_basis")):
+                         (lf, "_pinned_bases"), (lf, "cohomology_basis"),
+                         (lf, "_block_walk")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
-    # dense payload of 9800^2 cells; HL past the budget at L_8 and L_10;
+    # dense payload of 9800^2 cells; HL past the budget at L_9 and L_10;
     # 5.9 million basis classes; C(20,10) explicit monomials
     for argv in (
         "lefschetz --n 9 --mode ones --m 9",
         "lefschetz --n 9 --mode ones --m 9 --emit-matrix --check-kneser",
-        "lefschetz --n 11 --mode ones --hl",
+        "lefschetz --n 13 --mode ones --hl",
         "lefschetz --n 15 --mode generic --hl",
         "lefschetz --n 40 --mode ones --m 40 --check-kneser",
         "cohomology --n 14 --mode ones --basis --degree 14",
@@ -386,6 +387,20 @@ def test_lattice_conflicting_options_are_refused(capsys, monkeypatch, argv,
 def test_lattice_bad_integer_lists_name_the_option(capsys, argv, message):
     assert cli.main(["lattice", *argv.split()]) == 2
     assert capsys.readouterr().err.strip() == f"usage error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--case", "I", "--n", "3", "--d", ""],
+     "--d needs comma-separated integers, got ''"),
+    (["--n", "3", "--alt-k", ""],
+     "--alt-k needs comma-separated integers, got ''"),
+])
+def test_lattice_empty_integer_lists_are_refused(capsys, argv, message):
+    # an empty value is given, not absent: no default primes, no --case hint
+    assert cli.main(["lattice", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"usage error: {message}"
 
 
 def test_lattice_case1_factors_no_m(capsys, monkeypatch):

@@ -254,8 +254,8 @@ def test_requires_hypothesis_mode():
 def test_image_outside_target_basis_raises(monkeypatch):
     full = lefschetz._pinned_bases
 
-    def truncated(spec, m, labelled, sides):
-        bases, walk = full(spec, m, labelled, sides)
+    def truncated(spec, m, labelled, sides, *blocks):
+        bases, walk = full(spec, m, labelled, sides, *blocks)
         bases = [
             dataclasses.replace(b, elements=b.elements[:-1], signs=b.signs[:-1])
             if target else b
@@ -411,7 +411,9 @@ def test_size_limits_admit_documented_runs():
     sizes = lefschetz.require_size(AlgebraSpec.ones(10), range(11))  # --hl
     assert sizes == [betti_closed_form(AlgebraSpec.ones(10), m) for m in range(11)]
     for n in (12, 13, 14):
-        lefschetz.require_size(AlgebraSpec.generic(n), range(n + 1))  # --hl
+        lefschetz.require_size(AlgebraSpec.generic(n), range(n + 1), True)
+    for n in (11, 12):  # the --hl route of ones mode, one block per pattern
+        lefschetz.require_size(AlgebraSpec.ones(n), range(n + 1), blocks=True)
     # the --m runs the dimension and block limits admitted in about 3 s
     for n, m in ((11, 7), (12, 6), (13, 5), (14, 4), (14, 5), (15, 4), (16, 4)):
         lefschetz.require_size(AlgebraSpec.ones(n), [m])
@@ -433,6 +435,10 @@ def test_size_limits_raise():
     with pytest.raises(SizeLimitError, match="^L_8 at n = 11 brings the work "
                        "to 9745508 products"):
         lefschetz.require_size(AlgebraSpec.ones(11), range(12))
+    # the --hl route: 683121 blocks at ones n = 13
+    with pytest.raises(SizeLimitError, match="^L_9 at n = 13 brings the work "
+                       "to 8136368 products"):
+        lefschetz.require_size(AlgebraSpec.ones(13), range(14), blocks=True)
     with pytest.raises(SizeLimitError, match="^L_10 at n = 15 brings"):
         lefschetz.require_size(AlgebraSpec.generic(15), range(16))
     with pytest.raises(SizeLimitError, match="power chain at n = 19 alone"):
@@ -554,15 +560,15 @@ def test_mutated_layout_raises():
 def test_hl_report_walks_the_block_tree_once_per_m(monkeypatch):
     import aacohom.ce_complex as ce
 
-    walk = ce._pinned_bases
+    walk = ce._block_walk
     calls = []
 
-    def counted(spec, m, *args):
+    def counted(spec, m):
         calls.append(m)
-        return walk(spec, m, *args)
+        return walk(spec, m)
 
-    monkeypatch.setattr(ce, "_pinned_bases", counted)
-    monkeypatch.setattr(lefschetz, "_pinned_bases", counted)
+    monkeypatch.setattr(ce, "_block_walk", counted)
+    monkeypatch.setattr(lefschetz, "_block_walk", counted)
     assert hard_lefschetz_report(AlgebraSpec.ones(5)).hard_lefschetz
     assert sorted(calls) == list(range(6))
 
@@ -594,14 +600,63 @@ def test_structure_and_binary_invariants(n, maker):
         assert mat.determinant() == det_sparse(mat.columns) != 0
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
 def test_certified_determinant_matches_elimination(n, maker):
+    # the report builds no whole L_m; the verified whole matrix is the oracle
     spec = maker(n)
     report = hard_lefschetz_report(spec)
     for op in report.operators:
-        columns = lefschetz_matrix(spec, op.m).columns
-        assert op.determinant == det_sparse(columns) != 0, op.m
+        matrix = lefschetz_matrix(spec, op.m)
+        assert (op.size, op.determinant) == (matrix.size, matrix.determinant())
+        if n <= 8:
+            assert op.determinant == det_sparse(matrix.columns) != 0, op.m
+    assert report.hard_lefschetz is all(op.determinant for op in report.operators)
+
+
+def test_hl_report_builds_one_block_per_pattern(monkeypatch):
+    # ones n = 7: 882 blocks and 2248 rows, but 30 patterns holding 199 rows
+    kernel = lefschetz._operator_columns
+    built = []
+
+    def counted(spec, m, *args):
+        source, target, columns, walk = kernel(spec, m, *args)
+        built.extend(walk)
+        return source, target, columns, walk
+
+    monkeypatch.setattr(lefschetz, "_operator_columns", counted)
+    report = hard_lefschetz_report(AlgebraSpec.ones(7))
+    assert sum(op.size for op in report.operators) == 2248
+    assert len(built) == 30
+    assert sum(math.comb(len(ground), free) for *_, ground, free in built) == 199
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_corrupt_theta_data_on_a_later_block_is_no_certificate(monkeypatch, n):
+    import aacohom.ce_complex as ce
+
+    # theta_{n|n-1} is no pattern's first block, which for p = 1 is
+    # theta_{2|3}; it first occurs in L_2, where the report must stop
+    spec = AlgebraSpec.ones(n)
+    r, s = (n,), (n - 1,)
+    blocks = list(ce._block_walk(spec, 2))
+    at = next(i for i, b in enumerate(blocks) if b[2:4] == (r, s))
+    flip = 1 << (blocks[at][4][-1] - 1)  # one end of a gamma pair of it
+    theta_data = ce._theta_data
+
+    def corrupt(spec, r_, s_):
+        thetas, inversions, crossings = theta_data(spec, r_, s_)
+        return thetas, inversions, crossings ^ (flip if (r_, s_) == (r, s) else 0)
+
+    monkeypatch.setattr(ce, "_theta_data", corrupt)
+    monkeypatch.setattr(lefschetz, "_theta_data", corrupt)
+    offset = sum(math.comb(len(b[4]), b[5]) for b in blocks[:at])
+    with pytest.raises(StructureViolationError) as err:
+        hard_lefschetz_report(spec)
+    assert (err.value.row, err.value.col) == (offset, offset)
+    # the whole-matrix route sees the flipped signs in its entries
+    with pytest.raises(StructureViolationError):
+        lefschetz_matrix(spec, 2)
 
 
 def _flip_one_entry(monkeypatch, at_m):
@@ -734,6 +789,49 @@ def test_user_form_validation():
         SymplecticForm.validated(spec, gamma_form(spec, 2))  # degenerate
 
 
+def _closed_two_form(spec, rng):
+    """a delta + sum M_ij e^i ^ e^{s(j)} plus an exact term, seeded: entries
+    in {-1, 0, 1, 2}, so a = 0 and singular M occur (M diagonal if generic)."""
+    n, two_n = spec.n, spec.two_n
+    form = delta_form(spec) * rng.choice((0, 1, -2, Fraction(1, 3)))
+    for i in range(2, n + 1):
+        for j in range(2, n + 1):
+            if i == j or spec.mode is Mode.ONES:
+                c = rng.choice((-1, 0, 1, 1, 2))
+                form = form + Form.from_monomial(
+                    Monomial.from_indices((i, spec.sigma(j)), two_n), c
+                )
+    exact = Monomial.from_indices((rng.randint(2, two_n - 1), two_n), two_n)
+    return form + Form.from_monomial(exact, rng.choice((0, 5)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_nondegeneracy_from_the_class_matches_the_power_chain(n, maker):
+    spec = maker(n)
+    rng = random.Random(n)
+    verdicts = set()
+    for _ in range(40):
+        form = _closed_two_form(spec, rng)
+        chain = bool(lefschetz._mask_power_chain(form, n)[-1])  # w^n != 0
+        try:
+            SymplecticForm.validated(spec, form)
+            accepted = True
+        except InvalidSymplecticFormError:
+            accepted = False
+        assert accepted == chain, form
+        verdicts.add(chain)
+    assert verdicts == {True, False}
+    # a = 1 with M_22 = 0, and a = 0 with M = 1
+    no_gamma_2 = delta_form(spec) + sum(
+        (gamma_form(spec, i) for i in range(3, n + 1)), Form.zero(spec.two_n)
+    )
+    for form in (no_gamma_2, standard_omega(spec) - delta_form(spec)):
+        assert not lefschetz._mask_power_chain(form, n)[-1]
+        with pytest.raises(InvalidSymplecticFormError, match="degenerate"):
+            SymplecticForm.validated(spec, form)
+
+
 def test_standard_form_is_symplectic():
     for spec in (AlgebraSpec.generic(4), AlgebraSpec.ones(3)):
         sf = SymplecticForm.standard(spec)
@@ -783,7 +881,10 @@ def test_character_counts_match_the_basis(n, maker):
 def test_certificate_rejects_phi_that_does_not_commute_with_d(monkeypatch):
     # generic weights differ, so moving M_22 to M_23 mixes e^{s(2)} with
     # e^{s(3)}: phi is then no automorphism
+    # validated before the reading is moved: the moved M is singular, so
+    # validation would refuse the form before the certificate sees it
     spec = AlgebraSpec.generic(4)
+    form = SymplecticForm(_seeded_user_form(spec, 1, thetas=0))
     read = lefschetz._read_class
 
     def moved(spec, cls):
@@ -793,7 +894,7 @@ def test_certificate_rejects_phi_that_does_not_commute_with_d(monkeypatch):
 
     monkeypatch.setattr(lefschetz, "_read_class", moved)
     with pytest.raises(InvariantViolationError, match="phi\\* and d differ"):
-        hard_lefschetz_report(spec, _seeded_user_form(spec, 1, thetas=0))
+        hard_lefschetz_report(spec, form)
 
 
 @pytest.mark.parametrize("forge", [
@@ -827,7 +928,12 @@ def test_user_form_report_eliminates_only_m(monkeypatch):
         calls.append(len(rows))
         return det(rows)
 
-    monkeypatch.setattr(exact_linalg, "det_sparse", counted)
     spec = AlgebraSpec.ones(5)
-    assert hard_lefschetz_report(spec, _seeded_user_form(spec, 3)).hard_lefschetz
+    form = _seeded_user_form(spec, 3)
+    monkeypatch.setattr(exact_linalg, "det_sparse", counted)
+    # a validated form: the certificate eliminates M, and no L_m is eliminated
+    assert hard_lefschetz_report(spec, SymplecticForm(form)).hard_lefschetz
     assert calls == [spec.n - 1]
+    # a bare form: its validation reads det M as well
+    assert hard_lefschetz_report(spec, form).hard_lefschetz
+    assert calls == [spec.n - 1] * 3
