@@ -313,18 +313,28 @@ def _theta_data(spec, r, s):
     return thetas, p * (p - 1) // 2, below_parity(thetas, spec.two_n)
 
 
-def _block_walk(spec, m):
+def _patterns(spec, m):
+    """The patterns (half, p) of L_m, in the order of ``_block_walk``."""
+    ps = range(m // 2 + 1 if spec.mode is Mode.ONES else 1)
+    return [(half, p) for half in (("e1", "e2n") if m % 2 else (None,)) for p in ps]
+
+
+def _theta_count(n, p):
+    """The number of theta_{R|S} of p pairs, so of blocks per pattern."""
+    return comb(n - 1, p) * comb(n - 1 - p, p)
+
+
+def _block_walk(spec, m, patterns=None):
     """The blocks (half, p, R, S, ground, free) of L_m in basis order, one at
-    a time; ``_pinned_bases`` says what they name."""
+    a time, of ``patterns`` or of all; ``_pinned_bases`` says what they name."""
     n = spec.n
     k, odd = divmod(m, 2)
-    for half in (("e1", "e2n") if odd else (None,)):
-        for p in range(k + 1 if spec.mode is Mode.ONES else 1):
-            for r in combinations(range(2, n + 1), p):
-                rest = [x for x in range(2 if odd else 1, n + 1) if x not in r]
-                for s in combinations([x for x in rest if x > 1], p):
-                    ground = tuple(x for x in rest if x not in s)
-                    yield half, p, r, s, ground, k - p
+    for half, p in _patterns(spec, m) if patterns is None else patterns:
+        for r in combinations(range(2, n + 1), p):
+            rest = [x for x in range(2 if odd else 1, n + 1) if x not in r]
+            for s in combinations([x for x in rest if x > 1], p):
+                ground = tuple(x for x in rest if x not in s)
+                yield half, p, r, s, ground, k - p
 
 
 def _pinned_bases(spec, m, labelled, sides, blocks=None):

@@ -161,6 +161,11 @@ def _cmd_lefschetz(args):
     results = {}
     ok = True
     if args.hl:
+        for option, given in (("--m", args.m is not None),
+                              ("--emit-matrix", args.emit_matrix),
+                              ("--check-kneser", args.check_kneser)):
+            if given:
+                raise InvalidParameterError(f"{option} is not meaningful with --hl")
         report = hard_lefschetz_report(spec)
         results["operators"] = [
             {"m": op.m, "size": op.size, "determinant": str(op.determinant)}

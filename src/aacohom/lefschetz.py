@@ -17,19 +17,19 @@ builds the whole L_m, and ``check_structure`` verifies entry by entry that
 it is the direct sum of its ``blocks``, laid out by the walk that pinned its
 bases; det L_m is then the product of the closed-form Kneser determinants
 of its blocks (``LefschetzMatrix.determinant``), so no elimination runs.
-``hard_lefschetz_report`` builds no whole L_m (``_standard_operator``): the
-first block of each pattern (half, |ground|, free) is verified that way, and
-every other block by the theta term of its signs alone, for this reason.
-Let t(i) be the parity of the theta indices R u s(S) strictly between i and
-s(i); delta = (1, 2n) spans all 2p of them, so t(1) = 0.  The source class
-of C carries theta_inv + sum_{i in C} t(i), the target class of C' carries
-theta_inv + sum_{i in C'} t(i), and the product P ^ J of a power term P
-carries sum_{i in P} t(i) from the thetas of J.  Since C' is C u P,
-disjointly, the theta terms cancel.  The gamma and delta crossings depend
-only on |C|, |P| and delta, which leads every even ground, so every entry
-equals the first block's.  ``_check_thetas`` checks exactly that the sign
-code's theta term, the ``crossings`` of ``_theta_data``, is t(i) on each
-pair of the block's ground.
+``hard_lefschetz_report`` builds no whole L_m: of the ``_theta_count``
+blocks theta_{R|S} of each pattern (half, p) it verifies the first that way
+(``_standard_operator``), and the others equal it.  Let t(i) be the parity
+of the theta indices R u s(S) strictly between i and s(i); delta = (1, 2n)
+spans all 2p of them, so t(1) = 0.  The source class of C carries
+theta_inv + sum_{i in C} t(i), the target class of C' carries theta_inv +
+sum_{i in C'} t(i), and P ^ J carries sum_{i in P} t(i) from the thetas of
+J.  Since C' is C u P, disjointly, these cancel, and the gamma and delta
+crossings depend only on |C|, |P| and delta.  It is left to check that the
+``crossings`` of ``_theta_data`` are t(i), which depends on (R, S) and i
+alone.  In the top even L_m, m = 2 floor(n/2), theta_{R|S} has the ground
+{1..n} minus R and S, and every other L_m uses a subset of it, so one pass
+over that walk (``_check_thetas``) checks every (R, S, i) of the report.
 
 A user form is certified as a pull-back phi*[w] by an automorphism phi
 (``pull_back_factors``, on ``wedge_terms`` and ``d_terms``); its det L_m
@@ -49,7 +49,10 @@ from .ce_complex import (
     AlgebraSpec,
     Mode,
     _block_walk,
+    _idx_label,
+    _patterns,
     _pinned_bases,
+    _theta_count,
     _theta_data,
     betti_closed_form,
     cohomology_basis,
@@ -78,23 +81,23 @@ from .kneser import KneserGraph, determinant, neighbours
 # ``_operator_columns``, mostly skipped at about 0.1 us) plus 2n (its basis
 # monomials and column check).  ``lefschetz_matrix`` counts every source
 # monomial of H^m; ``hard_lefschetz_report`` counts those of each pattern's
-# first block, plus BLOCK_COST per ground index of every block (its walk and
-# ``_check_thetas``).  Whole matrix, admitted, timed over several runs: ones
-# n = 12 `--m 6` (7.76 M) in 2.1 to 3.7 s, generic n = 16 `--m 11` (7.80 M)
-# in 2.5 to 4.5 s and 87 MB, generic n = 17 `--m 14` (6.20 M; the slowest,
-# 3.1 to 4.2 s and 145 MB).  Refused: generic n = 18 `--m 16` (7.96 M; 6.5 s,
-# 177 MB) and `--m 6` (8.54 M; 4.6 s), and any n >= 19 by its chain alone
-# (9.96 M; generic n = 20 `--m 0` took 9.9 s).  `--hl`, three whole CLI runs
-# each: ones n = 10 (0.53 M) in 0.4 to 0.5 s, n = 11 (1.76 M) in 0.7 to 1.1 s,
-# n = 12 (5.53 M) in 1.9 to 3.1 s and 20 MB, generic n = 14 (3.88 M) in 1.3 to
-# 1.9 s; refused in under 0.2 s: ones n = 13 (18.5 M; 6.5 s in process with
-# the budget lifted) and generic n = 15 (12.6 M; 5.5 s).  A user form adds
-# its validation and certificate (ones n = 10: 0.2 s in all).
-# DENSE_MAX_DIMENSION bounds the CLI matrix payload, which prints every cell:
-# ones n = 8 (2450) prints its 66 MB of JSON in 0.6 s with a 150 MB peak; ones
-# n = 9 (9800) would print about 1 GB.
+# first block, plus BLOCK_COST per ground index of the top even L_m (its
+# ``_check_thetas`` pass took 3.6 to 4.1 at ones n = 10 to 13).  Printing
+# det L_m adds bits^2 / RENDER_BITS, bits = sum count * bit_length(det A(K)):
+# CPython's int to str takes 1.8e-12 s per bit^2 (ones n = 11 to 13).
+# Admitted: ones n = 12 `--m 6` (7.76 M) in 2.1 to 3.7 s, generic n = 16
+# `--m 11` (7.80 M) in 2.5 to 4.5 s and 87 MB, n = 17 `--m 14` (6.20 M) in
+# 3.1 to 4.2 s and 145 MB, `--hl` for ones n = 12 (1.70 M) in 1.0 s and 18 MB
+# and generic n = 14 (3.88 M) in 1.7 to 2.0 s and 29 MB (whole CLI runs).
+# Refused: generic n = 18 `--m 16` (7.98 M; 6.5 s), n >= 19 by its chain, and
+# `--hl` for ones n = 13 (13.5 M, 10.4 M of it printing; 6.0 s) and generic
+# n = 15 (12.6 M; 4.3 s).  A user form adds its validation and certificate
+# (ones n = 10: 0.2 s in all).  DENSE_MAX_DIMENSION bounds the CLI matrix
+# payload, which prints every cell: ones n = 8 (2450) prints its 66 MB of
+# JSON in 0.6 s with a 150 MB peak; ones n = 9 (9800) would print about 1 GB.
 MAX_WORK = 7_800_000
-BLOCK_COST = 5
+BLOCK_COST = 4
+RENDER_BITS = 261_000
 DENSE_MAX_DIMENSION = 2450
 
 
@@ -102,9 +105,9 @@ def require_size(spec: AlgebraSpec, ms, blocks: bool = False) -> list:
     """[dim H^m for m in ms], after checking the L_m together against MAX_WORK.
 
     The work of each L_m is that of its whole matrix, or with ``blocks`` that
-    of ``_standard_operator``.  Only Betti numbers and binomials are
-    computed, and SizeLimitError is raised before any walk or basis, at the
-    first L_m that passes the budget.
+    of ``_standard_operator`` and the one ``_check_thetas`` pass, plus the
+    printing of its det.  It is read off Betti numbers, binomials and Kneser
+    determinants, and SizeLimitError is raised before any walk or basis.
     """
     if spec.mode not in (Mode.GENERIC, Mode.ONES):
         raise UnsupportedModeError(
@@ -119,32 +122,28 @@ def require_size(spec: AlgebraSpec, ms, blocks: bool = False) -> list:
             f"{MAX_WORK} products"
         )
     work = n << n
+    if blocks:
+        top = _patterns(spec, 2 * (n // 2))
+        work += BLOCK_COST * sum(_theta_count(n, p) * (n - 2 * p) for _, p in top)
     for m in ms:
         if not 0 <= m <= n:
             raise ValueError(f"m must lie in [0, {n}], got {m}")
         sizes.append(betti_closed_form(spec, m))
+        k, odd = divmod(m, 2)
+        rows = bits = 0  # of the patterns' first blocks, and of det L_m
+        for _, p in _patterns(spec, m):
+            count, ground, free = _theta_count(n, p), n - 2 * p - odd, k - p
+            rows += math.comb(ground, free) if count else 0
+            if free:
+                bits += count * determinant(KneserGraph(ground, free)).bit_length()
         tries = math.comb(n, n - m) // 4 + 2 * n  # per source row
-        work += _block_work(spec, m, tries) if blocks else sizes[-1] * tries
+        work += (rows if blocks else sizes[-1]) * tries + bits**2 // RENDER_BITS
         if work > MAX_WORK:
             raise SizeLimitError(
                 f"L_{m} at n = {n} brings the work to {work} products; "
                 f"the budget is {MAX_WORK}"
             )
     return sizes
-
-
-def _block_work(spec: AlgebraSpec, m: int, tries: int) -> int:
-    """The work of ``_standard_operator`` on L_m: per half and per p, the
-    C(n-1, p) C(n-1-p, p) blocks of one pattern on a ground of n - 2p
-    (n - 1 - 2p for odd m) indices, BLOCK_COST per index, and ``tries`` per
-    source row of the first."""
-    n, (k, odd) = spec.n, divmod(m, 2)
-    work = 0
-    for p in range(k + 1 if spec.mode is Mode.ONES else 1):
-        ground = n - 2 * p - odd
-        count = math.comb(n - 1, p) * math.comb(n - 1 - p, p)
-        work += count * ground * BLOCK_COST + math.comb(ground, k - p) * tries
-    return work << odd  # the two halves of an odd m
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +258,7 @@ class LefschetzMatrix:
     def determinant(self) -> int:
         """det L_m: the product of the Kneser determinants, 1 per identity block."""
         counts = Counter(b.params for b in self.blocks if b.kind == "kneser")
-        return _kneser_product((*params, c) for params, c in counts.items())
+        return math.prod(determinant(KneserGraph(*k)) ** c for k, c in counts.items())
 
     def summary(self) -> str:
         parts = []
@@ -438,31 +437,26 @@ class HardLefschetzReport:
     hard_lefschetz: bool
 
 
-def _kneser_product(patterns) -> int:
-    """Prod det A(K(ground, free))^count over (ground, free, count)."""
-    det = 1
-    for ground, free, count in patterns:
-        det *= determinant(KneserGraph(ground, free)) ** count
-    return det
-
-
-def _check_thetas(spec, block, windows, offset) -> None:
-    """Raise StructureViolationError at ``offset`` unless the theta term of
-    the signs of ``block``, the ``crossings`` of ``_theta_data``, is t(i) on
-    each pair of its ground, counted from R and s(S) against ``windows``."""
-    _, _, r, s, ground, _ = block
-    crossings = _theta_data(spec, r, s)[2]
-    thetas = 0
-    for a, b in zip(r, s):  # bit b + n - 2 is s(b)
-        thetas |= 1 << (a - 1) | 1 << (b + spec.n - 2)
-    for i in ground:
-        pair, window = windows[i]
-        want = (thetas & window).bit_count() & 1
-        if want != (pair & crossings).bit_count() & 1:
-            raise StructureViolationError(
-                offset, offset, f"theta parity {want} on the pair of {i}",
-                1 - want,
-            )
+def _check_thetas(spec: AlgebraSpec) -> None:
+    """Raise InvariantViolationError unless the ``crossings`` of each
+    theta_{R|S} are t(i) on each pair of its ground in the top even L_m,
+    counted from R and s(S) against the indices strictly inside the pair."""
+    n = spec.n
+    windows = {  # i -> (its gamma pair, the indices strictly inside it)
+        i: (1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i))
+        for i, j in [(1, 2 * n)] + [(i, i + n - 1) for i in range(2, n + 1)]}
+    for _, _, r, s, ground, _ in _block_walk(spec, 2 * (n // 2)):
+        crossings = _theta_data(spec, r, s)[2]
+        thetas = 0
+        for a, b in zip(r, s):  # bit b + n - 2 is s(b)
+            thetas |= 1 << (a - 1) | 1 << (b + n - 2)
+        for i in ground:
+            pair, window = windows[i]
+            if ((thetas & window).bit_count() ^ (pair & crossings).bit_count()) & 1:
+                raise InvariantViolationError(
+                    f"the signs of theta_{{{_idx_label(r)}|{_idx_label(s)}}} "
+                    f"miss its theta parity on the pair of {i}"
+                )
 
 
 def _check_block(spec: AlgebraSpec, m: int, block, offset: int) -> int:
@@ -485,32 +479,19 @@ def _check_block(spec: AlgebraSpec, m: int, block, offset: int) -> int:
 
 
 def _standard_operator(spec: AlgebraSpec, m: int) -> tuple:
-    """(size, det) of the standard L_m from one ``_block_walk``, no matrix.
-
-    The first block of each pattern (half, |ground|, free) is verified
-    exactly (``_check_block``), every other one by ``_check_thetas``, which
-    by the module docstring makes it equal to its pattern's first.
-    """
-    n = spec.n
-    windows = {  # i -> (its gamma pair, the indices strictly inside it)
-        i: (1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i))
-        for i, j in [(1, 2 * n)] + [(i, i + n - 1) for i in range(2, n + 1)]
-    }
-    counts, sizes, offset = Counter(), {}, 0
-    for block in _block_walk(spec, m):
-        half, _, _, _, ground, free = block
-        key = half, len(ground), free
-        if key in sizes:
-            _check_thetas(spec, block, windows, offset)
-        else:
-            sizes[key] = _check_block(spec, m, block, offset)
-        counts[key] += 1
-        offset += sizes[key]
-    det = _kneser_product(
-        (ground, free, count)
-        for (_, ground, free), count in counts.items() if free
-    )
-    return offset, det
+    """(size, det) of the standard L_m, no matrix: each pattern's first block
+    is verified (``_check_block``), and once ``_check_thetas`` has passed its
+    ``_theta_count`` blocks all equal it, by the module docstring."""
+    size, det = 0, 1
+    for pattern in _patterns(spec, m):
+        count = _theta_count(spec.n, pattern[1])
+        if count:  # else 2p > n - 1: no theta_{R|S} of p pairs
+            block = next(_block_walk(spec, m, [pattern]))
+            size += count * _check_block(spec, m, block, size)
+            *_, ground, free = block
+            if free:
+                det *= determinant(KneserGraph(len(ground), free)) ** count
+    return size, det
 
 
 def hard_lefschetz_report(
@@ -518,22 +499,26 @@ def hard_lefschetz_report(
 ) -> HardLefschetzReport:
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
-    The work of every L_m is checked against MAX_WORK first.  The size and
-    det of each standard L_m come from its blocks, with no whole matrix
-    (``_standard_operator``).  A user form is validated and certified as
-    phi*[w_std] (``pull_back_factors``); L_{phi* w} = phi* L_w (phi*)^{-1} on
-    cohomology, so its det L_m is the standard one times
-    a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
+    After MAX_WORK and one ``_check_thetas`` pass, each standard L_m comes
+    from its patterns (``_standard_operator``) and must tile H^m.  A user
+    form is certified as phi*[w_std] (``pull_back_factors``); L_{phi* w} =
+    phi* L_w (phi*)^{-1} on cohomology, so its det L_m is the standard one
+    times a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
     """
-    require_size(spec, range(spec.n + 1), blocks=True)
+    sizes = require_size(spec, range(spec.n + 1), blocks=True)
     a = det_m = Fraction(1)
     if user_form is not None:
         if not isinstance(user_form, SymplecticForm):
             user_form = SymplecticForm.validated(spec, user_form)
         a, det_m = pull_back_factors(spec, user_form.form)
+    _check_thetas(spec)
     rows_out = []
-    for m in range(spec.n + 1):
+    for m, betti in enumerate(sizes):
         size, det = _standard_operator(spec, m)
+        if size != betti:
+            raise InvariantViolationError(
+                f"the patterns of L_{m} tile {size} rows, not dim H^{m} = {betti}"
+            )
         (e0, s0), (e1, s1) = (_character_counts(spec, p)
                               for p in (m, spec.two_n - m))
         det *= a ** (e1 - e0) * det_m ** (s1 - s0)

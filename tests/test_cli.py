@@ -210,7 +210,7 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
                          (lf, "_block_walk")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
-    # dense payload of 9800^2 cells; HL past the budget at L_9 and L_10;
+    # dense payload of 9800^2 cells; HL past the budget at L_11 and L_10;
     # 5.9 million basis classes; C(20,10) explicit monomials
     for argv in (
         "lefschetz --n 9 --mode ones --m 9",
@@ -376,6 +376,22 @@ def test_lattice_conflicting_options_are_refused(capsys, monkeypatch, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"usage error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--m 0", "--m 2", "--emit-matrix",
+                                    "--check-kneser"])
+def test_hl_conflicting_options_are_refused(capsys, monkeypatch, option):
+    def computed(*args, **kwargs):
+        raise AssertionError("a conflicting option reached the Lefschetz work")
+
+    for name in ("hard_lefschetz_report", "lefschetz_matrix", "require_size"):
+        monkeypatch.setattr(cli, name, computed)
+    argv = ["lefschetz", "--n", "3", "--mode", "ones", "--hl", *option.split()]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = option.split()[0]
+    assert captured.err == f"usage error: {name} is not meaningful with --hl\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -575,6 +591,24 @@ def test_flipped_lefschetz_entry_exits_1(capsys, monkeypatch):
     _flip_one_entry(monkeypatch, 2)
     code, out = run(capsys, "lefschetz", "--n", "4", "--mode", "ones", "--hl")
     assert (code, out) == (1, "")
+
+
+def test_corrupt_theta_term_exits_1(capsys, monkeypatch):
+    import aacohom.ce_complex as ce
+    import aacohom.lefschetz as lf
+
+    theta_data = ce._theta_data
+
+    def corrupt(spec, r, s):
+        thetas, inversions, crossings = theta_data(spec, r, s)
+        return thetas, inversions, crossings ^ (2 if r == (4,) else 0)
+
+    monkeypatch.setattr(ce, "_theta_data", corrupt)
+    monkeypatch.setattr(lf, "_theta_data", corrupt)
+    assert cli.main(["lefschetz", "--n", "4", "--mode", "ones", "--hl"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: the signs of theta_{4|")
 
 
 def test_failed_criterion_exits_1(capsys, monkeypatch):

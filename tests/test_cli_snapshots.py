@@ -16,7 +16,10 @@ stdout changed.  The groups cover:
   n = 1..6, including k = 0 and the edgeless n < 2k.  These were pinned
   from the dense-row renderer, before matrix payloads became sparse;
 * the CLI examples of the README.  ``verify-all --max-n 6`` is left to the
-  benchmark, which pins it too, because it takes longer than this suite.
+  benchmark, which pins it too, because it takes longer than this suite;
+* ``lefschetz --hl`` in ones mode for n = 8..11, past the n <= 9 reach of
+  the whole-matrix oracle of the report's tests.  These were pinned from
+  the report that walked every block of every L_m.
 """
 
 import hashlib
@@ -91,6 +94,10 @@ def _groups():
         groups[f"kneser {fmt}"] = list(_kneser_calls(fmt))
     for example in README_EXAMPLES:
         groups[example] = [example.split()]
+    groups["lefschetz --hl ones n=8..11"] = [
+        ["lefschetz", "--n", str(n), "--mode", "ones", "--hl"]
+        for n in range(8, 12)
+    ]
     return groups
 
 
@@ -159,6 +166,8 @@ PINNED = {
         "643f3646cff062c535b266f68615e392a4885af12d34d3262a5130cca6f6c46b",
     "verify-all --max-n 5":
         "d2501fea31a9458df3c258fb7b97595913072de4a932b631317e6e8ae4d25add",
+    "lefschetz --hl ones n=8..11":
+        "1abf6a4082bd933e8ae3d50aa9a104412dc304a36eba011a1dc279c74dfe9c4b",
 }
 
 

@@ -6,6 +6,7 @@ import inspect
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -433,11 +434,12 @@ def test_size_limits_admit_documented_runs():
 def test_size_limits_raise():
     # the budget runs out at one L_m, and the message names only that one
     with pytest.raises(SizeLimitError, match="^L_8 at n = 11 brings the work "
-                       "to 9745508 products"):
+                       "to 9752559 products"):
         lefschetz.require_size(AlgebraSpec.ones(11), range(12))
-    # the --hl route: 683121 blocks at ones n = 13
-    with pytest.raises(SizeLimitError, match="^L_9 at n = 13 brings the work "
-                       "to 8136368 products"):
+    # the --hl route at ones n = 13: the theta pass over 381625 ground
+    # indices, and the 913 k digits of the determinants, printed
+    with pytest.raises(SizeLimitError, match="^L_11 at n = 13 brings the work "
+                       "to 8597042 products"):
         lefschetz.require_size(AlgebraSpec.ones(13), range(14), blocks=True)
     with pytest.raises(SizeLimitError, match="^L_10 at n = 15 brings"):
         lefschetz.require_size(AlgebraSpec.generic(15), range(16))
@@ -557,20 +559,72 @@ def test_mutated_layout_raises():
             check_structure(dataclasses.replace(mat, blocks=blocks))
 
 
-def test_hl_report_walks_the_block_tree_once_per_m(monkeypatch):
+def test_hl_report_walks_the_block_tree_once(monkeypatch):
+    # one unrestricted walk per report, at m = 2 floor(n/2), for the thetas;
+    # every other walk stops at the first block of one pattern
     import aacohom.ce_complex as ce
 
     walk = ce._block_walk
     calls = []
 
-    def counted(spec, m):
-        calls.append(m)
-        return walk(spec, m)
+    def counted(spec, m, patterns=None):
+        calls.append((m, patterns))
+        return walk(spec, m, patterns)
 
     monkeypatch.setattr(ce, "_block_walk", counted)
     monkeypatch.setattr(lefschetz, "_block_walk", counted)
-    assert hard_lefschetz_report(AlgebraSpec.ones(5)).hard_lefschetz
-    assert sorted(calls) == list(range(6))
+    for n in (5, 6):
+        calls.clear()
+        assert hard_lefschetz_report(AlgebraSpec.ones(n)).hard_lefschetz
+        assert [m for m, patterns in calls if patterns is None] == [n - n % 2]
+        assert all(len(patterns) == 1 for _, patterns in calls if patterns)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_top_even_walk_holds_every_theta_index(n, maker):
+    # each (R, S, i) of every L_m's walk lies in the top even walk, the one
+    # ``_check_thetas`` reads
+    import aacohom.ce_complex as ce
+
+    spec = maker(n)
+    top = {(r, s, i) for _, _, r, s, ground, _ in ce._block_walk(spec, n - n % 2)
+           for i in ground}
+    for m in range(n + 1):
+        for _, _, r, s, ground, _ in ce._block_walk(spec, m):
+            assert {(r, s, i) for i in ground} <= top, (m, r, s)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_pattern_counts_match_the_walk(n, maker):
+    # the closed-form counts and sizes of the patterns are those of the
+    # full walk, and they tile H^m
+    import aacohom.ce_complex as ce
+
+    spec = maker(n)
+    for m in range(n + 1):
+        walked = Counter((half, p) for half, p, *_ in ce._block_walk(spec, m))
+        counts = {pattern: ce._theta_count(n, pattern[1])
+                  for pattern in ce._patterns(spec, m)}
+        assert {key: c for key, c in counts.items() if c} == walked
+        assert sum(math.comb(len(ground), free)
+                   for *_, ground, free in ce._block_walk(spec, m)) == sum(
+            counts[half, p] * math.comb(n - 2 * p - m % 2, m // 2 - p)
+            for half, p in counts) == betti_closed_form(spec, m)
+
+
+def test_pattern_counts_that_miss_h_m_are_no_certificate(monkeypatch):
+    # a count one too large at p = 1 leaves L_2 one 1x1 block over dim H^2
+    theta_count = lefschetz._theta_count
+
+    def miscounted(n, p):
+        return theta_count(n, p) + (p == 1)
+
+    monkeypatch.setattr(lefschetz, "_theta_count", miscounted)
+    with pytest.raises(InvariantViolationError,
+                       match=r"^the patterns of L_2 tile 11 rows, not dim H\^2 = 10"):
+        hard_lefschetz_report(AlgebraSpec.ones(4))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -636,7 +690,7 @@ def test_corrupt_theta_data_on_a_later_block_is_no_certificate(monkeypatch, n):
     import aacohom.ce_complex as ce
 
     # theta_{n|n-1} is no pattern's first block, which for p = 1 is
-    # theta_{2|3}; it first occurs in L_2, where the report must stop
+    # theta_{2|3}, so only the theta pass sees it; it must name it
     spec = AlgebraSpec.ones(n)
     r, s = (n,), (n - 1,)
     blocks = list(ce._block_walk(spec, 2))
@@ -650,10 +704,12 @@ def test_corrupt_theta_data_on_a_later_block_is_no_certificate(monkeypatch, n):
 
     monkeypatch.setattr(ce, "_theta_data", corrupt)
     monkeypatch.setattr(lefschetz, "_theta_data", corrupt)
-    offset = sum(math.comb(len(b[4]), b[5]) for b in blocks[:at])
-    with pytest.raises(StructureViolationError) as err:
+    i = blocks[at][4][-1]
+    with pytest.raises(InvariantViolationError, match=(
+        rf"^the signs of theta_\{{{n}\|{n - 1}\}} miss its theta parity "
+        rf"on the pair of {i}$"
+    )):
         hard_lefschetz_report(spec)
-    assert (err.value.row, err.value.col) == (offset, offset)
     # the whole-matrix route sees the flipped signs in its entries
     with pytest.raises(StructureViolationError):
         lefschetz_matrix(spec, 2)
@@ -683,6 +739,26 @@ def test_flipped_entry_is_no_certificate(monkeypatch, at_m):
         with pytest.raises(StructureViolationError) as err:
             build(spec)
         assert (err.value.row, err.value.col) == (0, 0)
+
+
+def test_flipped_entry_of_a_later_pattern_is_reported_at_its_offset(monkeypatch):
+    # ones n = 5, L_4: the p = 0 pattern is one K(5,2) of 10 rows, so the
+    # first block of p = 1, a K(3,1), starts at row 10
+    kernel = lefschetz._operator_columns
+
+    def flipped(spec, m, omega_form, labels=False, blocks=None):
+        source, target, columns, walk = kernel(spec, m, omega_form, labels, blocks)
+        if m == 4 and blocks and blocks[0][1] == 1:
+            first = dict(columns[0])
+            if first.pop(0, None) is None:
+                first[0] = 1
+            columns = [first] + columns[1:]
+        return source, target, columns, walk
+
+    monkeypatch.setattr(lefschetz, "_operator_columns", flipped)
+    with pytest.raises(StructureViolationError) as err:
+        hard_lefschetz_report(AlgebraSpec.ones(5))
+    assert (err.value.row, err.value.col) == (10, 10)
 
 
 def test_hl_report_builds_no_labels(monkeypatch):
