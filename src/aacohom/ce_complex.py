@@ -15,9 +15,10 @@ a form is closed exactly when each of its monomials contains 2n or has
 weight zero: ``is_closed``, the cohomology bases and the closed-form Betti
 numbers rest on that weight test alone.
 ``d_monomial`` works on bit masks and sums <w(m), b> from a per-spec table
-of each bit's share (``AlgebraSpec.bit_weights``).  ``d_terms``, the d of
-every {mask: coeff} form and of ``differential``, applies it; ``is_closed``
-and the explicit-mode bases read the same table.
+of each bit's share (``AlgebraSpec.bit_weights``).  ``d_terms`` applies it
+to a {mask: coeff} map, such as the ``terms`` of a Form, and
+``differential`` is its Form; ``is_closed`` and the explicit-mode bases
+read the same table.
 
 Three weight modes fix how "<w, b> = 0" is decided:
 
@@ -161,8 +162,8 @@ def _scaled_weight(spec: AlgebraSpec, mask: int) -> int:
     return total
 
 
-def weight_is_zero(spec: AlgebraSpec, m: Monomial) -> bool:
-    return not _scaled_weight(spec, m.mask)
+def weight_is_zero(spec: AlgebraSpec, mask: int) -> bool:
+    return not _scaled_weight(spec, mask)
 
 
 def d_monomial(spec: AlgebraSpec, mask: int):
@@ -195,7 +196,7 @@ def differential(spec: AlgebraSpec, f: Form) -> Form:
         raise ValueError(f"form ambient {f.two_n} does not match 2n={spec.two_n}")
     if spec.mode is Mode.GENERIC:
         raise UnsupportedModeError("generic mode has no numeric differential")
-    return Form.from_masks(d_terms(spec, f.masks()), spec.two_n)
+    return Form(d_terms(spec, f.terms), spec.two_n)
 
 
 def d_terms(spec: AlgebraSpec, terms: dict) -> dict:
@@ -216,7 +217,7 @@ def is_closed(spec: AlgebraSpec, f: Form) -> bool:
     """
     if f.two_n != spec.two_n:
         raise ValueError(f"form ambient {f.two_n} does not match 2n={spec.two_n}")
-    return all(d_monomial(spec, m.mask) is None for m in f.terms)
+    return all(d_monomial(spec, mask) is None for mask in f.terms)
 
 
 # ---------------------------------------------------------------------------

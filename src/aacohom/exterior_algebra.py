@@ -3,10 +3,11 @@
 Covectors are indexed 1..2n.  A wedge monomial e^{i1} ^ ... ^ e^{ik} with
 strictly increasing indices is stored as a bit mask over the 2n positions
 (bit i-1 set iff index i occurs), so index collisions and inversion counts
-become word operations.  A form is a sparse map monomial -> Fraction; all
-arithmetic is exact and no value is ever mutated after construction.  The
-mask kernels hold a form as {mask: coeff} (``Form.masks``) and multiply with
-``wedge_terms``; ``wedge`` keeps its own loop, the tests' reference.
+become word operations.  A form is its sparse map {mask: coeff}, each
+coefficient exact (``exact``: an int when integral, else a Fraction) and
+never zero, and no value is ever mutated after construction.  Every kernel
+reads and returns such maps: ``wedge`` is ``wedge_terms`` and a sum is
+``add_terms``.  ``Monomial`` is the value type of labels and printing.
 """
 
 from fractions import Fraction
@@ -72,28 +73,6 @@ class Monomial:
         return "e" + "".join(f"^{i}" for i in self.indices)
 
 
-def wedge_monomials(a: Monomial, b: Monomial):
-    """Signed product of two monomials.
-
-    Returns (sign, merged monomial), or (0, None) on an index collision.
-    The sign is (-1)^(number of inversions of the concatenated index list).
-    """
-    if a.two_n != b.two_n:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {a.two_n} vs {b.two_n}"
-        )
-    if a.mask & b.mask:
-        return 0, None
-    inversions = 0
-    rest = a.mask
-    while rest:
-        low = rest & -rest
-        inversions += (b.mask & (low - 1)).bit_count()
-        rest ^= low
-    sign = -1 if inversions & 1 else 1
-    return sign, Monomial(a.mask | b.mask, a.two_n)
-
-
 def below_parity(mask: int, width: int) -> int:
     """Bit p set iff an odd number of the bits of ``mask`` lie below p.
 
@@ -107,6 +86,22 @@ def below_parity(mask: int, width: int) -> int:
         below ^= below << shift
         shift <<= 1
     return below
+
+
+def exact(value, divisor: int = 1):
+    """value / divisor as a coefficient: an int when integral, else a Fraction."""
+    if type(value) is int and not value % divisor:
+        return value // divisor
+    q = Fraction(value) / divisor
+    return q.numerator if q.denominator == 1 else q
+
+
+def add_terms(a: dict, b: dict, scale: int = 1) -> dict:
+    """a + scale * b of two {mask: coeff} forms, without zero coefficients."""
+    out = dict(a)
+    for mask, c in b.items():
+        out[mask] = out.get(mask, 0) + scale * c
+    return {mask: c for mask, c in out.items() if c}
 
 
 def wedge_terms(a: dict, b: dict, two_n: int) -> dict:
@@ -131,23 +126,24 @@ def degree_masks(two_n: int, degree: int) -> list:
 
 
 class Form:
-    """A sparse element of the exterior algebra with exact rational coefficients.
+    """A sparse element of the exterior algebra with exact coefficients.
 
-    ``terms`` maps Monomial -> Fraction and never stores a zero coefficient.
+    ``terms`` maps the int mask of each monomial to its coefficient, an int
+    when integral and a Fraction otherwise, and never stores a zero.
     """
 
     __slots__ = ("terms", "two_n")
 
     def __init__(self, terms, two_n: int):
         clean = {}
-        for mono, coeff in dict(terms).items():
-            if mono.two_n != two_n:
+        for mask, coeff in dict(terms).items():
+            if type(mask) is not int or mask < 0 or mask >> two_n:
                 raise DimensionMismatchError(
-                    f"monomial ambient {mono.two_n} in form with ambient {two_n}"
+                    f"{mask!r} is not a mask of {two_n} positions"
                 )
-            coeff = Fraction(coeff)
+            coeff = exact(coeff)
             if coeff:
-                clean[mono] = coeff
+                clean[mask] = coeff
         self.terms = clean
         self.two_n = two_n
 
@@ -157,61 +153,51 @@ class Form:
 
     @classmethod
     def one(cls, two_n: int) -> "Form":
-        return cls({Monomial(0, two_n): Fraction(1)}, two_n)
+        return cls({0: 1}, two_n)
 
     @classmethod
     def covector(cls, i: int, two_n: int) -> "Form":
-        return cls({Monomial.from_indices((i,), two_n): Fraction(1)}, two_n)
+        return cls.from_monomial(Monomial.from_indices((i,), two_n))
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff=1) -> "Form":
-        return cls({mono: Fraction(coeff)}, mono.two_n)
-
-    @classmethod
-    def from_masks(cls, terms: dict, two_n: int) -> "Form":
-        """The form of a {mask: coeff} map, as the mask kernels return it."""
-        return cls({Monomial(mask, two_n): c for mask, c in terms.items()}, two_n)
-
-    def masks(self) -> dict:
-        """{mask: coeff}, an integral coefficient as an int, for the kernels."""
-        return {
-            m.mask: c.numerator if c.denominator == 1 else c
-            for m, c in self.terms.items()
-        }
+        return cls({mono.mask: coeff}, mono.two_n)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def degrees(self) -> set:
-        return {m.degree for m in self.terms}
+        return {mask.bit_count() for mask in self.terms}
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
     def homogeneous_part(self, degree: int) -> "Form":
         return Form(
-            {m: c for m, c in self.terms.items() if m.degree == degree}, self.two_n
+            {m: c for m, c in self.terms.items() if m.bit_count() == degree},
+            self.two_n,
         )
 
-    def __add__(self, other: "Form") -> "Form":
+    def _same_ambient(self, other: "Form") -> None:
         if self.two_n != other.two_n:
             raise DimensionMismatchError(
                 f"ambient dimensions differ: {self.two_n} vs {other.two_n}"
             )
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Form(terms, self.two_n)
+
+    def __add__(self, other: "Form") -> "Form":
+        self._same_ambient(other)
+        return Form(add_terms(self.terms, other.terms), self.two_n)
 
     def __neg__(self) -> "Form":
         return Form({m: -c for m, c in self.terms.items()}, self.two_n)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        self._same_ambient(other)
+        return Form(add_terms(self.terms, other.terms, -1), self.two_n)
 
     def __mul__(self, scalar) -> "Form":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         return Form({m: c * scalar for m, c in self.terms.items()}, self.two_n)
 
     __rmul__ = __mul__
@@ -233,7 +219,10 @@ class Form:
         return wedge(self, other)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0].indices)
+        """[(Monomial, coeff)] in lexicographic index order."""
+        return sorted(
+            (Monomial(m, self.two_n), c) for m, c in self.terms.items()
+        )
 
     def __repr__(self):
         if not self.terms:
@@ -243,40 +232,28 @@ class Form:
 
 def wedge(a: Form, b: Form) -> Form:
     """Bilinear, associative, graded-anticommutative exterior product."""
-    if a.two_n != b.two_n:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {a.two_n} vs {b.two_n}"
-        )
-    terms = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            sign, merged = wedge_monomials(ma, mb)
-            if sign:
-                terms[merged] = terms.get(merged, Fraction(0)) + sign * ca * cb
-    return Form(terms, a.two_n)
+    a._same_ambient(b)
+    return Form(wedge_terms(a.terms, b.terms, a.two_n), a.two_n)
 
 
-def coefficient(f: Form, m: Monomial) -> Fraction:
+def coefficient(f: Form, m: Monomial):
     """Coefficient of ``m`` in ``f`` (zero when absent)."""
-    return f.terms.get(m, Fraction(0))
+    return f.terms.get(m.mask, 0) if m.two_n == f.two_n else 0
 
 
-def top_pairing(a: Form, b: Form) -> Fraction:
+def top_pairing(a: Form, b: Form):
     """Coefficient of the full monomial e^1 ^ ... ^ e^{2n} in a ^ b.
 
     Nondegenerate pairing of complementary degrees; pairs of terms whose
-    degrees do not sum to 2n contribute nothing.
+    degrees do not sum to 2n contribute nothing.  P ^ Q for Q the complement
+    of P is signed by one bit count of P against ``below_parity`` of Q.
     """
-    if a.two_n != b.two_n:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {a.two_n} vs {b.two_n}"
-        )
+    a._same_ambient(b)
     full = (1 << a.two_n) - 1
-    total = Fraction(0)
-    for ma, ca in a.terms.items():
-        needed = full ^ ma.mask
-        cb = b.terms.get(Monomial(needed, b.two_n))
+    total = 0
+    for p, c in a.terms.items():
+        cb = b.terms.get(full ^ p)
         if cb:
-            sign, _ = wedge_monomials(ma, Monomial(needed, b.two_n))
-            total += sign * ca * cb
-    return total
+            odd = (p & below_parity(full ^ p, a.two_n)).bit_count() & 1
+            total += -c * cb if odd else c * cb
+    return exact(total)

@@ -8,9 +8,9 @@ matrices of Kneser graphs and the odd ones split into two such diagonal
 blocks; in the all-ones case the matrices decompose blockwise over the
 theta-pairs.  All entries are exact integers, read off bit-mask products of
 the power's terms with the basis monomials.  The divided powers w^k / k! are
-one int mask chain per form (``_mask_power_chain``, on ``wedge_terms``),
-cached on the form; for the standard form every coefficient is +-1, so no
-Fraction is built.
+one int mask chain per form (``_mask_power_chain``, ``wedge_terms`` on the
+form's {mask: coeff} ``terms``), cached on the form; for the standard form
+every coefficient is +-1, so no Fraction is built.
 
 The hard-Lefschetz verdict follows the paper's proof.  ``lefschetz_matrix``
 builds the whole L_m, and ``check_structure`` verifies entry by entry that
@@ -70,7 +70,7 @@ from .errors import (
     StructureViolationError,
     UnsupportedModeError,
 )
-from .exterior_algebra import Form, Monomial, below_parity, wedge_terms
+from .exterior_algebra import Form, Monomial, below_parity, exact, wedge_terms
 from .kneser import KneserGraph, determinant, neighbours
 
 
@@ -160,25 +160,16 @@ def _mask_power_chain(form: Form, top: int) -> tuple:
     """[{mask: coeff} of form^k / k! for k = 0..top] (cached per form).
 
     Each power is the one before wedged with the form (``wedge_terms``, the
-    power's terms outer) and divided by k exactly, so a coefficient stays an
-    int when it is integral; a Fraction appears only for a form with
+    power's terms outer) and divided by k by ``exact``, so a coefficient stays
+    an int when it is integral; a Fraction appears only for a form with
     non-integral coefficients.  The key is the form itself, so two forms on
     one spec never share a chain.
     """
-    terms = form.masks()
     chain = [{0: 1}]
     for k in range(1, top + 1):
-        power = wedge_terms(chain[-1], terms, form.two_n)
-        chain.append({mask: _divide(v, k) for mask, v in power.items()})
+        power = wedge_terms(chain[-1], form.terms, form.two_n)
+        chain.append({mask: exact(v, k) for mask, v in power.items()})
     return tuple(chain)
-
-
-def _divide(v, k: int):
-    """v / k exactly: an int when the quotient is integral."""
-    if type(v) is int and not v % k:
-        return v // k
-    q = Fraction(v) / k
-    return q.numerator if q.denominator == 1 else q
 
 
 def omega_power(spec: AlgebraSpec, k: int) -> Form:
@@ -187,7 +178,7 @@ def omega_power(spec: AlgebraSpec, k: int) -> Form:
         raise ValueError(f"power {k} outside [0, {spec.n}]")
     power = _mask_power_chain(standard_omega(spec), spec.n)[k]
     scale = math.factorial(k)
-    return Form.from_masks({m: c * scale for m, c in power.items()}, spec.two_n)
+    return Form({m: c * scale for m, c in power.items()}, spec.two_n)
 
 
 @dataclass(frozen=True)
@@ -209,8 +200,7 @@ class SymplecticForm:
         if spec.mode is Mode.EXPLICIT:
             degenerate = not _mask_power_chain(form, spec.n)[-1]
         else:  # no top form is exact, and (phi* w_std)^n = a det(M) w_std^n
-            cls_terms = project_to_cohomology(spec, form).masks()
-            a, rows = _read_class(spec, cls_terms)
+            a, rows = _read_class(spec, project_to_cohomology(spec, form).terms)
             degenerate = not a or not exact_linalg.det_sparse(rows)
         if degenerate:
             raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
@@ -307,11 +297,11 @@ def _operator_columns(spec, m, omega_form, labels=False, blocks=None):
                 continue
             hit = rows.get(pm | mask)
             if hit is None:
-                product = Monomial(pm | mask, two_n)
-                if not product.contains(two_n) or weight_is_zero(spec, product):
+                product = pm | mask
+                if not product >> (two_n - 1) or weight_is_zero(spec, product):
                     raise InvariantViolationError(
-                        f"{product} is outside the cohomology basis "
-                        "and not exact"
+                        f"{Monomial(product, two_n)} is outside the "
+                        "cohomology basis and not exact"
                     )
                 continue
             i, row_sign = hit
@@ -565,7 +555,7 @@ def pull_back_factors(spec: AlgebraSpec, form: Form) -> tuple:
     witness weights force M diagonal), and that phi*(w_std) is the class.
     """
     n, two_n = spec.n, spec.two_n
-    cls = project_to_cohomology(spec, form).masks()
+    cls = project_to_cohomology(spec, form).terms
     a, rows = _read_class(spec, cls)
     images = [{1: a}] + [{1 << k: 1} for k in range(1, two_n)]
     for i, row in enumerate(rows):  # bit n + i is e^{s(i + 2)}
@@ -574,7 +564,7 @@ def pull_back_factors(spec: AlgebraSpec, form: Form) -> tuple:
         pulled = _pull(images, d_terms(spec, {1 << k: 1}), two_n)
         if d_terms(spec, images[k]) != pulled:
             raise InvariantViolationError(f"phi* and d differ on e^{k + 1}")
-    if _pull(images, standard_omega(spec).masks(), two_n) != cls:
+    if _pull(images, standard_omega(spec).terms, two_n) != cls:
         raise InvariantViolationError("phi*(w_std) differs from the class")
     return Fraction(a), exact_linalg.det_sparse(rows)
 

@@ -8,15 +8,15 @@ monomial with a single monomial, the set of its partners, and star sends
 each monomial to +- the complement of that set.  On top of star sit
 d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda].
 
-The operator suite runs on bit masks: a form is a dict {mask: coeff}
-(``Form.masks``), with int coefficients unless an explicit weight is
+The operator suite runs on the {mask: coeff} map that is a form's
+``terms``, with int coefficients unless an explicit weight is
 non-integral.  Star is one table {mask: (mask', +-1)} per 2n, each entry
 derived from the defining identity on first use, with w^{-1} in closed
 form; d is ``ce_complex.d_terms`` and L is one
 ``exterior_algebra.wedge_terms`` with the terms of ``standard_omega``;
-d^c, Lambda and [d, Lambda] are composed from these.
-The Form-level ``star``, ``dc``, ``ddc_lemma_check`` and
-``harmonic_representative`` are thin adapters over the same kernel.
+d^c, Lambda and [d, Lambda] are composed from these.  The Form-level
+``star``, ``dc`` and ``harmonic_representative`` wrap the map they return
+in a ``Form``.
 
 Since d is monomial-diagonal, d, d^c and their composites send each
 monomial to a single monomial, distinct ones to distinct ones.  The d d^c
@@ -25,7 +25,6 @@ a term-by-term preimage lookup, both exact and with no elimination.  The
 suite is limited to n <= HODGE_MAX_N.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,11 +46,12 @@ from .errors import (
 from .exterior_algebra import (
     Form,
     Monomial,
+    add_terms,
     below_parity,
     degree_masks,
     wedge_terms,
 )
-from .lefschetz import omega_power, standard_omega
+from .lefschetz import _mask_power_chain, standard_omega
 
 # Largest n of the operator suite, checked before any operator is built
 # (2 CPUs, Python 3.11.7): `hodge --n 7 --mode ones` takes 0.8-1.1 s and
@@ -73,14 +73,13 @@ def _pair_partner(i: int, two_n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _volume_data(two_n: int):
-    """(top monomial, coefficient of vol in the monomial basis)."""
+    """(top mask, coefficient of vol = w^n / n! in the monomial basis)."""
     n = two_n // 2
     spec = AlgebraSpec.generic(max(n, 2))
     if spec.two_n != two_n:
         raise ValueError(f"odd ambient dimension {two_n}")
-    vol = omega_power(spec, n) / math.factorial(n)
-    (mono, coeff), = vol.terms.items()
-    return mono, coeff
+    ((mask, coeff),) = _mask_power_chain(standard_omega(spec), n)[n].items()
+    return mask, coeff
 
 
 class _StarTable(dict):
@@ -135,14 +134,6 @@ def _star_table(two_n: int) -> _StarTable:
 # ---------------------------------------------------------------------------
 
 
-def _combine(a: dict, b: dict, scale: int) -> dict:
-    """a + scale * b, without zero coefficients."""
-    out = dict(a)
-    for mask, c in b.items():
-        out[mask] = out.get(mask, 0) + scale * c
-    return {mask: c for mask, c in out.items() if c}
-
-
 def _star_terms(two_n: int, terms: dict) -> dict:
     table = _star_table(two_n)
     out = {}
@@ -170,7 +161,7 @@ def _dc_terms(spec: AlgebraSpec, terms: dict) -> dict:
 @lru_cache(maxsize=None)
 def _omega_terms(two_n: int) -> dict:
     """{mask: coeff} of ``standard_omega``, the same in every mode."""
-    return standard_omega(AlgebraSpec.generic(two_n // 2)).masks()
+    return standard_omega(AlgebraSpec.generic(two_n // 2)).terms
 
 
 def _l_terms(spec: AlgebraSpec, terms: dict) -> dict:
@@ -191,7 +182,7 @@ def _lambda_terms(spec: AlgebraSpec, terms: dict) -> dict:
 
 def star(spec: AlgebraSpec, f: Form) -> Form:
     """Symplectic star of a form (applied degreewise); an exact involution."""
-    return Form.from_masks(_star_terms(spec.two_n, f.masks()), spec.two_n)
+    return Form(_star_terms(spec.two_n, f.terms), spec.two_n)
 
 
 def _require_numeric(spec):
@@ -204,7 +195,7 @@ def _require_numeric(spec):
 def dc(spec: AlgebraSpec, f: Form) -> Form:
     """Symplectic codifferential, degree -1: (-1)^{k+1} star d star on each part."""
     _require_numeric(spec)
-    return Form.from_masks(_dc_terms(spec, f.masks()), spec.two_n)
+    return Form(_dc_terms(spec, f.terms), spec.two_n)
 
 
 def _monomial_preimages(spec: AlgebraSpec, op, degree: int) -> dict:
@@ -243,7 +234,7 @@ def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
     _require_numeric(spec)
     if not is_closed(spec, class_rep):
         raise NotACocycleError("harmonic representatives need a closed input")
-    terms = class_rep.masks()
+    terms = class_rep.terms
     rhs = _dc_terms(spec, terms)
     if not rhs:
         return class_rep
@@ -261,10 +252,10 @@ def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
             )
         source, coeff = preimages[target]
         correction[source] = -Fraction(value) / coeff
-    result = _combine(terms, d_terms(spec, correction), 1)
+    result = add_terms(terms, d_terms(spec, correction))
     if d_terms(spec, result) or _dc_terms(spec, result):
         raise NoHarmonicRepresentativeError("solver returned a non-harmonic form")
-    return Form.from_masks(result, spec.two_n)
+    return Form(result, spec.two_n)
 
 
 def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
@@ -315,9 +306,9 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
             if _dc_terms(spec, dc_f):
                 failures.append((k, "dc^2 != 0"))
             d_f = d_terms(spec, f)
-            if _combine(d_terms(spec, dc_f), _dc_terms(spec, d_f), 1):
+            if add_terms(d_terms(spec, dc_f), _dc_terms(spec, d_f)):
                 failures.append((k, "d dc != -dc d"))
-            commutator = _combine(
+            commutator = add_terms(
                 d_terms(spec, _lambda_terms(spec, f)),
                 _lambda_terms(spec, d_f),
                 -1,
@@ -328,6 +319,6 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
             failures.append((k, "dd^c lemma fails"))
         for vec in cohomology_basis(spec, k).forms():
             rep = harmonic_representative(spec, vec)
-            if not (is_closed(spec, rep) and not _dc_terms(spec, rep.masks())):
+            if not (is_closed(spec, rep) and not _dc_terms(spec, rep.terms)):
                 failures.append((k, "non-harmonic representative"))
     return failures

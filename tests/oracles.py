@@ -1,10 +1,13 @@
 """Second routes the tests compare the package against.
 
 The weight vector of a monomial and the monomials of one degree as
-``Monomial`` objects; Lambda, H and [d, Lambda] on Forms, with L from the
-Form ``wedge`` rather than the mask ``wedge_terms``; operators as dense
-matrices; null spaces and solves by dense elimination (``rref``); and the
-inverse pairing w^{-1} on monomials as a Bareiss determinant.
+``Monomial`` objects; the wedge product as a loop over pairs of
+``Monomial`` objects, each signed by counting inversions
+(``monomial_wedge``), where the package ``wedge`` is the mask kernel
+``wedge_terms``; Lambda, H and [d, Lambda] on Forms, with L from
+``monomial_wedge``; operators as dense matrices; null spaces and solves by
+dense elimination (``rref``); and the inverse pairing w^{-1} on monomials
+as a Bareiss determinant.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,8 @@ from fractions import Fraction
 
 from aacohom.ce_complex import AlgebraSpec, Mode, differential
 from aacohom.exact_linalg import det_bareiss, rank, rref
-from aacohom.exterior_algebra import Form, Monomial, degree_masks, wedge
+from aacohom.errors import DimensionMismatchError
+from aacohom.exterior_algebra import Form, Monomial, degree_masks
 from aacohom.lefschetz import standard_omega
 from aacohom.symplectic_hodge import _pair_partner, _require_numeric, star
 
@@ -70,13 +74,53 @@ def weight(spec: AlgebraSpec, m: Monomial) -> WeightVector:
 
 
 # ---------------------------------------------------------------------------
+# the wedge product on Monomials
+# ---------------------------------------------------------------------------
+
+
+def wedge_monomials(a: Monomial, b: Monomial):
+    """Signed product of two monomials.
+
+    Returns (sign, merged monomial), or (0, None) on an index collision.
+    The sign is (-1)^(number of inversions of the concatenated index list).
+    """
+    if a.two_n != b.two_n:
+        raise DimensionMismatchError(
+            f"ambient dimensions differ: {a.two_n} vs {b.two_n}"
+        )
+    if a.mask & b.mask:
+        return 0, None
+    inversions = 0
+    rest = a.mask
+    while rest:
+        low = rest & -rest
+        inversions += (b.mask & (low - 1)).bit_count()
+        rest ^= low
+    sign = -1 if inversions & 1 else 1
+    return sign, Monomial(a.mask | b.mask, a.two_n)
+
+
+def monomial_wedge(a: Form, b: Form) -> Form:
+    """a ^ b summed over pairs of ``Monomial`` terms (``wedge_monomials``)."""
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            sign, merged = wedge_monomials(
+                Monomial(ma, a.two_n), Monomial(mb, b.two_n)
+            )
+            if sign:
+                terms[merged.mask] = terms.get(merged.mask, 0) + sign * ca * cb
+    return Form(terms, a.two_n)
+
+
+# ---------------------------------------------------------------------------
 # the sl(2) triple and [d, Lambda] on Forms
 # ---------------------------------------------------------------------------
 
 
 def lefschetz_l(spec: AlgebraSpec, f: Form) -> Form:
     """L(f) = w ^ f."""
-    return wedge(standard_omega(spec), f)
+    return monomial_wedge(standard_omega(spec), f)
 
 
 def _lambda(spec: AlgebraSpec, f: Form) -> Form:
@@ -116,7 +160,8 @@ def operator_matrix(spec, op, source_degree, target_degree) -> OperatorMatrix:
     entries = [[Fraction(0)] * len(sources) for _ in targets]
     for j, m in enumerate(sources):
         image = op(Form.from_monomial(m))
-        for mono, coeff in image.terms.items():
+        for mask, coeff in image.terms.items():
+            mono = Monomial(mask, spec.two_n)
             if mono.degree != target_degree:
                 raise ValueError(
                     f"operator leaves degree {target_degree}: produced {mono}"

@@ -17,7 +17,7 @@ from aacohom.exterior_algebra import (
     wedge_terms,
 )
 
-from oracles import all_monomials
+from oracles import all_monomials, monomial_wedge
 
 
 def sort_sign(sequence):
@@ -75,8 +75,8 @@ def test_coefficient_examples():
     assert coefficient(f, Monomial.from_indices((2, 4), 10)) == 0
     g = Form(
         {
-            Monomial.from_indices((2, 10), 10): Fraction(3),
-            Monomial.from_indices((3, 10), 10): Fraction(5),
+            Monomial.from_indices((2, 10), 10).mask: Fraction(3),
+            Monomial.from_indices((3, 10), 10).mask: Fraction(5),
         },
         10,
     )
@@ -99,7 +99,7 @@ def test_top_pairing_matches_full_wedge():
         a = random_form(rng, two_n)
         b = random_form(rng, two_n)
         full = Monomial.from_indices(range(1, two_n + 1), two_n)
-        assert top_pairing(a, b) == coefficient(wedge(a, b), full)
+        assert top_pairing(a, b) == coefficient(monomial_wedge(a, b), full)
 
 
 def random_form(rng, two_n, max_terms=4):
@@ -107,7 +107,7 @@ def random_form(rng, two_n, max_terms=4):
     for _ in range(rng.randint(0, max_terms)):
         degree = rng.randint(0, two_n)
         indices = tuple(sorted(rng.sample(range(1, two_n + 1), degree)))
-        terms[Monomial.from_indices(indices, two_n)] = Fraction(
+        terms[Monomial.from_indices(indices, two_n).mask] = Fraction(
             rng.randint(-5, 5), rng.randint(1, 4)
         )
     return Form(terms, two_n)
@@ -124,7 +124,7 @@ def random_masks(rng, two_n, pool):
 
 
 def test_wedge_terms_matches_form_wedge():
-    """The mask kernel against ``wedge``, which multiplies by
+    """The mask kernel against ``monomial_wedge``, which multiplies by
     ``wedge_monomials``: the same product, no zero coefficient, and int
     coefficients from int inputs."""
     rng = random.Random(21)
@@ -134,9 +134,9 @@ def test_wedge_terms_matches_form_wedge():
         for _ in range(60):
             a, b = random_masks(rng, two_n, pool), random_masks(rng, two_n, pool)
             got = wedge_terms(a, b, two_n)
-            expected = wedge(Form.from_masks(a, two_n), Form.from_masks(b, two_n))
-            assert Form.from_masks(got, two_n) == expected
-            assert Form.from_masks(a, two_n).masks() == a
+            expected = monomial_wedge(Form(a, two_n), Form(b, two_n))
+            assert Form(got, two_n) == expected
+            assert Form(a, two_n).terms == a
             assert all(got.values())
             if all(type(c) is int for c in [*a.values(), *b.values()]):
                 assert all(type(c) is int for c in got.values())
@@ -155,7 +155,9 @@ def random_homogeneous(rng, two_n, degree, max_terms=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         indices = tuple(sorted(rng.sample(range(1, two_n + 1), degree)))
-        terms[Monomial.from_indices(indices, two_n)] = Fraction(rng.randint(-4, 4))
+        terms[Monomial.from_indices(indices, two_n).mask] = Fraction(
+            rng.randint(-4, 4)
+        )
     return Form(terms, two_n)
 
 
@@ -191,10 +193,36 @@ def test_nilpotency_every_monomial():
                 assert wedge(f, f).is_zero
 
 
-def test_all_arithmetic_is_fraction():
-    f = wedge(e(2) * Fraction(1, 3), e(3) * 2)
-    for c in f.terms.values():
-        assert isinstance(c, Fraction)
+def test_coefficients_are_int_when_integral():
+    """Integral coefficients are ints, the others Fractions, and no zero is
+    stored, whatever arithmetic made them."""
+    assert Form.one(4).terms == {0: 1} and type(Form.one(4).terms[0]) is int
+    halves = Form({1: Fraction(4, 2), 2: Fraction(1, 2)}, 4)
+    assert halves.terms == {1: 2, 2: Fraction(1, 2)}
+    assert type(halves.terms[1]) is int and type(halves.terms[2]) is Fraction
+    product = wedge(e(2) * Fraction(3, 2), e(3) * 2)
+    assert list(product.terms.values()) == [3]
+    assert type(product.terms[0b110]) is int
+    third = wedge(e(2) * Fraction(1, 3), e(3) * 2)
+    assert third.terms == {0b110: Fraction(2, 3)}
+    assert type(third.terms[0b110]) is Fraction
+    assert type((halves * 2).terms[2]) is int
+    assert type((halves / 4).terms[1]) is Fraction
+    assert Form({1: 0, 2: Fraction(0), 4: 3}, 4).terms == {4: 3}
+    assert (e(2) - e(2)).terms == {}
+    assert wedge(e(2), e(2)).terms == {}
+
+
+def test_form_keys_are_masks_that_fit():
+    f = Form.from_monomial(Monomial.from_indices((2, 3), 4), 5)
+    assert f.terms == {0b110: 5}
+    assert all(type(mask) is int for mask in f.terms)
+    with pytest.raises(DimensionMismatchError):
+        Form({Monomial.from_indices((2, 3), 4): 1}, 4)
+    with pytest.raises(DimensionMismatchError):
+        Form({1 << 4: 1}, 4)
+    with pytest.raises(DimensionMismatchError):
+        Form({-1: 1}, 4)
 
 
 def test_dimension_mismatch_raises():

@@ -1,6 +1,5 @@
 """Star operator, d^c, the sl(2) triple, harmonic forms and the dd^c lemma."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -25,10 +24,12 @@ from aacohom.exterior_algebra import (
     Form,
     Monomial,
     degree_masks,
-    wedge,
-    wedge_monomials,
 )
-from aacohom.lefschetz import hard_lefschetz_report, omega_power
+from aacohom.lefschetz import (
+    hard_lefschetz_report,
+    omega_power,
+    standard_omega,
+)
 from aacohom.symplectic_hodge import (
     HODGE_MAX_N,
     _dc_terms,
@@ -48,11 +49,13 @@ from oracles import (
     dc_as_commutator,
     lambda_and_h,
     lefschetz_l,
+    monomial_wedge,
     nullspace,
     omega_inverse,
     operator_matrix,
     solve_particular,
     spans_equal,
+    wedge_monomials,
 )
 
 EXPLICIT = {
@@ -63,7 +66,11 @@ EXPLICIT = {
 
 
 def volume(spec):
-    return omega_power(spec, spec.n) / math.factorial(spec.n)
+    """vol = w^n / n! from ``monomial_wedge``, not from the mask chain."""
+    vol = Form.one(spec.two_n)
+    for k in range(1, spec.n + 1):
+        vol = monomial_wedge(vol, standard_omega(spec)) / k
+    return vol
 
 
 def test_star_of_unit_is_volume():
@@ -102,7 +109,7 @@ def test_star_involution_random_forms():
     pool = [m for k in range(7) for m in all_monomials(6, k)]
     for _ in range(25):
         f = Form(
-            {m: Fraction(rng.randint(-5, 5)) for m in rng.sample(pool, 5)}, 6
+            {m.mask: Fraction(rng.randint(-5, 5)) for m in rng.sample(pool, 5)}, 6
         )
         assert star(spec, star(spec, f)) == f
 
@@ -123,7 +130,7 @@ def test_star_defining_identity(n):
         for beta in monos:
             star_beta = star(spec, Form.from_monomial(beta))
             for alpha in monos:
-                lhs = wedge(Form.from_monomial(alpha), star_beta)
+                lhs = monomial_wedge(Form.from_monomial(alpha), star_beta)
                 rhs = omega_inverse(alpha, beta) * vol
                 assert lhs == rhs
 
@@ -257,10 +264,6 @@ KERNEL_SPECS = {
 }
 
 
-def _mask_terms(f):
-    return {m.mask: c for m, c in f.terms.items()}
-
-
 def _difference(a, b):
     out = dict(a)
     for mask, c in b.items():
@@ -271,18 +274,19 @@ def _difference(a, b):
 @pytest.mark.parametrize("spec", KERNEL_SPECS.values(), ids=KERNEL_SPECS.keys())
 def test_kernel_matches_form_routes(spec):
     """Kernel d equals ``differential`` and kernel Lambda equals the Lambda of
-    ``lambda_and_h``, whose L is ``wedge`` with w rather than ``below_parity``;
-    on every monomial and on a seeded sum per degree."""
+    ``lambda_and_h``, whose L is ``monomial_wedge`` with w rather than
+    ``below_parity``; on every monomial and on a seeded sum per degree."""
     rng = random.Random(spec.n)
     for k in range(spec.two_n + 1):
         monos = all_monomials(spec.two_n, k)
         forms = [Form.from_monomial(m) for m in monos]
-        forms.append(Form({m: rng.randint(-3, 3) for m in monos}, spec.two_n))
+        forms.append(
+            Form({m.mask: rng.randint(-3, 3) for m in monos}, spec.two_n)
+        )
         for f in forms:
-            terms = _mask_terms(f)
-            assert d_terms(spec, terms) == _mask_terms(differential(spec, f))
+            assert d_terms(spec, f.terms) == differential(spec, f).terms
             lam, _ = lambda_and_h(spec, f)
-            assert _lambda_terms(spec, terms) == _mask_terms(lam)
+            assert _lambda_terms(spec, f.terms) == lam.terms
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS.values(), ids=KERNEL_SPECS.keys())
@@ -327,7 +331,7 @@ def test_harmonic_gamma_class_ones_n2():
     monos3 = all_monomials(4, 2)
     sources = all_monomials(4, 1)
     d_matrix = operator_matrix(spec, lambda f: differential(spec, f), 1, 2)
-    rhs = [diff.terms.get(m, Fraction(0)) for m in monos3]
+    rhs = [diff.terms.get(m.mask, 0) for m in monos3]
     x = solve_particular([list(r) for r in d_matrix.entries], rhs)
     assert x is not None
 
@@ -413,7 +417,7 @@ def test_equivalence_chain(n):
 
 
 def _vector(f, monos):
-    return [f.terms.get(m, Fraction(0)) for m in monos]
+    return [f.terms.get(m.mask, 0) for m in monos]
 
 
 def ddc_lemma_by_elimination(spec, degree):
@@ -468,7 +472,7 @@ def harmonic_by_elimination(spec, class_rep):
     )
     assert x is not None
     return class_rep + differential(
-        spec, Form({m: v for m, v in zip(lower, x) if v}, spec.two_n)
+        spec, Form({m.mask: v for m, v in zip(lower, x) if v}, spec.two_n)
     )
 
 
