@@ -10,7 +10,6 @@ produce byte-identical stdout.
 import argparse
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from math import comb
 
@@ -51,10 +50,10 @@ from .lattice import (
     subset_sum_gap,
 )
 from .lefschetz import (
-    DENSE_MAX_DIMENSION,
+    certified_blocks,
     hard_lefschetz_report,
     lefschetz_matrix,
-    require_size,
+    structure,
 )
 from .render import OnesRows, emit
 from .symplectic_hodge import operator_suite_failures
@@ -177,19 +176,15 @@ def _cmd_lefschetz(args):
     if args.m is None:
         raise InvalidParameterError("--m is required (or use --hl)")
     emit_matrix = args.emit_matrix or not args.check_kneser
-    size, = require_size(spec, [args.m])
-    if emit_matrix and size > DENSE_MAX_DIMENSION:
-        raise SizeLimitError(
-            f"the dense matrix of L_{args.m} has {size} rows; "
-            f"the limit is {DENSE_MAX_DIMENSION}"
-        )
-    # verified on construction: the determinant is read off its blocks
-    mat = lefschetz_matrix(spec, args.m, labels=emit_matrix)
+    if emit_matrix:  # verified on construction, up to DENSE_MAX_DIMENSION
+        mat = lefschetz_matrix(spec, args.m, labels=True)
+        blocks, det = mat.blocks, mat.determinant()
+    else:  # one block per pattern, and no whole matrix
+        blocks, det = certified_blocks(spec, args.m)
     if args.check_kneser:
-        results["structure"] = mat.summary()
-        results["blocks"] = [
-            {**asdict(b), "params": list(b.params)} for b in mat.blocks
-        ]
+        results["structure"] = structure(blocks)
+        # a plain copy of each block's fields: asdict deep-copies them
+        results["blocks"] = [{**vars(b), "params": list(b.params)} for b in blocks]
     if emit_matrix:
         ones = [[] for _ in range(mat.size)]
         for j, column in enumerate(mat.columns):
@@ -199,7 +194,6 @@ def _cmd_lefschetz(args):
         results["block_cuts"] = _lefschetz_cuts(spec, mat, args.check_kneser)
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
-    det = mat.determinant()
     results["determinant"] = str(det)
     ok = ok and det != 0
     return results, ok

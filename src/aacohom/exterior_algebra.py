@@ -237,8 +237,10 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 def coefficient(f: Form, m: Monomial):
-    """Coefficient of ``m`` in ``f`` (zero when absent)."""
-    return f.terms.get(m.mask, 0) if m.two_n == f.two_n else 0
+    """Coefficient of ``m`` in ``f`` (zero when absent); a monomial of
+    another ambient dimension raises DimensionMismatchError."""
+    f._same_ambient(m)
+    return f.terms.get(m.mask, 0)
 
 
 def top_pairing(a: Form, b: Form):

@@ -71,17 +71,6 @@ def _pair_partner(i: int, two_n: int) -> int:
     return i + n - 1 if i <= n else i - n + 1
 
 
-@lru_cache(maxsize=None)
-def _volume_data(two_n: int):
-    """(top mask, coefficient of vol = w^n / n! in the monomial basis)."""
-    n = two_n // 2
-    spec = AlgebraSpec.generic(max(n, 2))
-    if spec.two_n != two_n:
-        raise ValueError(f"odd ambient dimension {two_n}")
-    ((mask, coeff),) = _mask_power_chain(standard_omega(spec), n)[n].items()
-    return mask, coeff
-
-
 class _StarTable(dict):
     """Star on the monomials of one ambient dimension: {mask: (mask', +-1)}.
 
@@ -101,7 +90,9 @@ class _StarTable(dict):
     def __init__(self, two_n: int):
         super().__init__()
         self.two_n = two_n
-        self.vol_sign = int(_volume_data(two_n)[1])
+        spec = AlgebraSpec.generic(two_n // 2)  # vol = w^n / n!, one monomial
+        chain = _mask_power_chain(standard_omega(spec), spec.n)
+        (self.vol_sign,) = chain[-1].values()
 
     def __missing__(self, mask: int):
         two_n = self.two_n

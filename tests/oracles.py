@@ -1,13 +1,16 @@
 """Second routes the tests compare the package against.
 
 The weight vector of a monomial and the monomials of one degree as
-``Monomial`` objects; the wedge product as a loop over pairs of
-``Monomial`` objects, each signed by counting inversions
-(``monomial_wedge``), where the package ``wedge`` is the mask kernel
-``wedge_terms``; Lambda, H and [d, Lambda] on Forms, with L from
-``monomial_wedge``; operators as dense matrices; null spaces and solves by
-dense elimination (``rref``); and the inverse pairing w^{-1} on monomials
-as a Bareiss determinant.
+``Monomial`` objects; permutation signs by bubble sort (``sort_sign``); the
+wedge product as a loop over pairs of ``Monomial`` objects, each signed by
+counting inversions (``monomial_wedge``), where the package ``wedge`` is the
+mask kernel ``wedge_terms``; d expanded by the Leibniz rule over covector
+factors (``leibniz_differential``), where the package d is the mask kernel
+``d_terms``; Lambda, H and [d, Lambda] on Forms, with L from
+``monomial_wedge``; the whole verified L_m of any size (``whole_matrix``);
+operators as dense matrices; null spaces and solves by dense elimination
+(``rref``); and the inverse pairing w^{-1} on monomials as a Bareiss
+determinant.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,13 @@ from aacohom.ce_complex import AlgebraSpec, Mode, differential
 from aacohom.exact_linalg import det_bareiss, rank, rref
 from aacohom.errors import DimensionMismatchError
 from aacohom.exterior_algebra import Form, Monomial, degree_masks
-from aacohom.lefschetz import standard_omega
+from aacohom.lefschetz import (
+    LefschetzMatrix,
+    _layout,
+    _operator_columns,
+    check_structure,
+    standard_omega,
+)
 from aacohom.symplectic_hodge import _pair_partner, _require_numeric, star
 
 
@@ -74,8 +83,22 @@ def weight(spec: AlgebraSpec, m: Monomial) -> WeightVector:
 
 
 # ---------------------------------------------------------------------------
-# the wedge product on Monomials
+# the wedge product and d on Monomials
 # ---------------------------------------------------------------------------
+
+
+def sort_sign(sequence):
+    """Brute-force permutation sign oracle: bubble sort counting swaps."""
+    seq = list(sequence)
+    swaps = 0
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                swaps += 1
+    if len(set(seq)) != len(seq):
+        return 0, seq
+    return (-1) ** swaps, seq
 
 
 def wedge_monomials(a: Monomial, b: Monomial):
@@ -111,6 +134,52 @@ def monomial_wedge(a: Form, b: Form) -> Form:
             if sign:
                 terms[merged.mask] = terms.get(merged.mask, 0) + sign * ca * cb
     return Form(terms, a.two_n)
+
+
+def leibniz_differential(spec, m):
+    """Independent oracle: expand d over the covector factors one at a time.
+
+    Uses only the rules de^1 = de^{2n} = 0, de^i = b_i e^i ^ e^{2n},
+    de^{s(i)} = -b_i e^{s(i)} ^ e^{2n}, plus the permutation-sign oracle to
+    normalize each resulting index sequence.
+    """
+    b = dict(zip(range(2, spec.n + 1), spec.numeric_b()))
+    indices = m.indices
+    total = Form.zero(spec.two_n)
+    for pos, idx in enumerate(indices):
+        if idx == 1 or idx == spec.two_n:
+            continue
+        if 2 <= idx <= spec.n:
+            scale = b[idx]
+        else:
+            scale = -b[idx - spec.n + 1]
+        # replace e^idx by e^idx ^ e^{2n} in place, then normalize
+        seq = list(indices[: pos + 1]) + [spec.two_n] + list(indices[pos + 1 :])
+        sign, sorted_ix = sort_sign(seq)
+        if sign == 0:
+            continue
+        leibniz_sign = (-1) ** pos
+        total = total + Form.from_monomial(
+            Monomial.from_indices(sorted_ix, spec.two_n), leibniz_sign * sign * scale
+        )
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the whole L_m
+# ---------------------------------------------------------------------------
+
+
+def whole_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
+    """The verified whole L_m, as ``lefschetz_matrix`` builds it but past
+    DENSE_MAX_DIMENSION: ``_operator_columns``, ``_layout`` and
+    ``check_structure``."""
+    source, target, columns, walk = _operator_columns(spec, m, standard_omega(spec))
+    matrix = LefschetzMatrix(
+        spec.n, m, tuple(columns), target, source, _layout(spec, walk)
+    )
+    check_structure(matrix)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

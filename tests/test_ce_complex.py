@@ -25,8 +25,7 @@ from aacohom.ce_complex import (
 from aacohom.errors import SizeLimitError, UnsupportedModeError
 from aacohom.exterior_algebra import Form, Monomial, wedge
 
-from oracles import all_monomials, weight
-from test_exterior import sort_sign
+from oracles import all_monomials, leibniz_differential, weight
 
 
 def mono(indices, two_n):
@@ -108,35 +107,6 @@ def test_d_monomial_coefficient_is_int_unless_a_weight_is_not():
 # ---------------------------------------------------------------------------
 # the differential and its Leibniz-expansion oracle
 # ---------------------------------------------------------------------------
-
-
-def leibniz_differential(spec, m):
-    """Independent oracle: expand d over the covector factors one at a time.
-
-    Uses only the rules de^1 = de^{2n} = 0, de^i = b_i e^i ^ e^{2n},
-    de^{s(i)} = -b_i e^{s(i)} ^ e^{2n}, plus the permutation-sign oracle to
-    normalize each resulting index sequence.
-    """
-    b = dict(zip(range(2, spec.n + 1), spec.numeric_b()))
-    indices = m.indices
-    total = Form.zero(spec.two_n)
-    for pos, idx in enumerate(indices):
-        if idx == 1 or idx == spec.two_n:
-            continue
-        if 2 <= idx <= spec.n:
-            scale = b[idx]
-        else:
-            scale = -b[idx - spec.n + 1]
-        # replace e^idx by e^idx ^ e^{2n} in place, then normalize
-        seq = list(indices[: pos + 1]) + [spec.two_n] + list(indices[pos + 1 :])
-        sign, sorted_ix = sort_sign(seq)
-        if sign == 0:
-            continue
-        leibniz_sign = (-1) ** pos
-        total = total + Form.from_monomial(
-            mono(sorted_ix, spec.two_n), leibniz_sign * sign * scale
-        )
-    return total
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -13,6 +13,7 @@ import pytest
 from mpmath import mpf
 
 import aacohom.cli as cli
+from aacohom.ce_complex import AlgebraSpec, betti_closed_form
 from aacohom.errors import InvariantViolationError
 
 
@@ -210,11 +211,13 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
                          (lf, "_block_walk")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
-    # dense payload of 9800^2 cells; HL past the budget at L_11 and L_10;
-    # 5.9 million basis classes; C(20,10) explicit monomials
+    # dense payload of 9800^2 cells; a block list of 77534 blocks; HL past
+    # the budget at L_11 and L_10; 5.9 million basis classes; C(20,10)
+    # explicit monomials
     for argv in (
         "lefschetz --n 9 --mode ones --m 9",
         "lefschetz --n 9 --mode ones --m 9 --emit-matrix --check-kneser",
+        "lefschetz --n 14 --mode ones --m 7 --check-kneser",
         "lefschetz --n 13 --mode ones --hl",
         "lefschetz --n 15 --mode generic --hl",
         "lefschetz --n 40 --mode ones --m 40 --check-kneser",
@@ -264,7 +267,6 @@ def test_determinant_beyond_int_str_limit_prints_every_digit(
     import sys
     from fractions import Fraction
 
-    from aacohom.ce_complex import AlgebraSpec
     from aacohom.lefschetz import HardLefschetzReport, OperatorSummary
 
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -384,7 +386,7 @@ def test_hl_conflicting_options_are_refused(capsys, monkeypatch, option):
     def computed(*args, **kwargs):
         raise AssertionError("a conflicting option reached the Lefschetz work")
 
-    for name in ("hard_lefschetz_report", "lefschetz_matrix", "require_size"):
+    for name in ("hard_lefschetz_report", "lefschetz_matrix", "certified_blocks"):
         monkeypatch.setattr(cli, name, computed)
     argv = ["lefschetz", "--n", "3", "--mode", "ones", "--hl", *option.split()]
     assert cli.main(argv) == 2
@@ -589,8 +591,9 @@ def test_flipped_lefschetz_entry_exits_1(capsys, monkeypatch):
     from test_lefschetz import _flip_one_entry
 
     _flip_one_entry(monkeypatch, 2)
-    code, out = run(capsys, "lefschetz", "--n", "4", "--mode", "ones", "--hl")
-    assert (code, out) == (1, "")
+    for route in ("--hl", "--m 2 --check-kneser"):  # the two certified routes
+        argv = ["lefschetz", "--n", "4", "--mode", "ones", *route.split()]
+        assert run(capsys, *argv) == (1, ""), route
 
 
 def test_corrupt_theta_term_exits_1(capsys, monkeypatch):
@@ -605,10 +608,30 @@ def test_corrupt_theta_term_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(ce, "_theta_data", corrupt)
     monkeypatch.setattr(lf, "_theta_data", corrupt)
-    assert cli.main(["lefschetz", "--n", "4", "--mode", "ones", "--hl"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("check failed: the signs of theta_{4|")
+    for route in ("--hl", "--m 2 --check-kneser"):  # the two certified routes
+        argv = ["lefschetz", "--n", "4", "--mode", "ones", *route.split()]
+        assert cli.main(argv) == 1, route
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("check failed: the signs of theta_{4|")
+
+
+@pytest.mark.parametrize("spec, m", [(AlgebraSpec.ones(9), 9),
+                                     (AlgebraSpec.ones(12), 7),
+                                     (AlgebraSpec.generic(5), 3)])
+def test_check_kneser_builds_no_whole_matrix(capsys, monkeypatch, spec, m):
+    def whole(*args, **kwargs):
+        raise AssertionError("built a whole L_m for a report that prints none")
+
+    monkeypatch.setattr(cli, "lefschetz_matrix", whole)
+    argv = ["lefschetz", "--n", str(spec.n), "--mode", spec.mode.value,
+            "--m", str(m), "--check-kneser"]
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    blocks = report["results"]["blocks"]
+    assert sum(b["size"] for b in blocks) == betti_closed_form(spec, m)
+    with pytest.raises(AssertionError, match="prints none"):
+        cli.main(argv + ["--emit-matrix"])
 
 
 def test_failed_criterion_exits_1(capsys, monkeypatch):

@@ -17,21 +17,7 @@ from aacohom.exterior_algebra import (
     wedge_terms,
 )
 
-from oracles import all_monomials, monomial_wedge
-
-
-def sort_sign(sequence):
-    """Brute-force permutation sign oracle: bubble sort counting swaps."""
-    seq = list(sequence)
-    swaps = 0
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                swaps += 1
-    if len(set(seq)) != len(seq):
-        return 0, seq
-    return (-1) ** swaps, seq
+from oracles import all_monomials, monomial_wedge, sort_sign
 
 
 def oracle_wedge_indices(*index_groups, two_n):
@@ -230,6 +216,15 @@ def test_dimension_mismatch_raises():
         wedge(e(1, 4), e(1, 6))
     with pytest.raises(DimensionMismatchError):
         top_pairing(e(1, 4), e(1, 6))
+
+
+def test_coefficient_of_another_width_raises():
+    # e^{23} has the mask 0b110 at every width; only the form's own counts
+    f = Form.from_monomial(Monomial.from_indices((2, 3), 4), 5)
+    assert coefficient(f, Monomial.from_indices((2, 3), 4)) == 5
+    for two_n in (6, 8):
+        with pytest.raises(DimensionMismatchError, match=f"4 vs {two_n}"):
+            coefficient(f, Monomial.from_indices((2, 3), two_n))
 
 
 def test_monomial_validation():

@@ -47,9 +47,10 @@ from aacohom.lefschetz import (
     omega_power,
     project_to_cohomology,
     standard_omega,
+    structure,
 )
 
-from oracles import monomial_wedge, wedge_monomials
+from oracles import monomial_wedge, wedge_monomials, whole_matrix
 from test_kneser import K52_PRINTED
 
 
@@ -412,17 +413,19 @@ def test_size_limits_admit_documented_runs():
     sizes = lefschetz.require_size(AlgebraSpec.ones(10), range(11))  # --hl
     assert sizes == [betti_closed_form(AlgebraSpec.ones(10), m) for m in range(11)]
     for n in (12, 13, 14):
-        lefschetz.require_size(AlgebraSpec.generic(n), range(n + 1), True)
+        lefschetz.require_size(AlgebraSpec.generic(n), range(n + 1))
     for n in (11, 12):  # the --hl route of ones mode, one block per pattern
-        lefschetz.require_size(AlgebraSpec.ones(n), range(n + 1), blocks=True)
-    # the --m runs the dimension and block limits admitted in about 3 s
+        lefschetz.require_size(AlgebraSpec.ones(n), range(n + 1))
+    # the --m runs the whole-matrix model admitted in about 3 s
     for n, m in ((11, 7), (12, 6), (13, 5), (14, 4), (14, 5), (15, 4), (16, 4)):
         lefschetz.require_size(AlgebraSpec.ones(n), [m])
     for n, m in ((16, 7), (17, 6), (17, 7), (18, 0), (18, 5)):
         lefschetz.require_size(AlgebraSpec.generic(n), [m])
-    # runs they refused, the last one just under the budget
-    lefschetz.require_size(AlgebraSpec.ones(11), [9])
+    # runs it refused, generic n = 16 `--m 11` just under the budget, and
+    # the ones runs the first blocks of each pattern bring under it
     lefschetz.require_size(AlgebraSpec.generic(16), [11])
+    for n, m in ((11, 9), (12, 7), (12, 12), (13, 6), (14, 6), (14, 7), (18, 5)):
+        lefschetz.require_size(AlgebraSpec.ones(n), [m])
     assert lefschetz.require_size(AlgebraSpec.ones(9), [9]) == [9800]
     # the dense payloads of the pinned ones n = 7 jobs, and ones n = 8
     for n, m in ((7, 6), (7, 7), (8, 8)):
@@ -432,27 +435,38 @@ def test_size_limits_admit_documented_runs():
 
 
 def test_size_limits_raise():
-    # the budget runs out at one L_m, and the message names only that one
-    with pytest.raises(SizeLimitError, match="^L_8 at n = 11 brings the work "
-                       "to 9752559 products"):
-        lefschetz.require_size(AlgebraSpec.ones(11), range(12))
-    # the --hl route at ones n = 13: the theta pass over 381625 ground
-    # indices, and the 913 k digits of the determinants, printed
+    # the budget runs out at one L_m, and the message names only that one:
+    # the --hl route at ones n = 13, the theta pass over 381625 ground
+    # indices and the 913 k digits of the determinants, printed
     with pytest.raises(SizeLimitError, match="^L_11 at n = 13 brings the work "
                        "to 8597042 products"):
-        lefschetz.require_size(AlgebraSpec.ones(13), range(14), blocks=True)
-    with pytest.raises(SizeLimitError, match="^L_10 at n = 15 brings"):
+        lefschetz.require_size(AlgebraSpec.ones(13), range(14))
+    # ones n = 16 `--m 7`: 1.0 M for the chain, 4.4 M for the theta pass
+    # up to L_6 and 3.2 M for the first blocks of L_7 and its det
+    with pytest.raises(SizeLimitError, match="^L_7 at n = 16 brings the work "
+                       "to 8637884 products"):
+        lefschetz.require_size(AlgebraSpec.ones(16), [7])
+    with pytest.raises(SizeLimitError, match="^L_10 at n = 15 brings the work "
+                       "to 9595638 products"):
         lefschetz.require_size(AlgebraSpec.generic(15), range(16))
     with pytest.raises(SizeLimitError, match="power chain at n = 19 alone"):
         lefschetz.require_size(AlgebraSpec.generic(19), [0])
-    for spec, m in ((AlgebraSpec.ones(12), 12), (AlgebraSpec.generic(18), 16),
-                    (AlgebraSpec.generic(18), 6), (AlgebraSpec.ones(17), 4)):
+    for spec, m in ((AlgebraSpec.ones(14), 10), (AlgebraSpec.generic(18), 16),
+                    (AlgebraSpec.generic(18), 6), (AlgebraSpec.ones(17), 6)):
         with pytest.raises(SizeLimitError, match=f"^L_{m} at n = {spec.n}"):
             lefschetz.require_size(spec, [m])
     with pytest.raises(SizeLimitError):
         hard_lefschetz_report(AlgebraSpec.generic(15))
     with pytest.raises(SizeLimitError):
         lefschetz_matrix(AlgebraSpec.ones(40), 40)
+    # a whole matrix only up to DENSE_MAX_DIMENSION rows, and a printed
+    # block list only up to MAX_BLOCKS blocks
+    with pytest.raises(SizeLimitError, match="^the dense matrix of L_9 has "
+                       "9800 rows; the limit is 2450$"):
+        lefschetz_matrix(AlgebraSpec.ones(9), 9)
+    with pytest.raises(SizeLimitError, match="^L_10 prints 72865 blocks; "
+                       "the limit is 60000$"):
+        lefschetz.certified_blocks(AlgebraSpec.ones(13), 10)
 
 
 def test_size_limit_refuses_a_huge_n_before_any_binomial(monkeypatch):
@@ -475,7 +489,7 @@ def test_size_limit_refuses_a_huge_n_before_any_binomial(monkeypatch):
 def test_structure_case1_even():
     spec = AlgebraSpec.generic(5)
     mat = lefschetz_matrix(spec, 4)
-    assert mat.summary() == "A(K(5,2))"
+    assert structure(mat.blocks) == "A(K(5,2))"
     assert [(b.kind, b.params) for b in mat.blocks] == [("kneser", (5, 2))]
 
 
@@ -656,12 +670,24 @@ def test_structure_and_binary_invariants(n, maker):
 
 @pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_certified_blocks_match_the_whole_matrix(n, maker):
+    # the --m --check-kneser route builds no whole L_m; the verified whole
+    # matrix is the oracle for its layout and det
+    spec = maker(n)
+    for m in range(n + 1):
+        blocks, det = lefschetz.certified_blocks(spec, m)
+        matrix = whole_matrix(spec, m)
+        assert (blocks, det) == (matrix.blocks, matrix.determinant())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
 def test_certified_determinant_matches_elimination(n, maker):
     # the report builds no whole L_m; the verified whole matrix is the oracle
     spec = maker(n)
     report = hard_lefschetz_report(spec)
     for op in report.operators:
-        matrix = lefschetz_matrix(spec, op.m)
+        matrix = whole_matrix(spec, op.m)
         assert (op.size, op.determinant) == (matrix.size, matrix.determinant())
         if n <= 8:
             assert op.determinant == det_sparse(matrix.columns) != 0, op.m
@@ -705,11 +731,13 @@ def test_corrupt_theta_data_on_a_later_block_is_no_certificate(monkeypatch, n):
     monkeypatch.setattr(ce, "_theta_data", corrupt)
     monkeypatch.setattr(lefschetz, "_theta_data", corrupt)
     i = blocks[at][4][-1]
-    with pytest.raises(InvariantViolationError, match=(
-        rf"^the signs of theta_\{{{n}\|{n - 1}\}} miss its theta parity "
-        rf"on the pair of {i}$"
-    )):
-        hard_lefschetz_report(spec)
+    for certify in (hard_lefschetz_report,
+                    lambda spec: lefschetz.certified_blocks(spec, 2)):
+        with pytest.raises(InvariantViolationError, match=(
+            rf"^the signs of theta_\{{{n}\|{n - 1}\}} miss its theta parity "
+            rf"on the pair of {i}$"
+        )):
+            certify(spec)
     # the whole-matrix route sees the flipped signs in its entries
     with pytest.raises(StructureViolationError):
         lefschetz_matrix(spec, 2)
