@@ -30,14 +30,13 @@ Three weight modes fix how "<w, b> = 0" is decided:
 """
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from math import comb, lcm
 
 from . import exact_linalg
-from .errors import SizeLimitError, UnsupportedModeError
+from .errors import Record, SizeLimitError, UnsupportedModeError
 from .exterior_algebra import (
     Form,
     Monomial,
@@ -77,25 +76,25 @@ class Mode(enum.Enum):
             raise UnsupportedModeError(f"unknown weight mode {text!r}") from None
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """Dimension parameter n (so dim g = 2n) together with a weight mode."""
 
     n: int
     mode: Mode
-    b: tuple = None
+    b: tuple
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.mode is Mode.EXPLICIT:
-            if self.b is None or len(self.b) != self.n - 1:
+    def __init__(self, n, mode, b=None):
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        if mode is Mode.EXPLICIT:
+            if b is None or len(b) != n - 1:
                 raise ValueError(
-                    f"explicit mode needs exactly {self.n - 1} weights b_2..b_n"
+                    f"explicit mode needs exactly {n - 1} weights b_2..b_n"
                 )
-            object.__setattr__(self, "b", tuple(Fraction(v) for v in self.b))
-        elif self.b is not None:
+            b = tuple(Fraction(v) for v in b)
+        elif b is not None:
             raise ValueError("weights are only allowed in explicit mode")
+        super().__init__(n, mode, b)
 
     @classmethod
     def generic(cls, n: int) -> "AlgebraSpec":
@@ -231,8 +230,7 @@ def is_closed(spec: AlgebraSpec, f: Form) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohomologyBasis:
+class CohomologyBasis(Record):
     """Ordered basis of H^degree given by weight-zero monomials.
 
     ``signs[i]`` is the coefficient of ``elements[i]`` inside the product
@@ -256,25 +254,19 @@ class CohomologyBasis:
 
 def delta_form(spec: AlgebraSpec) -> Form:
     """delta = e^1 ^ e^{2n}."""
-    return Form.from_monomial(
-        Monomial.from_indices((1, spec.two_n), spec.two_n)
-    )
+    return Form.from_monomial(Monomial.from_indices((1, spec.two_n), spec.two_n))
 
 
 def gamma_form(spec: AlgebraSpec, i: int) -> Form:
     """gamma_i = e^i ^ e^{s(i)}, a closed 2-form for every 2 <= i <= n."""
-    return Form.from_monomial(
-        Monomial.from_indices((i, spec.sigma(i)), spec.two_n)
-    )
+    return Form.from_monomial(Monomial.from_indices((i, spec.sigma(i)), spec.two_n))
 
 
 def theta_form(spec: AlgebraSpec, i: int, j: int) -> Form:
     """theta_{i|j} = e^i ^ e^{s(j)} with i != j."""
     if i == j:
         raise ValueError("theta_{i|j} requires i != j; use gamma_i instead")
-    return Form.from_monomial(
-        Monomial.from_indices((i, spec.sigma(j)), spec.two_n)
-    )
+    return Form.from_monomial(Monomial.from_indices((i, spec.sigma(j)), spec.two_n))
 
 
 def _idx_label(indices):

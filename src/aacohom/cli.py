@@ -58,12 +58,7 @@ from .lefschetz import (
 from .render import OnesRows, emit
 from .symplectic_hodge import operator_suite_failures
 
-USAGE_ERRORS = (
-    InvalidParameterError,
-    UnsupportedModeError,
-    SizeLimitError,
-    ValueError,
-)
+USAGE_ERRORS = ValueError  # caught after CHECK_ERRORS, some of which are ValueErrors
 CHECK_ERRORS = (
     InvariantViolationError,
     StructureViolationError,
@@ -158,7 +153,6 @@ def _lefschetz_cuts(spec, mat, check_kneser):
 def _cmd_lefschetz(args):
     spec = _parse_spec(args)
     results = {}
-    ok = True
     if args.hl:
         for option, given in (("--m", args.m is not None),
                               ("--emit-matrix", args.emit_matrix),
@@ -171,8 +165,7 @@ def _cmd_lefschetz(args):
             for op in report.operators
         ]
         results["hard_lefschetz"] = report.hard_lefschetz
-        ok = ok and report.hard_lefschetz
-        return results, ok
+        return results, report.hard_lefschetz
     if args.m is None:
         raise InvalidParameterError("--m is required (or use --hl)")
     emit_matrix = args.emit_matrix or not args.check_kneser
@@ -183,7 +176,7 @@ def _cmd_lefschetz(args):
         blocks, det = certified_blocks(spec, args.m)
     if args.check_kneser:
         results["structure"] = structure(blocks)
-        # a plain copy of each block's fields: asdict deep-copies them
+        # a new dict of each block's fields, params as a list
         results["blocks"] = [{**vars(b), "params": list(b.params)} for b in blocks]
     if emit_matrix:
         ones = [[] for _ in range(mat.size)]
@@ -195,17 +188,13 @@ def _cmd_lefschetz(args):
         results["row_labels"] = list(mat.row_basis.labels)
         results["col_labels"] = list(mat.col_basis.labels)
     results["determinant"] = str(det)
-    ok = ok and det != 0
-    return results, ok
+    return results, det != 0
 
 
 def _cmd_kneser(args):
     g = KneserGraph(args.n, args.k)
     require_vertex_count(g, VERIFY_MAX_VERTICES if args.verify else MAX_VERTICES)
-    results = {
-        "vertices": [list(v) for v in g.vertices],
-        "vertex_degree": g.degree,
-    }
+    results = {"vertices": [list(v) for v in g.vertices], "vertex_degree": g.degree}
     ok = True
     if args.emit_matrix or not (args.spectrum or args.verify):
         results["matrix"] = OnesRows(g.vertex_count, tuple(neighbours(g)))
@@ -244,7 +233,6 @@ def _cmd_hodge(args):
 
 def _cmd_lattice(args):
     results = {}
-    ok = True
     # conflicting options are refused here, before any mpmath work
     if args.alt_k is not None:
         for option in ("case", "d", "m"):
@@ -294,9 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             "lattices for diagonal almost-abelian Lie algebras"
         ),
     )
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="json"
-    )
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(p):
@@ -380,10 +366,9 @@ def _run(args) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
+    status = "ok" if ok else "fail"
     if args.command == "verify-all":
-        report = dict(results)
-        report["command"] = "verify-all"
-        report["status"] = "ok" if ok else "fail"
+        report = {**results, "command": "verify-all", "status": status}
     else:
         params = {
             key: value
@@ -394,7 +379,7 @@ def _run(args) -> int:
             "command": args.command,
             "params": params,
             "results": results,
-            "status": "ok" if ok else "fail",
+            "status": status,
         }
     try:
         rendered = emit(report, args.format)

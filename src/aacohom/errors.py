@@ -1,4 +1,57 @@
-"""Exception types shared across the package."""
+"""Exception types and the record base shared across the package."""
+
+from operator import attrgetter
+
+
+class Record:
+    """An immutable record whose fields are its class annotations, in order.
+
+    A class value of a field is its default.  Fields live in the instance
+    ``__dict__`` (``vars`` and ``cached_property`` work) and cannot be
+    assigned or deleted.  Records are equal when of one class with equal
+    fields, hash as their fields and print as ``Name(field=value, ...)``.  A
+    record that checks its input defines ``__init__`` and passes the checked
+    values on to this one.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._values = attrgetter(*cls._fields)  # a tuple, or the one field
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._fields):  # keywords and defaults
+            args = list(args)
+            for name in cls._fields[len(args):]:
+                if name in kwargs:
+                    args.append(kwargs.pop(name))
+                elif hasattr(cls, name):
+                    args.append(getattr(cls, name))
+                else:
+                    raise TypeError(f"{cls.__name__} misses the field {name!r}")
+            if kwargs or len(args) > len(cls._fields):
+                raise TypeError(f"{cls.__name__} has only the fields {cls._fields}")
+        # one attribute at a time, not through __dict__, which keeps CPython's
+        # compact instance layout and so its fast attribute reads
+        for name, value in zip(cls._fields, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class DimensionMismatchError(ValueError):

@@ -208,11 +208,3 @@ def matmul_int(a, b):
                 for j in range(cols):
                     orow[j] += v * brow[j]
     return out
-
-
-def identity_int(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def is_zero_matrix(m) -> bool:
-    return all(not v for row in m for v in row)

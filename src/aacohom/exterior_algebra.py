@@ -220,9 +220,7 @@ class Form:
 
     def sorted_terms(self):
         """[(Monomial, coeff)] in lexicographic index order."""
-        return sorted(
-            (Monomial(m, self.two_n), c) for m, c in self.terms.items()
-        )
+        return sorted((Monomial(m, self.two_n), c) for m, c in self.terms.items())
 
     def __repr__(self):
         if not self.terms:

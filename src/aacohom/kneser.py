@@ -8,12 +8,16 @@ multiplicity C(n, j) - C(n, j-1), so det A(K(n, k)) is their product
 (Lovasz 1979; Godsil-Royle, Algebraic Graph Theory, section 9.4).
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from . import exact_linalg
-from .errors import InvalidParameterError, InvariantViolationError, SizeLimitError
+from .errors import (
+    InvalidParameterError,
+    InvariantViolationError,
+    Record,
+    SizeLimitError,
+)
 
 # Vertex-count limits, from one run each of the whole CLI call with the
 # limits lifted, on 2 CPUs (Python 3.11.7).  The CLI lists every vertex and
@@ -27,18 +31,16 @@ MAX_VERTICES = 924
 VERIFY_MAX_VERTICES = 252
 
 
-@dataclass(frozen=True)
-class KneserGraph:
+class KneserGraph(Record):
     n: int
     k: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise InvalidParameterError(
-                f"k must lie in [0, {self.n}], got {self.k}"
-            )
+    def __init__(self, n, k):
+        if n < 1:
+            raise InvalidParameterError(f"n must be >= 1, got {n}")
+        if not 0 <= k <= n:
+            raise InvalidParameterError(f"k must lie in [0, {n}], got {k}")
+        super().__init__(n, k)
 
     @property
     def vertices(self) -> list:
@@ -114,9 +116,7 @@ def spectrum(g: KneserGraph) -> list:
         raise InvalidParameterError(
             f"eigenvalue formula needs n >= 2k; got n={g.n}, k={g.k}"
         )
-    return [
-        ((-1) ** j * comb(g.n - g.k - j, g.k - j), j) for j in range(g.k + 1)
-    ]
+    return [((-1) ** j * comb(g.n - g.k - j, g.k - j), j) for j in range(g.k + 1)]
 
 
 def determinant(g: KneserGraph) -> int:
@@ -127,8 +127,7 @@ def determinant(g: KneserGraph) -> int:
     return det
 
 
-@dataclass(frozen=True)
-class InvertibilityCertificate:
+class InvertibilityCertificate(Record):
     graph: KneserGraph
     determinant: int
     eigenvalues: tuple
@@ -168,7 +167,7 @@ def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
     # the left: row i of (A - lambda I) P is the sum of the rows of P at i's
     # neighbours less lambda times row i (zipped with row i first, so that
     # an isolated vertex keeps its row)
-    product = exact_linalg.identity_int(size)
+    product = [[int(i == j) for j in range(size)] for i in range(size)]
     for value, _ in eigs:
         shift = value + 1
         product = [
@@ -178,7 +177,7 @@ def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
             ]
             for row, columns in zip(product, adjacent)
         ]
-    vanishes = exact_linalg.is_zero_matrix(product)
+    vanishes = not any(map(any, product))
     if not vanishes:
         raise InvariantViolationError(
             f"annihilating polynomial of K({g.n},{g.k}) does not vanish"

@@ -18,7 +18,6 @@ module (and the CLI) does not load it.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -27,6 +26,7 @@ from .errors import (
     CertificateFailureError,
     InvalidParameterError,
     InvariantViolationError,
+    Record,
     SizeLimitError,
 )
 
@@ -126,21 +126,21 @@ def first_primes(count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(Record):
     """A nontrivial positive solution of m^2 - d k^2 = 4."""
 
     d: int
     m: int
     k: int
 
-    def __post_init__(self):
-        if self.m * self.m - self.d * self.k * self.k != 4:
+    def __init__(self, d, m, k):
+        if m * m - d * k * k != 4:
             raise InvalidParameterError(
-                f"({self.m}, {self.k}) does not solve x^2 - {self.d} y^2 = 4"
+                f"({m}, {k}) does not solve x^2 - {d} y^2 = 4"
             )
-        if self.m < 3 or self.k < 1:
+        if m < 3 or k < 1:
             raise InvalidParameterError("the trivial solution (2, 0) is excluded")
+        super().__init__(d, m, k)
 
 
 def pell_min_solution(d: int) -> PellSolution:
@@ -194,13 +194,10 @@ def case1_params(n: int, d_list=None) -> list:
     for d in d_list:
         if d < 2 or not is_squarefree(d):
             raise InvalidParameterError(f"modulus {d} is not square-free or < 2")
-    for i in range(len(d_list)):
-        for j in range(i + 1, len(d_list)):
-            g = gcd(d_list[i], d_list[j])
-            if g > 1:
-                raise InvalidParameterError(
-                    f"moduli {d_list[i]} and {d_list[j]} share the factor {g}"
-                )
+    for a, b in itertools.combinations(d_list, 2):
+        g = gcd(a, b)
+        if g > 1:
+            raise InvalidParameterError(f"moduli {a} and {b} share the factor {g}")
     return [pell_min_solution(d) for d in d_list]
 
 
@@ -227,8 +224,7 @@ def t_value(m: int, dps: int = None) -> "mpf":
         return mp.log((m + mp.sqrt(m * m - 4)) / 2)
 
 
-@dataclass(frozen=True)
-class Hypothesis1Certificate:
+class Hypothesis1Certificate(Record):
     """Independence certificate for a family of t-values.
 
     Structural: the square-free parts d_j of m_j^2 - 4 are pairwise
@@ -290,12 +286,9 @@ def hypothesis1_certificate(m_list) -> Hypothesis1Certificate:
         if g > 1:
             prime = min(_factorize(g))
             raise CertificateFailureError(
-                f"square-free parts {d_list} share the prime {prime}",
-                prime=prime,
+                f"square-free parts {d_list} share the prime {prime}", prime=prime
             )
-    return Hypothesis1Certificate(
-        tuple(ms), tuple(d_list), numeric_min, numeric_ok
-    )
+    return Hypothesis1Certificate(tuple(ms), tuple(d_list), numeric_min, numeric_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +296,7 @@ def hypothesis1_certificate(m_list) -> Hypothesis1Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(Record):
     """A certified lattice package for R x|_phi R^{2n-1}."""
 
     case: str
@@ -420,18 +412,9 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
             for a, b in itertools.product(range(2), repeat=2):
                 residual = max(residual, abs(prod[a][b] - block[a][b]))
 
-    return LatticeSpec(
-        case,
-        n,
-        tuple(d_list),
-        tuple(m_list),
-        tuple(t_list),
-        t0,
-        tuple(map(tuple, companion_matrix_sl(m_list, 2 * n - 1))),
-        residual,
-        trace_residual,
-        certificate,
-    )
+    e = tuple(map(tuple, companion_matrix_sl(m_list, 2 * n - 1)))
+    return LatticeSpec(case, n, tuple(d_list), tuple(m_list), tuple(t_list), t0, e,
+                       residual, trace_residual, certificate)
 
 
 def lattice_failures(package: LatticeSpec) -> list:
@@ -454,16 +437,7 @@ def lattice_failures(package: LatticeSpec) -> list:
 
 
 def _mat2(a, b):
-    return [
-        [
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ],
-        [
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ],
-    ]
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
 
 
 def alt_remark_params(n: int, k_list) -> list:

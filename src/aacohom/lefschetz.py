@@ -39,7 +39,6 @@ a det(M) w^n.  Explicit mode, with no such class, expands the chain.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,6 +64,7 @@ from .errors import (
     InvalidSymplecticFormError,
     InvariantViolationError,
     NotACocycleError,
+    Record,
     SizeLimitError,
     StructureViolationError,
     UnsupportedModeError,
@@ -177,8 +177,7 @@ def omega_power(spec: AlgebraSpec, k: int) -> Form:
     return Form({m: c * scale for m, c in power.items()}, spec.two_n)
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(Record):
     """A validated symplectic form: closed and with w^n != 0 exactly."""
 
     form: Form
@@ -189,18 +188,31 @@ class SymplecticForm:
 
     @classmethod
     def validated(cls, spec: AlgebraSpec, form: Form) -> "SymplecticForm":
-        if form.degrees() not in ({2}, set()):
-            raise InvalidSymplecticFormError("a symplectic form must be a 2-form")
+        _validated_factors(spec, form)
+        return cls(form)
+
+
+def _validated_factors(spec: AlgebraSpec, form: Form):
+    """Check that ``form`` is a closed 2-form with w^n != 0, else raise
+    InvalidSymplecticFormError, and return its ``pull_back_factors`` (a, det M),
+    or None in explicit mode.  Explicit mode reads w^n off the chain; the
+    others read it off the class, as no top form is exact and
+    (phi* w_std)^n = a det(M) w_std^n."""
+    if form.degrees() not in ({2}, set()):
+        raise InvalidSymplecticFormError("a symplectic form must be a 2-form")
+    if spec.mode is Mode.EXPLICIT:
         if not is_closed(spec, form):
             raise InvalidSymplecticFormError("the form is not closed")
-        if spec.mode is Mode.EXPLICIT:
-            degenerate = not _mask_power_chain(form, spec.n)[-1]
-        else:  # no top form is exact, and (phi* w_std)^n = a det(M) w_std^n
-            a, rows = _read_class(spec, project_to_cohomology(spec, form).terms)
-            degenerate = not a or not exact_linalg.det_sparse(rows)
-        if degenerate:
-            raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
-        return cls(form)
+        factors, degenerate = None, not _mask_power_chain(form, spec.n)[-1]
+    else:
+        try:
+            factors = pull_back_factors(spec, form)
+        except NotACocycleError:
+            raise InvalidSymplecticFormError("the form is not closed") from None
+        degenerate = not all(factors)
+    if degenerate:
+        raise InvalidSymplecticFormError("w^n = 0: the form is degenerate")
+    return factors
 
 
 def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
@@ -216,8 +228,7 @@ def project_to_cohomology(spec: AlgebraSpec, f: Form) -> Form:
     )
 
 
-@dataclass(frozen=True)
-class LefschetzMatrix:
+class LefschetzMatrix(Record):
     """L_m as sparse {row: 1} columns in the pinned bases (rows: H^{2n-m})
     and the ``blocks`` of its layout; ``lefschetz_matrix`` returns one only
     once ``check_structure`` has matched the blocks with the columns."""
@@ -343,8 +354,7 @@ def lefschetz_matrix(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     offset: int
     size: int
     kind: str  # "kneser" or "identity"
@@ -383,9 +393,7 @@ def check_structure(matrix: LefschetzMatrix) -> None:
     """
     total = sum(b.size for b in matrix.blocks)
     if total != matrix.size:
-        raise StructureViolationError(
-            0, 0, f"total block size {total}", matrix.size
-        )
+        raise StructureViolationError(0, 0, f"total block size {total}", matrix.size)
     patterns = {}  # (kind, params) -> the rows of each column, in the block
     mismatches = []  # (row, col, expected, got)
     end = 0
@@ -418,15 +426,13 @@ def check_structure(matrix: LefschetzMatrix) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorSummary:
+class OperatorSummary(Record):
     m: int
     size: int
     determinant: Fraction
 
 
-@dataclass(frozen=True)
-class HardLefschetzReport:
+class HardLefschetzReport(Record):
     spec: AlgebraSpec
     operators: tuple
     hard_lefschetz: bool
@@ -508,16 +514,17 @@ def hard_lefschetz_report(
 
     After MAX_WORK and one ``_check_thetas`` pass, each standard L_m comes
     from its patterns (``_standard_operator``).  A user form is certified as
-    phi*[w_std] (``pull_back_factors``); L_{phi* w} = phi* L_w (phi*)^{-1} on
+    phi*[w_std] (``pull_back_factors``), and a bare Form is validated by the
+    same reading of its class; L_{phi* w} = phi* L_w (phi*)^{-1} on
     cohomology, so its det L_m is the standard one times
     a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
     """
     sizes = require_size(spec, range(spec.n + 1))
     a = det_m = Fraction(1)
-    if user_form is not None:
-        if not isinstance(user_form, SymplecticForm):
-            user_form = SymplecticForm.validated(spec, user_form)
+    if isinstance(user_form, SymplecticForm):
         a, det_m = pull_back_factors(spec, user_form.form)
+    elif user_form is not None:
+        a, det_m = _validated_factors(spec, user_form)
     _check_thetas(spec, spec.n)
     rows_out = []
     for m, betti in enumerate(sizes):

@@ -6,17 +6,15 @@
 """
 
 import json
-from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, Record
 
 # A str of at most this many ASCII characters stays under pymalloc's
 # 512-byte small-object limit (49 bytes of header on CPython 3.11).
 ONES_CHUNK = 448
 
 
-@dataclass(frozen=True)
-class OnesRows:
+class OnesRows(Record):
     """A 0/1 matrix payload: ``ones[i]`` lists the sorted columns of row i's ones.
 
     ``emit`` renders it byte for byte as it would the dense rows.

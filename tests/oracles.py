@@ -9,8 +9,9 @@ factors (``leibniz_differential``), where the package d is the mask kernel
 ``d_terms``; Lambda, H and [d, Lambda] on Forms, with L from
 ``monomial_wedge``; the whole verified L_m of any size (``whole_matrix``);
 operators as dense matrices; null spaces and solves by dense elimination
-(``rref``); and the inverse pairing w^{-1} on monomials as a Bareiss
-determinant.
+(``rref``); the inverse pairing w^{-1} on monomials as a Bareiss
+determinant; and ``replace``, a copy of a package record with some fields
+changed.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,18 @@ from aacohom.lefschetz import (
     standard_omega,
 )
 from aacohom.symplectic_hodge import _pair_partner, _require_numeric, star
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+def replace(record, **changes):
+    """A copy of a package record with ``changes`` to its fields, built
+    through its constructor, so that the record checks its input again."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
 
 
 # ---------------------------------------------------------------------------

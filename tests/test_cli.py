@@ -1,7 +1,6 @@
 """CLI: subcommand payloads, output formats, exit codes, determinism."""
 
 import ast
-import dataclasses
 import json
 import os
 import pathlib
@@ -15,6 +14,7 @@ from mpmath import mpf
 import aacohom.cli as cli
 from aacohom.ce_complex import AlgebraSpec, betti_closed_form
 from aacohom.errors import InvariantViolationError
+from oracles import replace
 
 
 def run(capsys, *argv):
@@ -482,6 +482,20 @@ def test_only_the_lattice_routes_load_mpmath():
         assert _mpmath_probe(argv)[argv] == (0, True)
 
 
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # -S: no site hook may load them first
+    src = pathlib.Path(cli.__file__).parents[1]
+    probe = ("import sys, aacohom.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'mpmath'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_lattice_alt_k_guard_admits_its_limit_in_time():
     from aacohom.lattice import ALT_REMARK_MAX_EXPONENT as top
 
@@ -554,7 +568,7 @@ def test_lattice_bad_trace_residual_exits_1(capsys, monkeypatch):
     build = cli.build_lattice
 
     def off_trace(*args, **kwargs):
-        return dataclasses.replace(build(*args, **kwargs), trace_residual=mpf(1))
+        return replace(build(*args, **kwargs), trace_residual=mpf(1))
 
     monkeypatch.setattr(cli, "build_lattice", off_trace)
     code, report = run_json(

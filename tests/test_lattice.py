@@ -1,6 +1,5 @@
 """Pell equations, independence certificates and lattice packages."""
 
-import dataclasses
 import hashlib
 import random
 import time
@@ -34,6 +33,7 @@ from aacohom.lattice import (
     subset_sum_gap,
     t_value,
 )
+from oracles import replace
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def test_lattice_failures_names_each_broken_field():
     pkg = build_lattice("I", 5, case1_params(5, [2, 3, 5, 7]))
     assert lattice_failures(pkg) == []
     bad_e = tuple((2,) + row[1:] if i == 0 else row for i, row in enumerate(pkg.E))
-    uncertified = dataclasses.replace(pkg.certificate, numeric_ok=False)
+    uncertified = replace(pkg.certificate, numeric_ok=False)
     cases = (
         ({"E": bad_e}, "det E != 1"),
         ({"residual": mpf("1e-9")}, "conjugacy residual too large"),
@@ -404,7 +404,7 @@ def test_lattice_failures_names_each_broken_field():
         ({"certificate": uncertified}, "hypothesis certificate failed"),
     )
     for change, reason in cases:
-        assert lattice_failures(dataclasses.replace(pkg, **change)) == [reason]
+        assert lattice_failures(replace(pkg, **change)) == [reason]
 
 
 def test_package_serialization_round_trip():

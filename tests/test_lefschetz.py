@@ -1,7 +1,6 @@
 """Lefschetz matrices: powers of the form, the golden matrix, block
 structure, hard-Lefschetz verdicts."""
 
-import dataclasses
 import inspect
 import math
 import random
@@ -50,7 +49,7 @@ from aacohom.lefschetz import (
     structure,
 )
 
-from oracles import monomial_wedge, wedge_monomials, whole_matrix
+from oracles import monomial_wedge, replace, wedge_monomials, whole_matrix
 from test_kneser import K52_PRINTED
 
 
@@ -259,7 +258,7 @@ def test_image_outside_target_basis_raises(monkeypatch):
     def truncated(spec, m, labelled, sides, *blocks):
         bases, walk = full(spec, m, labelled, sides, *blocks)
         bases = [
-            dataclasses.replace(b, elements=b.elements[:-1], signs=b.signs[:-1])
+            replace(b, elements=b.elements[:-1], signs=b.signs[:-1])
             if target else b
             for b, target in zip(bases, sides)
         ]
@@ -515,7 +514,7 @@ def _tampered(mat, *flips):
     for i, j in flips:
         if columns[j].pop(i, 0) == 0:
             columns[j][i] = 1
-    return dataclasses.replace(mat, columns=tuple(columns))
+    return replace(mat, columns=tuple(columns))
 
 
 def test_structure_violation_reports_first_entry():
@@ -528,7 +527,7 @@ def test_structure_violation_reports_first_entry():
     row = min(mat.columns[0])
     columns = ({**mat.columns[0], row: 2},) + mat.columns[1:]
     with pytest.raises(StructureViolationError) as err:
-        check_structure(dataclasses.replace(mat, columns=columns))
+        check_structure(replace(mat, columns=columns))
     e = err.value
     assert (e.row, e.col, e.expected, e.got) == (row, 0, 1, 2)
 
@@ -548,7 +547,7 @@ def test_blocks_that_leave_out_the_last_raise():
     spec = AlgebraSpec.ones(3)
     mat = lefschetz_matrix(spec, 2)
     with pytest.raises(StructureViolationError) as err:
-        check_structure(dataclasses.replace(mat, blocks=mat.blocks[:-1]))
+        check_structure(replace(mat, blocks=mat.blocks[:-1]))
     assert err.value.got == mat.size
 
 
@@ -558,19 +557,19 @@ def test_mutated_layout_raises():
     mat = lefschetz_matrix(spec, 2)
     kneser, first, last = mat.blocks
     relaid = (
-        dataclasses.replace(first, offset=0),
-        dataclasses.replace(kneser, offset=1),
+        replace(first, offset=0),
+        replace(kneser, offset=1),
         last,
     )
     for blocks in (
         (first, kneser, last),  # two blocks swapped
         relaid,  # swapped, with the offsets laid out again
-        (kneser, dataclasses.replace(first, offset=4), last),  # offset + 1
-        (kneser, dataclasses.replace(first, offset=2), last),  # offset - 1
-        (dataclasses.replace(kneser, size=2), first, last, last),
+        (kneser, replace(first, offset=4), last),  # offset + 1
+        (kneser, replace(first, offset=2), last),  # offset - 1
+        (replace(kneser, size=2), first, last, last),
     ):
         with pytest.raises(StructureViolationError):
-            check_structure(dataclasses.replace(mat, blocks=blocks))
+            check_structure(replace(mat, blocks=blocks))
 
 
 def test_hl_report_walks_the_block_tree_once(monkeypatch):
@@ -1038,6 +1037,27 @@ def test_user_form_report_eliminates_only_m(monkeypatch):
     # a validated form: the certificate eliminates M, and no L_m is eliminated
     assert hard_lefschetz_report(spec, SymplecticForm(form)).hard_lefschetz
     assert calls == [spec.n - 1]
-    # a bare form: its validation reads det M as well
+    # a bare form: validated on the way, with the one elimination of M
     assert hard_lefschetz_report(spec, form).hard_lefschetz
-    assert calls == [spec.n - 1] * 3
+    assert calls == [spec.n - 1] * 2
+
+
+def test_bare_user_form_is_close_checked_and_projected_once(monkeypatch):
+    spec = AlgebraSpec.ones(5)
+    form = _seeded_user_form(spec, 3)
+    calls = []
+    for name in ("is_closed", "project_to_cohomology"):
+        def counted(*args, _name=name, _step=getattr(lefschetz, name)):
+            calls.append(_name)
+            return _step(*args)
+
+        monkeypatch.setattr(lefschetz, name, counted)
+    assert hard_lefschetz_report(spec, form).hard_lefschetz
+    assert sorted(calls) == ["is_closed", "project_to_cohomology"]
+    # the checks of the validation still hold on the same route
+    e23 = Form.from_monomial(Monomial.from_indices((2, 3), spec.two_n))  # d != 0
+    for form, reason in ((Form.covector(2, spec.two_n), "2-form"),
+                         (standard_omega(spec) + e23, "not closed"),
+                         (gamma_form(spec, 2), "degenerate")):
+        with pytest.raises(InvalidSymplecticFormError, match=reason):
+            hard_lefschetz_report(spec, form)
