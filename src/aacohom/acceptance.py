@@ -155,14 +155,12 @@ def criterion_kneser_spectra(max_n: int) -> dict:
     for n in range(2, 9):
         for k in range(1, n // 2 + 1):
             g = KneserGraph(n, k)
-            try:
-                cert = verify_invertible(g)
+            try:  # raises unless det != 0 and the annihilator vanishes
+                verify_invertible(g)
             except Exception as exc:  # noqa: BLE001
                 failures.append([n, k, str(exc)])
                 continue
             checked += 1
-            if not cert.annihilator_vanishes or cert.determinant == 0:
-                failures.append([n, k, "bad certificate"])
     return {
         "id": 6,
         "name": name,

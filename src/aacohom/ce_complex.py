@@ -307,9 +307,15 @@ def _theta_data(spec, r, s):
 
 
 def _patterns(spec, m):
-    """The patterns (half, p) of L_m, in the order of ``_block_walk``."""
-    ps = range(m // 2 + 1 if spec.mode is Mode.ONES else 1)
-    return [(half, p) for half in (("e1", "e2n") if m % 2 else (None,)) for p in ps]
+    """The patterns (half, p, count, ground, free) of L_m that hold a block,
+    in the order of ``_block_walk``: ``count`` blocks theta_{R|S} of p pairs,
+    each on the ``free``-subsets of a ground of ``ground`` indices, {1..n}
+    minus R, S and, for odd m, 1."""
+    n, (k, odd) = spec.n, divmod(m, 2)
+    ps = range(k + 1 if spec.mode is Mode.ONES else 1)
+    return [(half, p, count, n - 2 * p - odd, k - p)
+            for half in (("e1", "e2n") if odd else (None,)) for p in ps
+            if (count := _theta_count(n, p))]
 
 
 def _theta_count(n, p):
@@ -320,14 +326,13 @@ def _theta_count(n, p):
 def _block_walk(spec, m, patterns=None):
     """The blocks (half, p, R, S, ground, free) of L_m in basis order, one at
     a time, of ``patterns`` or of all; ``_pinned_bases`` says what they name."""
-    n = spec.n
-    k, odd = divmod(m, 2)
-    for half, p in _patterns(spec, m) if patterns is None else patterns:
+    n, odd = spec.n, m % 2
+    for half, p, *_, free in _patterns(spec, m) if patterns is None else patterns:
         for r in combinations(range(2, n + 1), p):
             rest = [x for x in range(2 if odd else 1, n + 1) if x not in r]
             for s in combinations([x for x in rest if x > 1], p):
                 ground = tuple(x for x in rest if x not in s)
-                yield half, p, r, s, ground, k - p
+                yield half, p, r, s, ground, free
 
 
 def _pinned_bases(spec, m, labelled, sides, blocks=None):

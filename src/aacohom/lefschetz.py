@@ -13,22 +13,23 @@ form's {mask: coeff} ``terms``), cached on the form; for the standard form
 every coefficient is +-1, so no Fraction is built.
 
 The standard L_m is certified as the paper's proof goes, with no whole
-matrix (``hard_lefschetz_report``, ``certified_blocks``): of the
-``_theta_count`` blocks theta_{R|S} of each pattern (half, p) the first is
-built alone and verified entry by entry by ``check_structure``
-(``_standard_operator``), and the others equal it; det L_m is then the
-product of the closed-form Kneser determinants of its blocks.  Let t(i) be
-the parity of the theta indices R u s(S) strictly between i and s(i);
-delta = (1, 2n) spans all 2p of them, so t(1) = 0.  The source class of C
-carries theta_inv + sum_{i in C} t(i), the target class of C' carries
-theta_inv + sum_{i in C'} t(i), and P ^ J carries sum_{i in P} t(i) from the
-thetas of J.  Since C' is C u P, disjointly, these cancel, and the gamma and
-delta crossings depend only on |C|, |P| and delta.  It is left to check that
-the ``crossings`` of ``_theta_data`` are t(i), which depends on (R, S) and i
-alone.  In L_e, e = 2 floor(m/2), theta_{R|S} has the ground {1..n} minus R
-and S, and every L_j, j <= m, uses a subset of it, so one pass over the walk
-of L_e (``_check_thetas``) checks every (R, S, i) of L_0 to L_m.  The whole
-L_m (``lefschetz_matrix``) is built only to be printed or compared.
+matrix (``hard_lefschetz_report``, ``certified_blocks``): of the ``count``
+blocks theta_{R|S} of each pattern (``_patterns``) the first is built alone
+and verified entry by entry by ``check_structure`` (``_standard_operator``),
+and the others equal it; det L_m is then the product of the closed-form
+Kneser determinants of its blocks.  Let t(i) be the parity of the theta
+indices R u s(S) strictly between i and s(i); delta = (1, 2n) spans all 2p
+of them, so t(1) = 0.  The source class of C carries theta_inv + sum_{i in
+C} t(i), the target class of C' carries theta_inv + sum_{i in C'} t(i), and
+P ^ J carries sum_{i in P} t(i) from the thetas of J.  Since C' is C u P,
+disjointly, these cancel, and the gamma and delta crossings depend only on
+|C|, |P| and delta.  It is left to check that the ``crossings`` of
+``_theta_data`` are t(i), which depends on (R, S) and i alone, on each (R,
+S, i) of a walk (``_check_thetas``).  ``--m`` (``certified_blocks``) checks
+the walk of L_m that it lays out; ``--hl`` the top even walk L_e, e = 2
+floor(n/2), where theta_{R|S} has the ground {1..n} minus R and S, a superset
+of its ground in every L_j.  The whole L_m (``lefschetz_matrix``) is built
+only to be printed or compared.
 
 A user form is certified as a pull-back phi*[w] by an automorphism phi
 (``pull_back_factors``, on ``wedge_terms`` and ``d_terms``); its det L_m
@@ -50,7 +51,6 @@ from .ce_complex import (
     _idx_label,
     _patterns,
     _pinned_bases,
-    _theta_count,
     _theta_data,
     betti_closed_form,
     cohomology_basis,
@@ -76,7 +76,7 @@ from .kneser import KneserGraph, determinant, neighbours
 # One work budget for the certified L_m, read off Betti numbers and binomials
 # before any walk or basis, in power-chain products (about 0.47 us each;
 # 2 CPUs, Python 3.11.7): n 2^n for the chain; BLOCK_COST per ground index of
-# the ``_check_thetas`` walk; per source monomial of each pattern's first
+# the even ``_check_thetas`` walk; per source monomial of each pattern's first
 # block a quarter of C(n, n - m) (the power terms it meets, mostly skipped at
 # about 0.1 us) plus 2n; and bits^2 / RENDER_BITS to print det L_m, bits =
 # sum count * bit_length(det A(K)) (int to str takes 1.8e-12 s per bit^2).
@@ -101,10 +101,11 @@ def require_size(spec: AlgebraSpec, ms) -> list:
     """[dim H^m for m in ms], after checking the L_m together against MAX_WORK.
 
     The work is that of the certified route: the power chain, the one
-    ``_check_thetas`` pass up to the largest m, and per L_m its patterns'
-    first blocks (``_standard_operator``) and the printing of its det.  It
-    is read off Betti numbers, binomials and Kneser determinants, and
-    SizeLimitError is raised before any walk or basis.
+    ``_check_thetas`` pass, counted over L_{2 floor(m/2)} for the largest m
+    (an upper bound for odd m, whose pass reads its "e1" half), and per L_m
+    its patterns' first blocks (``_standard_operator``) and the printing of
+    its det.  It is read off Betti numbers, binomials and Kneser
+    determinants, and SizeLimitError is raised before any walk or basis.
     """
     if spec.mode not in (Mode.GENERIC, Mode.ONES):
         raise UnsupportedModeError(
@@ -122,14 +123,12 @@ def require_size(spec: AlgebraSpec, ms) -> list:
         if not 0 <= m <= n:
             raise ValueError(f"m must lie in [0, {n}], got {m}")
     top = _patterns(spec, 2 * (max(ms) // 2))
-    work = (n << n) + BLOCK_COST * sum(_theta_count(n, p) * (n - 2 * p) for _, p in top)
+    work = (n << n) + BLOCK_COST * sum(count * ground for *_, count, ground, _ in top)
     for m in ms:
         sizes.append(betti_closed_form(spec, m))
-        k, odd = divmod(m, 2)
         rows = bits = 0  # of the patterns' first blocks, and of det L_m
-        for _, p in _patterns(spec, m):
-            count, ground, free = _theta_count(n, p), n - 2 * p - odd, k - p
-            rows += math.comb(ground, free) if count else 0
+        for *_, count, ground, free in _patterns(spec, m):
+            rows += math.comb(ground, free)
             if free:
                 bits += count * determinant(KneserGraph(ground, free)).bit_length()
         tries = math.comb(n, n - m) // 4 + 2 * n  # per source row
@@ -438,41 +437,40 @@ class HardLefschetzReport(Record):
     hard_lefschetz: bool
 
 
-def _check_thetas(spec: AlgebraSpec, m: int) -> None:
-    """Raise InvariantViolationError unless the ``crossings`` of each
-    theta_{R|S} of L_0 to L_m are t(i) on each pair of its ground in the even
-    L_{2 floor(m/2)}, counted from R and s(S) against the indices strictly
-    inside the pair."""
+def _check_thetas(spec: AlgebraSpec, walk):
+    """Pass on each block of ``walk`` once the ``crossings`` of its theta_{R|S}
+    are t(i) on each pair of its ground, counted from R and s(S) against the
+    indices strictly inside the pair, else raise InvariantViolationError; an
+    "e2n" block repeats the (R, S, ground) of an "e1" one and is not checked."""
     n = spec.n
     windows = {  # i -> (its gamma pair, the indices strictly inside it)
         i: (1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i))
         for i, j in [(1, 2 * n)] + [(i, i + n - 1) for i in range(2, n + 1)]}
-    for _, _, r, s, ground, _ in _block_walk(spec, m - m % 2):
-        crossings = _theta_data(spec, r, s)[2]
-        thetas = 0
-        for a, b in zip(r, s):  # bit b + n - 2 is s(b)
-            thetas |= 1 << (a - 1) | 1 << (b + n - 2)
-        for i in ground:
-            pair, window = windows[i]
-            if ((thetas & window).bit_count() ^ (pair & crossings).bit_count()) & 1:
-                raise InvariantViolationError(
-                    f"the signs of theta_{{{_idx_label(r)}|{_idx_label(s)}}} "
-                    f"miss its theta parity on the pair of {i}"
-                )
+    for block in walk:
+        half, _, r, s, ground, _ = block
+        if half != "e2n":
+            thetas, _, crossings = _theta_data(spec, r, s)
+            for i in ground:
+                pair, window = windows[i]
+                if ((thetas & window).bit_count() ^ (pair & crossings).bit_count()) & 1:
+                    raise InvariantViolationError(
+                        f"the signs of theta_{{{_idx_label(r)}|{_idx_label(s)}}} "
+                        f"miss its theta parity on the pair of {i}"
+                    )
+        yield block
 
 
 def _standard_operator(spec: AlgebraSpec, m: int, betti: int) -> int:
     """det of the standard L_m, no matrix: each pattern's first block is
     built alone by ``_operator_columns`` and verified by ``check_structure``
     (a mismatch is reported at its place in L_m), and once ``_check_thetas``
-    has passed its ``_theta_count`` blocks all equal it, by the module
-    docstring; together they must tile dim H^m = ``betti`` rows."""
+    has passed a walk (``--m``: the one it lays out, ``--hl``: the top even
+    one) the ``count`` blocks equal it, by the module docstring; they must
+    tile dim H^m = ``betti`` rows."""
     size, counts = 0, Counter()
     for pattern in _patterns(spec, m):
-        count = _theta_count(spec.n, pattern[1])
-        if not count:  # 2p > n - 1: no theta_{R|S} of p pairs
-            continue
-        *_, ground, free = block = next(_block_walk(spec, m, [pattern]))
+        *_, count, ground, free = pattern
+        block = next(_block_walk(spec, m, [pattern]))
         source, target, columns, walk = _operator_columns(
             spec, m, standard_omega(spec), False, (block,)
         )
@@ -486,7 +484,7 @@ def _standard_operator(spec: AlgebraSpec, m: int, betti: int) -> int:
             ) from None
         size += count * len(columns)
         if free:
-            counts[len(ground), free] += count
+            counts[ground, free] += count
     if size != betti:
         raise InvariantViolationError(
             f"the patterns of L_{m} tile {size} rows, not dim H^{m} = {betti}"
@@ -496,15 +494,15 @@ def _standard_operator(spec: AlgebraSpec, m: int, betti: int) -> int:
 
 def certified_blocks(spec: AlgebraSpec, m: int) -> tuple:
     """(blocks, det) of the standard L_m, certified with no whole matrix:
-    MAX_WORK, MAX_BLOCKS, the ``_check_thetas`` pass up to L_m and
-    ``_standard_operator``; the blocks are the ``_layout`` of its walk."""
+    MAX_WORK, MAX_BLOCKS, ``_standard_operator`` and the ``_check_thetas`` of
+    the one walk of L_m on its way to ``_layout``.  So ``--m`` checks the walk
+    it lays out; ``--hl`` checks the top even walk instead."""
     betti, = require_size(spec, [m])
-    count = sum(_theta_count(spec.n, p) for _, p in _patterns(spec, m))
+    count = sum(c for _, _, c, *_ in _patterns(spec, m))
     if count > MAX_BLOCKS:
         raise SizeLimitError(f"L_{m} prints {count} blocks; the limit is {MAX_BLOCKS}")
-    _check_thetas(spec, m)
-    det = _standard_operator(spec, m, betti)
-    return _layout(spec, _block_walk(spec, m)), det
+    blocks = _layout(spec, _check_thetas(spec, _block_walk(spec, m)))
+    return blocks, _standard_operator(spec, m, betti)
 
 
 def hard_lefschetz_report(
@@ -512,12 +510,12 @@ def hard_lefschetz_report(
 ) -> HardLefschetzReport:
     """Exact determinants of every L_m; the verdict is their joint nonvanishing.
 
-    After MAX_WORK and one ``_check_thetas`` pass, each standard L_m comes
-    from its patterns (``_standard_operator``).  A user form is certified as
-    phi*[w_std] (``pull_back_factors``), and a bare Form is validated by the
-    same reading of its class; L_{phi* w} = phi* L_w (phi*)^{-1} on
-    cohomology, so its det L_m is the standard one times
-    a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
+    After MAX_WORK and one ``_check_thetas`` pass over the top even walk,
+    each standard L_m comes from its patterns (``_standard_operator``).  A
+    user form is certified as phi*[w_std] (``pull_back_factors``), and a
+    bare Form is validated by the same reading of its class; L_{phi* w} =
+    phi* L_w (phi*)^{-1} on cohomology, so its det L_m is the standard one
+    times a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
     """
     sizes = require_size(spec, range(spec.n + 1))
     a = det_m = Fraction(1)
@@ -525,7 +523,8 @@ def hard_lefschetz_report(
         a, det_m = pull_back_factors(spec, user_form.form)
     elif user_form is not None:
         a, det_m = _validated_factors(spec, user_form)
-    _check_thetas(spec, spec.n)
+    for _ in _check_thetas(spec, _block_walk(spec, spec.n - spec.n % 2)):
+        pass
     rows_out = []
     for m, betti in enumerate(sizes):
         det = _standard_operator(spec, m, betti)

@@ -37,6 +37,7 @@ from aacohom.symplectic_hodge import (
     harmonic_representative,
     star,
 )
+from aacohom.errors import InvariantViolationError
 from aacohom.exact_linalg import det_bareiss
 
 from oracles import dc_as_commutator, operator_matrix
@@ -167,6 +168,26 @@ def test_criterion_06_kneser_spectra(capsys):
     elapsed = time.monotonic() - started
     with capsys.disabled():
         report(6, f"Kneser annihilating polynomials, n<=8 ({elapsed:.2f}s)")
+
+
+def test_failed_kneser_certificate_fails_verify_all(capsys, monkeypatch):
+    # verify_invertible raises on every failed check; criterion 6 records
+    # the message for that (n, k) and verify-all exits 1
+    from aacohom import acceptance
+
+    verify = acceptance.verify_invertible
+
+    def broken(g):
+        if (g.n, g.k) == (6, 2):
+            raise InvariantViolationError("forced failure of K(6,2)")
+        return verify(g)
+
+    monkeypatch.setattr(acceptance, "verify_invertible", broken)
+    details = acceptance.criterion_kneser_spectra(2)["details"]
+    assert details == {"checked": 15, "failures": [[6, 2, "forced failure of K(6,2)"]]}
+    assert cli.main(["verify-all", "--max-n", "2"]) == 1
+    criteria = json.loads(capsys.readouterr().out)["criteria"]
+    assert [c["id"] for c in criteria if not c["passed"]] == [6]
 
 
 def test_criterion_07_pell(capsys):

@@ -572,9 +572,8 @@ def test_mutated_layout_raises():
             check_structure(replace(mat, blocks=blocks))
 
 
-def test_hl_report_walks_the_block_tree_once(monkeypatch):
-    # one unrestricted walk per report, at m = 2 floor(n/2), for the thetas;
-    # every other walk stops at the first block of one pattern
+def _counted_walks(monkeypatch):
+    """[(m, patterns)] of every ``_block_walk`` call from here on."""
     import aacohom.ce_complex as ce
 
     walk = ce._block_walk
@@ -586,11 +585,30 @@ def test_hl_report_walks_the_block_tree_once(monkeypatch):
 
     monkeypatch.setattr(ce, "_block_walk", counted)
     monkeypatch.setattr(lefschetz, "_block_walk", counted)
+    return calls
+
+
+def test_hl_report_walks_the_block_tree_once(monkeypatch):
+    # one unrestricted walk per report, at m = 2 floor(n/2), for the thetas;
+    # every other walk stops at the first block of one pattern
+    calls = _counted_walks(monkeypatch)
     for n in (5, 6):
         calls.clear()
         assert hard_lefschetz_report(AlgebraSpec.ones(n)).hard_lefschetz
         assert [m for m, patterns in calls if patterns is None] == [n - n % 2]
         assert all(len(patterns) == 1 for _, patterns in calls if patterns)
+
+
+def test_certified_blocks_walk_the_block_tree_once(monkeypatch):
+    # --m --check-kneser checks the thetas on the one walk of L_m that it
+    # lays out, odd m included
+    calls = _counted_walks(monkeypatch)
+    for n in (5, 6):
+        for m in (4, 5):
+            calls.clear()
+            lefschetz.certified_blocks(AlgebraSpec.ones(n), m)
+            assert [m_ for m_, patterns in calls if patterns is None] == [m]
+            assert all(len(patterns) == 1 for _, patterns in calls if patterns)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -611,30 +629,35 @@ def test_top_even_walk_holds_every_theta_index(n, maker):
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
 def test_pattern_counts_match_the_walk(n, maker):
-    # the closed-form counts and sizes of the patterns are those of the
-    # full walk, and they tile H^m
+    # the closed-form counts, ground sizes and frees of the patterns are
+    # those of the full walk, in its order, and they tile H^m
     import aacohom.ce_complex as ce
 
     spec = maker(n)
     for m in range(n + 1):
-        walked = Counter((half, p) for half, p, *_ in ce._block_walk(spec, m))
-        counts = {pattern: ce._theta_count(n, pattern[1])
-                  for pattern in ce._patterns(spec, m)}
-        assert {key: c for key, c in counts.items() if c} == walked
-        assert sum(math.comb(len(ground), free)
-                   for *_, ground, free in ce._block_walk(spec, m)) == sum(
-            counts[half, p] * math.comb(n - 2 * p - m % 2, m // 2 - p)
-            for half, p in counts) == betti_closed_form(spec, m)
+        patterns = ce._patterns(spec, m)
+        walk = list(ce._block_walk(spec, m))
+        assert list(dict.fromkeys(block[:2] for block in walk)) == [
+            pattern[:2] for pattern in patterns]
+        walked = Counter((half, p, len(ground), free)
+                         for half, p, _, _, ground, free in walk)
+        assert walked == {(half, p, ground, free): count
+                          for half, p, count, ground, free in patterns}
+        assert sum(math.comb(len(ground), free) for *_, ground, free in walk) == sum(
+            count * math.comb(ground, free) for *_, count, ground, free in patterns
+        ) == betti_closed_form(spec, m)
 
 
 def test_pattern_counts_that_miss_h_m_are_no_certificate(monkeypatch):
     # a count one too large at p = 1 leaves L_2 one 1x1 block over dim H^2
-    theta_count = lefschetz._theta_count
+    import aacohom.ce_complex as ce
+
+    theta_count = ce._theta_count
 
     def miscounted(n, p):
         return theta_count(n, p) + (p == 1)
 
-    monkeypatch.setattr(lefschetz, "_theta_count", miscounted)
+    monkeypatch.setattr(ce, "_theta_count", miscounted)
     with pytest.raises(InvariantViolationError,
                        match=r"^the patterns of L_2 tile 11 rows, not dim H\^2 = 10"):
         hard_lefschetz_report(AlgebraSpec.ones(4))
@@ -730,8 +753,11 @@ def test_corrupt_theta_data_on_a_later_block_is_no_certificate(monkeypatch, n):
     monkeypatch.setattr(ce, "_theta_data", corrupt)
     monkeypatch.setattr(lefschetz, "_theta_data", corrupt)
     i = blocks[at][4][-1]
+    # m = 3 checks the theta only on the "e1" half of L_3, whose ground is
+    # that of L_2 less 1
     for certify in (hard_lefschetz_report,
-                    lambda spec: lefschetz.certified_blocks(spec, 2)):
+                    lambda spec: lefschetz.certified_blocks(spec, 2),
+                    lambda spec: lefschetz.certified_blocks(spec, 3)):
         with pytest.raises(InvariantViolationError, match=(
             rf"^the signs of theta_\{{{n}\|{n - 1}\}} miss its theta parity "
             rf"on the pair of {i}$"
