@@ -13,6 +13,7 @@ Matrices are lists of rows; sparse rows are dicts column -> value.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 
@@ -124,8 +125,9 @@ def det_sparse(rows) -> Fraction:
     holders = [set() for _ in range(n)]  # column -> live rows with an entry
     for i, row in enumerate(rows):
         dense = not isinstance(row, dict)
-        items = enumerate(row) if dense else row.items()
-        live[i] = {j: Fraction(v) for j, v in items if v}
+        # compress skips the zeros of a dense row in C
+        cols = compress(range(len(row)), row) if dense else row
+        live[i] = {j: Fraction(row[j]) for j in cols if row[j]}
         if dense and len(row) != n or any(not 0 <= j < n for j in live[i]):
             raise ValueError("matrix is not square")
         for j in live[i]:

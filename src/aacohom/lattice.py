@@ -11,10 +11,13 @@ prescribed multiplicative relations between the t_m = log((m+sqrt(m^2-4))/2):
   solutions of x^2 - d_j y^2 = 4 for pairwise coprime square-free d_j, or
   alternatively from integers squeezed between consecutive 2cosh(2^k).
 
-All algebraic claims (Pell identity, determinant, coprimality) are exact;
-the conjugacy itself is verified numerically at high precision.  mpmath is
-imported only inside the functions that compute with it, so importing this
-module (and the CLI) does not load it.
+All algebraic claims (Pell identity, determinant, independence) are exact:
+the t-values of case I are independent because their units lie in distinct
+quadratic fields, which the coprimality of the d_j proves (see
+``hypothesis1_certificate``).  Only the conjugacy is verified numerically,
+at high precision, and only the cosh route of ``--alt-k`` rests on the
+floating subset-sum gap.  mpmath is imported only inside the functions that
+compute with it, so importing this module (and the CLI) does not load it.
 """
 
 import itertools
@@ -36,8 +39,10 @@ DEFAULT_DPS = 40
 NUMERIC_TOLERANCE = 1e-6
 RESIDUAL_TOLERANCE = 1e-9
 TRACE_TOLERANCE = 1e-12
-# Set by NUMERIC_TOLERANCE, not time: the default primes give a least gap of
-# 3.0e-5 at n = 14 but 3.4e-7 at n = 15, which fails though coprimality holds.
+# The limit of subset_sum_gap, which only --alt-k and the tests reach.  Set
+# by NUMERIC_TOLERANCE, not time: the default primes give a least gap of
+# 3.0e-5 at n = 14 but 3.4e-7 at n = 15, though coprimality proves them
+# independent.
 MAX_EXHAUSTIVE = 12
 # Budget 2 s (2 CPUs, Python 3.11.7).  Placing m_j ~ 2cosh(2^(k_j - 1))
 # runs mpmath cosh at 1.5 * 2^k_j bits, and nothing factors m_j -+ 2:
@@ -45,18 +50,29 @@ MAX_EXHAUSTIVE = 12
 # `--n 13 --alt-k 5,...,16`, 1.4 s, while k = 17 alone takes 3.6 s and
 # 17,18 took 19 s.  The subset-sum gap takes under 0.02 s of each.
 ALT_REMARK_MAX_EXPONENT = 16
-# Case II builds the dense (2n-1)^2 companion matrix E and prints it: at the
-# limit E has 2449 rows, inside the CLI's dense payload limit (2450), and
-# `lattice --case II --n 1225 --m 3` takes 2.0 to 2.6 s and 194 MB (2 CPUs).
-CASE2_MAX_N = 1225
-# Trial division reaches FACTOR_BOUND in 2.1 s (2 CPUs, Python 3.11.7; 2^23
-# in 1 s), so a factorization that ended within 1 s without it still ends.
+# Both cases build the dense (2n-1)^2 companion matrix E and print it: at
+# the limit E has 2449 rows, inside the CLI's dense payload limit (2450).
+# `lattice --case II --n 1225 --m 3` takes 1.6 to 2.6 s and 194 MB, and
+# `lattice --case I --n 1225` (the first 1224 primes) 1.8 to 2.3 s and
+# 194 MB (2 CPUs, Python 3.11.7); det E and printing E take most of each.
+LATTICE_MAX_N = 1225
+# Trial division reaches FACTOR_BOUND in 0.85 to 2.1 s (2 CPUs, Python
+# 3.11.7), so a factorization that ended within 1 s without it still ends.
 # The Pell expansion passes PELL_MAX_BITS in 0.03 s for d = 10^12 + 39;
 # d = 10000141 and 10000813 (5438- and 5702-bit m) take 0.005 s.  For
 # d = 1 mod 4 it bounds the convergents of (1 + sqrt d)/2, so an odd m is
 # admitted even when its cube, the x^2 - d y^2 = 1 unit, passes the bound.
 FACTOR_BOUND = 2 ** 24
 PELL_MAX_BITS = 2 ** 14
+# A list of moduli is refused before any factoring when its trial division,
+# sum min(isqrt(x), FACTOR_BOUND), exceeds that of one modulus at the bound:
+# 12 primes below 2^48 took 9.3 s before Pell refused them.
+MAX_TRIAL_DIVISION = FACTOR_BOUND
+# build_lattice runs every case I block at the precision of the longest m,
+# so mpmath's work grows as (n - 1) * digits^2.  The budget admits 12 m at
+# PELL_MAX_BITS (4969 digits), as n <= 13 always did: the longest such
+# family found, `--n 13` with 12 primes near 10^7, takes 1.2 s.
+MAX_PRECISION_WORK = 3 * 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +103,26 @@ def _factorize(x: int) -> dict:
     return factors
 
 
+def require_trial_division(values) -> None:
+    """Refuse, before any factoring, values whose trial division together
+    would pass MAX_TRIAL_DIVISION."""
+    work = sum(min(isqrt(x), FACTOR_BOUND) for x in values if x > 0)
+    if work > MAX_TRIAL_DIVISION:
+        raise SizeLimitError(
+            f"factoring these values needs {work} trial divisions, more than "
+            f"{MAX_TRIAL_DIVISION}"
+        )
+
+
 def is_squarefree(d: int) -> bool:
     return d >= 1 and squarefree_part(d) == d
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2 * LATTICE_MAX_N)
 def squarefree_part(x: int) -> int:
     """Product of the primes dividing x an odd number of times; cached, as
-    one case I d is checked up to four times on its way to a lattice."""
+    one case I d is checked four times on its way to a lattice, and the
+    cache holds every d and m -+ 2 of a family at the lattice limit."""
     if x < 1:
         raise InvalidParameterError(f"square-free part needs x >= 1, got {x}")
     part = 1
@@ -115,7 +143,8 @@ def first_primes(count: int) -> list:
     primes = []
     candidate = 2
     while len(primes) < count:
-        if all(candidate % p for p in primes):
+        if all(candidate % p for p in itertools.takewhile(
+                lambda p: p * p <= candidate, primes)):
             primes.append(candidate)
         candidate += 1
     return primes
@@ -183,7 +212,7 @@ def case1_params(n: int, d_list=None) -> list:
     """
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
-    require_exhaustive(n - 1)  # before any prime or Pell work
+    _require_lattice_size("I", n)  # before any prime or Pell work
     if d_list is None:
         d_list = first_primes(n - 1)
     d_list = [int(d) for d in d_list]
@@ -191,14 +220,47 @@ def case1_params(n: int, d_list=None) -> list:
         raise InvalidParameterError(
             f"expected {n - 1} moduli for n={n}, got {len(d_list)}"
         )
+    require_trial_division(d_list)
     for d in d_list:
         if d < 2 or not is_squarefree(d):
             raise InvalidParameterError(f"modulus {d} is not square-free or < 2")
-    for a, b in itertools.combinations(d_list, 2):
-        g = gcd(a, b)
-        if g > 1:
-            raise InvalidParameterError(f"moduli {a} and {b} share the factor {g}")
-    return [pell_min_solution(d) for d in d_list]
+    shared = _shared_factor(d_list)
+    if shared:
+        a, b, g = shared
+        raise InvalidParameterError(f"moduli {a} and {b} share the factor {g}")
+    solutions = []
+    for d in d_list:
+        solutions.append(pell_min_solution(d))
+        # build_lattice checks every block at the precision of the longest m
+        digits = _dps([solutions[-1].m])
+        if (n - 1) * digits ** 2 > MAX_PRECISION_WORK:
+            raise SizeLimitError(
+                f"{n - 1} blocks at {digits} digits exceed the precision "
+                f"budget of {MAX_PRECISION_WORK} digits^2"
+            )
+    return solutions
+
+
+def _require_lattice_size(case: str, n: int) -> None:
+    if n > LATTICE_MAX_N:
+        raise SizeLimitError(
+            f"case {case} is limited to n <= {LATTICE_MAX_N}, got {n}"
+        )
+
+
+def _shared_factor(values):
+    """(a, b, gcd) of the first pair, in combinations order, that shares a
+    factor; None when the values are pairwise coprime.  Each value is
+    tested against the product of those before it, so a family that passes
+    costs one gcd per value.
+    """
+    product = 1
+    for x in values:
+        if gcd(x, product) > 1:
+            return next((a, b, gcd(a, b)) for a, b in
+                        itertools.combinations(values, 2) if gcd(a, b) > 1)
+        product *= x
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +287,21 @@ def t_value(m: int, dps: int = None) -> "mpf":
 
 
 class Hypothesis1Certificate(Record):
-    """Independence certificate for a family of t-values.
+    """Proof that no {-1,0,1} relation holds among the t_{m_j}.
 
-    Structural: the square-free parts d_j of m_j^2 - 4 are pairwise
-    coprime, which makes the radicals sqrt(d_j) independent and hence
-    forbids any {-1,0,1} relation among the t_{m_j}; a certificate exists
-    only once this holds.  Numeric: ``numeric_min`` and ``numeric_ok`` are
-    the ``subset_sum_gap`` of the m_j.
+    ``d_list`` holds the square-free parts d_j of m_j^2 - 4, and a
+    certificate exists only once they are pairwise coprime.  Then u_j =
+    (m_j + sqrt(m_j^2 - 4))/2 is a unit of norm 1 in Q(sqrt d_j), each
+    d_j > 1 (m_j^2 - 4 is no square for m_j >= 3), and no product of the
+    sqrt(d_j) over a nonempty subset is rational.  So the automorphism
+    sigma_i of Q(sqrt d_1, ..., sqrt d_k) that negates sqrt(d_i) alone
+    exists.  Applied to a relation prod u_j^(a_j) = 1 it gives
+    u_i^(-a_i) prod_{j != i} u_j^(a_j) = 1, so u_i^(2 a_i) = 1 and, as
+    u_i > 1, a_i = 0: the t_{m_j} are independent over Q.
     """
 
     m_list: tuple
     d_list: tuple
-    numeric_min: object
-    numeric_ok: bool
-
-    @property
-    def certified(self) -> bool:
-        return self.numeric_ok
 
 
 def require_exhaustive(count: int) -> None:
@@ -257,7 +317,8 @@ def subset_sum_gap(ms) -> tuple:
     Each such eps is 1_A - 1_B for subsets A != B, so the minimum is the
     least gap between adjacent sorted subset sums, found at DEFAULT_DPS
     (None for k = 0); the verdict is whether it exceeds NUMERIC_TOLERANCE.
-    No m_j is factored.
+    No m_j is factored.  The verdict of ``lattice --alt-k``, and the tests'
+    oracle for ``hypothesis1_certificate``.
     """
     from mpmath import mp
 
@@ -274,21 +335,26 @@ def subset_sum_gap(ms) -> tuple:
 def hypothesis1_certificate(m_list) -> Hypothesis1Certificate:
     """Certify independence of the t_{m_j}; see Hypothesis1Certificate.
 
-    ``m_list`` may also hold PellSolutions, whose d alone is factored.
-    Square-free parts that share a prime raise CertificateFailureError.
+    ``m_list`` may also hold PellSolutions, whose d alone is factored; for
+    a bare m, m - 2 and m + 2 are, within MAX_TRIAL_DIVISION.  Square-free
+    parts that share a prime raise CertificateFailureError.
     """
-    ms = [s.m if isinstance(s, PellSolution) else int(s) for s in m_list]
-    numeric_min, numeric_ok = subset_sum_gap(ms)
-    d_list = [squarefree_part(s.d) if isinstance(s, PellSolution)
-              else _squarefree_part_m(m) for s, m in zip(m_list, ms)]
-    for a, b in itertools.combinations(d_list, 2):
-        g = gcd(a, b)
-        if g > 1:
-            prime = min(_factorize(g))
-            raise CertificateFailureError(
-                f"square-free parts {d_list} share the prime {prime}", prime=prime
-            )
-    return Hypothesis1Certificate(tuple(ms), tuple(d_list), numeric_min, numeric_ok)
+    if not m_list:
+        raise InvalidParameterError("a certificate needs at least one value")
+    pell = [isinstance(s, PellSolution) for s in m_list]
+    ms = [s.m if p else int(s) for s, p in zip(m_list, pell)]
+    require_trial_division(itertools.chain.from_iterable(
+        (s.d,) if p else (m - 2, m + 2) for s, m, p in zip(m_list, ms, pell)
+    ))
+    d_list = [squarefree_part(s.d) if p else _squarefree_part_m(m)
+              for s, m, p in zip(m_list, ms, pell)]
+    shared = _shared_factor(d_list)
+    if shared:
+        prime = min(_factorize(shared[2]))
+        raise CertificateFailureError(
+            f"square-free parts {d_list} share the prime {prime}", prime=prime
+        )
+    return Hypothesis1Certificate(tuple(ms), tuple(d_list))
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +390,8 @@ class LatticeSpec(Record):
             "E": [list(row) for row in self.E],
             "residual": mp.nstr(self.residual, 10),
             "trace_residual": mp.nstr(self.trace_residual, 10),
-            "hypothesis1_certified": (
-                self.certificate.certified if self.certificate else None
-            ),
+            # a certificate exists only once proven; case II has none
+            "hypothesis1_certified": True if self.certificate else None,
             # documented metadata only; the group law is not executed here
             "group_presentation": (
                 f"Z |x_E Z^{d} with (a,p)*(b,q) = (a+b, p + E^a q)"
@@ -362,15 +427,13 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
         m = int(params)
         if m < 3:
             raise InvalidParameterError(f"case II needs m >= 3, got {m}")
-        if n > CASE2_MAX_N:
-            raise SizeLimitError(
-                f"case II is limited to n <= {CASE2_MAX_N}, got {n}"
-            )
+        _require_lattice_size(case, n)
         m_list = [m] * (n - 1)
         d_list = [_squarefree_part_m(m)]
         t0 = t_value(m)
         t_list = [t0] * (n - 1)
     elif case == "I":
+        _require_lattice_size(case, n)
         solutions = list(params)
         if len(solutions) != n - 1 or not all(
             isinstance(s, PellSolution) for s in solutions
@@ -421,8 +484,8 @@ def lattice_failures(package: LatticeSpec) -> list:
     """Reasons a lattice package fails certification; empty when it passes.
 
     det E must be exactly 1, the conjugacy residual below 1e-9, the trace
-    residual |e^t + e^-t - m| below 1e-12 and the independence certificate,
-    when there is one, certified.
+    residual |e^t + e^-t - m| below 1e-12.  Case I's independence needs no
+    check here: build_lattice raises unless it is certified.
     """
     failures = []
     if exact_linalg.det_sparse(package.E) != 1:
@@ -431,8 +494,6 @@ def lattice_failures(package: LatticeSpec) -> list:
         failures.append("conjugacy residual too large")
     if not package.trace_residual < TRACE_TOLERANCE:
         failures.append("trace identity violated")
-    if package.certificate is not None and not package.certificate.certified:
-        failures.append("hypothesis certificate failed")
     return failures
 
 

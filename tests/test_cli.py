@@ -308,6 +308,41 @@ def test_lattice_default_size_is_fast(capsys):
     assert time.monotonic() - started < 5
 
 
+# the 12 primes just below 2^48: each is trial-divided up to FACTOR_BOUND
+LARGE_MODULI = ",".join(map(str, (
+    281474976710597, 281474976710591, 281474976710567, 281474976710563,
+    281474976710509, 281474976710491, 281474976710467, 281474976710423,
+    281474976710413, 281474976710399, 281474976710339, 281474976710327,
+)))
+
+
+def test_lattice_case1_certificate_needs_no_subset_sum(capsys, monkeypatch):
+    from aacohom import lattice
+
+    def gap(*args):
+        raise AssertionError("case I ran the floating subset-sum gap")
+
+    monkeypatch.setattr(lattice, "subset_sum_gap", gap)
+    monkeypatch.setattr(cli, "subset_sum_gap", gap)
+    for argv in ("--n 13", "--n 5 --d 2,3,5,7", "--n 40"):
+        code, report = run_json(capsys, "lattice", "--case", "I", *argv.split())
+        assert code == 0
+        assert report["results"]["hypothesis1_certified"] is True
+
+
+def test_lattice_case1_large_moduli_are_refused_before_factoring(
+        capsys, monkeypatch):
+    from aacohom import lattice
+
+    def factoring(x):
+        raise AssertionError("factored past the trial-division budget")
+
+    monkeypatch.setattr(lattice, "_factorize", factoring)
+    assert cli.main(["lattice", "--case", "I", "--n", "13", "--d",
+                     LARGE_MODULI]) == 2
+    assert "trial divisions" in capsys.readouterr().err
+
+
 def test_lattice_case2_payload(capsys):
     code, report = run_json(
         capsys, "lattice", "--case", "II", "--n", "3", "--m", "3"
@@ -525,11 +560,20 @@ def test_lattice_case1_with_a_251_digit_m_passes():
     _assert_case1_passes("1000003")
 
 
+def test_lattice_case1_beyond_n_13_ends_in_time():
+    done = _cli_process("lattice", "--case", "I", "--n", "200", seconds=30)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["hypothesis1_certified"] is True
+    assert len(results["m_list"]) == 199
+
+
 @pytest.mark.parametrize("argv", [
     "--case I --n 2 --d 1000000000000000000000000000057",  # trial division
     "--case II --n 2 --m 1000000000000000000000000000007",  # of m -+ 2
     "--case I --n 2 --d 1000000000039",  # a Pell unit of over 16384 bits
     "--case I --n 100000",  # 99999 primes and Pell solutions
+    f"--case I --n 13 --d {LARGE_MODULI}",  # 12 trial divisions to the bound
 ])
 def test_lattice_long_inputs_are_refused_in_time(argv):
     done = _cli_process("lattice", *argv.split(), seconds=10)

@@ -3,7 +3,7 @@
 import hashlib
 import random
 import time
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from mpmath import mp, mpf
@@ -17,7 +17,7 @@ from aacohom.errors import (
 from aacohom import lattice
 from aacohom.exact_linalg import det_bareiss, det_sparse
 from aacohom.lattice import (
-    CASE2_MAX_N,
+    LATTICE_MAX_N,
     DEFAULT_DPS,
     PellSolution,
     alt_remark_params,
@@ -142,6 +142,50 @@ def test_case1_factors_each_modulus_once(monkeypatch):
     assert sorted(calls) == [13, 29]
 
 
+def test_case1_factors_each_modulus_once_at_large_n(monkeypatch):
+    # the square-free cache holds every modulus of a family at the limit
+    lattice.squarefree_part.cache_clear()
+    calls = []
+    factorize = lattice._factorize
+    monkeypatch.setattr(
+        lattice, "_factorize", lambda x: calls.append(x) or factorize(x)
+    )
+    package = build_lattice("I", 400, case1_params(400))
+    assert lattice_failures(package) == []
+    assert sorted(calls) == first_primes(399)
+
+
+def test_case1_budgets_trial_division_before_factoring(monkeypatch):
+    def factoring(x):
+        raise AssertionError("factored past the trial-division budget")
+
+    monkeypatch.setattr(lattice, "_factorize", factoring)
+    big = [2 ** 48 - 59, 2 ** 48 - 65]  # primes, each trial-divided to the bound
+    with pytest.raises(SizeLimitError, match="trial divisions"):
+        case1_params(3, big)
+    lattice.require_trial_division(big[:1])  # one modulus at the bound passes
+
+
+def test_case1_budgets_precision_during_pell(monkeypatch):
+    pell = lattice.pell_min_solution
+    calls = []
+    monkeypatch.setattr(lattice, "pell_min_solution",
+                        lambda d: calls.append(d) or pell(d))
+    # the four blocks of [2, 3, 5, 7] run at DEFAULT_DPS
+    monkeypatch.setattr(lattice, "MAX_PRECISION_WORK", 4 * DEFAULT_DPS ** 2)
+    assert len(case1_params(5, [2, 3, 5, 7])) == 4
+    calls.clear()
+    monkeypatch.setattr(lattice, "MAX_PRECISION_WORK", 4 * DEFAULT_DPS ** 2 - 1)
+    with pytest.raises(SizeLimitError, match="precision budget"):
+        case1_params(5, [2, 3, 5, 7])
+    assert calls == [2]  # refused at the first solution, before the rest
+
+
+def test_case1_size_limit():
+    with pytest.raises(SizeLimitError, match="case I is limited to n <= 1225"):
+        case1_params(LATTICE_MAX_N + 1)
+
+
 def test_pell_solution_is_bounded_in_bits(monkeypatch):
     sol = pell_min_solution(991)
     monkeypatch.setattr(lattice, "PELL_MAX_BITS", sol.m.bit_length())
@@ -240,9 +284,8 @@ def test_case1_rejects_shared_factor():
 
 def test_certificate_for_reference_parameters():
     cert = hypothesis1_certificate(case1_params(5, [2, 3, 5, 7]))
-    assert cert.certified
+    assert cert.m_list == (6, 4, 3, 16)
     assert cert.d_list == (2, 3, 5, 7)
-    assert cert.numeric_min > mpf("1e-6")
 
 
 def test_certificate_fails_on_repeated_modulus():
@@ -261,14 +304,19 @@ def test_certificate_numeric_tier_for_cosh_parameters():
 
 
 def test_certificate_default_parameters_scale():
-    for n in range(2, 9):
+    for n in (2, 8, 13, 200):
         cert = hypothesis1_certificate(case1_params(n))
-        assert cert.certified
+        assert cert.d_list == tuple(first_primes(n - 1))
 
 
-def test_certificate_size_guard():
-    with pytest.raises(SizeLimitError):
-        hypothesis1_certificate([3] * 13)
+def test_certificate_size_guard(monkeypatch):
+    def factoring(x):
+        raise AssertionError("factored past the trial-division budget")
+
+    monkeypatch.setattr(lattice, "_factorize", factoring)
+    # m -+ 2 of two m near 2^48 need more trial division than one at the bound
+    with pytest.raises(SizeLimitError, match="trial divisions"):
+        hypothesis1_certificate([2 ** 48 + 3, 2 ** 48 + 9])
     with pytest.raises(SizeLimitError):
         subset_sum_gap([3] * 13)
 
@@ -321,10 +369,80 @@ def test_structural_tier_rejects_the_relation():
     assert err.value.prime == 5
 
 
-def test_certificate_of_no_values_has_no_minimum():
-    cert = hypothesis1_certificate([])
-    assert cert.numeric_min is None
-    assert not cert.numeric_ok
+@pytest.mark.parametrize("ms, prime", [
+    ([3, 7, 18], 5), ([6, 6], 2), ([3, 3], 5), ([4, 8, 55, 2981], 3),
+])
+def test_shared_prime_families_name_the_prime(ms, prime):
+    with pytest.raises(CertificateFailureError, match=f"share the prime {prime}$"):
+        hypothesis1_certificate(ms)
+
+
+def _coprime_squarefree_moduli(rng, count):
+    moduli = []
+    while len(moduli) < count:
+        d = rng.randrange(2, 500)
+        if is_squarefree(d) and all(gcd(d, e) == 1 for e in moduli):
+            moduli.append(d)
+    return moduli
+
+
+_RNG = random.Random(29)
+COPRIME_FAMILIES = (
+    [first_primes(n - 1) for n in range(2, 14)]
+    + list(WORKLOAD_MODULI)
+    + [_coprime_squarefree_moduli(_RNG, _RNG.randrange(1, 13)) for _ in range(12)]
+)
+
+
+@pytest.mark.parametrize("moduli", COPRIME_FAMILIES)
+def test_exact_verdict_matches_the_subset_sum_gap(moduli):
+    solutions = case1_params(len(moduli) + 1, moduli)
+    cert = hypothesis1_certificate(solutions)
+    assert cert.d_list == tuple(moduli)
+    assert cert.m_list == tuple(s.m for s in solutions)
+    _, ok = subset_sum_gap(cert.m_list)
+    assert ok
+
+
+def test_coprime_family_below_the_float_tolerance_is_certified():
+    # d = a^2 + 1 for a = 5000002, 5000004: the units are near 4a^2, so the
+    # t-values differ by about 8e-7, under NUMERIC_TOLERANCE, and the float
+    # gap calls them dependent though their fields are distinct
+    solutions = case1_params(3, [25000020000005, 25000040000017])
+    gap, ok = subset_sum_gap([s.m for s in solutions])
+    assert not ok and mpf("7e-7") < gap < mpf("9e-7")
+    cert = hypothesis1_certificate(solutions)
+    assert cert.d_list == (25000020000005, 25000040000017)
+    assert lattice_failures(build_lattice("I", 3, solutions)) == []
+
+
+def test_certified_bare_families_have_no_relation():
+    # a certificate is a proof: no seeded family it certifies has a
+    # {-1,0,1} relation, and every family with one is refused
+    rng = random.Random(5)
+    certified = refused = 0
+    for _ in range(150):
+        ms = [rng.randrange(3, 80) for _ in range(rng.randrange(2, 6))]
+        gap, ok = subset_sum_gap(ms)
+        try:
+            hypothesis1_certificate(ms)
+        except CertificateFailureError:
+            refused += 1
+            continue
+        certified += 1
+        assert ok, ms
+    assert certified >= 10 and refused >= 10
+    for ms in ([3, 7, 18], [3, 3], [6, 6]):
+        assert subset_sum_gap(ms)[0] < mpf("1e-30")
+        with pytest.raises(CertificateFailureError):
+            hypothesis1_certificate(ms)
+
+
+def test_certificate_of_no_values_is_refused():
+    with pytest.raises(InvalidParameterError, match="at least one value"):
+        hypothesis1_certificate([])
+    gap, ok = subset_sum_gap([])
+    assert gap is None and not ok
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +473,9 @@ def test_case2_sparse_determinant_matches_bareiss(n):
 
 
 def test_case2_size_limit():
-    build_lattice("II", CASE2_MAX_N, 3)
+    build_lattice("II", LATTICE_MAX_N, 3)
     with pytest.raises(SizeLimitError):
-        build_lattice("II", CASE2_MAX_N + 1, 3)
+        build_lattice("II", LATTICE_MAX_N + 1, 3)
 
 
 def test_case1_reference_package():
@@ -367,7 +485,7 @@ def test_case1_reference_package():
     assert det_bareiss([list(r) for r in pkg.E]) == 1
     assert pkg.residual < mpf("1e-9")
     assert pkg.trace_residual < mpf("1e-12")
-    assert pkg.certificate is not None and pkg.certificate.certified
+    assert pkg.certificate.d_list == (2, 3, 5, 7)
     assert pkg.t0 == 1
 
 
@@ -396,12 +514,10 @@ def test_lattice_failures_names_each_broken_field():
     pkg = build_lattice("I", 5, case1_params(5, [2, 3, 5, 7]))
     assert lattice_failures(pkg) == []
     bad_e = tuple((2,) + row[1:] if i == 0 else row for i, row in enumerate(pkg.E))
-    uncertified = replace(pkg.certificate, numeric_ok=False)
     cases = (
         ({"E": bad_e}, "det E != 1"),
         ({"residual": mpf("1e-9")}, "conjugacy residual too large"),
         ({"trace_residual": mpf("1e-12")}, "trace identity violated"),
-        ({"certificate": uncertified}, "hypothesis certificate failed"),
     )
     for change, reason in cases:
         assert lattice_failures(replace(pkg, **change)) == [reason]
