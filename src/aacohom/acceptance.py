@@ -1,9 +1,11 @@
 """The full self-check suite behind ``aacohom verify-all``.
 
 Each criterion is a function returning a JSON-ready dict with a boolean
-``passed``; nothing time-dependent goes into the payload so that two runs
-with the same arguments emit identical bytes.  ``--max-n`` caps the
-algebra sizes; the stated ranges need max_n = 6.
+``passed``; ``verify_all`` adds its ``id``, its place in ``CRITERIA`` from
+1, the order in which ``benchmarks/tracer.py`` names them too.  Nothing
+time-dependent goes into the payload so that two runs with the same
+arguments emit identical bytes.  ``--max-n`` caps the algebra sizes; the
+stated ranges need max_n = 6.
 """
 
 from .ce_complex import (
@@ -62,21 +64,20 @@ def _standard_specs(max_n: int):
 def criterion_golden_matrix(max_n: int) -> dict:
     name = "golden 10x10 Lefschetz matrix for n=5, m=4 (generic mode)"
     if max_n < 5:
-        return {"id": 1, "name": name, "skipped": True, "passed": True}
+        return {"name": name, "skipped": True, "passed": True}
     spec = AlgebraSpec.generic(5)
     mat = _matrix(spec, 4)  # criteria 4 and 5 reuse it
     rows = mat.rows_as_lists()
     matches = rows == [list(row) for row in GOLDEN_M4_5]
     zero_block = all(rows[i][j] == 0 for i in range(4) for j in range(4))
     return {
-        "id": 1,
         "name": name,
         "passed": bool(matches and zero_block),
         "details": {"matches_print": matches, "upper_left_zero": zero_block},
     }
 
 
-def _betti_criterion(max_n, ident, label, make, top, golden):
+def _betti_criterion(max_n, label, make, top, golden):
     """Closed form == brute force for n = 2..top, and one golden sequence."""
     top = min(top, max_n)
     mismatches = []
@@ -88,7 +89,6 @@ def _betti_criterion(max_n, ident, label, make, top, golden):
     golden_n = len(golden) // 2
     seq_ok = max_n < golden_n or tuple(betti_sequence(make(golden_n))) == golden
     return {
-        "id": ident,
         "name": f"Betti numbers, {label} weights: closed form == brute force",
         "passed": not mismatches and seq_ok,
         "details": {
@@ -100,13 +100,11 @@ def _betti_criterion(max_n, ident, label, make, top, golden):
 
 
 def criterion_betti_case1(max_n: int) -> dict:
-    return _betti_criterion(
-        max_n, 2, "generic", AlgebraSpec.generic, 6, BETTI_GENERIC_N5
-    )
+    return _betti_criterion(max_n, "generic", AlgebraSpec.generic, 6, BETTI_GENERIC_N5)
 
 
 def criterion_betti_case2(max_n: int) -> dict:
-    return _betti_criterion(max_n, 3, "unit", AlgebraSpec.ones, 5, BETTI_ONES_N3)
+    return _betti_criterion(max_n, "unit", AlgebraSpec.ones, 5, BETTI_ONES_N3)
 
 
 def criterion_hard_lefschetz(max_n: int) -> dict:
@@ -118,7 +116,6 @@ def criterion_hard_lefschetz(max_n: int) -> dict:
         if _matrix(spec, m).determinant() == 0
     ]
     return {
-        "id": 4,
         "name": name,
         "passed": not failures,
         "details": {"n_range": [2, min(6, max_n)], "zero_determinants": failures},
@@ -137,7 +134,6 @@ def criterion_kneser_structure(max_n: int) -> dict:
             except Exception as exc:  # noqa: BLE001 - recorded, not masked
                 failures.append([spec.mode.value, spec.n, m, str(exc)])
     return {
-        "id": 5,
         "name": name,
         "passed": not failures,
         "details": {
@@ -162,7 +158,6 @@ def criterion_kneser_spectra(max_n: int) -> dict:
                 continue
             checked += 1
     return {
-        "id": 6,
         "name": name,
         "passed": not failures,
         "details": {"checked": checked, "failures": failures},
@@ -178,7 +173,7 @@ def criterion_pell(max_n: int) -> dict:
         results[str(d)] = [str(sol.m), str(sol.k)]
         if (sol.m, sol.k) != expected:
             ok = False
-    return {"id": 7, "name": name, "passed": ok, "details": {"solutions": results}}
+    return {"name": name, "passed": ok, "details": {"solutions": results}}
 
 
 def criterion_lattices(max_n: int) -> dict:
@@ -193,7 +188,6 @@ def criterion_lattices(max_n: int) -> dict:
         label = f"case {pkg.case} n={pkg.n}"
         failures.extend([label, reason] for reason in lattice_failures(pkg))
     return {
-        "id": 8,
         "name": name,
         "passed": not failures,
         "details": {
@@ -207,7 +201,6 @@ def criterion_alt_remark(max_n: int) -> dict:
     name = "cosh-interval parameters (4, 8, 55, 2981)"
     values = tuple(alt_remark_params(5, (1, 2, 3, 4)))
     return {
-        "id": 9,
         "name": name,
         "passed": values == ALT_REMARK_GOLDEN,
         "details": {"values": list(values)},
@@ -224,7 +217,6 @@ def criterion_operator_suite(max_n: int) -> dict:
             [label, k, reason] for k, reason in operator_suite_failures(spec)
         )
     return {
-        "id": 10,
         "name": name,
         "passed": not failures,
         "details": {"failures": failures},
@@ -252,7 +244,7 @@ def verify_all(max_n: int = 5) -> dict:
         raise ValueError("max_n must be at least 2")
     _matrices = {}
     try:
-        results = [fn(max_n) for fn in CRITERIA]
+        results = [{"id": i, **fn(max_n)} for i, fn in enumerate(CRITERIA, 1)]
     finally:
         _matrices = None
     return {

@@ -215,9 +215,6 @@ class Form:
     def __hash__(self):
         return hash((self.two_n, frozenset(self.terms.items())))
 
-    def wedge(self, other: "Form") -> "Form":
-        return wedge(self, other)
-
     def sorted_terms(self):
         """[(Monomial, coeff)] in lexicographic index order."""
         return sorted((Monomial(m, self.two_n), c) for m, c in self.terms.items())
@@ -244,16 +241,10 @@ def coefficient(f: Form, m: Monomial):
 def top_pairing(a: Form, b: Form):
     """Coefficient of the full monomial e^1 ^ ... ^ e^{2n} in a ^ b.
 
-    Nondegenerate pairing of complementary degrees; pairs of terms whose
-    degrees do not sum to 2n contribute nothing.  P ^ Q for Q the complement
-    of P is signed by one bit count of P against ``below_parity`` of Q.
+    Nondegenerate pairing of complementary degrees, read off ``wedge_terms``
+    with its sign rule; pairs of terms whose degrees do not sum to 2n
+    contribute nothing to the full monomial.
     """
     a._same_ambient(b)
     full = (1 << a.two_n) - 1
-    total = 0
-    for p, c in a.terms.items():
-        cb = b.terms.get(full ^ p)
-        if cb:
-            odd = (p & below_parity(full ^ p, a.two_n)).bit_count() & 1
-            total += -c * cb if odd else c * cb
-    return exact(total)
+    return exact(wedge_terms(a.terms, b.terms, a.two_n).get(full, 0))

@@ -154,11 +154,7 @@ def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
         for j in columns:
             row[j] = 1
     det = exact_linalg.det_bareiss(a)
-    if det == 0:
-        raise InvariantViolationError(
-            f"adjacency of K({g.n},{g.k}) has determinant 0"
-        )
-    if det != determinant(g):
+    if det != determinant(g):  # never 0, as ``spectrum`` took n >= 2k >= 2
         raise InvariantViolationError(
             f"adjacency of K({g.n},{g.k}) has determinant {det}, "
             f"not the closed form {determinant(g)}"

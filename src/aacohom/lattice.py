@@ -105,8 +105,15 @@ def _factorize(x: int) -> dict:
 
 def require_trial_division(values) -> None:
     """Refuse, before any factoring, values whose trial division together
-    would pass MAX_TRIAL_DIVISION."""
-    work = sum(min(isqrt(x), FACTOR_BOUND) for x in values if x > 0)
+    would pass MAX_TRIAL_DIVISION: min(isqrt(c), FACTOR_BOUND) each, c the
+    cofactor left by the divisors below 2^10, as ``_factorize`` stops once
+    p^2 passes the cofactor."""
+    work = 0
+    for x in (x for x in values if x > 0):
+        for p in range(2, min(1 << 10, isqrt(x) + 1)):
+            while x % p == 0:
+                x //= p
+        work += min(isqrt(x), FACTOR_BOUND)
     if work > MAX_TRIAL_DIVISION:
         raise SizeLimitError(
             f"factoring these values needs {work} trial divisions, more than "
@@ -428,6 +435,7 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
         if m < 3:
             raise InvalidParameterError(f"case II needs m >= 3, got {m}")
         _require_lattice_size(case, n)
+        require_trial_division((m - 2, m + 2))
         m_list = [m] * (n - 1)
         d_list = [_squarefree_part_m(m)]
         t0 = t_value(m)
@@ -441,17 +449,10 @@ def build_lattice(case: str, n: int, params) -> LatticeSpec:
             raise InvalidParameterError(
                 f"case I needs {n - 1} Pell solutions (see case1_params)"
             )
-        m_list = [s.m for s in solutions]
-        d_list = [s.d for s in solutions]
-        for s in solutions:
-            # m^2 - 4 = d k^2 exactly, so its square-free part is d's
-            if not is_squarefree(s.d):
-                raise InvariantViolationError(
-                    f"square-free part of {s.m}^2-4 is not {s.d}"
-                )
         certificate = hypothesis1_certificate(solutions)
+        m_list, d_list = certificate.m_list, certificate.d_list
         t0 = mpf(1)
-        t_list = [t_value(s.m) for s in solutions]
+        t_list = [t_value(m) for m in m_list]
     else:
         raise InvalidParameterError(f"unknown case {case!r}; use 'I' or 'II'")
 

@@ -48,6 +48,7 @@ from .ce_complex import (
     AlgebraSpec,
     Mode,
     _block_walk,
+    _class_groups,
     _idx_label,
     _patterns,
     _pinned_bases,
@@ -512,16 +513,16 @@ def hard_lefschetz_report(
 
     After MAX_WORK and one ``_check_thetas`` pass over the top even walk,
     each standard L_m comes from its patterns (``_standard_operator``).  A
-    user form is certified as phi*[w_std] (``pull_back_factors``), and a
-    bare Form is validated by the same reading of its class; L_{phi* w} =
-    phi* L_w (phi*)^{-1} on cohomology, so its det L_m is the standard one
-    times a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)} (``_character_counts``).
+    user form, bare or in a SymplecticForm, is validated and certified as
+    phi*[w_std] by one reading of its class (``_validated_factors``);
+    L_{phi* w} = phi* L_w (phi*)^{-1} on cohomology, so its det L_m is the
+    standard one times a^{e(2n-m) - e(m)} det(M)^{s(2n-m) - s(m)}.
     """
     sizes = require_size(spec, range(spec.n + 1))
     a = det_m = Fraction(1)
     if isinstance(user_form, SymplecticForm):
-        a, det_m = pull_back_factors(spec, user_form.form)
-    elif user_form is not None:
+        user_form = user_form.form
+    if user_form is not None:
         a, det_m = _validated_factors(spec, user_form)
     for _ in _check_thetas(spec, _block_walk(spec, spec.n - spec.n % 2)):
         pass
@@ -591,15 +592,13 @@ def pull_back_factors(spec: AlgebraSpec, form: Form) -> tuple:
 def _character_counts(spec: AlgebraSpec, p: int) -> tuple:
     """(e(p), s(p)): the basis monomials of H^p with e^1, and with e^{s(2)}.
 
-    A class is [e^1] e^I e^{s(J)} [e^{2n}], I and J r-subsets of {2..n}
-    (I = J if generic): C(n-1, r)^2 (ones) or C(n-1, r) per choice of e^1
-    and e^{2n}, r / (n - 1) of them with s(2).  phi* acts on the e^{s(J)}
-    as Lambda^r M, so det phi*|H^p = a^{e(p)} det(M)^{s(p)}.
+    Read off the ``_class_groups`` of the Betti number: of the C(2, t)
+    choices of e^1 and e^{2n} in a group, one holds e^1 when t > 0, and
+    r / (n - 1) of each choice's classes hold s(2).  phi* acts on the
+    e^{s(J)} as Lambda^r M, so det phi*|H^p = a^{e(p)} det(M)^{s(p)}.
     """
     e = s = 0
-    for e1, e2n in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        r, odd = divmod(p - e1 - e2n, 2)
-        if not odd and r >= 0:
-            w = math.comb(spec.n - 1, r) ** (2 if spec.mode is Mode.ONES else 1)
-            e, s = e + w * e1, s + w * r // (spec.n - 1)
+    for t, r, count in _class_groups(spec, p):
+        e += count if t else 0
+        s += math.comb(2, t) * count * r // (spec.n - 1)
     return e, s

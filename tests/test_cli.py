@@ -571,6 +571,7 @@ def test_lattice_case1_beyond_n_13_ends_in_time():
 @pytest.mark.parametrize("argv", [
     "--case I --n 2 --d 1000000000000000000000000000057",  # trial division
     "--case II --n 2 --m 1000000000000000000000000000007",  # of m -+ 2
+    "--case II --n 1225 --m 281474976710565",  # m -+ 2 both prime
     "--case I --n 2 --d 1000000000039",  # a Pell unit of over 16384 bits
     "--case I --n 100000",  # 99999 primes and Pell solutions
     f"--case I --n 13 --d {LARGE_MODULI}",  # 12 trial divisions to the bound

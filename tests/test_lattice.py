@@ -155,6 +155,28 @@ def test_case1_factors_each_modulus_once_at_large_n(monkeypatch):
     assert sorted(calls) == first_primes(399)
 
 
+# m - 2 and m + 2 are both prime, each trial-divided up to FACTOR_BOUND
+TWIN_PRIME_M = 281474976710565
+
+
+def test_trial_division_counts_the_cofactor_past_small_divisors(monkeypatch):
+    # 5 * 29 * 1117 * 747075257 and 41 * 2951221658537: together their square
+    # roots pass the budget, but the cofactors left by the divisors below
+    # 2^10 do not
+    pair = [121000044000005, 121000088000017]
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "_factorize", lambda x: pytest.fail("factored"))
+        lattice.require_trial_division(pair)
+    cert = hypothesis1_certificate(case1_params(3, pair))
+    assert cert.d_list == tuple(pair)
+
+
+def test_case2_budgets_trial_division_before_factoring(monkeypatch):
+    monkeypatch.setattr(lattice, "_factorize", lambda x: pytest.fail("factored"))
+    with pytest.raises(SizeLimitError, match="trial divisions"):
+        build_lattice("II", 2, TWIN_PRIME_M)
+
+
 def test_case1_budgets_trial_division_before_factoring(monkeypatch):
     def factoring(x):
         raise AssertionError("factored past the trial-division budget")
@@ -314,9 +336,10 @@ def test_certificate_size_guard(monkeypatch):
         raise AssertionError("factored past the trial-division budget")
 
     monkeypatch.setattr(lattice, "_factorize", factoring)
-    # m -+ 2 of two m near 2^48 need more trial division than one at the bound
+    # m -+ 2 of an m near 2^48, both prime, need more trial division than
+    # one value at the bound
     with pytest.raises(SizeLimitError, match="trial divisions"):
-        hypothesis1_certificate([2 ** 48 + 3, 2 ** 48 + 9])
+        hypothesis1_certificate([TWIN_PRIME_M])
     with pytest.raises(SizeLimitError):
         subset_sum_gap([3] * 13)
 

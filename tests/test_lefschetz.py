@@ -1009,9 +1009,8 @@ def test_character_counts_match_the_basis(n, maker):
 
 def test_certificate_rejects_phi_that_does_not_commute_with_d(monkeypatch):
     # generic weights differ, so moving M_22 to M_23 mixes e^{s(2)} with
-    # e^{s(3)}: phi is then no automorphism
-    # validated before the reading is moved: the moved M is singular, so
-    # validation would refuse the form before the certificate sees it
+    # e^{s(3)}: phi is then no automorphism, which the certificate finds
+    # before validation could call the moved, singular M degenerate
     spec = AlgebraSpec.generic(4)
     form = SymplecticForm(_seeded_user_form(spec, 1, thetas=0))
     read = lefschetz._read_class
@@ -1080,10 +1079,13 @@ def test_bare_user_form_is_close_checked_and_projected_once(monkeypatch):
         monkeypatch.setattr(lefschetz, name, counted)
     assert hard_lefschetz_report(spec, form).hard_lefschetz
     assert sorted(calls) == ["is_closed", "project_to_cohomology"]
-    # the checks of the validation still hold on the same route
+    # the checks of the validation still hold on the same route, and a form
+    # wrapped in a SymplecticForm without validation skips none of them
     e23 = Form.from_monomial(Monomial.from_indices((2, 3), spec.two_n))  # d != 0
     for form, reason in ((Form.covector(2, spec.two_n), "2-form"),
                          (standard_omega(spec) + e23, "not closed"),
-                         (gamma_form(spec, 2), "degenerate")):
-        with pytest.raises(InvalidSymplecticFormError, match=reason):
-            hard_lefschetz_report(spec, form)
+                         (gamma_form(spec, 2), "degenerate"),
+                         (delta_form(spec) + gamma_form(spec, 2), "degenerate")):
+        for user_form in (form, SymplecticForm(form)):
+            with pytest.raises(InvalidSymplecticFormError, match=reason):
+                hard_lefschetz_report(spec, user_form)
