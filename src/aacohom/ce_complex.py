@@ -2,7 +2,7 @@
 
 The algebra is R e_{2n} |x R^{2n-1} with the bracket acting diagonally:
 de^1 = de^{2n} = 0, de^i = b_i e^i ^ e^{2n} and de^{s(i)} = -b_i e^{s(i)} ^ e^{2n}
-for 2 <= i <= n, where s(i) = i + n - 1.  Consequently the differential is
+for 2 <= i <= n, with s(i) from ``partners``.  Consequently the differential is
 "monomial-diagonal": for a monomial m not containing the index 2n,
 
     d(m) = (-1)^(deg m + 1) * <w(m), b> * (m u {2n}),
@@ -56,9 +56,10 @@ BRUTEFORCE_MAX_N = 7
 # explicit --b 1,...,9 --basis --degree 10` (above the limit, so measured
 # with it lifted) take 0.3 s, against 5.4 s with a Monomial per candidate.
 BASIS_MAX_SIZE = 127008
-# Largest n the `cohomology` command takes, checked before any binomial (2
-# CPUs, Python 3.11.7): the closed-form Betti list of ones n = 2500 (5.5 MB
-# of JSON) takes 0.4 s, and n = 3000 (7.8 MB) 0.6 s and 41 MB.
+# Largest n the `cohomology` command takes, checked before any binomial, held
+# to a whole run of one second (2 CPUs, Python 3.11.7): ones n = 2500 (5.5 MB
+# of JSON) takes 0.60 to 0.62 s and 33 MB, and n = 3000 (7.8 MB) 0.90 to 0.94 s
+# and 41 MB, which leaves a slower machine no room.
 COHOMOLOGY_MAX_N = 2500
 _comb = lru_cache(maxsize=2)(comb)  # neighbouring degrees share C(n - 1, r)
 
@@ -74,6 +75,15 @@ class Mode(enum.Enum):
             return cls(text.lower())
         except ValueError:
             raise UnsupportedModeError(f"unknown weight mode {text!r}") from None
+
+
+@lru_cache(maxsize=None)
+def partners(two_n: int) -> tuple:
+    """Entry i is the index the standard form pairs with i, for 1 <= i <= 2n
+    (entry 0 is unused): 1 <-> 2n and i <-> s(i) = i + n - 1 for 2 <= i <= n.
+    Every s(i), gamma pair and partner in the package is read off this."""
+    n = two_n // 2
+    return (0, two_n, *range(n + 1, two_n), *range(2, n + 1), 1)
 
 
 class AlgebraSpec(Record):
@@ -114,10 +124,10 @@ class AlgebraSpec(Record):
         return 2 * self.n
 
     def sigma(self, i: int) -> int:
-        """Index of the covector dual to e^i, i.e. s(i) = i + n - 1."""
+        """s(i), the index ``partners`` pairs with 2 <= i <= n."""
         if not 2 <= i <= self.n:
             raise ValueError(f"sigma is defined for 2 <= i <= n, got {i}")
-        return i + self.n - 1
+        return partners(self.two_n)[i]
 
     def numeric_b(self) -> tuple:
         if self.mode is Mode.ONES:
@@ -299,9 +309,9 @@ def _theta_data(spec, r, s):
     order (r_1, s(s_1), r_2, ...), C(p, 2) since each s(s_a) > n precedes
     every later r_b; and ``below_parity`` of the mask, whose bits on a gamma
     pair count the theta indices between its two indices."""
-    thetas = 0
-    for a, b in zip(r, s):  # bit b + n - 2 is s(b)
-        thetas |= 1 << (a - 1) | 1 << (b + spec.n - 2)
+    partner, thetas = partners(spec.two_n), 0
+    for a, b in zip(r, s):
+        thetas |= 1 << (a - 1) | 1 << (partner[b] - 1)
     p = len(r)
     return thetas, p * (p - 1) // 2, below_parity(thetas, spec.two_n)
 
@@ -348,25 +358,22 @@ def _pinned_bases(spec, m, labelled, sides, blocks=None):
     is [e^1] gammabar_C theta_{R|S} [e^{2n}], where C = I on side False and
     C = ground minus I on side True, and gammabar_1 = delta.  Its sign is
     the parity of the inversion count of the factor index sequence.  e^1
-    and e^{2n} stand at their sorted places.  Each gamma pair (i, s(i))
+    and e^{2n} stand at their sorted places.  Each ``partners`` pair (i, s(i))
     with i >= 2 crosses each later one once (s(i) > n) and delta crosses
     every pair twice, so g such pairs give C(g, 2); the crossings of the
     gammas with the thetas are a bit count against the ``crossings`` of
     ``_theta_data``, and those among the thetas are fixed per block.  The
     bases cover the given ``blocks`` only, or the whole ``_block_walk``.
     """
-    n, two_n = spec.n, spec.two_n
+    two_n, partner = spec.two_n, partners(spec.two_n)
     top = 1 << (two_n - 1)
-    pair = {1: 1 | top}  # index -> mask of its gamma pair; delta for 1
-    for i in range(2, n + 1):
-        pair[i] = 1 << (i - 1) | 1 << (spec.sigma(i) - 1)
     if blocks is None:
         blocks = list(_block_walk(spec, m))
     out = [([], [], []) for _ in sides]  # elements, labels, signs per side
     for half, p, r, s, ground, free in blocks:
         thetas, theta_inversions, crossings = _theta_data(spec, r, s)
         base = thetas | (1 if half == "e1" else 0) | (top if half == "e2n" else 0)
-        pairs = [pair[i] for i in ground]
+        pairs = [1 << (i - 1) | 1 << (partner[i] - 1) for i in ground]
         everything = sum(pairs)
         for target, (elements, labels, signs) in zip(sides, out):
             if labelled:
@@ -504,5 +511,8 @@ def betti_bruteforce(spec: AlgebraSpec, degree: int) -> int:
 
 
 def betti_sequence(spec: AlgebraSpec, bruteforce: bool = False) -> list:
-    fn = betti_bruteforce if bruteforce else betti_closed_form
+    """[b_0, ..., b_2n]: by ``betti_bruteforce`` if asked for or in explicit
+    mode, which has no closed form, else by ``betti_closed_form``."""
+    explicit = spec.mode is Mode.EXPLICIT
+    fn = betti_bruteforce if bruteforce or explicit else betti_closed_form
     return [fn(spec, k) for k in range(spec.two_n + 1)]

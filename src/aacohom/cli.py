@@ -18,8 +18,7 @@ from .ce_complex import (
     COHOMOLOGY_MAX_N,
     AlgebraSpec,
     Mode,
-    betti_bruteforce,
-    betti_closed_form,
+    betti_sequence,
     cohomology_basis,
 )
 from .errors import (
@@ -108,20 +107,17 @@ def _cmd_cohomology(args):
     spec = _parse_spec(args)
     results = {}
     ok = True
-    explicit = spec.mode is Mode.EXPLICIT
-    degrees = range(spec.two_n + 1)
     if args.check_brute:  # first: BRUTEFORCE_MAX_N refuses before any work
-        brute = [betti_bruteforce(spec, k) for k in degrees]
+        brute = betti_sequence(spec, bruteforce=True)
     if args.betti or not args.basis:
-        betti = betti_bruteforce if explicit else betti_closed_form
-        results["betti"] = [betti(spec, k) for k in degrees]
+        results["betti"] = betti_sequence(spec)
     if args.check_brute:
         results["betti_bruteforce"] = brute
         # the reference computes no rank: basis sizes or the closed form
-        if explicit:
-            reference = [len(cohomology_basis(spec, k)) for k in degrees]
+        if spec.mode is Mode.EXPLICIT:
+            reference = [len(cohomology_basis(spec, k)) for k in range(len(brute))]
         else:
-            reference = [betti_closed_form(spec, k) for k in degrees]
+            reference = betti_sequence(spec)
         ok = brute == reference
     if args.basis:
         degree = args.degree

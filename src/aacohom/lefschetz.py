@@ -56,9 +56,8 @@ from .ce_complex import (
     betti_closed_form,
     cohomology_basis,
     d_terms,
-    delta_form,
-    gamma_form,
     is_closed,
+    partners,
     weight_is_zero,
 )
 from .errors import (
@@ -89,8 +88,10 @@ from .kneser import KneserGraph, determinant, neighbours
 # matrix (``lefschetz_matrix``) has at most DENSE_MAX_DIMENSION rows (ones
 # n = 8: 66 MB of JSON in 0.5 s, 146 MB); under it the chain and every row
 # cost at most 4.86 M (ones n = 18, m = 3), and a generic pattern is one
-# block.  A block list, about 25 us a block, has at most MAX_BLOCKS (ones
-# n = 14 `--m 7`, 77 534 blocks, 3.1 s if let through, is refused).
+# block.  A block list costs about 24 us a block (ones n = 13 `--m 8`, in
+# process: 1.8 walk, 8.8 theta pass and layout, 1.7 dicts, 11.5 JSON) and has
+# at most MAX_BLOCKS (ones n = 14 `--m 7`, 77 534 blocks, is refused; it
+# would take 2.3 to 2.5 s and 138 MB).
 MAX_WORK = 7_800_000
 BLOCK_COST = 4
 RENDER_BITS = 261_000
@@ -144,11 +145,11 @@ def require_size(spec: AlgebraSpec, ms) -> list:
 
 @lru_cache(maxsize=None)
 def standard_omega(spec: AlgebraSpec) -> Form:
-    """The distinguished symplectic form delta + gamma_2 + ... + gamma_n (cached)."""
-    form = delta_form(spec)
-    for i in range(2, spec.n + 1):
-        form = form + gamma_form(spec, i)
-    return form
+    """The distinguished symplectic form delta + gamma_2 + ... + gamma_n, one
+    e^i ^ e^j for each pair (i, j) of ``partners`` with i <= n (cached)."""
+    partner = partners(spec.two_n)
+    return Form({1 << (i - 1) | 1 << (partner[i] - 1): 1
+                 for i in range(1, spec.n + 1)}, spec.two_n)
 
 
 @lru_cache(maxsize=32)
@@ -440,20 +441,18 @@ class HardLefschetzReport(Record):
 
 def _check_thetas(spec: AlgebraSpec, walk):
     """Pass on each block of ``walk`` once the ``crossings`` of its theta_{R|S}
-    are t(i) on each pair of its ground, counted from R and s(S) against the
-    indices strictly inside the pair, else raise InvariantViolationError; an
-    "e2n" block repeats the (R, S, ground) of an "e1" one and is not checked."""
-    n = spec.n
-    windows = {  # i -> (its gamma pair, the indices strictly inside it)
-        i: (1 << (i - 1) | 1 << (j - 1), (1 << (j - 1)) - (1 << i))
-        for i, j in [(1, 2 * n)] + [(i, i + n - 1) for i in range(2, n + 1)]}
+    are t(i) on each pair (i, j) of ``partners`` in its ground, counted from
+    R and s(S) strictly between i and j, else raise InvariantViolationError;
+    an "e2n" block repeats the (R, S, ground) of an "e1" one, unchecked."""
+    partner = partners(spec.two_n)
     for block in walk:
         half, _, r, s, ground, _ = block
         if half != "e2n":
             thetas, _, crossings = _theta_data(spec, r, s)
             for i in ground:
-                pair, window = windows[i]
-                if ((thetas & window).bit_count() ^ (pair & crossings).bit_count()) & 1:
+                j = partner[i]  # > i, as i <= n
+                inside = (thetas & ((1 << (j - 1)) - (1 << i))).bit_count()
+                if (inside ^ (crossings >> (i - 1) ^ crossings >> (j - 1))) & 1:
                     raise InvariantViolationError(
                         f"the signs of theta_{{{_idx_label(r)}|{_idx_label(s)}}} "
                         f"miss its theta parity on the pair of {i}"
@@ -539,7 +538,7 @@ def hard_lefschetz_report(
 
 def _read_class(spec: AlgebraSpec, cls: dict) -> tuple:
     """(a, M) of a class {mask: coeff}: a on delta, M[i-2][j-2] on e^i^e^s(j)."""
-    n, two_n = spec.n, spec.two_n
+    n, two_n, partner = spec.n, spec.two_n, partners(spec.two_n)
     a, rows = 0, [[0] * (n - 1) for _ in range(n - 1)]
     for mask, c in cls.items():
         mono = Monomial(mask, two_n)
@@ -547,7 +546,7 @@ def _read_class(spec: AlgebraSpec, cls: dict) -> tuple:
         if mask == 1 | 1 << (two_n - 1):
             a = c
         elif len(ij) == 2 and 2 <= ij[0] <= n < ij[1] < two_n:
-            rows[ij[0] - 2][ij[1] - n - 1] = c
+            rows[ij[0] - 2][partner[ij[1]] - 2] = c
         else:
             raise InvariantViolationError(f"{mono} is not delta or e^i^e^s(j)")
     return a, rows
@@ -574,12 +573,13 @@ def pull_back_factors(spec: AlgebraSpec, form: Form) -> tuple:
     phi* commutes with d on each covector (phi is an automorphism; generic
     witness weights force M diagonal), and that phi*(w_std) is the class.
     """
-    n, two_n = spec.n, spec.two_n
+    two_n = spec.two_n
     cls = project_to_cohomology(spec, form).terms
     a, rows = _read_class(spec, cls)
     images = [{1: a}] + [{1 << k: 1} for k in range(1, two_n)]
-    for i, row in enumerate(rows):  # bit n + i is e^{s(i + 2)}
-        images[n + i] = {1 << (n + j): c for j, c in enumerate(row) if c}
+    bit = [x - 1 for x in partners(two_n)]  # bit[i] is e^{s(i)}
+    for i, row in enumerate(rows, 2):
+        images[bit[i]] = {1 << bit[j]: c for j, c in enumerate(row, 2) if c}
     for k in range(two_n):
         pulled = _pull(images, d_terms(spec, {1 << k: 1}), two_n)
         if d_terms(spec, images[k]) != pulled:

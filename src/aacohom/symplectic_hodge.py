@@ -3,9 +3,9 @@
 The star operator is defined against the standard form by the identity
 alpha ^ (star beta) = w^{-1}(alpha, beta) vol, where vol = w^n / n! and
 w^{-1} extends the inverse pairing on covectors by the determinant rule.
-Each index has one partner under the standard form, so w^{-1} pairs a
-monomial with a single monomial, the set of its partners, and star sends
-each monomial to +- the complement of that set.  On top of star sit
+Each index has one partner under the standard form (``partners``), so
+w^{-1} pairs a monomial with a single monomial, the set of its partners, and
+star sends each monomial to +- the complement of that set.  On top of star sit
 d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda].
 
 The operator suite runs on the {mask: coeff} map that is a form's
@@ -35,6 +35,7 @@ from .ce_complex import (
     d_monomial,
     d_terms,
     is_closed,
+    partners,
 )
 from .errors import (
     InvariantViolationError,
@@ -61,16 +62,6 @@ from .lefschetz import _mask_power_chain, standard_omega
 HODGE_MAX_N = 7
 
 
-def _pair_partner(i: int, two_n: int) -> int:
-    """The unique index paired with i by the standard form."""
-    n = two_n // 2
-    if i == 1:
-        return two_n
-    if i == two_n:
-        return 1
-    return i + n - 1 if i <= n else i - n + 1
-
-
 class _StarTable(dict):
     """Star on the monomials of one ambient dimension: {mask: (mask', +-1)}.
 
@@ -95,10 +86,10 @@ class _StarTable(dict):
         (self.vol_sign,) = chain[-1].values()
 
     def __missing__(self, mask: int):
-        two_n = self.two_n
+        two_n, partner_of = self.two_n, partners(self.two_n)
         odd = seen = 0  # seen has bit x for each partner x met so far
         for y in reversed(Monomial(mask, two_n).indices):
-            x = _pair_partner(y, two_n)
+            x = partner_of[y]
             odd += (seen & ((1 << x) - 1)).bit_count() + (x < y)
             seen |= 1 << x
         partner = seen >> 1  # bit x - 1 for index x, as in a mask

@@ -1,6 +1,9 @@
 """Second routes the tests compare the package against.
 
-The weight vector of a monomial and the monomials of one degree as
+The standard form's pairing 1 <-> 2n, i <-> s(i) = i + n - 1, written out
+once here (``literal_partner``, ``literal_omega``) so that no oracle reads
+the package's ``partners``; the weight vector of a monomial and the
+monomials of one degree as
 ``Monomial`` objects; permutation signs by bubble sort (``sort_sign``); the
 wedge product as a loop over pairs of ``Monomial`` objects, each signed by
 counting inversions (``monomial_wedge``), where the package ``wedge`` is the
@@ -26,9 +29,8 @@ from aacohom.lefschetz import (
     _layout,
     _operator_columns,
     check_structure,
-    standard_omega,
 )
-from aacohom.symplectic_hodge import _pair_partner, _require_numeric, star
+from aacohom.symplectic_hodge import _require_numeric, star
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +43,31 @@ def replace(record, **changes):
     through its constructor, so that the record checks its input again."""
     fields = {name: getattr(record, name) for name in record._fields}
     return type(record)(**{**fields, **changes})
+
+
+# ---------------------------------------------------------------------------
+# the standard form's pairing
+# ---------------------------------------------------------------------------
+
+
+def literal_partner(i: int, two_n: int) -> int:
+    """The index the standard form pairs with i: 1 <-> 2n and
+    i <-> s(i) = i + n - 1 for 2 <= i <= n."""
+    n = two_n // 2
+    if i == 1:
+        return two_n
+    if i == two_n:
+        return 1
+    return i + n - 1 if i <= n else i - n + 1
+
+
+def literal_omega(two_n: int) -> Form:
+    """w = e^1 ^ e^{2n} + sum_i e^i ^ e^{s(i)}, one term per pair of
+    ``literal_partner``."""
+    return Form({
+        1 << (i - 1) | 1 << (literal_partner(i, two_n) - 1): 1
+        for i in range(1, two_n // 2 + 1)
+    }, two_n)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +116,7 @@ def weight(spec: AlgebraSpec, m: Monomial) -> WeightVector:
         c = 0
         if m.contains(j):
             c += 1
-        if m.contains(spec.sigma(j)):
+        if m.contains(literal_partner(j, spec.two_n)):
             c -= 1
         coeffs.append(c)
     return WeightVector(tuple(coeffs))
@@ -185,9 +212,10 @@ def leibniz_differential(spec, m):
 
 def whole_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
     """The verified whole L_m, as ``lefschetz_matrix`` builds it but past
-    DENSE_MAX_DIMENSION: ``_operator_columns``, ``_layout`` and
-    ``check_structure``."""
-    source, target, columns, walk = _operator_columns(spec, m, standard_omega(spec))
+    DENSE_MAX_DIMENSION and with w from ``literal_omega``:
+    ``_operator_columns``, ``_layout`` and ``check_structure``."""
+    omega = literal_omega(spec.two_n)
+    source, target, columns, walk = _operator_columns(spec, m, omega)
     matrix = LefschetzMatrix(
         spec.n, m, tuple(columns), target, source, _layout(spec, walk)
     )
@@ -202,7 +230,7 @@ def whole_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
 
 def lefschetz_l(spec: AlgebraSpec, f: Form) -> Form:
     """L(f) = w ^ f."""
-    return monomial_wedge(standard_omega(spec), f)
+    return monomial_wedge(literal_omega(spec.two_n), f)
 
 
 def _lambda(spec: AlgebraSpec, f: Form) -> Form:
@@ -321,7 +349,7 @@ def omega_inverse_covectors(a: int, b: int, two_n: int) -> int:
     The sign is pinned so that star(1) = vol; each pair (low, high) gives
     w^{-1}(e^low, e^high) = -1 and +1 the other way around.
     """
-    if b != _pair_partner(a, two_n):
+    if b != literal_partner(a, two_n):
         return 0
     return -1 if a < b else 1
 
@@ -335,7 +363,7 @@ def omega_inverse(a: Monomial, b: Monomial) -> int:
     matrix = []
     for x in a.indices:
         row = [0] * len(column)
-        y = _pair_partner(x, a.two_n)
+        y = literal_partner(x, a.two_n)
         if y in column:
             row[column[y]] = omega_inverse_covectors(x, y, a.two_n)
         matrix.append(row)

@@ -20,12 +20,20 @@ from aacohom.ce_complex import (
     gamma_form,
     is_closed,
     lefschetz_target_basis,
+    partners,
     weight_is_zero,
 )
 from aacohom.errors import SizeLimitError, UnsupportedModeError
 from aacohom.exterior_algebra import Form, Monomial, wedge
+from aacohom.lefschetz import standard_omega
 
-from oracles import all_monomials, leibniz_differential, weight
+from oracles import (
+    all_monomials,
+    leibniz_differential,
+    literal_omega,
+    literal_partner,
+    weight,
+)
 
 
 def mono(indices, two_n):
@@ -35,6 +43,20 @@ def mono(indices, two_n):
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
+
+
+def test_partners_is_the_literal_pairing():
+    """The one pairing table is s(i) = i + n - 1 and 1 <-> 2n as written out
+    in the oracles, a fixed-point-free involution, and the pairing that
+    ``sigma`` and ``standard_omega`` read."""
+    for n in range(2, 13):
+        two_n, spec = 2 * n, AlgebraSpec.generic(n)
+        table = partners(two_n)
+        indices = range(1, two_n + 1)
+        assert table[1:] == tuple(literal_partner(i, two_n) for i in indices)
+        assert all(table[table[i]] == i != table[i] for i in indices)
+        assert [spec.sigma(i) for i in range(2, n + 1)] == list(table[2:n + 1])
+        assert standard_omega(spec).terms == literal_omega(two_n).terms
 
 
 def test_weight_single_low_index():

@@ -25,17 +25,12 @@ from aacohom.exterior_algebra import (
     Monomial,
     degree_masks,
 )
-from aacohom.lefschetz import (
-    hard_lefschetz_report,
-    omega_power,
-    standard_omega,
-)
+from aacohom.lefschetz import hard_lefschetz_report, omega_power
 from aacohom.symplectic_hodge import (
     HODGE_MAX_N,
     _dc_terms,
     _l_terms,
     _lambda_terms,
-    _pair_partner,
     _star_table,
     _star_terms,
     dc,
@@ -50,6 +45,8 @@ from oracles import (
     lambda_and_h,
     lefschetz_l,
     leibniz_differential,
+    literal_omega,
+    literal_partner,
     monomial_wedge,
     nullspace,
     omega_inverse,
@@ -67,10 +64,11 @@ EXPLICIT = {
 
 
 def volume(spec):
-    """vol = w^n / n! from ``monomial_wedge``, not from the mask chain."""
+    """vol = w^n / n! from ``monomial_wedge`` and ``literal_omega``, not
+    from the mask chain."""
     vol = Form.one(spec.two_n)
     for k in range(1, spec.n + 1):
-        vol = monomial_wedge(vol, standard_omega(spec)) / k
+        vol = monomial_wedge(vol, literal_omega(spec.two_n)) / k
     return vol
 
 
@@ -146,7 +144,7 @@ def test_star_table_matches_the_bareiss_oracle(two_n):
     for mask in range(1 << two_n):
         mono = Monomial(mask, two_n)
         partner = Monomial.from_indices(
-            [_pair_partner(i, two_n) for i in mono.indices], two_n
+            [literal_partner(i, two_n) for i in mono.indices], two_n
         )
         rest = Monomial(full ^ partner.mask, two_n)
         sign, _ = wedge_monomials(partner, rest)
