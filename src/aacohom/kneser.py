@@ -9,7 +9,7 @@ multiplicity C(n, j) - C(n, j-1), so det A(K(n, k)) is their product
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from . import exact_linalg
 from .errors import (
@@ -19,14 +19,14 @@ from .errors import (
     SizeLimitError,
 )
 
-# Vertex-count limits, from one run each of the whole CLI call with the
-# limits lifted, on 2 CPUs (Python 3.11.7).  The CLI lists every vertex and
-# by default the adjacency matrix, rendered from the neighbour lists:
-# K(12,6) (924 vertices, 9 MB of JSON) takes 0.3 s and 40 MB, K(13,6)
-# (1716) 0.5 s and 85 MB, K(14,7) (3432, 130 MB of JSON) 1.0 s and 271 MB.
-# verify_invertible eliminates the dense adjacency and applies the
-# annihilator through the neighbour lists: K(10,5) (252) takes 0.4 s,
-# K(11,4) (330) 2.9 s and K(11,5) (462) 2.7 s, four fifths of it elimination.
+# Vertex-count limits, from whole CLI runs with the limits lifted, on 2 CPUs
+# (Python 3.11.7).  The CLI lists every vertex and by default the adjacency
+# matrix, rendered from the neighbour lists: K(12,6) (924 vertices, 9 MB of
+# JSON) takes 0.3 s and 40 MB, K(13,6) (1716) 0.5 s and 85 MB, K(14,7) (3432,
+# 130 MB of JSON) 1.0 s and 271 MB.  With --verify, K(10,4) (210) takes 0.25
+# s, K(10,5) (252) 0.11 s, K(11,4) (330) 1.0-1.1 s and K(11,5) (462) 0.9-1.0
+# s, at most 20 MB.  The Bareiss determinant, not the annihilator, sets the
+# limit: it is 97 % of verify_invertible's time at K(11,4) and K(11,5).
 MAX_VERTICES = 924
 VERIFY_MAX_VERTICES = 252
 
@@ -137,13 +137,19 @@ class InvertibilityCertificate(Record):
 def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
     """Exact invertibility certificate.
 
-    Reads A from ``neighbours``, computes det(A) by fraction-free
-    elimination of its dense rows, checks it against the closed form
-    ``determinant`` and checks, through the neighbour lists, that the
-    annihilating polynomial prod_j (A - lambda_j I) vanishes.  A zero
-    determinant or one other than the closed form would contradict the
-    spectral description and is reported as an invariant violation.  Graphs
-    above VERIFY_MAX_VERTICES raise SizeLimitError before any work.
+    Reads A from ``neighbours`` and computes det(A) by fraction-free
+    elimination of its dense rows; a zero determinant or one other than the
+    closed form ``determinant`` would contradict the spectral description
+    and is an invariant violation, as is a nonzero prod_j (A - lambda_j I).
+    Graphs above VERIFY_MAX_VERTICES raise SizeLimitError before any work.
+
+    The factors commute, so each acts from the left: row i of (A - lambda I)P
+    is the sum of the rows of P at i's neighbours less lambda times row i.
+    Row i of P is one int, P[i][c] at bit w*c, a map linear over Z.  With d
+    the longest neighbour list, no entry of a partial product exceeds B =
+    prod_j (d + |lambda_j|), the factors' infinity norms.  As 2^w > B, a row
+    whose lowest nonzero entry e sits at c packs to e*2^(wc) modulo
+    2^(w(c+1)), which is not 0: a packed row is 0 exactly when its entries are.
     """
     require_vertex_count(g, VERIFY_MAX_VERTICES)
     eigs = spectrum(g)
@@ -159,21 +165,15 @@ def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
             f"adjacency of K({g.n},{g.k}) has determinant {det}, "
             f"not the closed form {determinant(g)}"
         )
-    # the factors are polynomials in A, so they commute and each can act from
-    # the left: row i of (A - lambda I) P is the sum of the rows of P at i's
-    # neighbours less lambda times row i (zipped with row i first, so that
-    # an isolated vertex keeps its row)
-    product = [[int(i == j) for j in range(size)] for i in range(size)]
+    deg = max(map(len, adjacent))  # the lists read here, not g.degree
+    width = prod(deg + abs(value) for value, _ in eigs).bit_length() + 2
+    rows = [1 << (width * i) for i in range(size)]
     for value, _ in eigs:
-        shift = value + 1
-        product = [
-            [
-                sum(cells) - shift * cells[0]
-                for cells in zip(row, *[product[j] for j in columns])
-            ]
-            for row, columns in zip(product, adjacent)
+        rows = [
+            sum(rows[j] for j in columns) - value * row
+            for row, columns in zip(rows, adjacent)
         ]
-    vanishes = not any(map(any, product))
+    vanishes = not any(rows)
     if not vanishes:
         raise InvariantViolationError(
             f"annihilating polynomial of K({g.n},{g.k}) does not vanish"

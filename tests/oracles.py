@@ -13,8 +13,9 @@ factors (``leibniz_differential``), where the package d is the mask kernel
 ``monomial_wedge``; the whole verified L_m of any size (``whole_matrix``);
 operators as dense matrices; null spaces and solves by dense elimination
 (``rref``); the inverse pairing w^{-1} on monomials as a Bareiss
-determinant; and ``replace``, a copy of a package record with some fields
-changed.
+determinant; the Kneser annihilator prod_j (A - lambda_j I) as a dense
+matrix (``dense_annihilator``), where the package packs each row into one
+int; and ``replace``, a copy of a package record with some fields changed.
 """
 
 from dataclasses import dataclass
@@ -368,3 +369,28 @@ def omega_inverse(a: Monomial, b: Monomial) -> int:
             row[column[y]] = omega_inverse_covectors(x, y, a.two_n)
         matrix.append(row)
     return det_bareiss(matrix)
+
+
+# ---------------------------------------------------------------------------
+# the Kneser annihilator as a dense matrix
+# ---------------------------------------------------------------------------
+
+
+def dense_annihilator(adjacent, values):
+    """prod_j (A - lambda_j I) as a dense list of rows, for A given by its
+    neighbour lists.  Each factor acts from the left: row i of
+    (A - lambda I) P is the sum of the rows of P at i and its neighbours
+    less (lambda + 1) times row i (zipped with row i first, so that an
+    isolated vertex keeps its row)."""
+    size = len(adjacent)
+    product = [[int(i == j) for j in range(size)] for i in range(size)]
+    for value in values:
+        shift = value + 1
+        product = [
+            [
+                sum(cells) - shift * cells[0]
+                for cells in zip(row, *[product[j] for j in columns])
+            ]
+            for row, columns in zip(product, adjacent)
+        ]
+    return product

@@ -19,7 +19,10 @@ stdout changed.  The groups cover:
   benchmark, which pins it too, because it takes longer than this suite;
 * ``lefschetz --hl`` in ones mode for n = 8..11, past the n <= 9 reach of
   the whole-matrix oracle of the report's tests.  These were pinned from
-  the report that walked every block of every L_m.
+  the report that walked every block of every L_m;
+* ``kneser --verify`` for every k >= 1 with n >= 2k at n = 2..8, and for
+  K(10, 5), the largest graph it admits.  These were pinned from the
+  certificate that carried the annihilator as a dense matrix.
 """
 
 import hashlib
@@ -98,6 +101,11 @@ def _groups():
         ["lefschetz", "--n", str(n), "--mode", "ones", "--hl"]
         for n in range(8, 12)
     ]
+    verified = [(n, k) for n in range(2, 9) for k in range(1, n // 2 + 1)]
+    groups["kneser --verify n=2..8 and K(10,5)"] = [
+        ["kneser", "--n", str(n), "--k", str(k), "--verify"]
+        for n, k in verified + [(10, 5)]
+    ]
     return groups
 
 
@@ -168,6 +176,8 @@ PINNED = {
         "d2501fea31a9458df3c258fb7b97595913072de4a932b631317e6e8ae4d25add",
     "lefschetz --hl ones n=8..11":
         "1abf6a4082bd933e8ae3d50aa9a104412dc304a36eba011a1dc279c74dfe9c4b",
+    "kneser --verify n=2..8 and K(10,5)":
+        "8080b6838551ae989a271d4d040b372a785d1b4047afa30b49e1f12065c61885",
 }
 
 

@@ -9,13 +9,17 @@ from aacohom.errors import (
 )
 from aacohom.exact_linalg import det_bareiss
 from aacohom.kneser import (
+    VERIFY_MAX_VERTICES,
     KneserGraph,
     adjacency,
+    comb_past,
     determinant,
     neighbours,
     spectrum,
     verify_invertible,
 )
+
+from oracles import dense_annihilator
 
 K52_PRINTED = [
     [0, 0, 0, 0, 0, 0, 0, 1, 1, 1],
@@ -50,13 +54,17 @@ def test_kn1_is_complete_graph(n):
     assert a == [[0 if i == j else 1 for j in range(n)] for i in range(n)]
 
 
+def _dense_lists(g):
+    """Neighbour lists read off the dense adjacency, not ``neighbours``."""
+    return [[j for j, v in enumerate(row) if v] for row in adjacency(g)]
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_neighbours_are_the_ones_of_adjacency(n):
     # every k, so k = 0 (one vertex, no loop) and the edgeless n < 2k too
     for k in range(n + 1):
         g = KneserGraph(n, k)
-        expected = [[j for j, v in enumerate(row) if v] for row in adjacency(g)]
-        assert neighbours(g) == expected, (n, k)
+        assert neighbours(g) == _dense_lists(g), (n, k)
 
 
 def test_kn0_single_vertex_convention():
@@ -152,6 +160,74 @@ def test_wrong_spectrum_fails_the_annihilator(monkeypatch):
     monkeypatch.setattr(kn, "determinant", lambda g: 48)
     with pytest.raises(InvariantViolationError, match="does not vanish"):
         kn.verify_invertible(KneserGraph(5, 2))
+
+
+def test_packed_annihilator_matches_the_dense_oracle(monkeypatch):
+    import aacohom.exact_linalg as el
+
+    # every K(n, k), k >= 1, n >= 2k, that --verify admits (K(12, 6) is past
+    # it), except the complete graphs K(n, 1) for 22 < n < 252: the dense
+    # product costs n^3 each, 21 s for all of them.  Elimination is checked
+    # by the tests above; here the closed form stands in for it.
+    graphs = [
+        KneserGraph(n, k)
+        for k in range(1, 6)
+        for n in range(2 * k, 23 if k == 1 else VERIFY_MAX_VERTICES + 1)
+        if comb_past(n, k, VERIFY_MAX_VERTICES) <= VERIFY_MAX_VERTICES
+    ]
+    graphs.append(KneserGraph(VERIFY_MAX_VERTICES, 1))
+    assert len(graphs) == 52
+    for g in graphs:
+        monkeypatch.setattr(el, "det_bareiss", lambda a, g=g: determinant(g))
+        values = [v for v, _ in spectrum(g)]
+        assert not any(map(any, dense_annihilator(_dense_lists(g), values)))
+        assert verify_invertible(g).annihilator_vanishes, (g.n, g.k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shifted_eigenvalue_fails_packed_and_dense(n, monkeypatch):
+    import aacohom.kneser as kn
+
+    # prod_j (A - mu_j I) vanishes exactly when every eigenvalue of A is a
+    # mu_j, as A is diagonalisable and each lambda_j has a positive
+    # multiplicity.  K(2k, k) repeats a lambda_j, so moving one copy of it
+    # leaves a product that still vanishes, while moving a lone lambda_j,
+    # even onto another one, leaves a product that does not.
+    graphs = [KneserGraph(n, k) for k in range(1, n // 2 + 1)]
+    cases = [(g, spectrum(g), determinant(g)) for g in graphs]
+    for g, eigs, det in cases:
+        lists = _dense_lists(g)
+        monkeypatch.setattr(kn, "determinant", lambda g, d=det: d)
+        for j in range(len(eigs)):
+            for step in (1, -1):
+                shifted = [(v + step * (i == j), i) for v, i in eigs]
+                values = [v for v, _ in shifted]
+                vanishes = {v for v, _ in eigs} <= set(values)
+                dense = dense_annihilator(lists, values)
+                assert (not any(map(any, dense))) == vanishes, (g, j, step)
+                monkeypatch.setattr(kn, "spectrum", lambda g, s=shifted: s)
+                if vanishes:
+                    assert kn.verify_invertible(g).annihilator_vanishes
+                    continue
+                with pytest.raises(InvariantViolationError, match="does not vanish"):
+                    kn.verify_invertible(g)
+
+
+@pytest.mark.parametrize("e", range(17))
+def test_packed_rows_do_not_carry_into_zero(e, monkeypatch):
+    import aacohom.kneser as kn
+
+    # vertex 0 has a loop and vertex 1 is joined 2^e times to vertex 0, so
+    # with the one eigenvalue 1 the product is [[0, 0], [2^e, -1]]: its row
+    # 1 packs to 0 at width e, and only the longest list, not a degree of
+    # 1, puts the width past it
+    lists = [[0], [0] * 2**e]
+    monkeypatch.setattr(kn, "neighbours", lambda g: lists)
+    monkeypatch.setattr(kn, "spectrum", lambda g: [(1, 0)])
+    monkeypatch.setattr(kn, "determinant", lambda g: 0)  # of [[1, 0], [1, 0]]
+    assert dense_annihilator(lists, [1]) == [[0, 0], [2**e, -1]]
+    with pytest.raises(InvariantViolationError, match="does not vanish"):
+        kn.verify_invertible(KneserGraph(2, 1))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
