@@ -100,14 +100,8 @@ class InvalidParameterError(ValueError):
 
 
 class CertificateFailureError(ValueError):
-    """A lattice certificate could not be established.
-
-    ``prime`` is the shared prime factor when coprimality fails.
-    """
-
-    def __init__(self, message, prime=None):
-        self.prime = prime
-        super().__init__(message)
+    """A lattice certificate could not be established: two t-values have
+    units in one quadratic field."""
 
 
 class NoHarmonicRepresentativeError(RuntimeError):

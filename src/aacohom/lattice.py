@@ -8,16 +8,15 @@ prescribed multiplicative relations between the t_m = log((m+sqrt(m^2-4))/2):
 
 * one shared m (all weights equal after scaling time by t_m);
 * m_2..m_n whose t-values admit no {-1,0,1} relation, obtained from minimal
-  solutions of x^2 - d_j y^2 = 4 for pairwise coprime square-free d_j, or
+  solutions of x^2 - d_j y^2 = 4 for distinct square-free d_j, or
   alternatively from integers squeezed between consecutive 2cosh(2^k).
 
 All algebraic claims (Pell identity, determinant, independence) are exact:
-the t-values of case I are independent because their units lie in distinct
-quadratic fields, which the coprimality of the d_j proves (see
-``hypothesis1_certificate``).  Only the conjugacy is verified numerically,
-at high precision, and only the cosh route of ``--alt-k`` rests on the
-floating subset-sum gap.  mpmath is imported only inside the functions that
-compute with it, so importing this module (and the CLI) does not load it.
+the t-values of case I and of ``--alt-k`` are independent because their
+units lie in distinct quadratic fields, which ``hypothesis1_certificate``
+decides without floats.  Only the conjugacy is verified numerically, at
+high precision.  mpmath is imported only inside the functions that compute
+with it, so importing this module (and the CLI) does not load it.
 """
 
 import itertools
@@ -35,20 +34,14 @@ from .errors import (
 
 DEFAULT_DPS = 40
 # floats, so that no mpf is built at import; each is the binary value of
-# mpf("1e-6") etc. at mpmath's default 53-bit precision
-NUMERIC_TOLERANCE = 1e-6
+# mpf("1e-9") etc. at mpmath's default 53-bit precision
 RESIDUAL_TOLERANCE = 1e-9
 TRACE_TOLERANCE = 1e-12
-# The limit of subset_sum_gap, which only --alt-k and the tests reach.  Set
-# by NUMERIC_TOLERANCE, not time: the default primes give a least gap of
-# 3.0e-5 at n = 14 but 3.4e-7 at n = 15, though coprimality proves them
-# independent.
-MAX_EXHAUSTIVE = 12
 # Budget 2 s (2 CPUs, Python 3.11.7).  Placing m_j ~ 2cosh(2^(k_j - 1))
 # runs mpmath cosh at 1.5 * 2^k_j bits, and nothing factors m_j -+ 2:
 # `lattice --n 3 --alt-k 15,16` takes 0.7 to 1.2 s and the longest list,
-# `--n 13 --alt-k 5,...,16`, 1.4 s, while k = 17 alone takes 3.6 s and
-# 17,18 took 19 s.  The subset-sum gap takes under 0.02 s of each.
+# `--n 17 --alt-k 1,...,16`, 0.8 to 0.9 s, while k = 17 alone takes 3.6 s
+# and 17,18 took 19 s.  The certificate takes 0.003 s of the longest list.
 ALT_REMARK_MAX_EXPONENT = 16
 # Both cases build the dense (2n-1)^2 companion matrix E and print it: at
 # the limit E has 2449 rows, inside the CLI's dense payload limit (2450).
@@ -128,8 +121,8 @@ def is_squarefree(d: int) -> bool:
 @lru_cache(maxsize=2 * LATTICE_MAX_N)
 def squarefree_part(x: int) -> int:
     """Product of the primes dividing x an odd number of times; cached, as
-    one case I d is checked four times on its way to a lattice, and the
-    cache holds every d and m -+ 2 of a family at the lattice limit."""
+    one case I d is checked three times on its way to a lattice, and the
+    cache holds every d of a family at the lattice limit."""
     if x < 1:
         raise InvalidParameterError(f"square-free part needs x >= 1, got {x}")
     part = 1
@@ -213,9 +206,10 @@ def pell_min_solution(d: int) -> PellSolution:
 
 
 def case1_params(n: int, d_list=None) -> list:
-    """Minimal Pell solutions for n-1 pairwise coprime square-free moduli.
+    """Minimal Pell solutions for n-1 distinct square-free moduli.
 
-    Defaults to the first n-1 primes.
+    Defaults to the first n-1 primes.  Distinct square-free d give distinct
+    fields Q(sqrt d), so ``hypothesis1_certificate`` certifies the family.
     """
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
@@ -228,13 +222,13 @@ def case1_params(n: int, d_list=None) -> list:
             f"expected {n - 1} moduli for n={n}, got {len(d_list)}"
         )
     require_trial_division(d_list)
+    seen = set()
     for d in d_list:
+        if d in seen:
+            raise InvalidParameterError(f"modulus {d} is repeated")
+        seen.add(d)
         if d < 2 or not is_squarefree(d):
             raise InvalidParameterError(f"modulus {d} is not square-free or < 2")
-    shared = _shared_factor(d_list)
-    if shared:
-        a, b, g = shared
-        raise InvalidParameterError(f"moduli {a} and {b} share the factor {g}")
     solutions = []
     for d in d_list:
         solutions.append(pell_min_solution(d))
@@ -253,21 +247,6 @@ def _require_lattice_size(case: str, n: int) -> None:
         raise SizeLimitError(
             f"case {case} is limited to n <= {LATTICE_MAX_N}, got {n}"
         )
-
-
-def _shared_factor(values):
-    """(a, b, gcd) of the first pair, in combinations order, that shares a
-    factor; None when the values are pairwise coprime.  Each value is
-    tested against the product of those before it, so a family that passes
-    costs one gcd per value.
-    """
-    product = 1
-    for x in values:
-        if gcd(x, product) > 1:
-            return next((a, b, gcd(a, b)) for a, b in
-                        itertools.combinations(values, 2) if gcd(a, b) > 1)
-        product *= x
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -294,73 +273,70 @@ def t_value(m: int, dps: int = None) -> "mpf":
 
 
 class Hypothesis1Certificate(Record):
-    """Proof that no {-1,0,1} relation holds among the t_{m_j}.
+    """Proof that no {-1,0,1} relation, indeed no rational one, holds among
+    the t_{m_j}.
 
-    ``d_list`` holds the square-free parts d_j of m_j^2 - 4, and a
-    certificate exists only once they are pairwise coprime.  Then u_j =
-    (m_j + sqrt(m_j^2 - 4))/2 is a unit of norm 1 in Q(sqrt d_j), each
-    d_j > 1 (m_j^2 - 4 is no square for m_j >= 3), and no product of the
-    sqrt(d_j) over a nonempty subset is rational.  So the automorphism
-    sigma_i of Q(sqrt d_1, ..., sqrt d_k) that negates sqrt(d_i) alone
-    exists.  Applied to a relation prod u_j^(a_j) = 1 it gives
-    u_i^(-a_i) prod_{j != i} u_j^(a_j) = 1, so u_i^(2 a_i) = 1 and, as
-    u_i > 1, a_i = 0: the t_{m_j} are independent over Q.
+    u_j = (m_j + sqrt(m_j^2 - 4))/2 is a unit of norm u_j u_j' = 1 (u_j' its
+    conjugate) in the real quadratic field F_j = Q(sqrt d_j), with d_j in
+    ``d_list``: the square-free part of d for a PellSolution, as m_j^2 - 4 =
+    d k^2, else m_j^2 - 4, which is no square for m_j >= 3.  A certificate
+    exists only once the F_j are pairwise distinct.  Let K be their
+    compositum and F = F_i one of them.  For F_j != F, Gal(K/F) restricts
+    onto Gal(F_j/Q), half of it to each element, so the norm N_{K/F}(u_j) is
+    (u_j u_j')^([K:F]/2) = 1, while N_{K/F}(u_i) = u_i^[K:F].  So the norm
+    turns a relation prod u_j^(a_j) = 1 (integers a_j) into
+    u_i^(a_i [K:F]) = 1, and as u_i > 1, a_i = 0: the t_{m_j} = log u_j are
+    independent over Q.
     """
 
     m_list: tuple
     d_list: tuple
 
 
-def require_exhaustive(count: int) -> None:
-    if count > MAX_EXHAUSTIVE:
-        raise SizeLimitError(
-            f"the exhaustive search is limited to {MAX_EXHAUSTIVE} values"
-        )
+@lru_cache(maxsize=1)
+def _square_residues() -> tuple:
+    # built on the first call, not at import
+    return tuple((q, frozenset(x * x % q for x in range(q)))
+                 for q in (64, 63, 65, 11))
 
 
-def subset_sum_gap(ms) -> tuple:
-    """(min |sum eps_j t_{m_j}| over nonzero eps in {-1,0,1}^k, its verdict).
-
-    Each such eps is 1_A - 1_B for subsets A != B, so the minimum is the
-    least gap between adjacent sorted subset sums, found at DEFAULT_DPS
-    (None for k = 0); the verdict is whether it exceeds NUMERIC_TOLERANCE.
-    No m_j is factored.  The verdict of ``lattice --alt-k``, and the tests'
-    oracle for ``hypothesis1_certificate``.
-    """
-    from mpmath import mp
-
-    require_exhaustive(len(ms))
-    with mp.workdps(DEFAULT_DPS):
-        sums = [0]
-        for t in (t_value(m, DEFAULT_DPS) for m in ms):
-            sums += [s + t for s in sums]
-        sums.sort()
-        gap = min((b - a for a, b in zip(sums, sums[1:])), default=None)
-        return gap, gap is not None and gap > NUMERIC_TOLERANCE
+def _one_field(a: int, b: int) -> bool:
+    """Whether Q(sqrt a) = Q(sqrt b) for non-squares a, b >= 2, that is,
+    whether a b is a square.  Its residues mod 64, 63, 65 and 11 refuse
+    all but under 1 % of non-squares before the exact isqrt, and they are
+    read off a and b without forming the product."""
+    if not all((a % q) * (b % q) % q in squares
+               for q, squares in _square_residues()):
+        return False
+    root = isqrt(a * b)
+    return root * root == a * b
 
 
 def hypothesis1_certificate(m_list) -> Hypothesis1Certificate:
     """Certify independence of the t_{m_j}; see Hypothesis1Certificate.
 
-    ``m_list`` may also hold PellSolutions, whose d alone is factored; for
-    a bare m, m - 2 and m + 2 are, within MAX_TRIAL_DIVISION.  Square-free
-    parts that share a prime raise CertificateFailureError.
+    ``m_list`` may also hold PellSolutions, keyed by the square-free part
+    of d, whose d alone is factored, within MAX_TRIAL_DIVISION; a bare m is
+    keyed by m^2 - 4 and factors nothing.  The first pair, in combinations
+    order, whose units lie in one field raises CertificateFailureError.
     """
     if not m_list:
         raise InvalidParameterError("a certificate needs at least one value")
     pell = [isinstance(s, PellSolution) for s in m_list]
     ms = [s.m if p else int(s) for s, p in zip(m_list, pell)]
-    require_trial_division(itertools.chain.from_iterable(
-        (s.d,) if p else (m - 2, m + 2) for s, m, p in zip(m_list, ms, pell)
-    ))
-    d_list = [squarefree_part(s.d) if p else _squarefree_part_m(m)
+    if min(ms) < 3:
+        raise InvalidParameterError(f"t_m needs m >= 3, got {min(ms)}")
+    require_trial_division(s.d for s, p in zip(m_list, pell) if p)
+    d_list = [squarefree_part(s.d) if p else m * m - 4
               for s, m, p in zip(m_list, ms, pell)]
-    shared = _shared_factor(d_list)
-    if shared:
-        prime = min(_factorize(shared[2]))
-        raise CertificateFailureError(
-            f"square-free parts {d_list} share the prime {prime}", prime=prime
-        )
+    # distinct square-free keys are distinct fields, so a family of Pell
+    # solutions needs the pairwise test only once two keys are equal
+    if not all(pell) or len(set(d_list)) < len(d_list):
+        for (a, x), (b, y) in itertools.combinations(zip(ms, d_list), 2):
+            if _one_field(x, y):
+                raise CertificateFailureError(
+                    f"the units of m = {a} and m = {b} lie in one quadratic field"
+                )
     return Hypothesis1Certificate(tuple(ms), tuple(d_list))
 
 
@@ -505,8 +481,9 @@ def _mat2(a, b):
 def alt_remark_params(n: int, k_list) -> list:
     """Smallest integers m_j with 2cosh(2^{k_j - 1}) <= m_j < 2cosh(2^{k_j}).
 
-    The t_{m_j} then have binary magnitudes 2^{k_j - 1} < t < 2^{k_j}, which
-    makes them independent without any coprimality condition.
+    The t_{m_j} then have binary magnitudes 2^{k_j - 1} <= t < 2^{k_j}.
+    These alone do not make them independent (t in (1, 2), (2, 4) and
+    (4, 8) allow t_1 + t_2 = t_3); ``hypothesis1_certificate`` proves it.
     """
     from mpmath import mp, mpf
 
@@ -523,7 +500,6 @@ def alt_remark_params(n: int, k_list) -> list:
         raise SizeLimitError(
             f"exponents above {ALT_REMARK_MAX_EXPONENT} exceed the size guard"
         )
-    require_exhaustive(len(k_list))  # before any cosh: the gap takes them all
     out = []
     for k in k_list:
         # enough bits to place an integer next to 2cosh(2^(k-1)) ~ e^(2^(k-1))

@@ -15,7 +15,10 @@ operators as dense matrices; null spaces and solves by dense elimination
 (``rref``); the inverse pairing w^{-1} on monomials as a Bareiss
 determinant; the Kneser annihilator prod_j (A - lambda_j I) as a dense
 matrix (``dense_annihilator``), where the package packs each row into one
-int; and ``replace``, a copy of a package record with some fields changed.
+int; the least |sum eps_j t_{m_j}| over nonzero eps in {-1,0,1}^k as a
+float subset-sum gap (``subset_sum_gap``), where the package certifies the
+t-values by their quadratic fields; and ``replace``, a copy of a package
+record with some fields changed.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ from aacohom.ce_complex import AlgebraSpec, Mode, differential
 from aacohom.exact_linalg import det_bareiss, rank, rref
 from aacohom.errors import DimensionMismatchError
 from aacohom.exterior_algebra import Form, Monomial, degree_masks
+from aacohom.lattice import DEFAULT_DPS, t_value
 from aacohom.lefschetz import (
     LefschetzMatrix,
     _layout,
@@ -394,3 +398,30 @@ def dense_annihilator(adjacent, values):
             for row, columns in zip(product, adjacent)
         ]
     return product
+
+
+# ---------------------------------------------------------------------------
+# the t-values' least {-1,0,1} combination, in floats
+# ---------------------------------------------------------------------------
+
+# a gap at or below this is read as a relation
+NUMERIC_TOLERANCE = 1e-6
+
+
+def subset_sum_gap(ms) -> tuple:
+    """(min |sum eps_j t_{m_j}| over nonzero eps in {-1,0,1}^k, its verdict).
+
+    Each such eps is 1_A - 1_B for subsets A != B, so the minimum is the
+    least gap between adjacent sorted subset sums, found at DEFAULT_DPS
+    (None for k = 0); the verdict is whether it exceeds NUMERIC_TOLERANCE.
+    No m_j is factored.  The tests' oracle for ``hypothesis1_certificate``.
+    """
+    from mpmath import mp
+
+    with mp.workdps(DEFAULT_DPS):
+        sums = [0]
+        for t in (t_value(m, DEFAULT_DPS) for m in ms):
+            sums += [s + t for s in sums]
+        sums.sort()
+        gap = min((b - a for a, b in zip(sums, sums[1:])), default=None)
+        return gap, gap is not None and gap > NUMERIC_TOLERANCE

@@ -322,15 +322,30 @@ LARGE_MODULI = ",".join(map(str, (
 def test_lattice_case1_certificate_needs_no_subset_sum(capsys, monkeypatch):
     from aacohom import lattice
 
-    def gap(*args):
-        raise AssertionError("case I ran the floating subset-sum gap")
-
-    monkeypatch.setattr(lattice, "subset_sum_gap", gap)
-    monkeypatch.setattr(cli, "subset_sum_gap", gap)
-    for argv in ("--n 13", "--n 5 --d 2,3,5,7", "--n 40"):
+    # every float t-value goes through t_value: one per printed block, and
+    # none for a subset sum
+    calls = []
+    t_value = lattice.t_value
+    monkeypatch.setattr(lattice, "t_value",
+                        lambda m, *dps: calls.append(m) or t_value(m, *dps))
+    for argv in ("--n 13", "--n 5 --d 2,3,5,7", "--n 40", "--n 4 --d 2,3,6"):
+        calls.clear()
         code, report = run_json(capsys, "lattice", "--case", "I", *argv.split())
         assert code == 0
         assert report["results"]["hypothesis1_certified"] is True
+        assert calls == [int(m) for m in report["results"]["m_list"]]
+
+
+def test_lattice_case1_moduli_need_only_be_distinct(capsys):
+    code, report = run_json(capsys, "lattice", "--case", "I", "--n", "4",
+                            "--d", "2,3,6")
+    assert code == 0
+    assert report["results"]["hypothesis1_certified"] is True
+    assert report["results"]["d_list"] == [2, 3, 6]
+    assert cli.main(["lattice", "--case", "I", "--n", "3", "--d", "3,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "usage error: modulus 3 is repeated"
 
 
 def test_lattice_case1_large_moduli_are_refused_before_factoring(
@@ -387,14 +402,25 @@ def test_lattice_alt_k_count_is_checked_before_any_cosh(capsys, monkeypatch):
     import mpmath
 
     def cosh(*args):
-        raise AssertionError("--alt-k placed an m_j beyond the count limit")
+        raise AssertionError("--alt-k placed an m_j past a refused count")
 
     # the context object that lattice's function-local imports return
     monkeypatch.setattr(mpmath.mp, "cosh", cosh)
-    ks = ",".join(str(k) for k in range(1, 17))
+    ks = ",".join(str(k) for k in range(1, 16))
     assert cli.main(["lattice", "--n", "17", "--alt-k", ks]) == 2
     err = capsys.readouterr().err
-    assert "the exhaustive search is limited to 12 values" in err
+    assert "expected 16 exponents for n=17, got 15" in err
+
+
+def test_lattice_alt_k_refusal_exits_1(capsys, monkeypatch):
+    # no admitted exponents place two units in one field, so patch them in
+    monkeypatch.setattr(cli, "alt_remark_params", lambda n, ks: [3, 7, 18])
+    assert cli.main(["lattice", "--n", "4", "--alt-k", "1,2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "check failed: the units of m = 3 and m = 7 lie in one quadratic field"
+    )
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -545,6 +571,17 @@ def test_lattice_alt_k_guard_admits_its_limit_in_time():
                         seconds=30)
     assert over.returncode == 2
     assert "size guard" in over.stderr
+
+
+def test_lattice_alt_k_admits_every_exponent_in_time():
+    # the 16 admitted exponents place m_j whose units lie in 16 distinct
+    # fields, so the longest list is certified
+    ks = ",".join(str(k) for k in range(1, 17))
+    done = _cli_process("lattice", "--n", "17", "--alt-k", ks, seconds=30)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["numeric_independence"] is True
+    assert len(results["alt_params"]) == 16
 
 
 def _assert_case1_passes(d):

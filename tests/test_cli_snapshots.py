@@ -22,7 +22,10 @@ stdout changed.  The groups cover:
   the report that walked every block of every L_m;
 * ``kneser --verify`` for every k >= 1 with n >= 2k at n = 2..8, and for
   K(10, 5), the largest graph it admits.  These were pinned from the
-  certificate that carried the annihilator as a dense matrix.
+  certificate that carried the annihilator as a dense matrix;
+* ``lattice --alt-k`` at seven and at twelve exponents, and a case I pair
+  whose t-values differ by under 1e-6.  These were pinned when ``--alt-k``
+  read a floating subset-sum gap and case I required coprime moduli.
 """
 
 import hashlib
@@ -46,6 +49,12 @@ README_EXAMPLES = (
     "lattice --case II --n 3 --m 3",
     "lattice --n 5 --alt-k 1,2,3,4",
     "verify-all --max-n 5",
+)
+
+LATTICE_PINS = (
+    "lattice --n 8 --alt-k 1,2,3,4,5,6,7",
+    "lattice --n 13 --alt-k 5,6,7,8,9,10,11,12,13,14,15,16",
+    "lattice --case I --n 3 --d 25000020000005,25000040000017",
 )
 
 
@@ -95,7 +104,7 @@ def _groups():
         groups[f"lefschetz csv {mode}"] = list(_csv_lefschetz_calls(mode))
     for fmt in ("json", "text", "csv"):
         groups[f"kneser {fmt}"] = list(_kneser_calls(fmt))
-    for example in README_EXAMPLES:
+    for example in README_EXAMPLES + LATTICE_PINS:
         groups[example] = [example.split()]
     groups["lefschetz --hl ones n=8..11"] = [
         ["lefschetz", "--n", str(n), "--mode", "ones", "--hl"]
@@ -178,6 +187,12 @@ PINNED = {
         "1abf6a4082bd933e8ae3d50aa9a104412dc304a36eba011a1dc279c74dfe9c4b",
     "kneser --verify n=2..8 and K(10,5)":
         "8080b6838551ae989a271d4d040b372a785d1b4047afa30b49e1f12065c61885",
+    "lattice --n 8 --alt-k 1,2,3,4,5,6,7":
+        "2c7a00a126657692ceb3482228efed29c49bd307401e20868f57b9da5ef0adcd",
+    "lattice --n 13 --alt-k 5,6,7,8,9,10,11,12,13,14,15,16":
+        "c545c7aceb7bcbd33844de2a0a8b8a09abea56d2aad0a007df521c8488dd0cc2",
+    "lattice --case I --n 3 --d 25000020000005,25000040000017":
+        "4b13e763a3d44845eb7f1b1ff00c910fbd84135ec5163a291b1141a71a989251",
 }
 
 

@@ -30,10 +30,9 @@ from aacohom.lattice import (
     lattice_failures,
     pell_min_solution,
     squarefree_part,
-    subset_sum_gap,
     t_value,
 )
-from oracles import replace
+from oracles import replace, subset_sum_gap
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +294,22 @@ def test_case1_rejects_non_squarefree():
 
 
 def test_case1_rejects_shared_factor():
-    with pytest.raises(InvalidParameterError):
-        case1_params(3, [6, 10])
+    # only a repeated modulus: distinct square-free moduli that share a
+    # factor lie in distinct fields, and it is refused before any Pell work
+    for moduli in ([6, 6], [3, 5, 3]):
+        with pytest.raises(InvalidParameterError,
+                           match=f"modulus {moduli[0]} is repeated"):
+            case1_params(len(moduli) + 1, moduli)
+
+
+@pytest.mark.parametrize("moduli", [[2, 3, 6], [6, 10], [6, 10, 15, 2]])
+def test_case1_admits_moduli_that_share_a_factor(moduli):
+    solutions = case1_params(len(moduli) + 1, moduli)
+    cert = hypothesis1_certificate(solutions)
+    assert cert.d_list == tuple(moduli)
+    assert subset_sum_gap(cert.m_list)[1]
+    package = build_lattice("I", len(moduli) + 1, solutions)
+    assert package.certificate == cert and lattice_failures(package) == []
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +324,20 @@ def test_certificate_for_reference_parameters():
 
 
 def test_certificate_fails_on_repeated_modulus():
-    with pytest.raises(CertificateFailureError) as err:
+    with pytest.raises(CertificateFailureError, match="m = 6 and m = 6 lie"):
         hypothesis1_certificate([6, 6])
-    assert err.value.prime == 2
+    # one field Q(sqrt 2) under two moduli: Pell solutions are keyed by the
+    # square-free part of d, not by d
+    with pytest.raises(CertificateFailureError, match="m = 6 and m = 6 lie"):
+        hypothesis1_certificate([PellSolution(8, 6, 2), PellSolution(2, 6, 4)])
 
 
 def test_certificate_numeric_tier_for_cosh_parameters():
-    with pytest.raises(CertificateFailureError) as err:
-        hypothesis1_certificate([4, 8, 55, 2981])
-    assert err.value.prime == 3  # 4 and 55 both contribute the prime 3
+    # the square-free parts 3, 15, 3 * 19 * 53 and 19 * 157 * 331 of m^2 - 4
+    # share the prime 3, yet the four fields are distinct
+    cert = hypothesis1_certificate([4, 8, 55, 2981])
+    assert cert.m_list == (4, 8, 55, 2981)
+    assert cert.d_list == (12, 60, 3021, 2981 ** 2 - 4)
     gap, ok = subset_sum_gap([4, 8, 55, 2981])
     assert ok
     assert gap > mpf("1e-6")
@@ -336,12 +354,14 @@ def test_certificate_size_guard(monkeypatch):
         raise AssertionError("factored past the trial-division budget")
 
     monkeypatch.setattr(lattice, "_factorize", factoring)
-    # m -+ 2 of an m near 2^48, both prime, need more trial division than
-    # one value at the bound
+    # two Pell d = m^2 - 4 near 2^96, each trial-divided up to the bound,
+    # need more trial division than one value at the bound
+    big = [PellSolution(m * m - 4, m, 1) for m in (TWIN_PRIME_M, TWIN_PRIME_M + 1)]
     with pytest.raises(SizeLimitError, match="trial divisions"):
-        hypothesis1_certificate([TWIN_PRIME_M])
-    with pytest.raises(SizeLimitError):
-        subset_sum_gap([3] * 13)
+        hypothesis1_certificate(big)
+    # a bare m is keyed by m^2 - 4 and factors nothing
+    cert = hypothesis1_certificate([TWIN_PRIME_M, 3])
+    assert cert.d_list == (TWIN_PRIME_M ** 2 - 4, 5)
 
 
 def _sign_search_min(ms):
@@ -387,17 +407,37 @@ def test_numeric_tier_rejects_a_relation(ms):
 
 
 def test_structural_tier_rejects_the_relation():
-    with pytest.raises(CertificateFailureError) as err:
+    # t_18 = t_3 + t_7, and the first pair in one field Q(sqrt 5) is named
+    with pytest.raises(CertificateFailureError,
+                       match="^the units of m = 3 and m = 7 lie in one "
+                             "quadratic field$"):
         hypothesis1_certificate([3, 7, 18])
-    assert err.value.prime == 5
 
 
-@pytest.mark.parametrize("ms, prime", [
-    ([3, 7, 18], 5), ([6, 6], 2), ([3, 3], 5), ([4, 8, 55, 2981], 3),
+@pytest.mark.parametrize("ms, pair", [
+    ([3, 7, 18], (3, 7)), ([6, 6], (6, 6)), ([3, 3], (3, 3)),
+    # 14^2 - 4 = 3 * 8^2 puts t_14 in the field of t_4
+    ([4, 8, 55, 2981, 14], (4, 14)),
+    # the Pell solution m = 3 of d = 5 and a bare 18 share Q(sqrt 5)
+    ([pell_min_solution(5), 18, 7], (3, 18)),
 ])
-def test_shared_prime_families_name_the_prime(ms, prime):
-    with pytest.raises(CertificateFailureError, match=f"share the prime {prime}$"):
+def test_one_field_families_name_the_pair(ms, pair):
+    a, b = pair
+    with pytest.raises(CertificateFailureError,
+                       match=f"m = {a} and m = {b} lie in one quadratic field$"):
         hypothesis1_certificate(ms)
+
+
+def test_one_field_is_a_square_product():
+    # a wrong residue table would refuse true squares a^2 j^2 k^2 or pass
+    # a non-square to the exact isqrt
+    rng = random.Random(11)
+    for _ in range(2000):
+        a, j, k = (rng.randrange(1, 10 ** rng.randrange(1, 30)) for _ in range(3))
+        assert lattice._one_field(a * j * j, a * k * k)
+        x, y = rng.randrange(2, 10 ** 6), rng.randrange(2, 10 ** 6)
+        root = isqrt(x * y)
+        assert lattice._one_field(x, y) == (root * root == x * y)
 
 
 def _coprime_squarefree_moduli(rng, count):
@@ -459,6 +499,13 @@ def test_certified_bare_families_have_no_relation():
         assert subset_sum_gap(ms)[0] < mpf("1e-30")
         with pytest.raises(CertificateFailureError):
             hypothesis1_certificate(ms)
+
+
+@pytest.mark.parametrize("ms", [[2], [5, 2], [1, 7]])
+def test_certificate_refuses_m_below_3(ms):
+    # u = 1 for m = 2: no field, and a bare m below 3 has no key
+    with pytest.raises(InvalidParameterError, match="t_m needs m >= 3"):
+        hypothesis1_certificate(ms)
 
 
 def test_certificate_of_no_values_is_refused():
