@@ -42,6 +42,7 @@ from .exterior_algebra import (
     Monomial,
     below_parity,
     degree_masks,
+    map_terms,
 )
 from .kneser import comb_past
 
@@ -175,12 +176,12 @@ def weight_is_zero(spec: AlgebraSpec, mask: int) -> bool:
     return not _scaled_weight(spec, mask)
 
 
-def d_monomial(spec: AlgebraSpec, mask: int):
+def d_monomial(spec: AlgebraSpec, mask: int, scaled: bool = False):
     """d of the monomial ``mask``: (target mask, coefficient), or None if zero.
 
     d e^m = (-1)^(deg m + 1) <w(m), b> e^(m u {2n}), with an int coefficient
-    unless a weight is non-integral.  Generic mode reads the witness weights
-    of ``bit_weights``, so there only "is it None" is meaningful.
+    unless a weight is non-integral; ``scaled`` gives the int of scale * d
+    (``bit_weights``).  Generic mode reads the witness weights: only None counts.
     """
     shares, scale = spec.bit_weights
     top = 1 << (len(shares) - 1)
@@ -191,7 +192,7 @@ def d_monomial(spec: AlgebraSpec, mask: int):
         return None
     if not mask.bit_count() & 1:
         total = -total
-    return mask | top, total if scale == 1 else Fraction(total, scale)
+    return mask | top, total if scaled or scale == 1 else Fraction(total, scale)
 
 
 def differential(spec: AlgebraSpec, f: Form) -> Form:
@@ -210,12 +211,7 @@ def differential(spec: AlgebraSpec, f: Form) -> Form:
 
 def d_terms(spec: AlgebraSpec, terms: dict) -> dict:
     """d of a {mask: coeff} form; d is injective on monomials, so no sums."""
-    out = {}
-    for mask, c in terms.items():
-        image = d_monomial(spec, mask)
-        if image:
-            out[image[0]] = image[1] * c
-    return out
+    return map_terms(partial(d_monomial, spec), terms)
 
 
 def is_closed(spec: AlgebraSpec, f: Form) -> bool:

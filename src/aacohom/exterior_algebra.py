@@ -6,8 +6,9 @@ strictly increasing indices is stored as a bit mask over the 2n positions
 become word operations.  A form is its sparse map {mask: coeff}, each
 coefficient exact (``exact``: an int when integral, else a Fraction) and
 never zero, and no value is ever mutated after construction.  Every kernel
-reads and returns such maps: ``wedge`` is ``wedge_terms`` and a sum is
-``add_terms``.  ``Monomial`` is the value type of labels and printing.
+reads and returns such maps: ``wedge`` is ``wedge_terms``, a sum is
+``add_terms`` and a monomial map (mask -> (mask', coeff) or None) is
+``map_terms``.  ``Monomial`` is the value type of labels and printing.
 """
 
 from fractions import Fraction
@@ -102,6 +103,17 @@ def add_terms(a: dict, b: dict, scale: int = 1) -> dict:
     for mask, c in b.items():
         out[mask] = out.get(mask, 0) + scale * c
     return {mask: c for mask, c in out.items() if c}
+
+
+def map_terms(image_of, terms: dict) -> dict:
+    """A monomial map on a {mask: coeff} form, one that sends distinct
+    monomials to distinct ones, so that no images need summing."""
+    out = {}
+    for mask, c in terms.items():
+        image = image_of(mask)
+        if image:
+            out[image[0]] = image[1] * c
+    return out
 
 
 def wedge_terms(a: dict, b: dict, two_n: int) -> dict:

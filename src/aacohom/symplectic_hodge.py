@@ -8,32 +8,31 @@ w^{-1} pairs a monomial with a single monomial, the set of its partners, and
 star sends each monomial to +- the complement of that set.  On top of star sit
 d^c = (-1)^{k+1} star d star, Lambda = star L star and H = [L, Lambda].
 
-The operator suite runs on the {mask: coeff} map that is a form's
-``terms``, with int coefficients unless an explicit weight is
-non-integral.  Star is one table {mask: (mask', +-1)} per 2n, each entry
-derived from the defining identity on first use, with w^{-1} in closed
-form; d is ``ce_complex.d_terms`` and L is one
-``exterior_algebra.wedge_terms`` with the terms of ``standard_omega``;
-d^c, Lambda and [d, Lambda] are composed from these.  The Form-level
-``star``, ``dc`` and ``harmonic_representative`` wrap the map they return
-in a ``Form``.
+The operator suite reads one ``_Tables`` per spec, one entry per mask: star
+from the star table of 2n, d from ``d_monomial``, d^c as one monomial or
+None, and Lambda = star L star, L being ``wedge_terms`` with ``standard_omega``.
+As d is monomial-diagonal, d, d^c and their composites send distinct
+monomials to distinct single monomials: the monomial identities are lookups,
+the dd^c lemma an equality of monomial sets and a harmonic representative a
+term-by-term preimage lookup in d^c d, exact and with no elimination.
 
-Since d is monomial-diagonal, d, d^c and their composites send each
-monomial to a single monomial, distinct ones to distinct ones.  The d d^c
-lemma is then an equality of monomial sets and a harmonic representative is
-a term-by-term preimage lookup, both exact and with no elimination.  The
-suite is limited to n <= HODGE_MAX_N.
+The tables hold the ints scale * d and scale * d^c (``bit_weights``).  Each
+checked identity is homogeneous in d, of degree 1 or 2 on both sides, and
+scale * d has the images and kernels of d, so every verdict is that of d.
+The harmonic solve is scale-invariant: scale^2 d^c d x' = -scale d^c r gives
+x' = x / scale and r + (scale d) x' = r + d x.  The Form-level ``star`` and
+``dc`` apply the same monomial maps with the true d.  The suite is limited
+to n <= HODGE_MAX_N.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .ce_complex import (
     AlgebraSpec,
     Mode,
     cohomology_basis,
     d_monomial,
-    d_terms,
     is_closed,
     partners,
 )
@@ -50,16 +49,16 @@ from .exterior_algebra import (
     add_terms,
     below_parity,
     degree_masks,
+    map_terms,
     wedge_terms,
 )
 from .lefschetz import _mask_power_chain, standard_omega
 
-# Largest n of the operator suite, checked before any operator is built
-# (2 CPUs, Python 3.11.7): `hodge --n 7 --mode ones` takes 0.8-1.1 s and
-# 21 MB, far inside the 30 s budget CI gives it.  n = 8 would take 2.5-3.2 s
-# and 31 MB (in process, the limit lifted, two runs), 0.5 s of it filling
-# the 2^16-entry star table.
-HODGE_MAX_N = 7
+# Largest n of the operator suite, checked before any table is built (2 CPUs,
+# Python 3.11.7, whole runs): `hodge --n 8 --mode ones` takes 0.81-0.95 s and
+# 48 MB, and `--mode explicit --b 1/2,2/3,3,4,5,6,7/5` 0.86-0.98 s and 51 MB,
+# far inside the 30 s CI gives each.  Ones n = 9 would take 4.1 s and 144 MB.
+HODGE_MAX_N = 8
 
 
 class _StarTable(dict):
@@ -86,9 +85,10 @@ class _StarTable(dict):
         (self.vol_sign,) = chain[-1].values()
 
     def __missing__(self, mask: int):
-        two_n, partner_of = self.two_n, partners(self.two_n)
+        two_n, partner_of, left = self.two_n, partners(self.two_n), mask
         odd = seen = 0  # seen has bit x for each partner x met so far
-        for y in reversed(Monomial(mask, two_n).indices):
+        while y := left.bit_length():  # the indices y of the mask, from the top
+            left ^= 1 << (y - 1)
             x = partner_of[y]
             odd += (seen & ((1 << x) - 1)).bit_count() + (x < y)
             seen |= 1 << x
@@ -107,64 +107,47 @@ def _star_table(two_n: int) -> _StarTable:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: operators on {mask: coeff}
-#
-# Coefficients are ints unless an explicit weight is non-integral.  star is
-# a signed permutation of the monomials and d sends distinct monomials to
-# distinct ones, so their images (and d^c's) need no summing; L, Lambda and
-# the sums do.
+# the kernel: monomial maps (mask -> (mask', coeff) or None), and Lambda
 # ---------------------------------------------------------------------------
 
 
-def _star_terms(two_n: int, terms: dict) -> dict:
-    table = _star_table(two_n)
-    out = {}
-    for mask, c in terms.items():
-        target, sign = table[mask]
-        out[target] = sign * c
-    return out
+def _then(first, second, mask: int):
+    """second(first(mask)) of two monomial maps: (mask', coeff) or None."""
+    image = first(mask)
+    inner = image and second(image[0])
+    return inner and (inner[0], inner[1] * image[1])
 
 
-def _dc_terms(spec: AlgebraSpec, terms: dict) -> dict:
-    """d^c = (-1)^{k+1} star d star on each degree-k monomial."""
-    table = _star_table(spec.two_n)
-    out = {}
-    for mask, c in terms.items():
-        middle, before = table[mask]
-        image = d_monomial(spec, middle)
+def _dc_monomial(star_of, d_of, mask: int):
+    """d^c = (-1)^{k+1} star d star on the degree-k monomial ``mask``."""
+    middle, before = star_of(mask)
+    image = d_of(middle)
+    if image:
+        result, after = star_of(image[0])
+        sign = before * after if mask.bit_count() & 1 else -before * after
+        return result, sign * image[1]
+
+
+def _lambda_monomial(star_of, omega: dict, two_n: int, mask: int) -> dict:
+    """Lambda = star L star on ``mask``, with L one ``wedge_terms`` with w."""
+    middle, before = star_of(mask)
+    return map_terms(star_of, wedge_terms(omega, {middle: before}, two_n))
+
+
+def _preimages(image_of, two_n: int, degree: int) -> dict:
+    """{target: (source, coeff)} of a monomial map on the degree-``degree``
+    masks.  Subspaces read off it are exact only if the map is injective on
+    the monomials it does not kill, so that is checked."""
+    preimages = {}
+    for source in degree_masks(two_n, degree):
+        image = image_of(source)
         if image:
-            target, value = image
-            result, after = table[target]
-            sign = before * after if mask.bit_count() & 1 else -before * after
-            out[result] = sign * value * c
-    return out
-
-
-@lru_cache(maxsize=None)
-def _omega_terms(two_n: int) -> dict:
-    """{mask: coeff} of ``standard_omega``, the same in every mode."""
-    return standard_omega(AlgebraSpec.generic(two_n // 2)).terms
-
-
-def _l_terms(spec: AlgebraSpec, terms: dict) -> dict:
-    """L = w ^ ."""
-    return wedge_terms(_omega_terms(spec.two_n), terms, spec.two_n)
-
-
-def _lambda_terms(spec: AlgebraSpec, terms: dict) -> dict:
-    """Lambda = star L star."""
-    two_n = spec.two_n
-    return _star_terms(two_n, _l_terms(spec, _star_terms(two_n, terms)))
-
-
-# ---------------------------------------------------------------------------
-# Form-level operators
-# ---------------------------------------------------------------------------
-
-
-def star(spec: AlgebraSpec, f: Form) -> Form:
-    """Symplectic star of a form (applied degreewise); an exact involution."""
-    return Form(_star_terms(spec.two_n, f.terms), spec.two_n)
+            if image[0] in preimages:
+                raise InvariantViolationError(
+                    f"two monomials map onto {Monomial(image[0], two_n)}"
+                )
+            preimages[image[0]] = (source, image[1])
+    return preimages
 
 
 def _require_numeric(spec):
@@ -174,58 +157,70 @@ def _require_numeric(spec):
         )
 
 
+class _Tables:
+    """star, scale * d, scale * d^c and Lambda of one spec, one entry per mask;
+    above n = HODGE_MAX_N it raises SizeLimitError before building any."""
+
+    def __init__(self, spec: AlgebraSpec):
+        if spec.n > HODGE_MAX_N:
+            raise SizeLimitError(f"the operator suite is limited to n <= {HODGE_MAX_N}")
+        _require_numeric(spec)
+        self.two_n, masks = spec.two_n, range(1 << spec.two_n)
+        self.star = list(map(_star_table(spec.two_n).__getitem__, masks))
+        self.d = [d_monomial(spec, mask, scaled=True) for mask in masks]
+        star_of, self.d_of = self.star.__getitem__, self.d.__getitem__
+        self.dc = [_dc_monomial(star_of, self.d_of, mask) for mask in masks]
+        self.dc_of = self.dc.__getitem__
+        omega = standard_omega(spec).terms
+        self.lam = [_lambda_monomial(star_of, omega, self.two_n, m) for m in masks]
+        self._dcd = {}
+
+    def dcd_preimages(self, degree: int) -> dict:
+        """``_preimages`` of scale^2 d^c d on degree ``degree``, built once."""
+        if degree not in self._dcd:
+            dcd = partial(_then, self.d_of, self.dc_of)
+            self._dcd[degree] = _preimages(dcd, self.two_n, degree)
+        return self._dcd[degree]
+
+
+# ---------------------------------------------------------------------------
+# Form-level operators
+# ---------------------------------------------------------------------------
+
+
+def star(spec: AlgebraSpec, f: Form) -> Form:
+    """Symplectic star of a form (applied degreewise); an exact involution."""
+    return Form(map_terms(_star_table(spec.two_n).__getitem__, f.terms), spec.two_n)
+
+
 def dc(spec: AlgebraSpec, f: Form) -> Form:
     """Symplectic codifferential, degree -1: (-1)^{k+1} star d star on each part."""
     _require_numeric(spec)
-    return Form(_dc_terms(spec, f.terms), spec.two_n)
+    image_of = partial(
+        _dc_monomial, _star_table(spec.two_n).__getitem__, partial(d_monomial, spec)
+    )
+    return Form(map_terms(image_of, f.terms), spec.two_n)
 
 
-def _monomial_preimages(spec: AlgebraSpec, op, degree: int) -> dict:
-    """{target: (source, coeff)} with op({source: 1}) = {target: coeff}.
-
-    Sources are the degree-``degree`` masks.  Subspaces read off this map
-    are exact only if op sends each monomial to at most one monomial and
-    distinct monomials to distinct ones, so both are checked.
-    """
-    preimages = {}
-    for source in degree_masks(spec.two_n, degree):
-        terms = op({source: 1})
-        if not terms:
-            continue
-        if len(terms) > 1:
-            raise InvariantViolationError(
-                f"the image of {Monomial(source, spec.two_n)} has "
-                f"{len(terms)} terms, not one"
-            )
-        ((target, coeff),) = terms.items()
-        if target in preimages:
-            raise InvariantViolationError(
-                f"two monomials map onto {Monomial(target, spec.two_n)}"
-            )
-        preimages[target] = (source, coeff)
-    return preimages
-
-
-def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
+def harmonic_representative(spec: AlgebraSpec, class_rep: Form, tables=None) -> Form:
     """A form r = class_rep + d(x) with d r = 0 and d^c r = 0.
 
     x solves d^c d x = -d^c class_rep, read off term by term from the
-    monomial preimages under d^c d.  For these algebras a solution exists
-    whenever the hard-Lefschetz condition holds, so failure raises.
+    monomial preimages under d^c d (on the scaled ``tables``, built here if
+    not given).  For these algebras a solution exists whenever the
+    hard-Lefschetz condition holds, so failure raises.
     """
-    _require_numeric(spec)
+    tables = tables or _Tables(spec)
     if not is_closed(spec, class_rep):
         raise NotACocycleError("harmonic representatives need a closed input")
     terms = class_rep.terms
-    rhs = _dc_terms(spec, terms)
+    rhs = map_terms(tables.dc_of, terms)
     if not rhs:
         return class_rep
     if not class_rep.is_homogeneous():
         raise ValueError("class representative must be homogeneous")
     (degree,) = class_rep.degrees()
-    preimages = _monomial_preimages(
-        spec, lambda g: _dc_terms(spec, d_terms(spec, g)), degree - 1
-    )
+    preimages = tables.dcd_preimages(degree - 1)
     correction = {}
     for target, value in rhs.items():
         if target not in preimages:
@@ -233,33 +228,29 @@ def harmonic_representative(spec: AlgebraSpec, class_rep: Form) -> Form:
                 f"no harmonic representative in degree {degree}"
             )
         source, coeff = preimages[target]
-        correction[source] = -Fraction(value) / coeff
-    result = add_terms(terms, d_terms(spec, correction))
-    if d_terms(spec, result) or _dc_terms(spec, result):
+        correction[source] = -Fraction(value) / coeff  # x / scale
+    result = add_terms(terms, map_terms(tables.d_of, correction))
+    if map_terms(tables.d_of, result) or map_terms(tables.dc_of, result):
         raise NoHarmonicRepresentativeError("solver returned a non-harmonic form")
     return Form(result, spec.two_n)
 
 
-def ddc_lemma_check(spec: AlgebraSpec, degree: int) -> bool:
+def ddc_lemma_check(spec: AlgebraSpec, degree: int, tables=None) -> bool:
     """Exact test of Ker d^c  n  Im d = Im d d^c inside degree ``degree``.
 
     Both images are spanned by single monomials, and d^c is injective on
     the monomials it does not kill, so Ker d^c n Im d is spanned by the
     Im-d monomials that d^c kills, and Im d d^c by the d-images of the d^c
-    targets: the lemma is an equality of sets.
+    targets: the lemma is an equality of sets, read off the scaled ``tables``.
     """
-    _require_numeric(spec)
-    if spec.n > HODGE_MAX_N:
-        raise SizeLimitError(f"the operator suite is limited to n <= {HODGE_MAX_N}")
+    tables = tables or _Tables(spec)
     if not 0 <= degree <= spec.two_n:
         raise ValueError(f"degree {degree} outside [0, {spec.two_n}]")
     d_image_of = {}
     if degree >= 1:
-        d_preimages = _monomial_preimages(
-            spec, lambda g: d_terms(spec, g), degree - 1
-        )
+        d_preimages = _preimages(tables.d_of, spec.two_n, degree - 1)
         d_image_of = {source: target for target, (source, _) in d_preimages.items()}
-    dc_preimages = _monomial_preimages(spec, lambda g: _dc_terms(spec, g), degree)
+    dc_preimages = _preimages(tables.dc_of, spec.two_n, degree)
     not_killed = {source for source, _ in dc_preimages.values()}
     image_ddc = {d_image_of[t] for t in dc_preimages if t in d_image_of}
     return set(d_image_of.values()) - not_killed == image_ddc
@@ -271,36 +262,33 @@ def operator_suite_failures(spec: AlgebraSpec) -> list:
     For each degree k: every monomial f must satisfy star star f = f,
     (d^c)^2 f = 0, d d^c f = -d^c d f and d^c f = [d, Lambda] f; the dd^c
     lemma must hold in degree k; and every basis class of H^k must have a
-    harmonic representative.  The monomial checks run on masks.  Above
-    n = HODGE_MAX_N it raises SizeLimitError before building any operator.
+    harmonic representative.  All of it reads one ``_Tables`` of the spec.
     """
-    if spec.n > HODGE_MAX_N:
-        raise SizeLimitError(f"the operator suite is limited to n <= {HODGE_MAX_N}")
-    _require_numeric(spec)
-    two_n = spec.two_n
+    tables = _Tables(spec)
+    star_t, d, dc_t, lam = tables.star, tables.d, tables.dc, tables.lam
+    d_of, dc_of = tables.d_of, tables.dc_of
     failures = []
-    for k in range(two_n + 1):
-        for mask in degree_masks(two_n, k):
-            f = {mask: 1}
-            if _star_terms(two_n, _star_terms(two_n, f)) != f:
+    for k in range(spec.two_n + 1):
+        for mask in degree_masks(spec.two_n, k):
+            target, sign = star_t[mask]
+            back, again = star_t[target]
+            if back != mask or sign * again != 1:
                 failures.append((k, "star not involutive"))
-            dc_f = _dc_terms(spec, f)
-            if _dc_terms(spec, dc_f):
+            image = dc_t[mask]
+            if image and dc_t[image[0]]:
                 failures.append((k, "dc^2 != 0"))
-            d_f = d_terms(spec, f)
-            if add_terms(d_terms(spec, dc_f), _dc_terms(spec, d_f)):
+            anti = _then(d_of, dc_of, mask)
+            if _then(dc_of, d_of, mask) != (anti and (anti[0], -anti[1])):
                 failures.append((k, "d dc != -dc d"))
-            commutator = add_terms(
-                d_terms(spec, _lambda_terms(spec, f)),
-                _lambda_terms(spec, d_f),
-                -1,
-            )
-            if dc_f != commutator:
+            commutator = map_terms(d_of, lam[mask])  # d Lambda - Lambda d
+            if d[mask]:
+                commutator = add_terms(commutator, lam[d[mask][0]], -d[mask][1])
+            if commutator != dict([image] if image else ()):
                 failures.append((k, "dc != [d, Lambda]"))
-        if not ddc_lemma_check(spec, k):
+        if not ddc_lemma_check(spec, k, tables):
             failures.append((k, "dd^c lemma fails"))
-        for vec in cohomology_basis(spec, k).forms():
-            rep = harmonic_representative(spec, vec)
-            if not (is_closed(spec, rep) and not _dc_terms(spec, rep.terms)):
+        for vec in cohomology_basis(spec, k, labels=False).forms():
+            rep = harmonic_representative(spec, vec, tables)
+            if map_terms(d_of, rep.terms) or map_terms(dc_of, rep.terms):
                 failures.append((k, "non-harmonic representative"))
     return failures

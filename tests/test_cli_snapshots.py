@@ -25,7 +25,10 @@ stdout changed.  The groups cover:
   certificate that carried the annihilator as a dense matrix;
 * ``lattice --alt-k`` at seven and at twelve exponents, and a case I pair
   whose t-values differ by under 1e-6.  These were pinned when ``--alt-k``
-  read a floating subset-sum gap and case I required coprime moduli.
+  read a floating subset-sum gap and case I required coprime moduli;
+* ``hodge`` in ones mode for n = 5..7 and with the non-integral explicit
+  weights 9/5, 9, 3/4, 2.  These were pinned when the operator suite
+  rebuilt its monomial dicts on every check and ran Fraction arithmetic.
 """
 
 import hashlib
@@ -111,6 +114,9 @@ def _groups():
         for n in range(8, 12)
     ]
     verified = [(n, k) for n in range(2, 9) for k in range(1, n // 2 + 1)]
+    groups["hodge ones n=5..7 and explicit n=5"] = [
+        ["hodge", "--n", str(n), "--mode", "ones"] for n in (5, 6, 7)
+    ] + [["hodge", "--n", "5", "--mode", "explicit", "--b", "9/5,9,3/4,2"]]
     groups["kneser --verify n=2..8 and K(10,5)"] = [
         ["kneser", "--n", str(n), "--k", str(k), "--verify"]
         for n, k in verified + [(10, 5)]
@@ -185,6 +191,8 @@ PINNED = {
         "d2501fea31a9458df3c258fb7b97595913072de4a932b631317e6e8ae4d25add",
     "lefschetz --hl ones n=8..11":
         "1abf6a4082bd933e8ae3d50aa9a104412dc304a36eba011a1dc279c74dfe9c4b",
+    "hodge ones n=5..7 and explicit n=5":
+        "0f08fda831f5b8435943c17ce6dee6e6da0f88f5ad272d530406ae70a58fe297",
     "kneser --verify n=2..8 and K(10,5)":
         "8080b6838551ae989a271d4d040b372a785d1b4047afa30b49e1f12065c61885",
     "lattice --n 8 --alt-k 1,2,3,4,5,6,7":

@@ -9,6 +9,7 @@ from aacohom import exact_linalg, symplectic_hodge
 from aacohom.ce_complex import (
     AlgebraSpec,
     cohomology_basis,
+    d_monomial,
     d_terms,
     differential,
     gamma_form,
@@ -28,11 +29,9 @@ from aacohom.exterior_algebra import (
 from aacohom.lefschetz import hard_lefschetz_report, omega_power
 from aacohom.symplectic_hodge import (
     HODGE_MAX_N,
-    _dc_terms,
-    _l_terms,
-    _lambda_terms,
+    _dc_monomial,
     _star_table,
-    _star_terms,
+    _Tables,
     dc,
     ddc_lemma_check,
     harmonic_representative,
@@ -139,17 +138,19 @@ def test_star_table_matches_the_bareiss_oracle(two_n):
     """Every entry, with w^{-1} from the closed-form sign, equals the entry
     built with w^{-1} as a Bareiss determinant."""
     table = _star_table(two_n)
-    vol_sign = table.vol_sign
-    full = (1 << two_n) - 1
     for mask in range(1 << two_n):
-        mono = Monomial(mask, two_n)
-        partner = Monomial.from_indices(
-            [literal_partner(i, two_n) for i in mono.indices], two_n
-        )
-        rest = Monomial(full ^ partner.mask, two_n)
-        sign, _ = wedge_monomials(partner, rest)
-        expected = (rest.mask, vol_sign * omega_inverse(partner, mono) * sign)
-        assert table[mask] == expected, mask
+        assert table[mask] == _bareiss_star(mask, two_n, table.vol_sign), mask
+
+
+def _bareiss_star(mask, two_n, vol_sign):
+    """(mask', sign) of star e^mask with w^{-1} as a Bareiss determinant."""
+    mono = Monomial(mask, two_n)
+    partner = Monomial.from_indices(
+        [literal_partner(i, two_n) for i in mono.indices], two_n
+    )
+    rest = Monomial(((1 << two_n) - 1) ^ partner.mask, two_n)
+    sign, _ = wedge_monomials(partner, rest)
+    return rest.mask, vol_sign * omega_inverse(partner, mono) * sign
 
 
 def test_dc_on_scalars_vanishes():
@@ -270,13 +271,27 @@ def _difference(a, b):
     return {mask: c for mask, c in out.items() if c}
 
 
+def _table_lambda(tables, terms):
+    """Lambda of a {mask: coeff} form, summed over the rows of the table."""
+    out = {}
+    for mask, c in terms.items():
+        out = _difference(out, {t: -v * c for t, v in tables.lam[mask].items()})
+    return out
+
+
+def _unscaled(entry, scale):
+    """A scaled table entry as the {mask: coeff} of the true operator."""
+    return {entry[0]: Fraction(entry[1], scale)} if entry else {}
+
+
 @pytest.mark.parametrize("spec", KERNEL_SPECS.values(), ids=KERNEL_SPECS.keys())
 def test_kernel_matches_form_routes(spec):
-    """Kernel d equals ``leibniz_differential``, extended linearly, and kernel
+    """Kernel d equals ``leibniz_differential``, extended linearly, and table
     Lambda equals the Lambda of ``lambda_and_h``, whose L is
     ``monomial_wedge`` with w rather than ``below_parity``; on every monomial
     and on a seeded sum per degree."""
     rng = random.Random(spec.n)
+    tables = _Tables(spec)
     for k in range(spec.two_n + 1):
         monos = all_monomials(spec.two_n, k)
         forms = [Form.from_monomial(m) for m in monos]
@@ -289,20 +304,45 @@ def test_kernel_matches_form_routes(spec):
                 d = d + leibniz_differential(spec, Monomial(mask, spec.two_n)) * c
             assert d_terms(spec, f.terms) == d.terms
             lam, _ = lambda_and_h(spec, f)
-            assert _lambda_terms(spec, f.terms) == lam.terms
+            assert _table_lambda(tables, f.terms) == lam.terms
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS.values(), ids=KERNEL_SPECS.keys())
 def test_kernel_h_is_degree_minus_n(spec):
-    """H = [L, Lambda] acts on degree k as (k - n) times the identity."""
+    """H = [L, Lambda] acts on degree k as (k - n) times the identity, with
+    Lambda from the table and L from ``lefschetz_l``."""
+    tables = _Tables(spec)
+
+    def l_terms(terms):
+        return lefschetz_l(spec, Form(terms, spec.two_n)).terms
+
     for k in range(spec.two_n + 1):
         for mask in degree_masks(spec.two_n, k):
             f = {mask: 1}
             h = _difference(
-                _l_terms(spec, _lambda_terms(spec, f)),
-                _lambda_terms(spec, _l_terms(spec, f)),
+                l_terms(_table_lambda(tables, f)),
+                _table_lambda(tables, l_terms(f)),
             )
             assert h == ({mask: k - spec.n} if k != spec.n else {})
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS.values(), ids=KERNEL_SPECS.keys())
+def test_table_entries_match_the_fraction_routes(spec):
+    """On every mask: star against ``omega_inverse`` (with vol from the
+    oracles' w), d against ``leibniz_differential``, d^c against
+    ``dc_as_commutator`` and Lambda against ``lambda_and_h``, each integer
+    d and d^c entry divided by ``scale``."""
+    two_n, (_, scale) = spec.two_n, spec.bit_weights
+    tables = _Tables(spec)
+    (vol_sign,) = volume(spec).terms.values()
+    for mask in range(1 << two_n):
+        mono = Monomial(mask, two_n)
+        f = Form.from_monomial(mono)
+        assert tables.star[mask] == _bareiss_star(mask, two_n, vol_sign)
+        d = leibniz_differential(spec, mono)
+        assert _unscaled(tables.d[mask], scale) == d.terms
+        assert _unscaled(tables.dc[mask], scale) == dc_as_commutator(spec, f).terms
+        assert tables.lam[mask] == lambda_and_h(spec, f)[0].terms
 
 
 @pytest.mark.parametrize("b", [(1, 1, 2), (1, 1, 2, 2)])
@@ -515,6 +555,11 @@ def test_monomial_route_matches_elimination(spec):
                 assert is_closed(spec, rep) and dc(spec, rep).is_zero
 
 
+def _dc_zero(star_of, d_of, mask):
+    """d^c replaced by zero."""
+    return None
+
+
 def test_monomial_route_matches_elimination_when_lemma_fails(monkeypatch):
     """With d^c replaced by zero, Ker d^c n Im d = Im d != 0 = Im dd^c.
 
@@ -522,7 +567,7 @@ def test_monomial_route_matches_elimination_when_lemma_fails(monkeypatch):
     is zero as well.
     """
     spec = EXPLICIT[3]
-    monkeypatch.setattr(symplectic_hodge, "_dc_terms", lambda spec, terms: {})
+    monkeypatch.setattr(symplectic_hodge, "_dc_monomial", _dc_zero)
     verdicts = [ddc_lemma_check(spec, k) for k in range(spec.two_n + 1)]
     assert verdicts == [
         ddc_lemma_by_elimination(spec, k) for k in range(spec.two_n + 1)
@@ -530,22 +575,16 @@ def test_monomial_route_matches_elimination_when_lemma_fails(monkeypatch):
     assert verdicts[0] and not all(verdicts)
 
 
-def _two_terms(spec, terms):
-    image = _dc_terms(spec, terms)
-    return {**image, 0: 1} if image else image
-
-
-def _one_target(spec, terms):
-    image = _dc_terms(spec, terms)
-    return {0: 1} if image else image
+def _one_target(star_of, d_of, mask):
+    """d^c sending every monomial it does not kill onto e^{} = 1."""
+    return (0, 1) if _dc_monomial(star_of, d_of, mask) else None
 
 
 @pytest.mark.parametrize(
-    "broken, message",
-    [(_two_terms, "has 2 terms"), (_one_target, "two monomials map onto")],
+    "broken, message", [(_one_target, "two monomials map onto")]
 )
 def test_non_monomial_dc_raises(monkeypatch, broken, message):
-    monkeypatch.setattr(symplectic_hodge, "_dc_terms", broken)
+    monkeypatch.setattr(symplectic_hodge, "_dc_monomial", broken)
     with pytest.raises(InvariantViolationError, match=message):
         ddc_lemma_check(EXPLICIT[3], 3)
 
@@ -558,22 +597,35 @@ def _star_unit_negated(two_n):
     return table
 
 
-def _dc_unsigned(spec, terms):
+def _dc_unsigned(star_of, d_of, mask):
     """d^c without its (-1)^(k+1) sign."""
-    two_n = spec.two_n
-    return _star_terms(two_n, d_terms(spec, _star_terms(two_n, terms)))
+    middle, before = star_of(mask)
+    image = d_of(middle)
+    if image:
+        target, after = star_of(image[0])
+        return target, before * after * image[1]
 
 
-def _dc_missing_star(spec, terms):
+def _dc_missing_star(star_of, d_of, mask):
     """d^c without the inner star, so it no longer squares to zero."""
-    return _star_terms(spec.two_n, d_terms(spec, terms))
+    image = d_of(mask)
+    if image:
+        target, after = star_of(image[0])
+        return target, after * image[1]
 
 
-# the kernel primitive behind each operator the suite checks
+def _not_closed(spec, class_rep, tables=None):
+    """A solver that returns e^2, which d does not kill in ones mode."""
+    return Form.covector(2, spec.two_n)
+
+
+# the primitive the suite's tables (or its last check) are built from, for
+# each operator the suite checks
 KERNEL_PRIMITIVE = {
     "star": "_star_table",
-    "dc": "_dc_terms",
-    "_lambda": "_lambda_terms",
+    "dc": "_dc_monomial",
+    "_lambda": "_lambda_monomial",
+    "harmonic": "harmonic_representative",
 }
 
 
@@ -583,7 +635,9 @@ KERNEL_PRIMITIVE = {
         ("star", _star_unit_negated, "star not involutive"),
         ("dc", _dc_missing_star, "dc^2 != 0"),
         ("dc", _dc_unsigned, "d dc != -dc d"),
-        ("_lambda", lambda spec, terms: {}, "dc != [d, Lambda]"),
+        ("_lambda", lambda star_of, omega, two_n, mask: {}, "dc != [d, Lambda]"),
+        ("dc", _dc_zero, "dd^c lemma fails"),
+        ("harmonic", _not_closed, "non-harmonic representative"),
     ],
 )
 def test_operator_suite_reports_broken_operator(monkeypatch, operator, broken, reason):
@@ -592,3 +646,27 @@ def test_operator_suite_reports_broken_operator(monkeypatch, operator, broken, r
     monkeypatch.setattr(symplectic_hodge, KERNEL_PRIMITIVE[operator], broken)
     reasons = {r for _, r in symplectic_hodge.operator_suite_failures(spec)}
     assert reason in reasons
+
+
+def _d_negated_on_e2(spec, mask, scaled=False):
+    """d with its sign flipped on the monomials that hold e^2.
+
+    Dropping the (-1)^(deg + 1) sign, or reading |<w, b>| for <w, b>, still
+    passes the suite, since star and Lambda keep the degree parity and the
+    weight; a sign that singles out one index does not.
+    """
+    image = d_monomial(spec, mask, scaled)
+    if image:
+        return image[0], -image[1] if mask & 2 else image[1]
+
+
+def test_no_table_outlives_a_patch(monkeypatch):
+    """Pass, patch the d the tables read, fail, undo, pass: the tables are
+    built per call, so neither the passing nor the broken d is kept."""
+    spec = AlgebraSpec.explicit([Fraction(9, 5), 9, Fraction(3, 4)])
+    assert symplectic_hodge.operator_suite_failures(spec) == []
+    monkeypatch.setattr(symplectic_hodge, "d_monomial", _d_negated_on_e2)
+    broken = {r for _, r in symplectic_hodge.operator_suite_failures(spec)}
+    assert "dc != [d, Lambda]" in broken
+    monkeypatch.undo()
+    assert symplectic_hodge.operator_suite_failures(spec) == []
