@@ -3,7 +3,7 @@
 Subcommands: cohomology, lefschetz, kneser, hodge, lattice, verify-all.
 Reports go to stdout (JSON by default; --format text/csv for matrices),
 rendered by ``render.emit``; diagnostics and wall time go to stderr.  Exit codes: 0 all checks passed,
-1 a mathematical check failed, 2 usage error.  Identical invocations
+1 a mathematical check failed (``CheckFailure``), 2 usage error.  Identical invocations
 produce byte-identical stdout.
 """
 
@@ -22,14 +22,9 @@ from .ce_complex import (
     cohomology_basis,
 )
 from .errors import (
-    CertificateFailureError,
+    CheckFailure,
     InvalidParameterError,
-    InvalidSymplecticFormError,
-    InvariantViolationError,
-    NoHarmonicRepresentativeError,
-    NotACocycleError,
     SizeLimitError,
-    StructureViolationError,
     UnsupportedModeError,
 )
 from .kneser import (
@@ -57,15 +52,6 @@ from .lefschetz import (
 from .render import OnesRows, emit
 from .symplectic_hodge import operator_suite_failures
 
-USAGE_ERRORS = ValueError  # caught after CHECK_ERRORS, some of which are ValueErrors
-CHECK_ERRORS = (
-    InvariantViolationError,
-    StructureViolationError,
-    CertificateFailureError,
-    NotACocycleError,
-    InvalidSymplecticFormError,
-    NoHarmonicRepresentativeError,
-)
 # the commands whose report can carry a matrix, the one payload csv renders
 MATRIX_COMMANDS = ("lefschetz", "kneser")
 
@@ -102,6 +88,10 @@ def _int_list(option, text):
 
 
 def _cmd_cohomology(args):
+    if args.basis and args.degree is None:
+        raise InvalidParameterError("--basis needs --degree")
+    if args.degree is not None and not args.basis:
+        raise InvalidParameterError("--degree is only meaningful with --basis")
     if args.n > COHOMOLOGY_MAX_N:
         raise SizeLimitError(f"cohomology is limited to n <= {COHOMOLOGY_MAX_N}")
     spec = _parse_spec(args)
@@ -120,11 +110,8 @@ def _cmd_cohomology(args):
             reference = betti_sequence(spec)
         ok = brute == reference
     if args.basis:
-        degree = args.degree
-        if degree is None:
-            raise InvalidParameterError("--basis needs --degree")
-        basis = cohomology_basis(spec, degree)
-        results["degree"] = degree
+        basis = cohomology_basis(spec, args.degree)
+        results["degree"] = args.degree
         results["labels"] = list(basis.labels)
         results["monomials"] = [list(m.indices) for m in basis.elements]
         results["signs"] = list(basis.signs)
@@ -353,10 +340,10 @@ def _run(args) -> int:
         if args.format == "csv" and args.command not in MATRIX_COMMANDS:
             raise InvalidParameterError("csv output needs a matrix payload")
         results, ok = args.fn(args)
-    except CHECK_ERRORS as exc:
+    except CheckFailure as exc:  # before ValueError, which some of them are
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except USAGE_ERRORS as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
@@ -377,7 +364,7 @@ def _run(args) -> int:
         }
     try:
         rendered = emit(report, args.format)
-    except USAGE_ERRORS as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     del report, results  # free the payload before stdout copies the text

@@ -54,6 +54,11 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+class CheckFailure(Exception):
+    """A mathematical check failed; the CLI exits 1 on these and 2 on any
+    other ValueError."""
+
+
 class DimensionMismatchError(ValueError):
     """Two forms with different ambient dimensions were combined."""
 
@@ -66,15 +71,15 @@ class SizeLimitError(ValueError):
     """The requested computation exceeds the built-in size guard."""
 
 
-class NotACocycleError(ValueError):
+class NotACocycleError(CheckFailure, ValueError):
     """A form that was required to be closed is not."""
 
 
-class InvalidSymplecticFormError(ValueError):
+class InvalidSymplecticFormError(CheckFailure, ValueError):
     """A user-supplied 2-form is not closed or not nondegenerate."""
 
 
-class StructureViolationError(ValueError):
+class StructureViolationError(CheckFailure, ValueError):
     """A Lefschetz matrix does not match its predicted block structure.
 
     Carries the first differing entry as (row, col, expected, got).
@@ -91,7 +96,7 @@ class StructureViolationError(ValueError):
         )
 
 
-class InvariantViolationError(RuntimeError):
+class InvariantViolationError(CheckFailure, RuntimeError):
     """An exact check contradicted a theorem; signals an implementation bug."""
 
 
@@ -99,10 +104,10 @@ class InvalidParameterError(ValueError):
     """A numeric parameter violates its precondition."""
 
 
-class CertificateFailureError(ValueError):
+class CertificateFailureError(CheckFailure, ValueError):
     """A lattice certificate could not be established: two t-values have
     units in one quadratic field."""
 
 
-class NoHarmonicRepresentativeError(RuntimeError):
+class NoHarmonicRepresentativeError(CheckFailure, RuntimeError):
     """No harmonic representative exists for the given cohomology class."""

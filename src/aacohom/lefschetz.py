@@ -31,7 +31,8 @@ floor(n/2), where theta_{R|S} has the ground {1..n} minus R and S, a superset
 of its ground in every L_j.  The whole L_m (``lefschetz_matrix``) is built
 only to be printed or compared.
 
-A user form is certified as a pull-back phi*[w] by an automorphism phi
+The kernel (``_operator_columns``) multiplies by the standard w only.  A
+user form is certified as a pull-back phi*[w] by an automorphism phi
 (``pull_back_factors``, on ``wedge_terms`` and ``d_terms``); its det L_m
 is the standard one times powers of phi's two parameters.  Its w^n != 0
 test reads the same class: no top form is exact, and (phi* w)^n =
@@ -54,7 +55,6 @@ from .ce_complex import (
     _pinned_bases,
     _theta_data,
     betti_closed_form,
-    cohomology_basis,
     d_terms,
     is_closed,
     partners,
@@ -272,28 +272,23 @@ def structure(blocks) -> str:
     )
 
 
-def _operator_columns(spec, m, omega_form, labels=False, blocks=None):
-    """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m, as sparse {row: value} maps.
+def _operator_columns(spec, m, labels=False, blocks=None):
+    """Columns of (1/(n-m)!) [w^{n-m} ^ .] on H^m for the standard w, as
+    sparse {row: value} maps.
 
     The divided power is read off the cached ``_mask_power_chain`` of
-    ``omega_form``; the bases carry ``labels`` only if asked for.  Returns
+    ``standard_omega``; the bases carry ``labels`` only if asked for.  Returns
     (source basis, target basis, columns, walk), from one ``_pinned_bases``
-    walk (explicit mode has none), or from the given ``blocks`` only.  d is
-    injective on monomials, so each product P ^ J of a closed power term P
-    with a source monomial J is a target basis monomial (one per row: P ->
-    P u J is injective) or an exact one (2n, nonzero weight), dropped.
-    P ^ J vanishes when the masks meet, and its sign is a bit count of P
-    against ``below_parity`` of J.
+    walk, or from the given ``blocks`` only.  Every pair e^i ^ e^{s(i)}, and
+    delta, has weight 0, so no product P ^ J of a power term P with a source
+    monomial J is exact: it is a target basis monomial (one per row: P ->
+    P u J is injective), or InvariantViolationError is raised.  P ^ J
+    vanishes when the masks meet, and its sign is a bit count of P against
+    ``below_parity`` of J.
     """
-    terms = _mask_power_chain(omega_form, spec.n)[spec.n - m].items()
+    terms = _mask_power_chain(standard_omega(spec), spec.n)[spec.n - m].items()
     two_n = spec.two_n
-    if spec.mode is Mode.EXPLICIT:  # plain weight-zero monomials, no walk
-        source = cohomology_basis(spec, m, labels)
-        target, walk = cohomology_basis(spec, two_n - m, labels), None
-    else:
-        (source, target), walk = _pinned_bases(
-            spec, m, labels, (False, True), blocks
-        )
+    (source, target), walk = _pinned_bases(spec, m, labels, (False, True), blocks)
     rows = {
         mono.mask: (i, sign)
         for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
@@ -308,13 +303,10 @@ def _operator_columns(spec, m, omega_form, labels=False, blocks=None):
                 continue
             hit = rows.get(pm | mask)
             if hit is None:
-                product = pm | mask
-                if not product >> (two_n - 1) or weight_is_zero(spec, product):
-                    raise InvariantViolationError(
-                        f"{Monomial(product, two_n)} is outside the "
-                        "cohomology basis and not exact"
-                    )
-                continue
+                raise InvariantViolationError(
+                    f"{Monomial(pm | mask, two_n)} is outside the "
+                    "cohomology basis and not exact"
+                )
             i, row_sign = hit
             if (pm & below).bit_count() & 1:
                 row_sign = -row_sign
@@ -341,9 +333,7 @@ def lefschetz_matrix(
             f"the dense matrix of L_{m} has {size} rows; "
             f"the limit is {DENSE_MAX_DIMENSION}"
         )
-    source, target, columns, walk = _operator_columns(
-        spec, m, standard_omega(spec), labels
-    )
+    source, target, columns, walk = _operator_columns(spec, m, labels)
     blocks = _layout(spec, walk)
     matrix = LefschetzMatrix(spec.n, m, tuple(columns), target, source, blocks)
     check_structure(matrix)
@@ -471,9 +461,7 @@ def _standard_operator(spec: AlgebraSpec, m: int, betti: int) -> int:
     for pattern in _patterns(spec, m):
         *_, count, ground, free = pattern
         block = next(_block_walk(spec, m, [pattern]))
-        source, target, columns, walk = _operator_columns(
-            spec, m, standard_omega(spec), False, (block,)
-        )
+        source, target, columns, walk = _operator_columns(spec, m, False, (block,))
         try:
             check_structure(LefschetzMatrix(
                 spec.n, m, tuple(columns), target, source, _layout(spec, walk)

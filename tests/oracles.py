@@ -11,6 +11,9 @@ mask kernel ``wedge_terms``; d expanded by the Leibniz rule over covector
 factors (``leibniz_differential``), where the package d is the mask kernel
 ``d_terms``; Lambda, H and [d, Lambda] on Forms, with L from
 ``monomial_wedge``; the whole verified L_m of any size (``whole_matrix``);
+L_m of any closed 2-form by wedging basis Forms with its power and dropping
+the exact terms by ``weight`` (``operator_columns_by_projection``), where
+the package kernel multiplies monomial masks by the standard w only;
 operators as dense matrices; null spaces and solves by dense elimination
 (``rref``); the inverse pairing w^{-1} on monomials as a Bareiss
 determinant; the Kneser annihilator prod_j (A - lambda_j I) as a dense
@@ -21,10 +24,17 @@ t-values by their quadratic fields; and ``replace``, a copy of a package
 record with some fields changed.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from aacohom.ce_complex import AlgebraSpec, Mode, differential
+from aacohom.ce_complex import (
+    AlgebraSpec,
+    Mode,
+    cohomology_basis,
+    differential,
+    lefschetz_target_basis,
+)
 from aacohom.exact_linalg import det_bareiss, rank, rref
 from aacohom.errors import DimensionMismatchError
 from aacohom.exterior_algebra import Form, Monomial, degree_masks
@@ -34,6 +44,7 @@ from aacohom.lefschetz import (
     _layout,
     _operator_columns,
     check_structure,
+    standard_omega,
 )
 from aacohom.symplectic_hodge import _require_numeric, star
 
@@ -217,15 +228,42 @@ def leibniz_differential(spec, m):
 
 def whole_matrix(spec: AlgebraSpec, m: int) -> LefschetzMatrix:
     """The verified whole L_m, as ``lefschetz_matrix`` builds it but past
-    DENSE_MAX_DIMENSION and with w from ``literal_omega``:
-    ``_operator_columns``, ``_layout`` and ``check_structure``."""
-    omega = literal_omega(spec.two_n)
-    source, target, columns, walk = _operator_columns(spec, m, omega)
+    DENSE_MAX_DIMENSION: ``_operator_columns``, once its standard w is
+    ``literal_omega``, then ``_layout`` and ``check_structure``."""
+    assert standard_omega(spec).terms == literal_omega(spec.two_n).terms
+    source, target, columns, walk = _operator_columns(spec, m)
     matrix = LefschetzMatrix(
         spec.n, m, tuple(columns), target, source, _layout(spec, walk)
     )
     check_structure(matrix)
     return matrix
+
+
+def operator_columns_by_projection(spec, m, omega_form):
+    """The columns of (1/(n-m)!) [omega_form^{n-m} ^ .] on H^m for any closed
+    2-form: wedge each basis form with the power (``monomial_wedge``), drop
+    the monomials of nonzero ``weight``, which hold e^{2n} and are exact in
+    a closed image, and read the rest off the target basis."""
+    source = cohomology_basis(spec, m)
+    target = lefschetz_target_basis(spec, m)
+    power = Form.one(spec.two_n) / math.factorial(spec.n - m)
+    for _ in range(spec.n - m):
+        power = monomial_wedge(power, omega_form)
+    rows = {
+        mono.mask: (i, sign)
+        for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
+    }
+    columns = []
+    for vec in source.forms():
+        column = {}
+        for mask, c in monomial_wedge(power, vec).terms.items():
+            if weight(spec, Monomial(mask, spec.two_n)).is_zero_for(spec):
+                i, sign = rows[mask]
+                column[i] = c * sign
+            else:
+                assert mask >> (spec.two_n - 1), "the image is not closed"
+        columns.append(column)
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import pytest
 from mpmath import mpf
 
 import aacohom.cli as cli
-from aacohom import ce_complex
+from aacohom import ce_complex, errors, lefschetz, symplectic_hodge
 from aacohom.ce_complex import AlgebraSpec, betti_closed_form
-from aacohom.errors import InvariantViolationError
 from oracles import replace
+from test_symplectic_hodge import BROKEN_OPERATORS, KERNEL_PRIMITIVE
 
 
 def run(capsys, *argv):
@@ -183,6 +183,32 @@ def test_hodge_checks(capsys):
     assert all(c["passed"] for c in report["results"]["checks"])
 
 
+# the printed name of each reason of the operator suite, written out apart
+# from cli.HODGE_CHECKS
+HODGE_NAMES = {
+    "star not involutive": "star is an involution",
+    "dc^2 != 0": "dc o dc = 0",
+    "d dc != -dc d": "d dc = -dc d",
+    "dc != [d, Lambda]": "dc = [d, Lambda]",
+    "dd^c lemma fails": "dd^c lemma in every degree",
+    "non-harmonic representative": "harmonic representative for every basis class",
+}
+
+
+@pytest.mark.parametrize("operator, broken, reason", BROKEN_OPERATORS)
+def test_hodge_marks_each_failed_check(capsys, monkeypatch, operator, broken, reason):
+    monkeypatch.setattr(symplectic_hodge, KERNEL_PRIMITIVE[operator], broken)
+    spec = AlgebraSpec.ones(3)
+    reasons = {r for _, r in symplectic_hodge.operator_suite_failures(spec)}
+    code, report = run_json(capsys, "hodge", "--n", "3", "--mode", "ones")
+    assert (code, report["status"]) == (1, "fail")
+    checks = report["results"]["checks"]
+    assert [c["name"] for c in checks] == list(HODGE_NAMES.values())
+    failed = {c["name"] for c in checks if not c["passed"]}
+    assert HODGE_NAMES[reason] in failed
+    assert failed == {HODGE_NAMES[r] for r in reasons}
+
+
 def test_hodge_size_limit(capsys):
     assert run(capsys, "hodge", "--n", "7", "--mode", "ones")[0] == 0
     start = time.perf_counter()
@@ -210,8 +236,7 @@ def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):
         raise AssertionError("walked blocks or built a basis beyond the limit")
 
     for module, name in ((ce, "_pinned_bases"), (ce, "_explicit_basis"),
-                         (lf, "_pinned_bases"), (lf, "cohomology_basis"),
-                         (lf, "_block_walk")):
+                         (lf, "_pinned_bases"), (lf, "_block_walk")):
         monkeypatch.setattr(module, name, built)
     start = time.perf_counter()
     # dense payload of 9800^2 cells; a block list of 77534 blocks; HL past
@@ -677,13 +702,65 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_check_failure_exits_1(capsys, monkeypatch):
-    def broken(g):
-        raise InvariantViolationError("forced failure for the exit-code test")
+@pytest.mark.parametrize("argv, message", [
+    ("--n 3 --degree 9", "--degree is only meaningful with --basis"),
+    ("--n 3 --check-brute --degree 2", "--degree is only meaningful with --basis"),
+    ("--n 7 --check-brute --basis", "--basis needs --degree"),
+])
+def test_degree_and_basis_are_checked_before_any_betti_number(
+    capsys, monkeypatch, argv, message
+):
+    def counted(*args):
+        raise AssertionError("computed a Betti number")
 
-    monkeypatch.setattr(cli, "verify_invertible", broken)
-    code, _ = run(capsys, "kneser", "--n", "5", "--k", "2", "--verify")
-    assert code == 1
+    for name in ("betti_closed_form", "betti_bruteforce"):
+        monkeypatch.setattr(ce_complex, name, counted)
+    assert cli.main(["cohomology", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("route", ["--hl", "--m 1", "--m 1 --check-kneser"])
+def test_explicit_lefschetz_is_refused_before_the_kernel(capsys, monkeypatch,
+                                                         route):
+    def kernel(*args):
+        raise AssertionError("reached the L_m kernel")
+
+    monkeypatch.setattr(lefschetz, "_operator_columns", kernel)
+    argv = ["lefschetz", "--n", "3", "--mode", "explicit", "--b", "1,2",
+            *route.split()]
+    assert run(capsys, *argv) == (2, "")
+
+
+# the errors that mean a mathematical check failed
+EXIT_1_ERRORS = {
+    errors.InvariantViolationError,
+    errors.StructureViolationError,
+    errors.CertificateFailureError,
+    errors.NotACocycleError,
+    errors.InvalidSymplecticFormError,
+    errors.NoHarmonicRepresentativeError,
+}
+
+
+def test_check_failure_exits_1(capsys, monkeypatch):
+    # each exception class of errors, raised from a patched command, exits 1
+    # exactly when it is an exit-1 error, and 2 otherwise
+    assert set(errors.CheckFailure.__subclasses__()) == EXIT_1_ERRORS
+    raised = [cls for cls in vars(errors).values()
+              if isinstance(cls, type) and issubclass(cls, Exception)
+              and cls is not errors.CheckFailure]
+    assert EXIT_1_ERRORS < set(raised)
+    for cls in raised:
+        def broken(g, cls=cls):
+            if cls is errors.StructureViolationError:
+                raise cls(0, 0, 1, 0)
+            raise cls("forced failure for the exit-code test")
+
+        monkeypatch.setattr(cli, "verify_invertible", broken)
+        code = run(capsys, "kneser", "--n", "5", "--k", "2", "--verify")[0]
+        assert code == (1 if cls in EXIT_1_ERRORS else 2), cls
 
 
 def test_flipped_lefschetz_entry_exits_1(capsys, monkeypatch):

@@ -19,7 +19,6 @@ from aacohom.ce_complex import (
     cohomology_basis,
     delta_form,
     gamma_form,
-    lefschetz_target_basis,
     theta_form,
 )
 from aacohom.errors import (
@@ -49,7 +48,14 @@ from aacohom.lefschetz import (
     structure,
 )
 
-from oracles import monomial_wedge, replace, wedge_monomials, whole_matrix
+from oracles import (
+    literal_omega,
+    monomial_wedge,
+    operator_columns_by_projection,
+    replace,
+    wedge_monomials,
+    whole_matrix,
+)
 from test_kneser import K52_PRINTED
 
 
@@ -212,11 +218,11 @@ def test_golden_matrix_n5_m4():
 
 
 def test_the_power_comes_only_from_the_mask_chain():
-    # no caller hands in w^{n-m} / (n-m)! as a Form any more
+    # no caller hands in w^{n-m} / (n-m)!, or the form, as a Form any more
     assert "power" not in inspect.signature(lefschetz_matrix).parameters
-    assert "power" not in inspect.signature(
-        lefschetz._operator_columns
-    ).parameters
+    parameters = inspect.signature(lefschetz._operator_columns).parameters
+    assert "omega_form" not in parameters
+    assert list(parameters) == ["spec", "m", "labels", "blocks"]
     assert not hasattr(lefschetz, "_divided_powers")
     spec = AlgebraSpec.generic(4)
     with pytest.raises(TypeError):
@@ -252,6 +258,19 @@ def test_requires_hypothesis_mode():
         lefschetz_matrix(AlgebraSpec.explicit([3, 9]), 2)
 
 
+def test_explicit_mode_is_refused_before_the_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("reached the L_m kernel")
+
+    monkeypatch.setattr(lefschetz, "_operator_columns", kernel)
+    spec = AlgebraSpec.explicit([1, 2])
+    for build in (hard_lefschetz_report,
+                  lambda spec: lefschetz.certified_blocks(spec, 1),
+                  lambda spec: lefschetz_matrix(spec, 1)):
+        with pytest.raises(UnsupportedModeError, match="generic and ones"):
+            build(spec)
+
+
 def test_image_outside_target_basis_raises(monkeypatch):
     full = lefschetz._pinned_bases
 
@@ -267,7 +286,7 @@ def test_image_outside_target_basis_raises(monkeypatch):
     monkeypatch.setattr(lefschetz, "_pinned_bases", truncated)
     spec = AlgebraSpec.generic(3)
     with pytest.raises(InvariantViolationError, match="outside the cohomology"):
-        lefschetz._operator_columns(spec, 2, standard_omega(spec))
+        lefschetz._operator_columns(spec, 2)
 
 
 def test_entry_other_than_one_raises(monkeypatch):
@@ -289,29 +308,6 @@ def test_entry_other_than_one_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def operator_columns_by_projection(spec, m, omega_form):
-    """Oracle: wedge each basis form with the power, project the image to
-    cohomology and read its terms off the target basis."""
-    source = cohomology_basis(spec, m)
-    target = lefschetz_target_basis(spec, m)
-    power = Form.one(spec.two_n) / math.factorial(spec.n - m)
-    for _ in range(spec.n - m):
-        power = monomial_wedge(power, omega_form)
-    rows = {
-        mono.mask: (i, sign)
-        for i, (mono, sign) in enumerate(zip(target.elements, target.signs))
-    }
-    columns = []
-    for vec in source.forms():
-        image = project_to_cohomology(spec, monomial_wedge(power, vec))
-        column = {}
-        for mono, c in image.terms.items():
-            i, sign = rows[mono]
-            column[i] = c * sign
-        columns.append(column)
-    return columns
-
-
 def test_below_parity_gives_the_wedge_sign():
     rng = random.Random(5)
     for width in (4, 9, 16, 33, 70):
@@ -321,12 +317,6 @@ def test_below_parity_gives_the_wedge_sign():
             sign, _ = wedge_monomials(Monomial(a, width), Monomial(b, width))
             parity = (a & below_parity(b, width)).bit_count() & 1
             assert sign == (-1 if parity else 1)
-
-
-def _assert_kernel_matches_oracle(spec, form):
-    for m in range(spec.n + 1):
-        columns = lefschetz._operator_columns(spec, m, form)[2]
-        assert columns == operator_columns_by_projection(spec, m, form), m
 
 
 def _seeded_user_form(spec, seed, thetas=3):
@@ -355,52 +345,10 @@ def _seeded_user_form(spec, seed, thetas=3):
 @pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
 def test_kernel_matches_projection_standard_form(n, maker):
     spec = maker(n)
-    _assert_kernel_matches_oracle(spec, standard_omega(spec))
-
-
-@pytest.mark.parametrize("n", [4, 5, 6])
-@pytest.mark.parametrize("seed", range(6))
-def test_kernel_matches_projection_user_forms(n, seed):
-    spec = AlgebraSpec.ones(n)
-    _assert_kernel_matches_oracle(spec, _seeded_user_form(spec, seed))
-
-
-@pytest.mark.parametrize("b", [(1, 2), (1, 1, 2), (1, 2, 3)])
-def test_kernel_matches_projection_explicit_weights(b):
-    # no block tree in explicit mode: the bases are plain weight-zero monomials
-    spec = AlgebraSpec.explicit(b)
-    _assert_kernel_matches_oracle(spec, standard_omega(spec))
-    assert lefschetz._operator_columns(spec, 1, standard_omega(spec))[3] is None
-
-
-@pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
-def test_kernel_drops_exact_terms(n, maker):
-    # e^i ^ e^{2n} is exact for i != 1; the products it gives are dropped
-    spec = maker(n)
-    two_n = spec.two_n
-    exact = Form.zero(two_n)
-    for i, c in ((2, 3), (n, Fraction(-1, 2)), (two_n - 1, 5)):
-        exact = exact + Form.from_monomial(
-            Monomial.from_indices((i, two_n), two_n), c
-        )
-    bases = [standard_omega(spec)]
-    if spec.mode is Mode.ONES:
-        bases.append(_seeded_user_form(spec, 0))
-    for base in bases:
-        form = SymplecticForm.validated(spec, base + exact).form
-        _assert_kernel_matches_oracle(spec, form)
-
-
-def test_non_closed_form_raises():
-    # e^1 ^ e^3 (ones n = 3) has weight (0, 1): its product with gamma_2 is
-    # e^{1234}, neither a basis monomial nor exact; likewise e^2 ^ e^3 with
-    # e^1 ^ gamma_4 at n = 4
-    for n, pair, m in ((3, (1, 3), 2), (4, (2, 3), 3)):
-        spec = AlgebraSpec.ones(n)
-        form = Form.from_monomial(Monomial.from_indices(pair, spec.two_n))
-        with pytest.raises(InvariantViolationError, match="outside the cohomology"):
-            lefschetz._operator_columns(spec, m, form)
+    omega = literal_omega(spec.two_n)
+    for m in range(n + 1):
+        columns = lefschetz._operator_columns(spec, m)[2]
+        assert columns == operator_columns_by_projection(spec, m, omega), m
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +747,8 @@ def test_flipped_entry_of_a_later_pattern_is_reported_at_its_offset(monkeypatch)
     # first block of p = 1, a K(3,1), starts at row 10
     kernel = lefschetz._operator_columns
 
-    def flipped(spec, m, omega_form, labels=False, blocks=None):
-        source, target, columns, walk = kernel(spec, m, omega_form, labels, blocks)
+    def flipped(spec, m, labels=False, blocks=None):
+        source, target, columns, walk = kernel(spec, m, labels, blocks)
         if m == 4 and blocks and blocks[0][1] == 1:
             first = dict(columns[0])
             if first.pop(0, None) is None:
@@ -991,7 +939,7 @@ def test_pull_back_determinants_match_elimination(n, maker):
     for form in _certificate_cases(spec):
         report = hard_lefschetz_report(spec, form)
         for op in report.operators:
-            columns = lefschetz._operator_columns(spec, op.m, form)[2]
+            columns = operator_columns_by_projection(spec, op.m, form)
             assert op.determinant == det_sparse(columns) != 0, op.m
         assert report.hard_lefschetz
 

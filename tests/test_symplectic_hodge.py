@@ -629,17 +629,19 @@ KERNEL_PRIMITIVE = {
 }
 
 
-@pytest.mark.parametrize(
-    "operator, broken, reason",
-    [
-        ("star", _star_unit_negated, "star not involutive"),
-        ("dc", _dc_missing_star, "dc^2 != 0"),
-        ("dc", _dc_unsigned, "d dc != -dc d"),
-        ("_lambda", lambda star_of, omega, two_n, mask: {}, "dc != [d, Lambda]"),
-        ("dc", _dc_zero, "dd^c lemma fails"),
-        ("harmonic", _not_closed, "non-harmonic representative"),
-    ],
-)
+# (operator, broken primitive, a reason the suite must then report), one
+# case for each check of the suite
+BROKEN_OPERATORS = [
+    ("star", _star_unit_negated, "star not involutive"),
+    ("dc", _dc_missing_star, "dc^2 != 0"),
+    ("dc", _dc_unsigned, "d dc != -dc d"),
+    ("_lambda", lambda star_of, omega, two_n, mask: {}, "dc != [d, Lambda]"),
+    ("dc", _dc_zero, "dd^c lemma fails"),
+    ("harmonic", _not_closed, "non-harmonic representative"),
+]
+
+
+@pytest.mark.parametrize("operator, broken, reason", BROKEN_OPERATORS)
 def test_operator_suite_reports_broken_operator(monkeypatch, operator, broken, reason):
     spec = AlgebraSpec.ones(3)
     assert symplectic_hodge.operator_suite_failures(spec) == []
