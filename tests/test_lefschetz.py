@@ -19,6 +19,7 @@ from aacohom.ce_complex import (
     cohomology_basis,
     delta_form,
     gamma_form,
+    lefschetz_target_basis,
     theta_form,
 )
 from aacohom.errors import (
@@ -50,10 +51,12 @@ from aacohom.lefschetz import (
 
 from oracles import (
     literal_omega,
+    literal_partner,
     monomial_wedge,
     operator_columns_by_projection,
     replace,
     wedge_monomials,
+    weight,
     whole_matrix,
 )
 from test_kneser import K52_PRINTED
@@ -349,6 +352,105 @@ def test_kernel_matches_projection_standard_form(n, maker):
     for m in range(n + 1):
         columns = lefschetz._operator_columns(spec, m)[2]
         assert columns == operator_columns_by_projection(spec, m, omega), m
+
+
+def _weight_zero(spec, f):
+    return {mask: c for mask, c in f.terms.items()
+            if weight(spec, Monomial(mask, spec.two_n)).is_zero_for(spec)}
+
+
+def _pull_back_images(spec, form):
+    """phi* of the covectors, read off the weight-zero part of a closed
+    2-form by ``literal_partner``: e^1 to a e^1 (a on e^1 ^ e^{2n}),
+    e^{s(i)} to sum_j M_ij e^{s(j)} (M_ij on e^i ^ e^{s(j)})."""
+    n, two_n = spec.n, spec.two_n
+    cls = _weight_zero(spec, form)
+    images = [Form.covector(k, two_n) for k in range(1, two_n + 1)]
+    images[0] = images[0] * cls.get(1 | 1 << (two_n - 1), 0)
+    for i in range(2, n + 1):
+        image = Form.zero(two_n)
+        for j in range(2, n + 1):
+            s_j = literal_partner(j, two_n)
+            c = cls.get(1 << (i - 1) | 1 << (s_j - 1), 0)
+            image = image + Form.covector(s_j, two_n) * c
+        images[literal_partner(i, two_n) - 1] = image
+    return images
+
+
+def _coordinates(spec, basis, images, f):
+    """The basis coordinates of the class of phi*(f), f a closed form."""
+    pulled = Form.zero(spec.two_n)
+    for mask, c in f.terms.items():
+        term = Form.one(spec.two_n) * c
+        for k in Monomial(mask, spec.two_n).indices:
+            term = monomial_wedge(term, images[k - 1])
+        pulled = pulled + term
+    rows = {mono.mask: (i, sign)
+            for i, (mono, sign) in enumerate(zip(basis.elements, basis.signs))}
+    out = {}
+    for mask, c in _weight_zero(spec, pulled).items():
+        i, sign = rows[mask]
+        out[i] = c * sign
+    return out
+
+
+def _times(columns, vector):
+    """sum_k vector[k] * columns[k], as a sparse column."""
+    out = Counter()
+    for k, c in vector.items():
+        for i, v in columns[k].items():
+            out[i] += c * v
+    return {i: v for i, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matches_projection_user_forms(n, seed):
+    # L_{phi* w} phi* = phi* L_w on H^m: the projection oracle on the user
+    # form, against the standard kernel carried by an independently read phi*
+    spec = AlgebraSpec.ones(n)
+    form = _seeded_user_form(spec, seed)
+    images = _pull_back_images(spec, form)
+    for m in range(n + 1):
+        source = cohomology_basis(spec, m)
+        target = lefschetz_target_basis(spec, m)
+        standard = lefschetz._operator_columns(spec, m)[2]
+        user = operator_columns_by_projection(spec, m, form)
+        targets = target.forms()
+        for vec, column in zip(source.forms(), standard):
+            image = Form.zero(spec.two_n)
+            for i, c in column.items():
+                image = image + targets[i] * c
+            assert (_times(user, _coordinates(spec, source, images, vec))
+                    == _coordinates(spec, target, images, image)), m
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("maker", [AlgebraSpec.generic, AlgebraSpec.ones])
+def test_kernel_drops_exact_terms(n, maker):
+    # e^i ^ e^{2n} is exact for i != 1: the oracle drops the products it
+    # gives, so L_m and the report's determinants are those of the base form
+    spec = maker(n)
+    two_n = spec.two_n
+    exact = Form.zero(two_n)
+    for i, c in ((2, 3), (n, Fraction(-1, 2)), (two_n - 1, 5)):
+        exact = exact + Form.from_monomial(
+            Monomial.from_indices((i, two_n), two_n), c
+        )
+    bases = [standard_omega(spec)]
+    if spec.mode is Mode.ONES:
+        bases.append(_seeded_user_form(spec, 0))
+    for base in bases:
+        form = SymplecticForm.validated(spec, base + exact).form
+        assert form != base
+        for m in range(n + 1):
+            assert (operator_columns_by_projection(spec, m, form)
+                    == operator_columns_by_projection(spec, m, base)), m
+        assert (hard_lefschetz_report(spec, form).operators
+                == hard_lefschetz_report(spec, base).operators)
+    for m in range(n + 1):
+        assert (operator_columns_by_projection(spec, m, bases[0] + exact)
+                == lefschetz._operator_columns(spec, m)[2]), m
 
 
 # ---------------------------------------------------------------------------
