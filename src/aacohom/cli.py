@@ -29,8 +29,8 @@ from .errors import (
 )
 from .kneser import (
     MAX_VERTICES,
-    VERIFY_MAX_VERTICES,
     KneserGraph,
+    certificate_work,
     neighbours,
     require_vertex_count,
     spectrum,
@@ -52,8 +52,15 @@ from .lefschetz import (
 from .render import OnesRows, emit
 from .symplectic_hodge import operator_suite_failures
 
-# the commands whose report can carry a matrix, the one payload csv renders
-MATRIX_COMMANDS = ("lefschetz", "kneser")
+
+def _has_matrix(args) -> bool:
+    """Whether the report of ``args`` carries a matrix, the one payload csv
+    renders; the commands read it too, so csv is refused before any work."""
+    if args.command == "lefschetz":
+        return not args.hl and (args.emit_matrix or not args.check_kneser)
+    if args.command == "kneser":
+        return args.emit_matrix or not (args.spectrum or args.verify)
+    return False
 
 
 def _parse_spec(args) -> AlgebraSpec:
@@ -151,7 +158,7 @@ def _cmd_lefschetz(args):
         return results, report.hard_lefschetz
     if args.m is None:
         raise InvalidParameterError("--m is required (or use --hl)")
-    emit_matrix = args.emit_matrix or not args.check_kneser
+    emit_matrix = _has_matrix(args)
     if emit_matrix:  # verified on construction, up to DENSE_MAX_DIMENSION
         mat = lefschetz_matrix(spec, args.m, labels=True)
         blocks, det = mat.blocks, mat.determinant()
@@ -176,9 +183,11 @@ def _cmd_lefschetz(args):
 
 def _cmd_kneser(args):
     g = KneserGraph(args.n, args.k)
-    require_vertex_count(g, VERIFY_MAX_VERTICES if args.verify else MAX_VERTICES)
+    if args.verify:  # the budget refuses before any vertex is listed
+        certificate_work(g)
+    require_vertex_count(g, MAX_VERTICES)
     results = {"vertices": [list(v) for v in g.vertices], "vertex_degree": g.degree}
-    if args.emit_matrix or not (args.spectrum or args.verify):
+    if _has_matrix(args):
         results["matrix"] = OnesRows(g.vertex_count, tuple(neighbours(g)))
     if args.spectrum:
         results["eigenvalues"] = [
@@ -337,7 +346,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     started = time.monotonic()
     try:
-        if args.format == "csv" and args.command not in MATRIX_COMMANDS:
+        if args.format == "csv" and not _has_matrix(args):
             raise InvalidParameterError("csv output needs a matrix payload")
         results, ok = args.fn(args)
     except CheckFailure as exc:  # before ValueError, which some of them are
@@ -362,11 +371,7 @@ def _run(args) -> int:
             "results": results,
             "status": status,
         }
-    try:
-        rendered = emit(report, args.format)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    rendered = emit(report, args.format)  # csv has its matrix, by _has_matrix
     del report, results  # free the payload before stdout copies the text
     sys.stdout.write(rendered)
     print(f"[{args.command}] {elapsed:.3f}s", file=sys.stderr)

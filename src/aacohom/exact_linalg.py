@@ -5,9 +5,12 @@ Three workhorses, all division-safe:
 * sparse fraction-free row echelon for ranks of large sparse integer
   matrices (rows are dicts, updates are the two-term integer combination
   pivot*row - entry*pivot_row followed by a gcd reduction);
-* Bareiss and sparse Fraction elimination for determinants;
-* dense Fraction Gauss-Jordan (``rref``) and ``matmul_int``, on which the
-  test oracles build their null spaces and solves.
+* sparse Fraction elimination for determinants, and Bareiss elimination
+  (``det_bareiss``), which no package route calls: it stays as the tests'
+  determinant oracle and a name the benchmark tracer wraps;
+* dense Fraction Gauss-Jordan (``rref``), which solves the Kneser
+  certificate's Vandermonde system, and ``matmul_int``, on which the test
+  oracles build their null spaces and solves.
 
 Matrices are lists of rows; sparse rows are dicts column -> value.
 """

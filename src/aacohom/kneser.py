@@ -19,16 +19,19 @@ from .errors import (
     SizeLimitError,
 )
 
-# Vertex-count limits, from whole CLI runs with the limits lifted, on 2 CPUs
-# (Python 3.11.7).  The CLI lists every vertex and by default the adjacency
-# matrix, rendered from the neighbour lists: K(12,6) (924 vertices, 9 MB of
-# JSON) takes 0.3 s and 40 MB, K(13,6) (1716) 0.5 s and 85 MB, K(14,7) (3432,
-# 130 MB of JSON) 1.0 s and 271 MB.  With --verify, K(10,4) (210) takes 0.25
-# s, K(10,5) (252) 0.11 s, K(11,4) (330) 1.0-1.1 s and K(11,5) (462) 0.9-1.0
-# s, at most 20 MB.  The Bareiss determinant, not the annihilator, sets the
-# limit: it is 97 % of verify_invertible's time at K(11,4) and K(11,5).
+# Limits, from whole CLI runs on 2 CPUs (Python 3.11.7).  The CLI lists every
+# vertex and by default the adjacency matrix, rendered from the neighbour
+# lists: K(12,6) (924 vertices, 9 MB of JSON) takes 0.3 s and 40 MB, K(13,6)
+# (1716) 0.5 s and 85 MB, K(14,7) (3432, 130 MB of JSON) 1.0 s and 271 MB.
+# --verify is held to about 1 s a run by ``certificate_work``, at 1.6 to 2.4
+# ns a word operation, as its time grows with the degree and the number of
+# distinct eigenvalues, not with the vertices alone: K(11,4) (15 M word
+# operations) takes 0.11 to 0.19 s, K(11,5) (4 M) 0.09 to 0.16 s, K(12,5)
+# (68 M) 0.21 to 0.39 s, and the heaviest admitted, K(740,1), K(34,2),
+# K(16,3) and K(13,4) (334 to 399 M), 0.61 to 0.77 s (0.94 s at worst), at
+# most 22 MB.  K(17,3) (664 M, 680 vertices) is the first one refused.
 MAX_VERTICES = 924
-VERIFY_MAX_VERTICES = 252
+VERIFY_MAX_WORK = 400_000_000
 
 
 class KneserGraph(Record):
@@ -119,11 +122,16 @@ def spectrum(g: KneserGraph) -> list:
     return [((-1) ** j * comb(g.n - g.k - j, g.k - j), j) for j in range(g.k + 1)]
 
 
+def _multiplicity(n: int, j: int) -> int:
+    """Multiplicity C(n, j) - C(n, j-1) of lambda_j."""
+    return comb(n, j) - (comb(n, j - 1) if j else 0)
+
+
 def determinant(g: KneserGraph) -> int:
-    """det A(K(n, k)) in closed form: each lambda_j to the C(n,j) - C(n,j-1)."""
+    """det A(K(n, k)) in closed form: each lambda_j to its multiplicity."""
     det = 1
     for value, j in spectrum(g):
-        det *= value ** (comb(g.n, j) - (comb(g.n, j - 1) if j else 0))
+        det *= value ** _multiplicity(g.n, j)
     return det
 
 
@@ -134,48 +142,99 @@ class InvertibilityCertificate(Record):
     annihilator_vanishes: bool
 
 
-def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
-    """Exact invertibility certificate.
+def _annihilator_width(degree: int, values) -> int:
+    """Packing width of prod_v (A - v I) for rows of at most ``degree`` ones."""
+    return prod(degree + abs(v) for v in values).bit_length()
 
-    Reads A from ``neighbours`` and computes det(A) by fraction-free
-    elimination of its dense rows; a zero determinant or one other than the
-    closed form ``determinant`` would contradict the spectral description
-    and is an invariant violation, as is a nonzero prod_j (A - lambda_j I).
-    Graphs above VERIFY_MAX_VERTICES raise SizeLimitError before any work.
 
-    The factors commute, so each acts from the left: row i of (A - lambda I)P
-    is the sum of the rows of P at i's neighbours less lambda times row i.
-    Row i of P is one int, P[i][c] at bit w*c, a map linear over Z.  With d
-    the longest neighbour list, no entry of a partial product exceeds B =
-    prod_j (d + |lambda_j|), the factors' infinity norms.  As 2^w > B, a row
-    whose lowest nonzero entry e sits at c packs to e*2^(wc) modulo
-    2^(w(c+1)), which is not 0: a packed row is 0 exactly when its entries are.
+def _products(adjacent, width: int, values):
+    """Packed rows of prod (A - v I) over each prefix of ``values``, in turn."""
+    rows = [1 << (width * i) for i in range(len(adjacent))]
+    for value in values:
+        rows = [
+            sum(rows[j] for j in columns) - value * row
+            for row, columns in zip(rows, adjacent)
+        ]
+        yield rows
+
+
+def certificate_work(g: KneserGraph) -> int:
+    """Word operations of ``verify_invertible`` on g, read off binomials.
+
+    Its r annihilator factors and r - 1 trace powers, r the number of
+    distinct eigenvalues, each add V * d packed rows of at most ceil(V w / 64)
+    64-bit words, w the annihilator's width.  Raises SizeLimitError past
+    MAX_VERTICES, or past VERIFY_MAX_WORK, before any vertex is listed.
     """
-    require_vertex_count(g, VERIFY_MAX_VERTICES)
+    require_vertex_count(g, MAX_VERTICES)
+    values = {v for v, _ in spectrum(g)}
+    size, deg = g.vertex_count, g.degree
+    words = -(-size * _annihilator_width(deg, values) // 64)
+    work = (2 * len(values) - 1) * size * deg * words
+    if work > VERIFY_MAX_WORK:
+        raise SizeLimitError(
+            f"certifying K({g.n},{g.k}) takes {work} word operations; "
+            f"the budget is {VERIFY_MAX_WORK}"
+        )
+    return work
+
+
+def verify_invertible(g: KneserGraph) -> InvertibilityCertificate:
+    """Exact invertibility certificate, read from ``neighbours`` alone.
+
+    1. Take the r distinct values v of ``spectrum``.  If prod_v (A - v I) = 0,
+       the minimal polynomial of A is square-free, so A is diagonalisable and
+       every eigenvalue is a v; no symmetry of the lists is assumed.
+    2. Then tr(A^i) = sum_v mult_v v^i, and the traces for i < r fix the
+       multiplicities by an r x r Vandermonde solve (``exact_linalg.rref``).
+    3. Each mult_v must be the closed form C(n, j) - C(n, j-1), summed over
+       the j with lambda_j = v, and det A = prod_v v^mult_v must be the
+       closed form ``determinant``.  Any other outcome, a nonzero product
+       included, is an InvariantViolationError.  ``certificate_work`` refuses
+       a graph past the budget before any work.
+
+    The factors and powers act from the left: row i of (A - v I) P is the
+    sum of the rows of P at i's neighbours less v times row i.  Row i of P
+    is one int, P[i][c] at bit w*c, a map linear over Z.  With d the longest
+    neighbour list, no entry of a partial product exceeds B = prod_v (d + |v|),
+    the factors' infinity norms.  As 2^w > B, a row whose lowest nonzero
+    entry e sits at c packs to e*2^(wc) modulo 2^(w(c+1)), which is not 0: a
+    packed row is 0 exactly when its entries are.  The entries of A^i lie in
+    [0, d^i], so the powers pack at the bit length of d^(r-1) with no sign
+    handling, and a diagonal entry is one shift and mask.
+    """
+    certificate_work(g)
     eigs = spectrum(g)
+    expected = {}  # distinct value -> its closed-form multiplicity
+    for value, j in eigs:
+        expected[value] = expected.get(value, 0) + _multiplicity(g.n, j)
+    values = list(expected)
     adjacent = neighbours(g)
-    size = len(adjacent)
-    a = [[0] * size for _ in range(size)]
-    for row, columns in zip(a, adjacent):
-        for j in columns:
-            row[j] = 1
-    det = exact_linalg.det_bareiss(a)
+    deg = max(map(len, adjacent))  # the lists read here, not g.degree
+    for rows in _products(adjacent, _annihilator_width(deg, values), values):
+        pass  # only the whole product is read, and no partial one is kept
+    if any(rows):
+        raise InvariantViolationError(
+            f"annihilating polynomial of K({g.n},{g.k}) does not vanish"
+        )
+    r = len(values)
+    width = (deg ** (r - 1)).bit_length()
+    mask = (1 << width) - 1
+    system = [[1] * r + [len(adjacent)]]  # row i: sum_v mult_v v^i = tr(A^i)
+    for i, rows in enumerate(_products(adjacent, width, [0] * (r - 1)), 1):
+        trace = sum(row >> (width * c) & mask for c, row in enumerate(rows))
+        system.append([v**i for v in values] + [trace])
+    det = 1
+    for (value, want), row in zip(expected.items(), exact_linalg.rref(system)[0]):
+        if row[-1] != want:
+            raise InvariantViolationError(
+                f"eigenvalue {value} of K({g.n},{g.k}) has multiplicity "
+                f"{row[-1]}, not the closed form {want}"
+            )
+        det *= value**want
     if det != determinant(g):  # never 0, as ``spectrum`` took n >= 2k >= 2
         raise InvariantViolationError(
             f"adjacency of K({g.n},{g.k}) has determinant {det}, "
             f"not the closed form {determinant(g)}"
         )
-    deg = max(map(len, adjacent))  # the lists read here, not g.degree
-    width = prod(deg + abs(value) for value, _ in eigs).bit_length() + 2
-    rows = [1 << (width * i) for i in range(size)]
-    for value, _ in eigs:
-        rows = [
-            sum(rows[j] for j in columns) - value * row
-            for row, columns in zip(rows, adjacent)
-        ]
-    vanishes = not any(rows)
-    if not vanishes:
-        raise InvariantViolationError(
-            f"annihilating polynomial of K({g.n},{g.k}) does not vanish"
-        )
-    return InvertibilityCertificate(g, det, tuple(eigs), vanishes)
+    return InvertibilityCertificate(g, det, tuple(eigs), True)

@@ -423,9 +423,17 @@ def dense_annihilator(adjacent, values):
     neighbour lists.  Each factor acts from the left: row i of
     (A - lambda I) P is the sum of the rows of P at i and its neighbours
     less (lambda + 1) times row i (zipped with row i first, so that an
-    isolated vertex keeps its row)."""
+    isolated vertex keeps its row).  The first factor is written out from
+    the lists, a repeated neighbour counted once per copy."""
+    values = list(values)
     size = len(adjacent)
     product = [[int(i == j) for j in range(size)] for i in range(size)]
+    if values:
+        first = values.pop(0)
+        for i, columns in enumerate(adjacent):
+            product[i][i] = -first
+            for j in columns:
+                product[i][j] += 1
     for value in values:
         shift = value + 1
         product = [

@@ -175,6 +175,24 @@ def test_csv_without_matrix_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, work", [
+    ("lefschetz --n 11 --mode ones --hl", "hard_lefschetz_report"),
+    ("lefschetz --n 12 --mode ones --m 6 --check-kneser", "certified_blocks"),
+    ("kneser --n 10 --k 4 --verify", "verify_invertible"),
+    ("kneser --n 10 --k 4 --spectrum", "spectrum"),
+])
+def test_csv_without_matrix_is_refused_before_any_work(argv, work, capsys,
+                                                       monkeypatch):
+    def worked(*args):
+        raise AssertionError("ran the command before refusing csv")
+
+    monkeypatch.setattr(cli, work, worked)
+    assert cli.main(["--format", "csv", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: csv output needs a matrix payload\n"
+
+
 def test_hodge_checks(capsys):
     code, report = run_json(
         capsys, "hodge", "--n", "2", "--mode", "explicit", "--b", "3"
@@ -217,15 +235,36 @@ def test_hodge_size_limit(capsys):
     assert time.perf_counter() - start < 5
 
 
-def test_kneser_size_limit(capsys):
-    # K(12,6) has 924 vertices, K(13,6) 1716, K(10,5) 252 and K(11,5) 462
+def test_kneser_size_limit(capsys, monkeypatch):
+    # K(12,6) has 924 vertices and K(13,6) 1716; K(17,3), 680 vertices, is
+    # the first graph past the --verify work budget
     assert run(capsys, "kneser", "--n", "9", "--k", "4", "--verify")[0] == 0
+    assert run(capsys, "kneser", "--n", "11", "--k", "5", "--verify")[0] == 0
+
+    def listed(*args):
+        raise AssertionError("listed the vertices of a refused graph")
+
+    monkeypatch.setattr(cli, "neighbours", listed)
+    monkeypatch.setattr(cli.KneserGraph, "vertices", property(listed))
     start = time.perf_counter()
     assert run(capsys, "kneser", "--n", "13", "--k", "6")[0] == 2
     assert run(capsys, "kneser", "--n", "13", "--k", "6", "--spectrum")[0] == 2
-    assert run(capsys, "kneser", "--n", "11", "--k", "5", "--verify")[0] == 2
+    assert run(capsys, "kneser", "--n", "17", "--k", "3", "--verify")[0] == 2
+    assert run(capsys, "kneser", "--n", "741", "--k", "1", "--verify")[0] == 2
     assert run(capsys, "kneser", "--n", "40", "--k", "20", "--spectrum")[0] == 2
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("n, k", [(11, 4), (11, 5), (12, 5)])
+def test_kneser_verify_past_the_old_vertex_limit_in_time(n, k):
+    # whole runs of about 0.1 to 0.2 s on 2 CPUs; the old route took 1.2 to
+    # 20 s on these graphs, which have more than 252 vertices
+    started = time.monotonic()
+    done = _cli_process("kneser", "--n", str(n), "--k", str(k), "--verify",
+                        seconds=10)
+    assert done.returncode == 0, done.stderr
+    assert time.monotonic() - started < 2
+    assert json.loads(done.stdout)["results"]["annihilator_vanishes"] is True
 
 
 def test_lefschetz_and_basis_size_limits(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from aacohom.errors import (
 )
 from aacohom.exact_linalg import det_bareiss
 from aacohom.kneser import (
-    VERIFY_MAX_VERTICES,
     KneserGraph,
     adjacency,
     comb_past,
@@ -134,13 +133,22 @@ def test_size_limits_checked_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(kn, "adjacency", enumerated)
     monkeypatch.setattr(kn, "neighbours", enumerated)
-    big = KneserGraph(11, 5)  # 462 vertices
-    assert big.vertex_count > kn.VERIFY_MAX_VERTICES
-    with pytest.raises(SizeLimitError):
+    # K(17, 3), 680 vertices, is the first graph that the work count refuses:
+    # every K(n, k) with n < 17 and at most 924 vertices is admitted
+    for n in range(2, 17):
+        for k in range(1, n // 2 + 1):
+            if comb_past(n, k, kn.MAX_VERTICES) <= kn.MAX_VERTICES:
+                assert kn.certificate_work(KneserGraph(n, k)) <= kn.VERIFY_MAX_WORK
+    assert kn.certificate_work(KneserGraph(16, 3)) == 334093760
+    big = KneserGraph(17, 3)
+    assert big.vertex_count == 680
+    with pytest.raises(SizeLimitError, match="takes 663601120 word operations"):
         kn.verify_invertible(big)
     kn.require_vertex_count(KneserGraph(12, 6), kn.MAX_VERTICES)
     with pytest.raises(SizeLimitError, match="more than 924 vertices"):
         kn.require_vertex_count(KneserGraph(13, 6), kn.MAX_VERTICES)
+    with pytest.raises(SizeLimitError, match="more than 924 vertices"):
+        kn.verify_invertible(KneserGraph(13, 6))
 
 
 def test_zero_determinant_violation(monkeypatch):
@@ -162,24 +170,20 @@ def test_wrong_spectrum_fails_the_annihilator(monkeypatch):
         kn.verify_invertible(KneserGraph(5, 2))
 
 
-def test_packed_annihilator_matches_the_dense_oracle(monkeypatch):
-    import aacohom.exact_linalg as el
-
-    # every K(n, k), k >= 1, n >= 2k, that --verify admits (K(12, 6) is past
-    # it), except the complete graphs K(n, 1) for 22 < n < 252: the dense
-    # product costs n^3 each, 21 s for all of them.  Elimination is checked
-    # by the tests above; here the closed form stands in for it.
+def test_packed_annihilator_matches_the_dense_oracle():
+    # every K(n, k), k >= 1, n >= 2k, with at most 252 vertices, except the
+    # complete graphs K(n, 1) for 22 < n < 252: the dense product costs n^3
+    # each, 21 s for all of them.  Elimination is checked by the tests above.
     graphs = [
         KneserGraph(n, k)
         for k in range(1, 6)
-        for n in range(2 * k, 23 if k == 1 else VERIFY_MAX_VERTICES + 1)
-        if comb_past(n, k, VERIFY_MAX_VERTICES) <= VERIFY_MAX_VERTICES
+        for n in range(2 * k, 23 if k == 1 else 253)
+        if comb_past(n, k, 252) <= 252
     ]
-    graphs.append(KneserGraph(VERIFY_MAX_VERTICES, 1))
+    graphs.append(KneserGraph(252, 1))
     assert len(graphs) == 52
     for g in graphs:
-        monkeypatch.setattr(el, "det_bareiss", lambda a, g=g: determinant(g))
-        values = [v for v, _ in spectrum(g)]
+        values = {v for v, _ in spectrum(g)}  # the square-free product
         assert not any(map(any, dense_annihilator(_dense_lists(g), values)))
         assert verify_invertible(g).annihilator_vanishes, (g.n, g.k)
 
@@ -191,8 +195,9 @@ def test_shifted_eigenvalue_fails_packed_and_dense(n, monkeypatch):
     # prod_j (A - mu_j I) vanishes exactly when every eigenvalue of A is a
     # mu_j, as A is diagonalisable and each lambda_j has a positive
     # multiplicity.  K(2k, k) repeats a lambda_j, so moving one copy of it
-    # leaves a product that still vanishes, while moving a lone lambda_j,
-    # even onto another one, leaves a product that does not.
+    # leaves a product that still vanishes, and the certificate fails on the
+    # multiplicities; moving a lone lambda_j, even onto another one, leaves a
+    # product that does not vanish.
     graphs = [KneserGraph(n, k) for k in range(1, n // 2 + 1)]
     cases = [(g, spectrum(g), determinant(g)) for g in graphs]
     for g, eigs, det in cases:
@@ -206,11 +211,99 @@ def test_shifted_eigenvalue_fails_packed_and_dense(n, monkeypatch):
                 dense = dense_annihilator(lists, values)
                 assert (not any(map(any, dense))) == vanishes, (g, j, step)
                 monkeypatch.setattr(kn, "spectrum", lambda g, s=shifted: s)
-                if vanishes:
-                    assert kn.verify_invertible(g).annihilator_vanishes
-                    continue
-                with pytest.raises(InvariantViolationError, match="does not vanish"):
+                reason = "multiplicity" if vanishes else "does not vanish"
+                with pytest.raises(InvariantViolationError, match=reason):
                     kn.verify_invertible(g)
+
+
+def test_moved_copy_of_a_repeated_eigenvalue_fails_on_its_multiplicity(monkeypatch):
+    import aacohom.kneser as kn
+
+    # K(4, 2) is a perfect matching on 6 vertices: 1 and -1, three times each.
+    # Moving lambda_0 = 1 to 2 keeps every eigenvalue in {2, -1, 1}, so the
+    # annihilator vanishes, but 2 is no eigenvalue, while its closed form is 1
+    lists = _dense_lists(KneserGraph(4, 2))
+    assert lists == [[5], [4], [3], [2], [1], [0]]
+    assert not any(map(any, dense_annihilator(lists, [2, -1, 1])))
+    assert det_bareiss(adjacency(KneserGraph(4, 2))) == -1
+    monkeypatch.setattr(kn, "spectrum", lambda g: [(2, 0), (-1, 1), (1, 2)])
+    monkeypatch.setattr(kn, "determinant", lambda g: -1)
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"eigenvalue 2 of K\(4,2\) has multiplicity 0, not the closed form 1",
+    ):
+        kn.verify_invertible(KneserGraph(4, 2))
+
+
+def test_shifted_lone_eigenvalue_fails_the_annihilator(monkeypatch):
+    import aacohom.kneser as kn
+
+    # K(6, 2) has eigenvalues 6, -3, 1, each lone; -3 shifted to -2 leaves the
+    # eigenvalue -3 outside {6, -2, 1}, whatever the determinant
+    g = KneserGraph(6, 2)
+    assert [v for v, _ in spectrum(g)] == [6, -3, 1]
+    assert any(map(any, dense_annihilator(_dense_lists(g), [6, -2, 1])))
+    det = det_bareiss(adjacency(g))
+    monkeypatch.setattr(kn, "spectrum", lambda g: [(6, 0), (-2, 1), (1, 2)])
+    monkeypatch.setattr(kn, "determinant", lambda g: det)
+    with pytest.raises(InvariantViolationError, match="does not vanish"):
+        kn.verify_invertible(g)
+
+
+def test_non_diagonalisable_lists_fail_the_square_free_annihilator(monkeypatch):
+    import aacohom.kneser as kn
+
+    # A = [[1, 1], [0, 1]] is a Jordan block: (A - I)^2 = 0 but A - I != 0.
+    # Its trace 2 and det 1 match the one value 1 taken twice, so only the
+    # square-free product refuses it
+    lists = [[0, 1], [1]]
+    assert dense_annihilator(lists, [1]) == [[0, 1], [0, 0]]
+    assert dense_annihilator(lists, [1, 1]) == [[0, 0], [0, 0]]
+    assert det_bareiss([[1, 1], [0, 1]]) == 1
+    monkeypatch.setattr(kn, "neighbours", lambda g: lists)
+    monkeypatch.setattr(kn, "spectrum", lambda g: [(1, 0), (1, 1)])
+    monkeypatch.setattr(kn, "determinant", lambda g: 1)
+    with pytest.raises(InvariantViolationError, match="does not vanish"):
+        kn.verify_invertible(KneserGraph(2, 1))
+
+
+@pytest.mark.parametrize("e", [1, 2, 5, 16])
+def test_trace_rows_do_not_carry_into_the_diagonal(e, monkeypatch):
+    import aacohom.kneser as kn
+
+    # each vertex is joined 2^e times to the other: A = [[0, 2^e], [2^e, 0]],
+    # with eigenvalues 2^e and -2^e once each and det -4^e.  Row 1 of A holds
+    # 2^e at column 0, which a width of e bits would carry into its diagonal
+    lists = [[1] * 2**e, [0] * 2**e]
+    a = [[0, 2**e], [2**e, 0]]
+    assert not any(map(any, dense_annihilator(lists, [2**e, -(2**e)])))
+    monkeypatch.setattr(kn, "neighbours", lambda g: lists)
+    monkeypatch.setattr(kn, "spectrum", lambda g: [(2**e, 0), (-(2**e), 1)])
+    monkeypatch.setattr(kn, "determinant", lambda g: det_bareiss(a))
+    assert kn.verify_invertible(KneserGraph(2, 1)).determinant == -(4**e)
+
+
+def test_verify_eliminates_nothing_on_a(monkeypatch):
+    import aacohom.exact_linalg as el
+
+    def eliminated(*args):
+        raise AssertionError("eliminated on the adjacency matrix")
+
+    for name in ("det_bareiss", "det_sparse", "rank"):
+        monkeypatch.setattr(el, name, eliminated)
+    rref, solved = el.rref, []
+
+    def recorded(matrix):
+        solved.append((len(matrix), len(matrix[0])))
+        return rref(matrix)
+
+    monkeypatch.setattr(el, "rref", recorded)
+    # K(11, 4) has 330 vertices and 5 distinct eigenvalues; K(12, 6) has 2
+    assert verify_invertible(KneserGraph(11, 4)).determinant == determinant(
+        KneserGraph(11, 4)
+    )
+    verify_invertible(KneserGraph(12, 6))
+    assert solved == [(5, 6), (2, 3)]
 
 
 @pytest.mark.parametrize("e", range(17))
